@@ -65,6 +65,10 @@ class StudyConfig:
             raise UsageError(f"theta must be in (0, 1], got {self.theta}")
         if self.levels < 1:
             raise UsageError("levels must be positive")
+        if self.max_dofs < 1:
+            raise UsageError("max_dofs must be positive")
+        if self.field_degree < 0:
+            raise UsageError("field degree must be nonnegative")
         if self.test_degree < self.field_degree + 2:
             raise UsageError("test degree must be at least field degree + 2")
 

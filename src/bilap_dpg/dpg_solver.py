@@ -39,18 +39,23 @@ class BrokenField:
     coeffs: np.ndarray  # (nt, dim_p)
     centroid: np.ndarray
     h: np.ndarray
-    trial_chol: np.ndarray | None  # None => raw monomial basis
+    trial_chol: np.ndarray  # (nt, dim_p, dim_p), basis = monomials L^-T
 
-    def eval_element(self, tri, points):
-        """Field values on one element at physical points (n, 2)."""
+    def eval(self, tris, points):
+        """Field values on elements `tris` (m,) at physical points (m, nq, 2).
+
+        Returns shape (m, nq).
+        """
+        tris = np.asarray(tris)
         exponents = forms.monomial_exponents(self.degree)
-        u = (np.asarray(points, dtype=float) - self.centroid[tri]) / self.h[tri]
-        mono = u[:, 0][:, None] ** exponents[:, 0] * u[:, 1][:, None] ** exponents[:, 1]
-        if self.trial_chol is not None:
-            basis = np.linalg.solve(self.trial_chol[tri], mono.T).T
-        else:
-            basis = mono
-        return basis @ self.coeffs[tri]
+        scale = self.h[tris, None, None]
+        u = (np.asarray(points, dtype=float) - self.centroid[tris, None, :]) / scale
+        mono = u[..., 0, None] ** exponents[:, 0] * u[..., 1, None] ** exponents[:, 1]
+        # the field is mono L^-T c, so its monomial coefficients are L^-T c
+        mono_coeffs = np.linalg.solve(
+            np.swapaxes(self.trial_chol[tris], 1, 2), self.coeffs[tris, :, None]
+        )
+        return np.einsum("tqi,ti->tq", mono, mono_coeffs[..., 0])
 
 
 @dataclass

@@ -16,6 +16,17 @@ monomials; the solver orthonormalizes them against the element L2
 inner product to keep Gram matrices well conditioned at enrichment
 degrees 4-6, while the plain monomial basis remains available (and is
 the default of the single-element entry points below).
+
+`build_local_systems` runs the dense kernels once per translation
+class of elements: elements with bit-equal relative vertex coordinates
+(v1 - v0, v2 - v0), the same orientation of each edge's global lo/hi
+endpoints relative to the element's slots and the same edge owner
+signs have equal local systems up to rounding.  There is no scale key:
+mass terms scale with h^2 and Hessian terms with h^-2, so the Gram
+blocks of similar elements are not multiples of each other.  Nested
+newest-vertex bisection yields finitely many shapes, so uniform and
+graded meshes reuse most kernels; a mesh without repeated shapes has
+one class per element.
 """
 
 from __future__ import annotations
@@ -31,6 +42,7 @@ from bilap_dpg.linsolve import NotPositiveDefiniteError
 TRACE_COLS = 9  # 3 vertices x (value, d/dx, d/dy) per trace unknown
 CORNER_COLS = 6  # 3 corners x (outgoing, incoming) jump coefficients
 MIN_ELEMENT_AREA = 1e-14
+CHUNK = 1024  # classes per batch of dense kernels, elements per batch of copies
 
 
 class FormsError(Exception):
@@ -84,6 +96,11 @@ def monomial_exponents(degree):
     return np.array(out, dtype=np.int64)
 
 
+def _barycentric(rule):
+    """Barycentric coordinates of a reference triangle rule, (nq, 3)."""
+    return np.column_stack([1 - rule.points[:, 0] - rule.points[:, 1], rule.points])
+
+
 class ElementBases:
     """Monomial-seeded polynomial bases on a batch of triangles.
 
@@ -125,10 +142,7 @@ class ElementBases:
         if quad_exactness is None:
             quad_exactness = 2 * self.degree + 2
         rule = shape.triangle_quadrature(quad_exactness)
-        bary = np.column_stack(
-            [1 - rule.points[:, 0] - rule.points[:, 1], rule.points]
-        )
-        self.points = np.einsum("qr,trd->tqd", bary, coords)
+        self.points = np.einsum("qr,trd->tqd", _barycentric(rule), coords)
         self.weights = np.outer(self.double_area, rule.weights)
 
         self.chol = None
@@ -300,26 +314,34 @@ def _corner_b(mesh, tris, bases, b, base_cols):
     pure gauge and is fixed to zero by the solver.
 
     Fills six columns of `b` starting at `base_cols` (tested by the v
-    block) and returns the global coefficient ids, shape (nt, 6).
+    block), ordered as the ids of `_corner_cols`.
     """
     k = b.shape[1] // 2
     tri_vertices = mesh.triangles[tris]
-    corner_vals = bases.eval(mesh.triangle_coords()[tris])[0]  # (nt, 3, k)
+    corner_vals = bases.eval(bases.coords)[0]  # (nt, 3, k)
     esigns = mesh.edge_signs()[tris]
-    gcols = np.zeros((len(tris), CORNER_COLS), dtype=np.int64)
     for c in range(3):
-        v_glob = tri_vertices[:, c]
         for which, slot in ((0, c), (1, (c + 2) % 3)):
             e = mesh.tri_edges[tris, slot]
-            lo = mesh.edges[e, 0]
-            direction = np.where(tri_vertices[:, slot] == lo, 1.0, -1.0)
-            endpoint = np.where(v_glob == lo, 0, 1)
-            gcols[:, 2 * c + which] = 2 * e + endpoint
+            direction = np.where(tri_vertices[:, slot] == mesh.edges[e, 0], 1.0, -1.0)
             sign = direction * esigns[:, slot]
             if which == 1:
                 sign = -sign
             b[:, :k, base_cols + 2 * c + which] = sign[:, None] * corner_vals[:, c, :]
-    return gcols
+
+
+def _corner_cols(mesh):
+    """Global corner-coefficient ids of every element, shape (nt, 6).
+
+    Corner c owns two ids: the endpoint at vertex c of edge slot c
+    (which starts there) and of slot c - 1 (which ends there).  Edge e
+    stores its lo-endpoint coefficient at 2e and its hi one at 2e + 1.
+    """
+    e = mesh.tri_edges
+    lo_first = (mesh.triangles == mesh.edges[e, 0]).astype(np.int64)
+    prev = [2, 0, 1]
+    ids = np.stack([2 * e + 1 - lo_first, 2 * e[:, prev] + lo_first[:, prev]], axis=2)
+    return ids.reshape(-1, CORNER_COLS)
 
 
 def _load(bases, f):
@@ -395,10 +417,10 @@ class LocalSystems:
     `w` holds chol(G)^-1 B and `wl` holds chol(G)^-1 l, so the local
     normal-equation blocks are w^T w and w^T wl, and the squared
     residual indicator is |wl - w x|^2.  Trial-basis data (centroid,
-    scale, Cholesky of the field moment matrix when orthonormalized)
-    supports evaluating the broken field variables.  For scheme 2,
-    `corner_cols` maps the six appended corner-functional columns of
-    each element to global edge-endpoint coefficient ids (2 per edge).
+    scale, Cholesky of the field moment matrix) supports evaluating
+    the broken field variables.  For scheme 2, `corner_cols` maps the
+    six appended corner-functional columns of each element to global
+    edge-endpoint coefficient ids (2 per edge).
     """
 
     formulation: Formulation
@@ -406,8 +428,7 @@ class LocalSystems:
     wl: np.ndarray
     centroid: np.ndarray
     h: np.ndarray
-    trial_chol: np.ndarray | None
-    orthonormal: bool
+    trial_chol: np.ndarray
     corner_cols: np.ndarray | None = None
 
 
@@ -455,11 +476,44 @@ def _block_whitener(bases, scheme):
     return factors
 
 
-def build_local_systems(mesh, formulation, f, orthonormal=True, chunk=1024):
+def translation_classes(mesh):
+    """Group the elements into classes whose local systems coincide.
+
+    The key of an element is the exact bytes of its relative vertex
+    coordinates (v1 - v0, v2 - v0) plus two bits per local edge:
+    whether the edge's global lo vertex is the slot's first vertex (it
+    fixes the edge parameter, the tangent and where the lo/hi dofs go)
+    and the owner sign of `Mesh.edge_signs` (it fixes the normal and
+    the corner-column signs).  Returns (first, cls, counts): the first
+    element of each class, the class of each element and the class
+    sizes.
+    """
+    coords = mesh.triangle_coords()
+    lo_first = mesh.triangles == mesh.edges[mesh.tri_edges, 0]
+    keys = np.column_stack(
+        [(coords[:, 1:] - coords[:, :1]).reshape(-1, 4), lo_first, mesh.edge_signs()]
+    )
+    keys = np.ascontiguousarray(keys).view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
+    _, first, cls, counts = np.unique(
+        keys[:, 0], return_index=True, return_inverse=True, return_counts=True
+    )
+    return first, cls, counts
+
+
+def build_local_systems(mesh, formulation, f):
     """Factor and whiten the local systems of every element.
 
     Scheme 2 appends the corner-functional columns of the second trace
     unknown after the standard [u | sigma | uhat | sigma_hat] layout.
+
+    The dense kernels (bases, B, the QR whitening and the whitened load
+    operator) run once per class of `translation_classes`, on its first
+    element, and are copied to the other members; only the load values
+    f(x_q), the centroid and the corner ids are computed per element.
+    The key is translation-only on purpose: mass terms scale with h^2
+    and Hessian terms with h^-2, so the Gram blocks follow no common
+    scaling law and a similarity key would need one.  A mesh without
+    repeated shapes has one class per element and takes the same path.
     """
     nt = mesh.num_triangles
     k = formulation.test_dim
@@ -468,33 +522,51 @@ def build_local_systems(mesh, formulation, f, orthonormal=True, chunk=1024):
     base_cols = formulation.num_local_cols
     ncol = base_cols + (CORNER_COLS if with_corners else 0)
     w_all = np.empty((nt, 2 * k, ncol))
-    wl_all = np.empty((nt, 2 * k))
-    centroid = np.empty((nt, 2))
-    h = np.empty(nt)
-    trial_chol = np.empty((nt, dim_p, dim_p)) if orthonormal else None
-    corner_cols = np.empty((nt, CORNER_COLS), dtype=np.int64) if with_corners else None
+    wl_all = np.zeros((nt, 2 * k))  # the tau-block load is identically zero
+    trial_chol = np.empty((nt, dim_p, dim_p))
 
-    for start in range(0, nt, chunk):
-        tris = np.arange(start, min(start + chunk, nt))
-        bases = _bases_for(mesh, tris, formulation.test_degree, orthonormal)
-        b = np.zeros((len(tris), 2 * k, ncol))
-        b[:, :, :base_cols] = _volume_b(bases, formulation.field_dim)
-        _skeleton_b(mesh, tris, bases, formulation.field_dim, b)
+    coords = mesh.triangle_coords()
+    bary = _barycentric(shape.triangle_quadrature(2 * formulation.test_degree + 2))
+    first, cls, counts = translation_classes(mesh)
+    by_class = np.argsort(cls, kind="stable")
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    for c0 in range(0, len(first), CHUNK):
+        c1 = min(c0 + CHUNK, len(first))
+        reps = first[c0:c1]
+        bases = _bases_for(mesh, reps, formulation.test_degree, True)
+        b = np.zeros((len(reps), 2 * k, ncol))
+        b[:, :, :base_cols] = _volume_b(bases, dim_p)
+        _skeleton_b(mesh, reps, bases, dim_p, b)
         if with_corners:
-            corner_cols[tris] = _corner_b(mesh, tris, bases, b, base_cols)
-        load = _load(bases, f)
+            _corner_b(mesh, reps, bases, b, base_cols)
         l_v, l_tau = _block_whitener(bases, formulation.scheme)
-        w_all[tris, :k] = np.linalg.solve(l_v, b[:, :k])
-        w_all[tris, k:] = np.linalg.solve(l_tau, b[:, k:])
-        wl_all[tris, :k] = np.linalg.solve(l_v, load[:, :k, None])[:, :, 0]
-        wl_all[tris, k:] = 0.0  # tau-block load is identically zero
-        centroid[tris] = bases.centroid
-        h[tris] = bases.h
-        if orthonormal:
-            # R of a leading column block = leading block of R, so this
-            # is the trial-basis transform
-            trial_chol[tris] = bases.chol[:, :dim_p, :dim_p]
+        b[:, :k] = np.linalg.solve(l_v, b[:, :k])
+        b[:, k:] = np.linalg.solve(l_tau, b[:, k:])
+        # whitened load operator: wl_v = L_v^-1 (W val)^T f(x_q)
+        load = np.linalg.solve(l_v, (bases.weights[:, :, None] * bases.val).transpose(0, 2, 1))
+        # R of a leading column block = leading block of R, so this is
+        # the trial-basis transform
+        chol = bases.chol[:, :dim_p, :dim_p]
+
+        # members in slices of CHUNK, so no per-element copy of a class
+        # table is ever larger than one slice
+        for s in range(starts[c0], starts[c1], CHUNK):
+            tris = by_class[s : min(s + CHUNK, starts[c1])]
+            loc = cls[tris] - c0
+            w_all[tris] = b[loc]
+            trial_chol[tris] = chol[loc]
+            pts = np.einsum("qr,trd->tqd", bary, coords[tris])
+            fv = np.broadcast_to(
+                np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float), pts.shape[:2]
+            )
+            wl_all[tris, :k] = np.einsum("tiq,tq->ti", load[loc], fv)
 
     return LocalSystems(
-        formulation, w_all, wl_all, centroid, h, trial_chol, orthonormal, corner_cols
+        formulation,
+        w_all,
+        wl_all,
+        coords.mean(axis=1),
+        mesh.diameters,
+        trial_chol,
+        _corner_cols(mesh) if with_corners else None,
     )

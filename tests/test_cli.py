@@ -96,6 +96,19 @@ def test_numerical_failure_exits_two(capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_negative_field_degree_exits_one(capsys):
+    assert main(["study", "--field-degree", "-1", "--levels", "1"]) == 1
+    assert "field degree" in capsys.readouterr().err
+
+
+def test_nonpositive_max_dofs_exits_one(capsys):
+    code = main(
+        ["study", "--problem", "singular", "--refine", "adaptive", "--max-dofs", "0"]
+    )
+    assert code == 1
+    assert "max_dofs" in capsys.readouterr().err
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "study.cfg"
     cfg.write_text(

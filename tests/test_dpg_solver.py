@@ -259,10 +259,12 @@ def test_broken_field_evaluation_consistency():
     prob = smooth_problem()
     mesh = make_unit_square(2)
     sol = assemble_and_solve(mesh, VF2, prob)
-    for t in (0, 3, 7):
-        pts = mesh.triangle_coords()[t].mean(axis=0, keepdims=True)
-        val = sol.u.eval_element(t, pts)
+    tris = np.array([0, 3, 7])
+    pts = mesh.triangle_coords()[tris].mean(axis=1, keepdims=True)
+    val = sol.u.eval(tris, pts)
+    assert val.shape == (3, 1)
+    for i, t in enumerate(tris):
         area = mesh.areas[t]
-        assert val[0] == pytest.approx(
+        assert val[i, 0] == pytest.approx(
             sol.x_local[t, 0] / np.sqrt(area), rel=1e-10
         )

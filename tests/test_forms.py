@@ -11,9 +11,10 @@ from bilap_dpg.forms import (
     local_gram,
     local_load,
     monomial_exponents,
+    translation_classes,
 )
 from bilap_dpg.linsolve import cholesky_spd
-from bilap_dpg.mesh import make_sector_domain, make_unit_square, refine_nvb
+from bilap_dpg.mesh import Mesh, make_sector_domain, make_unit_square, refine_nvb
 from bilap_dpg.shape import REFERENCE_VERTICES, eval_basis
 from bilap_dpg.trace_space import build_trace_space, interpolate_function
 
@@ -242,3 +243,68 @@ def test_build_local_systems_shapes():
 def test_monomial_exponents_graded():
     ex = monomial_exponents(2)
     assert [tuple(r) for r in ex] == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+
+def _jittered_square(n, seed):
+    mesh = make_unit_square(n)
+    vertices = mesh.vertices.copy()
+    inner = ~mesh.is_boundary_vertex
+    rng = np.random.default_rng(seed)
+    vertices[inner] += rng.uniform(-0.15 / n, 0.15 / n, size=(inner.sum(), 2))
+    return Mesh(vertices, mesh.triangles)
+
+
+def _random_nvb(mesh, seed, rounds=4):
+    rng = np.random.default_rng(seed)
+    for _ in range(rounds):
+        nt = mesh.num_triangles
+        mesh = refine_nvb(mesh, rng.choice(nt, size=max(1, nt // 4), replace=False))
+    return mesh
+
+
+def test_square_class_count_does_not_grow():
+    counts = [len(translation_classes(make_unit_square(n))[0]) for n in (2, 4, 8, 16, 32)]
+    assert counts == [counts[0]] * len(counts)
+
+
+def test_jittered_square_has_one_class_per_element():
+    mesh = _jittered_square(8, seed=1)
+    first, cls, counts = translation_classes(mesh)
+    assert len(first) == mesh.num_triangles
+    assert np.all(counts == 1) and np.array_equal(np.sort(cls), np.arange(mesh.num_triangles))
+
+
+CLASS_MESHES = {
+    "square": lambda: make_unit_square(4),
+    "sector": make_sector_domain,
+    "square-nvb": lambda: _random_nvb(make_unit_square(2), seed=11),
+    "sector-nvb-a": lambda: _random_nvb(make_sector_domain(), seed=12),
+    "sector-nvb-b": lambda: _random_nvb(make_sector_domain(), seed=13, rounds=6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_MESHES))
+@pytest.mark.parametrize("scheme", [1, 2])
+@pytest.mark.parametrize("degree", [0, 1])
+def test_class_cache_matches_shifted_mesh(name, scheme, degree):
+    # a non-dyadic shift changes the rounding of the relative vertex
+    # coordinates and so splits the classes: this compares the cached
+    # kernels of the mesh against (mostly) per-element ones
+    offset = np.array([0.1, 0.3])
+    mesh = CLASS_MESHES[name]()
+    shifted = Mesh(mesh.vertices + offset, mesh.triangles)
+    form = Formulation(scheme=scheme, field_degree=degree, test_degree=4)
+    f = lambda x, y: np.sin(3 * x + 1) * np.cos(2 * y) + x * y
+    g = lambda x, y: f(x - offset[0], y - offset[1])
+    a = build_local_systems(mesh, form, f)
+    b = build_local_systems(shifted, form, g)
+    if name == "square":
+        assert len(translation_classes(shifted)[0]) > len(translation_classes(mesh)[0])
+    for field in ("w", "wl", "h", "trial_chol"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert np.abs(x - y).max() <= 1e-8 * np.abs(x).max(), field
+    assert np.allclose(b.centroid, a.centroid + offset, rtol=0, atol=1e-14)
+    if scheme == 2:
+        assert np.array_equal(a.corner_cols, b.corner_cols)
+    else:
+        assert a.corner_cols is None and b.corner_cols is None

@@ -94,8 +94,8 @@ class FieldStub:
     def __init__(self, fn):
         self.fn = fn
 
-    def eval_element(self, t, pts):
-        return self.fn(pts[:, 0], pts[:, 1])
+    def eval(self, tris, pts):
+        return self.fn(pts[..., 0], pts[..., 1])
 
 
 class SolutionStub:
@@ -158,11 +158,11 @@ def test_graded_quadrature_integrates_singular_sigma():
     p = singular_problem()
     a = SINGULAR_ALPHA
     mesh = make_sector_domain()
-    pts, wts = element_quadrature(mesh, 12, singular_corner=(0.0, 0.0), levels=24)
-    got = sum(
-        wts[t] @ p.sigma_exact(pts[t][:, 0], pts[t][:, 1]) ** 2
-        for t in range(mesh.num_triangles)
-    )
+    pts, wts, graded = element_quadrature(mesh, 12, singular_corner=(0.0, 0.0), levels=24)
+    got = 0.0
+    for t in range(mesh.num_triangles):
+        pt, wt = graded.get(t, (pts[t], wts[t]))
+        got += wt @ p.sigma_exact(pt[:, 0], pt[:, 1]) ** 2
     # the polygonal fan underestimates the true sector: integrate the
     # exact density over each fan triangle in polar coordinates
     expect = 0.0
