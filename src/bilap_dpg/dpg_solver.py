@@ -122,11 +122,27 @@ def _corner_gauge_dofs(mesh):
     """One corner coefficient per vertex is a pure gauge; pick the
     lowest-numbered incident edge-endpoint dof of each vertex."""
     gauge = np.full(mesh.num_vertices, np.iinfo(np.int64).max, dtype=np.int64)
-    for e in range(mesh.num_edges):
-        lo, hi = mesh.edges[e]
-        gauge[lo] = min(gauge[lo], 2 * e)
-        gauge[hi] = min(gauge[hi], 2 * e + 1)
+    endpoint_dofs = 2 * np.arange(mesh.num_edges)
+    np.minimum.at(gauge, mesh.edges[:, 0], endpoint_dofs)
+    np.minimum.at(gauge, mesh.edges[:, 1], endpoint_dofs + 1)
     return gauge
+
+
+def _constraints(mesh, formulation, uhat_space, with_corners):
+    """Fixed-dof mask and eliminated values over all dofs, in the
+    ordering of `_global_columns`."""
+    n_field = 2 * mesh.num_triangles * formulation.field_dim
+    n_trace = DOFS_PER_VERTEX * mesh.num_vertices
+    n_all = n_field + 2 * n_trace
+    if with_corners:
+        n_all += 2 * mesh.num_edges
+    fixed = np.zeros(n_all, dtype=bool)
+    fixed_values = np.zeros(n_all)
+    fixed[n_field : n_field + n_trace] = uhat_space.constrained
+    fixed_values[n_field : n_field + n_trace] = uhat_space.values
+    if with_corners:
+        fixed[n_field + 2 * n_trace + _corner_gauge_dofs(mesh)] = True
+    return fixed, fixed_values
 
 
 def _global_columns(mesh, formulation, uhat_space, corner_cols=None):
@@ -143,9 +159,6 @@ def _global_columns(mesh, formulation, uhat_space, corner_cols=None):
     dim_p = formulation.field_dim
     n_field = 2 * nt * dim_p
     n_trace = DOFS_PER_VERTEX * nv
-    n_all = n_field + 2 * n_trace
-    if corner_cols is not None:
-        n_all += 2 * mesh.num_edges
 
     tri_ids = np.arange(nt)[:, None]
     u_cols = tri_ids * dim_p + np.arange(dim_p)[None, :]
@@ -161,20 +174,16 @@ def _global_columns(mesh, formulation, uhat_space, corner_cols=None):
         blocks.append(n_field + 2 * n_trace + corner_cols)
     full_cols = np.concatenate(blocks, axis=1)
 
-    fixed = np.zeros(n_all, dtype=bool)
-    fixed_values = np.zeros(n_all)
-    fixed[n_field : n_field + n_trace] = uhat_space.constrained
-    fixed_values[n_field : n_field + n_trace] = uhat_space.values
-    if corner_cols is not None:
-        fixed[n_field + 2 * n_trace + _corner_gauge_dofs(mesh)] = True
-
-    free_map = np.full(n_all, -1, dtype=np.int64)
+    fixed, fixed_values = _constraints(
+        mesh, formulation, uhat_space, corner_cols is not None
+    )
+    free_map = np.full(len(fixed), -1, dtype=np.int64)
     free_ids = np.nonzero(~fixed)[0]
     free_map[free_ids] = np.arange(len(free_ids))
     return full_cols, fixed_values, free_map, len(free_ids)
 
 
-def assemble_and_solve(mesh, formulation, problem, solver="direct"):
+def assemble_and_solve(mesh, formulation, problem):
     """Assemble the DPG normal equations and solve them.
 
     Parameters
@@ -182,7 +191,6 @@ def assemble_and_solve(mesh, formulation, problem, solver="direct"):
     mesh : Mesh
     formulation : forms.Formulation
     problem : problems.Problem
-    solver : "direct", "cg", or "auto" (direct with CG fallback)
 
     Returns
     -------
@@ -213,7 +221,7 @@ def assemble_and_solve(mesh, formulation, problem, solver="direct"):
 
     a = builder.tocsr()
     try:
-        x_free = sparse_spd_solve(a, rhs, method=solver)
+        x_free = sparse_spd_solve(a, rhs)
     except Exception as exc:
         raise SolverError(
             f"global solve failed on mesh with {mesh.num_triangles} triangles: {exc}"
@@ -324,12 +332,10 @@ def adaptive_loop(mesh, formulation, problem, theta, max_dofs, compute_errors=Tr
         raise SolverError(f"theta must be in (0, 1], got {theta}")
     records = []
     level = 0
-    probe_space = _trace_spaces(mesh, problem)
-    initial_dofs = 2 * mesh.num_triangles * formulation.field_dim + (
-        probe_space.ndof_free + DOFS_PER_VERTEX * mesh.num_vertices
+    fixed, _ = _constraints(
+        mesh, formulation, _trace_spaces(mesh, problem), formulation.scheme == 2
     )
-    if formulation.scheme == 2:
-        initial_dofs += 2 * mesh.num_edges - mesh.num_vertices
+    initial_dofs = int(np.count_nonzero(~fixed))
     if max_dofs <= initial_dofs:
         raise SolverError(
             f"max_dofs={max_dofs} does not exceed the initial dof count {initial_dofs}"

@@ -4,14 +4,23 @@ Dense factorizations serve the per-element Gram/Schur work; the sparse
 path solves the assembled normal-equation system.  A failed Cholesky on
 a Gram matrix signals a formulation bug (those matrices are SPD in
 exact arithmetic), so non-SPD input raises instead of falling through.
+
+The sparse solve reports through the `bilap_dpg.linsolve` logger: a
+warning when the eps-shift refactorization fires or the polish stops
+short of its tolerance, and one debug record per solve with its sizes.
+The library installs no handler.
 """
 
 from __future__ import annotations
+
+import logging
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
+
+log = logging.getLogger(__name__)
 
 
 class LinearSolveError(Exception):
@@ -114,26 +123,24 @@ class SparseSymBuilder:
         return mat
 
 
-def sparse_spd_solve(a, b, method="direct", rtol=1e-12):
-    """Solve a sparse SPD system.
+def sparse_spd_solve(a, b):
+    """Solve a sparse SPD system by symmetric-mode LU.
+
+    The factorization is ordered by minimum degree on A + A^T and
+    polished by LU-preconditioned conjugate gradients.
 
     Parameters
     ----------
     a : scipy.sparse matrix (symmetric positive definite)
     b : (n,) right-hand side
-    method : "direct" (symmetric-mode LU, the default), "cg"
-        (Jacobi-preconditioned conjugate gradients), or "auto"
-        (direct with CG fallback).
-    rtol : float
-        CG relative-residual tolerance.
 
     Raises
     ------
     NotPositiveDefiniteError
-        On a nonpositive pivot (direct) or a nonpositive curvature
-        direction (CG).
+        On a nonpositive pivot that survives the eps-shift retry.
     LinearSolveError
-        On residual or iteration-count failure, reporting the count.
+        On asymmetry, factorization failure or a residual above
+        tolerance.
     """
     a = a.tocsc()
     b = np.asarray(b, dtype=float)
@@ -141,15 +148,7 @@ def sparse_spd_solve(a, b, method="direct", rtol=1e-12):
     scale = abs(a).max() if a.nnz else 1.0
     if defect > 1e-12 * max(scale, 1e-300):
         raise LinearSolveError("matrix is not symmetric")
-    if method not in ("direct", "cg", "auto"):
-        raise ValueError(f"unknown method {method!r}")
-    if method in ("direct", "auto"):
-        try:
-            return _sparse_direct(a, b)
-        except LinearSolveError:
-            if method == "direct":
-                raise
-    return _sparse_cg(a, b, rtol=rtol)
+    return _sparse_direct(a, b)
 
 
 def _sparse_direct(a, b):
@@ -157,6 +156,7 @@ def _sparse_direct(a, b):
     # underlying least-squares problem vary over many orders of
     # magnitude on strongly graded meshes, and the scaled solve is the
     # same problem in rescaled unknowns
+    n = a.shape[0]
     diag = a.diagonal()
     bad = np.nonzero(diag <= 0)[0]
     if bad.size:
@@ -167,19 +167,29 @@ def _sparse_direct(a, b):
     scale = scipy.sparse.diags(s)
     a_scaled = (scale @ a @ scale).tocsc()
     # diagonal pivoting in symmetric mode makes LU act as LDL^T, so the
-    # U diagonal carries the inertia and certifies positive definiteness.
+    # U diagonal carries the inertia and certifies positive definiteness;
+    # the pattern is symmetric, so the fill-reducing ordering is minimum
+    # degree on A + A^T rather than COLAMD's ordering of A^T A.
     # A nonpositive pivot at roundoff scale (possible when the system has
     # near-null directions, e.g. gauge remnants on strongly graded
     # meshes) is retried once with an eps-level shift of the unit-diagonal
     # scaled matrix; genuine indefiniteness survives the shift and raises.
     lu = None
     for shift in (0.0, 1e-12):
+        if shift:
+            log.warning(
+                "nonpositive pivot %d (%.3e) factoring n=%d; refactoring with "
+                "diagonal shift %g", bad[0], pivots[bad[0]], n, shift,
+            )
         shifted = a_scaled if shift == 0.0 else (
-            a_scaled + scipy.sparse.identity(a_scaled.shape[0], format="csc") * shift
+            a_scaled + scipy.sparse.identity(n, format="csc") * shift
         )
         try:
             lu = scipy.sparse.linalg.splu(
-                shifted, diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
+                shifted,
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True),
             )
         except RuntimeError as exc:
             raise LinearSolveError(f"sparse factorization failed: {exc}") from None
@@ -198,8 +208,14 @@ def _sparse_direct(a, b):
     # LU-preconditioned conjugate gradients: with an exact factorization
     # this converges immediately, and with the shifted factorization it
     # polishes the solution without amplifying near-null directions
-    x = _pcg(a, b, precond, rtol=1e-13, maxiter=60)
+    x, iterations = _pcg(a, b, precond, rtol=1e-13, maxiter=60)
     residual = np.linalg.norm(a @ x - b)
+    log.debug(
+        "sparse SPD solve: n=%d nnz(A)=%d nnz(L+U)=%d shift=%g "
+        "polish_iterations=%d relative_residual=%.3e",
+        n, a.nnz, lu.nnz, shift, iterations,
+        residual / max(np.linalg.norm(b), 1e-300),
+    )
     tol = 1e-10 * max(
         np.linalg.norm(b), abs(a).max() * np.linalg.norm(x), 1e-300
     )
@@ -209,16 +225,21 @@ def _sparse_direct(a, b):
 
 
 def _pcg(a, b, precond, rtol, maxiter):
+    """Preconditioned CG from zero; returns (x, iterations).
+
+    Stops at relative residual `rtol`; otherwise returns the iterate of
+    smallest residual and warns.
+    """
     norm_b = np.linalg.norm(b)
     x = np.zeros(len(b))
     if norm_b == 0:
-        return x
+        return x, 0
     r = b.copy()
     z = precond(r)
     p = z.copy()
     rz = r @ z
     best_x, best_res = x.copy(), norm_b
-    for _ in range(maxiter):
+    for it in range(1, maxiter + 1):
         ap = a @ p
         pap = p @ ap
         if pap <= 0:
@@ -230,45 +251,13 @@ def _pcg(a, b, precond, rtol, maxiter):
         if res < best_res:
             best_res, best_x = res, x.copy()
         if res <= rtol * norm_b:
-            return x
+            return x, it
         z = precond(r)
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return best_x
-
-
-def _sparse_cg(a, b, rtol=1e-12):
-    n = len(b)
-    norm_b = np.linalg.norm(b)
-    if norm_b == 0:
-        return np.zeros(n)
-    diag = a.diagonal().copy()
-    if np.any(diag <= 0):
-        raise NotPositiveDefiniteError(
-            "nonpositive diagonal entry", pivot=int(np.argmin(diag))
-        )
-    inv_diag = 1.0 / diag
-    x = np.zeros(n)
-    r = b.copy()
-    z = inv_diag * r
-    p = z.copy()
-    rz = r @ z
-    max_iter = 10 * n
-    for it in range(1, max_iter + 1):
-        ap = a @ p
-        pap = p @ ap
-        if pap <= 0:
-            raise NotPositiveDefiniteError(
-                f"CG found nonpositive curvature at iteration {it}"
-            )
-        alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
-        if np.linalg.norm(r) <= rtol * norm_b:
-            return x
-        z = inv_diag * r
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise LinearSolveError(f"CG did not converge within {max_iter} iterations")
+    log.warning(
+        "PCG polish stopped after %d iterations at relative residual %.3e "
+        "(target %.0e); returning the best iterate", it, best_res / norm_b, rtol,
+    )
+    return best_x, it
