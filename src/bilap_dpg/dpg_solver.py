@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from bilap_dpg import forms, problems
+from bilap_dpg import forms, problems, shape
 from bilap_dpg.linsolve import SparseSymBuilder, sparse_spd_solve
 from bilap_dpg.mesh import doerfler_mark, refine_nvb
 from bilap_dpg.trace_space import (
@@ -47,7 +47,7 @@ class BrokenField:
         Returns shape (m, nq).
         """
         tris = np.asarray(tris)
-        exponents = forms.monomial_exponents(self.degree)
+        exponents = shape.monomial_exponents(self.degree)
         scale = self.h[tris, None, None]
         u = (np.asarray(points, dtype=float) - self.centroid[tris, None, :]) / scale
         mono = u[..., 0, None] ** exponents[:, 0] * u[..., 1, None] ** exponents[:, 1]
@@ -214,7 +214,13 @@ def assemble_and_solve(mesh, formulation, problem):
     ncol = full_cols.shape[1]
     rows_idx = np.repeat(cols_free[:, :, None], ncol, axis=2)
     cols_idx = np.repeat(cols_free[:, None, :], ncol, axis=1)
-    keep = (rows_idx >= 0) & (cols_idx >= 0)
+    # two columns couple where they meet a common test block (v or tau);
+    # storing exactly that pattern, also where an entry cancels to zero,
+    # keeps the sparsity and the factor's fill independent of rounding
+    k = w.shape[1] // 2
+    tested = np.stack([np.any(w[:, :k], axis=(0, 1)), np.any(w[:, k:], axis=(0, 1))])
+    couples = (tested.T.astype(np.int64) @ tested.astype(np.int64)) > 0
+    keep = (rows_idx >= 0) & (cols_idx >= 0) & couples
     builder.add(rows_idx[keep], cols_idx[keep], schur[keep])
     keep_r = cols_free >= 0
     np.add.at(rhs, cols_free[keep_r], g_vec[keep_r])
@@ -267,16 +273,20 @@ def assemble_and_solve(mesh, formulation, problem):
     )
 
 
-def error_indicators(solution, problem=None):
+def _residuals(solution):
+    """Whitened local residuals wl - w x, shape (nt, 2k)."""
+    return solution.local.wl - np.einsum(
+        "eri,ei->er", solution.local.w, solution.x_local
+    )
+
+
+def error_indicators(solution):
     """Residual error indicators eta(T)^2 = r_T^T G_T^-1 r_T.
 
     The residual is evaluated against the full enriched test space from
-    the cached (whitened) local systems; `problem` is accepted for
-    signature compatibility and must match the one used for the solve.
+    the cached (whitened) local systems.
     """
-    r = solution.local.wl - np.einsum(
-        "eri,ei->er", solution.local.w, solution.x_local
-    )
+    r = _residuals(solution)
     eta_sq = np.einsum("er,er->e", r, r)
     eta_sq = np.maximum(eta_sq, 0.0)
     return Indicators(np.sqrt(eta_sq), float(np.sqrt(eta_sq.sum())))
@@ -288,10 +298,7 @@ def residual_orthogonality(solution):
     This is exactly the normal-equation residual |rhs - A x| since the
     local trial vectors include the eliminated boundary values.
     """
-    r = solution.local.wl - np.einsum(
-        "eri,ei->er", solution.local.w, solution.x_local
-    )
-    proj = np.einsum("eri,er->ei", solution.local.w, r)
+    proj = np.einsum("eri,er->ei", solution.local.w, _residuals(solution))
     out = np.zeros(solution.ndof_total)
     keep = solution.free_cols >= 0
     np.add.at(out, solution.free_cols[keep], proj[keep])

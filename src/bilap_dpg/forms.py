@@ -11,11 +11,14 @@ for both trace unknowns in both schemes, which removes a family of
 sign errors (the two formulations then differ only in their Gram
 matrices).
 
-Element test/trial bases are seeded by centered, diameter-scaled
-monomials; the solver orthonormalizes them against the element L2
-inner product to keep Gram matrices well conditioned at enrichment
-degrees 4-6, while the plain monomial basis remains available (and is
-the default of the single-element entry points below).
+The test basis of an element is the L2-orthonormal reference basis of
+`shape.reference_tables` mapped affinely and scaled by |det J|^(-1/2),
+so it is L2-orthonormal on the element: every Gram block is the
+identity plus a second-order term that depends on J alone.  The trial
+basis is the centred, diameter-scaled monomials of the field degree
+times L^-T, L the Cholesky factor of their moment matrix.  The
+single-element `local_gram`, `local_b` and `local_load` are views of
+the same kernels.
 
 `build_local_systems` runs the dense kernels once per translation
 class of elements: elements with bit-equal relative vertex coordinates
@@ -90,174 +93,132 @@ class Formulation:
         return 2 * self.field_dim + 2 * TRACE_COLS
 
 
-def monomial_exponents(degree):
-    """Graded monomial exponents (i, j) for x^i y^j, total degree <= degree."""
-    out = [(q - j, j) for q in range(degree + 1) for j in range(q + 1)]
-    return np.array(out, dtype=np.int64)
-
-
 def _barycentric(rule):
     """Barycentric coordinates of a reference triangle rule, (nq, 3)."""
     return np.column_stack([1 - rule.points[:, 0] - rule.points[:, 1], rule.points])
 
 
-class ElementBases:
-    """Monomial-seeded polynomial bases on a batch of triangles.
+def _tables(formulation, test_degree=None):
+    degree = formulation.test_degree if test_degree is None else test_degree
+    return shape.reference_tables(degree)
 
-    Monomials are centered at the element centroid and scaled by the
-    element diameter.  With ``orthonormal=True`` the basis is
-    Gram-Schmidt orthonormalized against the element L2 inner product
-    (realized as a Cholesky factorization of the monomial moment
-    matrix, which preserves the degree grading).
+
+def _maps(coords, labels):
+    """`shape.affine_maps` of a batch with |det J|; raises FormsError
+    naming the first element whose |det J| is below 2 MIN_ELEMENT_AREA."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jac, det, jinv = shape.affine_maps(coords)
+    det = np.abs(det)
+    small = ~(det >= 2 * MIN_ELEMENT_AREA)
+    if np.any(small):
+        raise FormsError(f"degenerate element {labels[np.argmax(small)]}")
+    return jac, det, jinv
+
+
+def _diagonal_signs(r, labels, what):
+    """Signs of the diagonals of a batch of R factors; a zero or
+    non-finite diagonal entry raises NotPositiveDefiniteError."""
+    diag = np.einsum("eii->ei", r)
+    bad = (diag == 0) | ~np.isfinite(diag)
+    if np.any(bad):
+        element = labels[np.nonzero(bad.any(axis=1))[0][0]]
+        raise NotPositiveDefiniteError(f"{what} is singular (element {element})")
+    return np.sign(diag)
+
+
+def _hessians(tab, jinv):
+    """Mapped Hessian components (n, 3, m, k) of the test basis.
+
+    Component c of member i is sum_m H[c, m, i] test_m: the reference
+    coefficients `tab.hess_coeffs` mapped by `shape.hessian_map`, one
+    GEMM of the (3, m k) table against the stacked 3x3 maps.  The
+    |det J|^(-1/2) scalings of both sides cancel.
     """
-
-    def __init__(self, coords, degree, orthonormal=False, quad_exactness=None,
-                 labels=None):
-        coords = np.asarray(coords, dtype=float)
-        if coords.ndim == 2:
-            coords = coords[None]
-        self.coords = coords
-        self.degree = int(degree)
-        self.orthonormal = bool(orthonormal)
-        self.labels = np.arange(len(coords)) if labels is None else np.asarray(labels)
-        self.exponents = monomial_exponents(self.degree)
-
-        d1 = coords[:, 1] - coords[:, 0]
-        d2 = coords[:, 2] - coords[:, 0]
-        self.double_area = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        if np.any(np.abs(self.double_area) < 2 * MIN_ELEMENT_AREA):
-            bad = int(np.argmin(np.abs(self.double_area)))
-            raise FormsError(f"degenerate element {self.labels[bad]}")
-        self.centroid = coords.mean(axis=1)
-        sides = np.stack(
-            [
-                np.hypot(*(coords[:, 1] - coords[:, 0]).T),
-                np.hypot(*(coords[:, 2] - coords[:, 1]).T),
-                np.hypot(*(coords[:, 0] - coords[:, 2]).T),
-            ],
-            axis=1,
-        )
-        self.h = sides.max(axis=1)
-
-        if quad_exactness is None:
-            quad_exactness = 2 * self.degree + 2
-        rule = shape.triangle_quadrature(quad_exactness)
-        self.points = np.einsum("qr,trd->tqd", _barycentric(rule), coords)
-        self.weights = np.outer(self.double_area, rule.weights)
-
-        self.chol = None
-        if self.orthonormal:
-            # the Cholesky factor of the monomial moment matrix, computed
-            # as the R factor of the weighted Vandermonde's QR: R^T R =
-            # V^T W V, at the square root of the moment matrix's
-            # condition number (degree-4 monomial moments reach 1e9+)
-            val = self._monomials(self.points)[0]
-            vw = val * np.sqrt(self.weights)[:, :, None]
-            r = np.linalg.qr(vw, mode="r")
-            diag = np.einsum("tii->ti", r)
-            if np.any(diag == 0):
-                bad = int(np.nonzero((diag == 0).any(axis=1))[0][0])
-                raise NotPositiveDefiniteError(
-                    f"element moment matrix is singular (element {self.labels[bad]})"
-                )
-            r = r * np.sign(diag)[:, :, None]
-            self.chol = r.transpose(0, 2, 1)
-        self.val, self.grad, self.hess = self.eval(self.points)
-
-    def _monomials(self, pts):
-        """Raw monomial tables at physical points, shape (nt, nq, dim, ...)."""
-        u = (pts - self.centroid[:, None, :]) / self.h[:, None, None]
-        ex, ey = self.exponents[:, 0], self.exponents[:, 1]
-        deg = self.degree
-        powx = np.stack([u[..., 0] ** k for k in range(deg + 1)], axis=-1)
-        powy = np.stack([u[..., 1] ** k for k in range(deg + 1)], axis=-1)
-        h = self.h[:, None, None]
-
-        val = powx[..., ex] * powy[..., ey]
-        grad = np.zeros(val.shape + (2,))
-        hess = np.zeros(val.shape + (3,))  # xx, xy, yy
-        px1 = np.where(ex > 0, powx[..., np.maximum(ex - 1, 0)], 0.0)
-        py1 = np.where(ey > 0, powy[..., np.maximum(ey - 1, 0)], 0.0)
-        px2 = np.where(ex > 1, powx[..., np.maximum(ex - 2, 0)], 0.0)
-        py2 = np.where(ey > 1, powy[..., np.maximum(ey - 2, 0)], 0.0)
-        grad[..., 0] = ex * px1 * powy[..., ey] / h
-        grad[..., 1] = ey * powx[..., ex] * py1 / h
-        hess[..., 0] = ex * (ex - 1) * px2 * powy[..., ey] / h**2
-        hess[..., 1] = ex * ey * px1 * py1 / h**2
-        hess[..., 2] = ey * (ey - 1) * powx[..., ex] * py2 / h**2
-        return val, grad, hess
-
-    def eval(self, pts):
-        """Basis values/gradients/Hessian components at physical points.
-
-        Returns (val (t, q, n), grad (t, q, n, 2), hess (t, q, n, 3))
-        with Hessian components ordered (xx, xy, yy).
-        """
-        val, grad, hess = self._monomials(pts)
-        if self.chol is None:
-            return val, grad, hess
-        nt, nq, dim = val.shape
-        stacked = np.concatenate(
-            [
-                val,
-                grad[..., 0],
-                grad[..., 1],
-                hess[..., 0],
-                hess[..., 1],
-                hess[..., 2],
-            ],
-            axis=1,
-        )  # (t, 6*nq, dim)
-        sol = np.linalg.solve(self.chol, stacked.transpose(0, 2, 1)).transpose(0, 2, 1)
-        val = sol[:, :nq]
-        grad = np.stack([sol[:, nq : 2 * nq], sol[:, 2 * nq : 3 * nq]], axis=-1)
-        hess = np.stack(
-            [sol[:, 3 * nq : 4 * nq], sol[:, 4 * nq : 5 * nq], sol[:, 5 * nq :]],
-            axis=-1,
-        )
-        return val, grad, hess
+    n = len(jinv)
+    _, m, k = tab.hess_coeffs.shape
+    maps = shape.hessian_map(jinv).reshape(3 * n, 3)
+    return (maps @ tab.hess_coeffs.reshape(3, m * k)).reshape(n, 3, m, k)
 
 
-def _gram(bases, scheme):
-    w = bases.weights
-    val, hess = bases.val, bases.hess
-    lap = hess[..., 0] + hess[..., 2]
-    mass = np.einsum("tq,tqi,tqj->tij", w, val, val)
-    a_lap = np.einsum("tq,tqi,tqj->tij", w, lap, lap)
+def _gram_stacks(hess, scheme):
+    """Stacks S_v, S_tau with G = S^T S for the two test Gram blocks.
+
+    In the element's orthonormal test basis the mass term is the
+    identity and each second-order term is the Gram matrix of the
+    Hessian coefficients, so S is the identity over those coefficients.
+    Scheme 1 measures both blocks in the graph norm and returns the
+    same stack twice.
+    """
+    n, _, _, k = hess.shape
+    eye = np.broadcast_to(np.eye(k), (n, k, k))
+    s_tau = np.concatenate([eye, hess[:, 0] + hess[:, 2]], axis=1)
     if scheme == 1:
-        g_v = mass + a_lap
-    else:
-        g_v = (
-            mass
-            + np.einsum("tq,tqi,tqj->tij", w, hess[..., 0], hess[..., 0])
-            + 2 * np.einsum("tq,tqi,tqj->tij", w, hess[..., 1], hess[..., 1])
-            + np.einsum("tq,tqi,tqj->tij", w, hess[..., 2], hess[..., 2])
-        )
-    g_tau = mass + a_lap
-    nt, k = w.shape[0], val.shape[2]
-    g = np.zeros((nt, 2 * k, 2 * k))
-    g[:, :k, :k] = g_v
-    g[:, k:, k:] = g_tau
-    return g
+        return s_tau, s_tau
+    s_v = np.concatenate([eye, hess[:, 0], np.sqrt(2.0) * hess[:, 1], hess[:, 2]], axis=1)
+    return s_v, s_tau
 
 
-def _volume_b(bases, field_dim):
-    w = bases.weights
-    k, dim_p = bases.val.shape[2], field_dim
-    trial = bases.val[..., :dim_p]  # graded basis: leading block spans P_p
-    lap = bases.hess[..., 0] + bases.hess[..., 2]
-    nt = w.shape[0]
-    b = np.zeros((nt, 2 * k, 2 * dim_p + 2 * TRACE_COLS))
-    du = np.einsum("tq,tqi,tqj->tij", w, lap, trial)
+def _inverse_factor(s, labels):
+    """L^-1 for the lower Cholesky factor L of each G = S^T S.
+
+    L = R^T for the R factor of QR(S): factoring the stacked tables
+    works at the square root of G's condition number (which grows like
+    h^-4 on graded meshes) and never forms G.  The one batched inverse
+    whitens both B and the load.
+    """
+    r = np.linalg.qr(s, mode="r")
+    r *= _diagonal_signs(r, labels, "test Gram block")[:, :, None]
+    return np.swapaxes(np.linalg.inv(r), 1, 2)
+
+
+def _trial_basis(tab, jac, det, h, degree, labels):
+    """Trial basis of degree p: centred, h-scaled monomials times L^-T.
+
+    L is the lower Cholesky factor of the monomials' element moment
+    matrix.  The leading dim_p test members are an orthonormal basis of
+    P_p, so the monomials' coefficients in them, M = (test_l, mono_j),
+    factor as M = Q L^T with Q = (test_l, trial_j).  Returns (L, T),
+    T (n, k, dim_p) holding (test_i, trial_j), which vanishes below row
+    dim_p.
+    """
+    ex = shape.monomial_exponents(degree)
+    dim_p = len(ex)
+    u = np.einsum("eab,qb->eqa", jac, tab.quad.points - 1.0 / 3.0) / h[:, None, None]
+    mono = u[..., 0, None] ** ex[:, 0] * u[..., 1, None] ** ex[:, 1]
+    weighted = tab.quad.weights[:, None] * tab.tri.val[:, :dim_p]
+    moments = np.sqrt(det)[:, None, None] * np.einsum("ql,eqj->elj", weighted, mono)
+    q, r = np.linalg.qr(moments)
+    sign = _diagonal_signs(r, labels, "trial moment matrix")
+    t = np.zeros((len(det), tab.dim, dim_p))
+    t[:, :dim_p] = q * sign[:, None, :]
+    return np.swapaxes(r * sign[:, :, None], 1, 2), t
+
+
+def _b_matrix(mesh, tris, tab, det, jinv, lap, trial, ncol):
+    """Trial-to-test matrices (n, 2k, ncol) in the element's orthonormal
+    test basis.
+
+    Rows are the v block then the tau block; columns [u | sigma | uhat
+    | sigma_hat], followed by the six corner columns of scheme 2 when
+    `ncol` leaves room for them.  `lap` (n, m, k) expands the test
+    Laplacians in the first m test members and `trial` holds
+    (test_i, trial_j).
+    """
+    k, m, dim_p = tab.dim, lap.shape[1], trial.shape[2]
+    b = np.zeros((len(tris), 2 * k, ncol))
+    du = np.einsum("emi,emj->eij", lap, trial[:, :m])
     b[:, k:, :dim_p] = du  # (u, Delta tau)
     b[:, :k, dim_p : 2 * dim_p] = du  # (sigma, Delta v)
-    b[:, k:, dim_p : 2 * dim_p] = -np.einsum(
-        "tq,tqi,tqj->tij", w, bases.val, trial
-    )  # -(sigma, tau)
+    b[:, k:, dim_p : 2 * dim_p] = -trial  # -(sigma, tau)
+    scale = det**-0.5
+    _skeleton_b(mesh, tris, tab, scale, jinv, dim_p, b)
+    base_cols = 2 * dim_p + 2 * TRACE_COLS
+    if ncol > base_cols:
+        _corner_b(mesh, tris, scale[:, None, None] * tab.vertex.val, b, base_cols)
     return b
 
 
-def _skeleton_b(mesh, tris, bases, field_dim, b):
+def _skeleton_b(mesh, tris, tab, scale, jinv, dim_p, b):
     """Accumulate the trace columns of B in place.
 
     For each element edge the contribution to a test function t is
@@ -265,69 +226,62 @@ def _skeleton_b(mesh, tris, bases, field_dim, b):
     where (w, w_n) is the reduced-HCT edge trace pair in the edge's
     global orientation and s the element-side orientation factor; trace
     columns of the first unknown pair with the tau block, those of the
-    second with the v block.
+    second with the v block.  The edge tables are read in the direction
+    of the edge's global lo -> hi parameter; dn(t) = (J^-1 n) . grad_ref.
     """
-    k, dim_p = bases.val.shape[2], field_dim
-    rule = shape.edge_quadrature(2 * bases.degree + 4)
-    t_pts, t_wts = rule.points, rule.weights
+    k = tab.dim
+    rule = tab.edge_rule
     signs = mesh.edge_signs()[tris]
     tri_vertices = mesh.triangles[tris]
-    base_uhat = 2 * dim_p
-    base_shat = 2 * dim_p + TRACE_COLS
+    rows = np.arange(len(tris))[:, None, None]
+    test_rows = np.arange(k)[None, :, None]
+    comps = np.tile(np.arange(3), 2)
 
     for slot in range(3):
         e = mesh.tri_edges[tris, slot]
-        lo, hi = mesh.edges[e, 0], mesh.edges[e, 1]
-        plo, phi = mesh.vertices[lo], mesh.vertices[hi]
-        x = plo[:, None, :] + t_pts[None, :, None] * (phi - plo)[:, None, :]
-        val_t, grad_t, _ = bases.eval(x)
-        n = mesh.edge_normal[e]
-        dn_t = np.einsum("tqid,td->tqi", grad_t, n)
-        val6, nd6 = ts.edge_dof_tables(mesh, e, t_pts)
-        contrib = np.einsum("q,tqd,tqi->tid", t_wts, val6, dn_t) - np.einsum(
-            "q,tqd,tqi->tid", t_wts, nd6, val_t
+        lo_first = tri_vertices[:, slot] == mesh.edges[e, 0]
+        direction = np.where(lo_first, 0, 1)
+        val_t = scale[:, None, None] * tab.edge.val[slot, direction]
+        kn = np.einsum("eab,eb->ea", jinv, mesh.edge_normal[e])
+        dn_t = scale[:, None, None] * np.einsum(
+            "eqid,ed->eqi", tab.edge.grad[slot, direction], kn
+        )
+        val6, nd6 = ts.edge_dof_tables(mesh, e, rule.points)
+        contrib = np.einsum("q,eqd,eqi->eid", rule.weights, val6, dn_t) - np.einsum(
+            "q,eqd,eqi->eid", rule.weights, nd6, val_t
         )
         contrib *= (-signs[:, slot] * mesh.edge_length[e])[:, None, None]
 
-        loc_lo = np.argmax(tri_vertices == lo[:, None], axis=1)
-        loc_hi = np.argmax(tri_vertices == hi[:, None], axis=1)
-        rows = np.arange(len(tris))[:, None]
-        for d in range(6):
-            loc = loc_lo if d < 3 else loc_hi
-            comp = d % 3
-            col_u = base_uhat + 3 * loc + comp
-            col_s = base_shat + 3 * loc + comp
-            b[rows, k + np.arange(k)[None, :], col_u[:, None]] += contrib[:, :, d]
-            b[rows, np.arange(k)[None, :], col_s[:, None]] += contrib[:, :, d]
+        # local vertex of the lo (dofs 0-2) and hi (dofs 3-5) endpoint
+        ends = np.where(lo_first[:, None], [slot, slot + 1], [slot + 1, slot]) % 3
+        cols = (3 * np.repeat(ends, 3, axis=1) + comps)[:, None, :]
+        b[rows, k + test_rows, 2 * dim_p + cols] += contrib
+        b[rows, test_rows, 2 * dim_p + TRACE_COLS + cols] += contrib
 
 
-def _corner_b(mesh, tris, bases, b, base_cols):
+def _corner_b(mesh, tris, corner_vals, b, base_cols):
     """Corner-functional columns of the second trace unknown (scheme 2).
 
     The scheme-2 trace space contains point functionals at mesh
     vertices (the tensor-trace pairing carries corner jump terms), so
     each edge endpoint gets one jump coefficient; an element pairs the
     telescoped difference of its two coefficients at each corner with
-    the test value there.  The telescoping makes the data of any
-    globally smooth tensor sum to zero around interior vertices, which
-    keeps the enrichment conforming; one coefficient per vertex is a
-    pure gauge and is fixed to zero by the solver.
+    the test value there (`corner_vals`, (n, 3, k)).  The telescoping
+    makes the data of any globally smooth tensor sum to zero around
+    interior vertices, which keeps the enrichment conforming; one
+    coefficient per vertex is a pure gauge and is fixed to zero by the
+    solver.
 
-    Fills six columns of `b` starting at `base_cols` (tested by the v
-    block), ordered as the ids of `_corner_cols`.
-    """
+    Fills six columns of `b` from `base_cols` on (v block), ordered as
+    the ids of `_corner_cols`."""
     k = b.shape[1] // 2
-    tri_vertices = mesh.triangles[tris]
-    corner_vals = bases.eval(bases.coords)[0]  # (nt, 3, k)
-    esigns = mesh.edge_signs()[tris]
+    # per slot: +1 if it runs from its edge's global lo vertex, times
+    # the owner sign; corner c starts slot c and ends slot c - 1
+    lo_first = mesh.triangles[tris] == mesh.edges[mesh.tri_edges[tris], 0]
+    sign = np.where(lo_first, 1.0, -1.0) * mesh.edge_signs()[tris]
     for c in range(3):
-        for which, slot in ((0, c), (1, (c + 2) % 3)):
-            e = mesh.tri_edges[tris, slot]
-            direction = np.where(tri_vertices[:, slot] == mesh.edges[e, 0], 1.0, -1.0)
-            sign = direction * esigns[:, slot]
-            if which == 1:
-                sign = -sign
-            b[:, :k, base_cols + 2 * c + which] = sign[:, None] * corner_vals[:, c, :]
+        b[:, :k, base_cols + 2 * c] = sign[:, c, None] * corner_vals[:, c]
+        b[:, :k, base_cols + 2 * c + 1] = -sign[:, c - 1, None] * corner_vals[:, c]
 
 
 def _corner_cols(mesh):
@@ -344,70 +298,61 @@ def _corner_cols(mesh):
     return ids.reshape(-1, CORNER_COLS)
 
 
-def _load(bases, f):
-    k = bases.val.shape[2]
-    fv = np.asarray(
-        f(bases.points[..., 0], bases.points[..., 1]), dtype=float
-    )
-    fv = np.broadcast_to(fv, bases.weights.shape)
-    out = np.zeros((bases.weights.shape[0], 2 * k))
-    out[:, :k] = np.einsum("tq,tq,tqi->ti", bases.weights, fv, bases.val)
-    return out
+def _load(tab, coords, det, f):
+    """Loads (f, test_i) of a batch of elements, (n, k): the reference
+    operator |det J|^(1/2) (w_ref V_ref)^T applied to f at the mapped
+    quadrature points."""
+    pts = np.einsum("qr,erd->eqd", _barycentric(tab.quad), coords)
+    fv = np.broadcast_to(np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float), pts.shape[:2])
+    return np.sqrt(det)[:, None] * (fv @ (tab.quad.weights[:, None] * tab.tri.val))
 
 
-def _bases_for(mesh, tris, test_degree, orthonormal):
-    coords = mesh.triangle_coords()[tris]
-    return ElementBases(
-        coords,
-        test_degree,
-        orthonormal=orthonormal,
-        quad_exactness=2 * test_degree + 2,
-        labels=tris,
-    )
-
-
-def local_gram(vertices, formulation, orthonormal=False, test_degree=None):
+def local_gram(vertices, formulation, test_degree=None):
     """Test-space Gram matrix of one element, shape (2k, 2k).
 
-    Block diagonal over the two test components; see the module
-    docstring for the scheme-dependent inner products.  `test_degree`
+    Block diagonal over the two test components, in the element's
+    orthonormal test basis (see the module docstring for the
+    scheme-dependent inner products); each block is S^T S for the
+    stack whose QR whitens `build_local_systems`.  `test_degree`
     overrides the formulation's degree (diagnostics with low-degree
     test blocks need degrees the Formulation invariant would reject).
     """
-    degree = formulation.test_degree if test_degree is None else test_degree
-    bases = ElementBases(
-        np.asarray(vertices, dtype=float),
-        degree,
-        orthonormal=orthonormal,
-        quad_exactness=2 * degree + 2,
-    )
-    return _gram(bases, formulation.scheme)[0]
+    tab = _tables(formulation, test_degree)
+    _, _, jinv = _maps(np.asarray(vertices, dtype=float)[None], [0])
+    s_v, s_tau = _gram_stacks(_hessians(tab, jinv), formulation.scheme)
+    k = tab.dim
+    g = np.zeros((2 * k, 2 * k))
+    g[:k, :k] = s_v[0].T @ s_v[0]
+    g[k:, k:] = s_tau[0].T @ s_tau[0]
+    return g
 
 
-def local_b(mesh, tri, formulation, orthonormal=False, test_degree=None):
-    """Trial-to-test matrix of one element.
+def local_b(mesh, tri, formulation, test_degree=None):
+    """Trial-to-test matrix of one element, as `build_local_systems`
+    builds it before whitening.
 
     Rows are the 2k test functions (v block then tau block); columns
     are ordered [u | sigma | uhat (9) | sigma_hat (9)].
     """
-    degree = formulation.test_degree if test_degree is None else test_degree
+    tab = _tables(formulation, test_degree)
     tris = np.array([tri], dtype=np.int64)
-    bases = _bases_for(mesh, tris, degree, orthonormal)
-    b = _volume_b(bases, formulation.field_dim)
-    _skeleton_b(mesh, tris, bases, formulation.field_dim, b)
-    return b[0]
-
-
-def local_load(vertices, f, formulation, orthonormal=False, test_degree=None):
-    """Load vector (f, v_i) of one element; tau-block entries are zero."""
-    degree = formulation.test_degree if test_degree is None else test_degree
-    bases = ElementBases(
-        np.asarray(vertices, dtype=float),
-        degree,
-        orthonormal=orthonormal,
-        quad_exactness=2 * degree + 2,
+    jac, det, jinv = _maps(mesh.triangle_coords()[tris], tris)
+    hess = _hessians(tab, jinv)
+    _, trial = _trial_basis(
+        tab, jac, det, mesh.diameters[tris], formulation.field_degree, tris
     )
-    return _load(bases, f)[0]
+    lap = hess[:, 0] + hess[:, 2]
+    return _b_matrix(mesh, tris, tab, det, jinv, lap, trial, formulation.num_local_cols)[0]
+
+
+def local_load(vertices, f, formulation, test_degree=None):
+    """Load vector (f, v_i) of one element; tau-block entries are zero."""
+    tab = _tables(formulation, test_degree)
+    coords = np.asarray(vertices, dtype=float)[None]
+    _, det, _ = _maps(coords, [0])
+    out = np.zeros(2 * tab.dim)
+    out[: tab.dim] = _load(tab, coords, det, f)[0]
+    return out
 
 
 @dataclass
@@ -430,50 +375,6 @@ class LocalSystems:
     h: np.ndarray
     trial_chol: np.ndarray
     corner_cols: np.ndarray | None = None
-
-
-def _block_whitener(bases, scheme):
-    """Cholesky factors of the two test Gram blocks via factored QR.
-
-    The graph-norm Grams have condition numbers up to h^-4 times a
-    Markov factor, and their low-lying eigenspaces (harmonic
-    polynomials for the Laplacian graph norm) are destroyed when the
-    Gram is formed explicitly in floating point.  Writing each block as
-    G = S^T S with S the stacked weighted test tables and taking the R
-    factor of QR(S) (so G = R^T R) computes the same factor at the
-    square root of the condition number and never forms G.
-
-    Returns (L_v, L_tau), lower-triangular with G_block = L L^T.
-    """
-    sw = np.sqrt(bases.weights)[:, :, None]
-    val = bases.val * sw
-    hess = bases.hess
-    lap = (hess[..., 0] + hess[..., 2]) * sw[..., 0][:, :, None]
-    if scheme == 1:
-        s_v = np.concatenate([val, lap], axis=1)
-    else:
-        s_v = np.concatenate(
-            [
-                val,
-                hess[..., 0] * sw[..., 0][:, :, None],
-                np.sqrt(2.0) * hess[..., 1] * sw[..., 0][:, :, None],
-                hess[..., 2] * sw[..., 0][:, :, None],
-            ],
-            axis=1,
-        )
-    s_tau = np.concatenate([val, lap], axis=1)
-    factors = []
-    for s in (s_v, s_tau):
-        r = np.linalg.qr(s, mode="r")
-        diag = np.einsum("tii->ti", r)
-        if np.any(diag == 0):
-            bad = int(np.nonzero((diag == 0).any(axis=1))[0][0])
-            raise NotPositiveDefiniteError(
-                f"test Gram block is singular (element {bases.labels[bad]})"
-            )
-        r = r * np.sign(diag)[:, :, None]
-        factors.append(r.transpose(0, 2, 1))
-    return factors
 
 
 def translation_classes(mesh):
@@ -506,47 +407,44 @@ def build_local_systems(mesh, formulation, f):
     Scheme 2 appends the corner-functional columns of the second trace
     unknown after the standard [u | sigma | uhat | sigma_hat] layout.
 
-    The dense kernels (bases, B, the QR whitening and the whitened load
-    operator) run once per class of `translation_classes`, on its first
-    element, and are copied to the other members; only the load values
-    f(x_q), the centroid and the corner ids are computed per element.
-    The key is translation-only on purpose: mass terms scale with h^2
-    and Hessian terms with h^-2, so the Gram blocks follow no common
-    scaling law and a similarity key would need one.  A mesh without
-    repeated shapes has one class per element and takes the same path.
+    The dense kernels (the mapped reference tables, B, the QR whitening
+    and its inverse factors) run once per class of
+    `translation_classes`, on its first element, and are copied to the
+    other members; only the load f(x_q) and its whitening, the centroid
+    and the corner ids are computed per element.  The key is
+    translation-only on purpose: mass terms scale with h^2 and Hessian
+    terms with h^-2, so the Gram blocks follow no common scaling law
+    and a similarity key would need one.  A mesh without repeated
+    shapes has one class per element and takes the same path.
     """
     nt = mesh.num_triangles
     k = formulation.test_dim
-    dim_p = formulation.field_dim
     with_corners = formulation.scheme == 2
-    base_cols = formulation.num_local_cols
-    ncol = base_cols + (CORNER_COLS if with_corners else 0)
+    ncol = formulation.num_local_cols + (CORNER_COLS if with_corners else 0)
     w_all = np.empty((nt, 2 * k, ncol))
     wl_all = np.zeros((nt, 2 * k))  # the tau-block load is identically zero
+    dim_p = formulation.field_dim
     trial_chol = np.empty((nt, dim_p, dim_p))
 
+    tab = shape.reference_tables(formulation.test_degree)
     coords = mesh.triangle_coords()
-    bary = _barycentric(shape.triangle_quadrature(2 * formulation.test_degree + 2))
     first, cls, counts = translation_classes(mesh)
     by_class = np.argsort(cls, kind="stable")
     starts = np.concatenate([[0], np.cumsum(counts)])
     for c0 in range(0, len(first), CHUNK):
         c1 = min(c0 + CHUNK, len(first))
         reps = first[c0:c1]
-        bases = _bases_for(mesh, reps, formulation.test_degree, True)
-        b = np.zeros((len(reps), 2 * k, ncol))
-        b[:, :, :base_cols] = _volume_b(bases, dim_p)
-        _skeleton_b(mesh, reps, bases, dim_p, b)
-        if with_corners:
-            _corner_b(mesh, reps, bases, b, base_cols)
-        l_v, l_tau = _block_whitener(bases, formulation.scheme)
-        b[:, :k] = np.linalg.solve(l_v, b[:, :k])
-        b[:, k:] = np.linalg.solve(l_tau, b[:, k:])
-        # whitened load operator: wl_v = L_v^-1 (W val)^T f(x_q)
-        load = np.linalg.solve(l_v, (bases.weights[:, :, None] * bases.val).transpose(0, 2, 1))
-        # R of a leading column block = leading block of R, so this is
-        # the trial-basis transform
-        chol = bases.chol[:, :dim_p, :dim_p]
+        jac, det, jinv = _maps(coords[reps], reps)
+        hess = _hessians(tab, jinv)
+        s_v, s_tau = _gram_stacks(hess, formulation.scheme)
+        linv_v = _inverse_factor(s_v, reps)
+        linv_tau = linv_v if s_tau is s_v else _inverse_factor(s_tau, reps)
+        chol, trial = _trial_basis(
+            tab, jac, det, mesh.diameters[reps], formulation.field_degree, reps
+        )
+        b = _b_matrix(mesh, reps, tab, det, jinv, hess[:, 0] + hess[:, 2], trial, ncol)
+        b[:, :k] = linv_v @ b[:, :k]
+        b[:, k:] = linv_tau @ b[:, k:]
 
         # members in slices of CHUNK, so no per-element copy of a class
         # table is ever larger than one slice
@@ -555,11 +453,8 @@ def build_local_systems(mesh, formulation, f):
             loc = cls[tris] - c0
             w_all[tris] = b[loc]
             trial_chol[tris] = chol[loc]
-            pts = np.einsum("qr,trd->tqd", bary, coords[tris])
-            fv = np.broadcast_to(
-                np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float), pts.shape[:2]
-            )
-            wl_all[tris, :k] = np.einsum("tiq,tq->ti", load[loc], fv)
+            load = _load(tab, coords[tris], det[loc], f)
+            wl_all[tris, :k] = np.einsum("eij,ej->ei", linv_v[loc], load)
 
     return LocalSystems(
         formulation,

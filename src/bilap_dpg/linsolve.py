@@ -137,7 +137,8 @@ def sparse_spd_solve(a, b):
     Raises
     ------
     NotPositiveDefiniteError
-        On a nonpositive pivot that survives the eps-shift retry.
+        On a nonpositive pivot or an exactly singular factor that
+        survives the eps-shift retry.
     LinearSolveError
         On asymmetry, factorization failure or a residual above
         tolerance.
@@ -164,26 +165,25 @@ def _sparse_direct(a, b):
             f"matrix is not positive definite (pivot {bad[0]})", pivot=int(bad[0])
         )
     s = 1.0 / np.sqrt(diag)
-    scale = scipy.sparse.diags(s)
-    a_scaled = (scale @ a @ scale).tocsc()
+    # scaling the stored entries, unlike a sparse product, keeps entries
+    # that are zero by cancellation, so the ordering and the fill follow
+    # the assembled pattern and not the rounding of its values
+    a_scaled = a.copy()
+    a_scaled.data = s[a.indices] * a.data * np.repeat(s, np.diff(a.indptr))
     # diagonal pivoting in symmetric mode makes LU act as LDL^T, so the
     # U diagonal carries the inertia and certifies positive definiteness;
     # the pattern is symmetric, so the fill-reducing ordering is minimum
     # degree on A + A^T rather than COLAMD's ordering of A^T A.
-    # A nonpositive pivot at roundoff scale (possible when the system has
-    # near-null directions, e.g. gauge remnants on strongly graded
-    # meshes) is retried once with an eps-level shift of the unit-diagonal
-    # scaled matrix; genuine indefiniteness survives the shift and raises.
-    lu = None
-    for shift in (0.0, 1e-12):
+    # A nonpositive pivot at roundoff scale or an exactly singular factor
+    # (near-null directions, e.g. gauge remnants on graded meshes) is
+    # retried once with an eps-level shift of the unit-diagonal scaled
+    # matrix; genuine indefiniteness or singularity survives it and raises.
+    lu, eps_shift = None, 1e-12
+    for shift in (0.0, eps_shift):
+        shifted = a_scaled
         if shift:
-            log.warning(
-                "nonpositive pivot %d (%.3e) factoring n=%d; refactoring with "
-                "diagonal shift %g", bad[0], pivots[bad[0]], n, shift,
-            )
-        shifted = a_scaled if shift == 0.0 else (
-            a_scaled + scipy.sparse.identity(n, format="csc") * shift
-        )
+            shifted = a_scaled.copy()
+            shifted.setdiag(a_scaled.diagonal() + shift)
         try:
             lu = scipy.sparse.linalg.splu(
                 shifted,
@@ -192,15 +192,26 @@ def _sparse_direct(a, b):
                 options=dict(SymmetricMode=True),
             )
         except RuntimeError as exc:
-            raise LinearSolveError(f"sparse factorization failed: {exc}") from None
-        pivots = lu.U.diagonal()
-        bad = np.nonzero(pivots <= 0)[0]
-        if bad.size == 0:
-            break
-        lu = None
+            if "singular" not in str(exc):
+                raise LinearSolveError(f"sparse factorization failed: {exc}") from None
+            failure, pivot = f"exactly singular factor ({exc})", None
+        else:
+            pivots = lu.U.diagonal()
+            bad = np.nonzero(pivots <= 0)[0]
+            if bad.size == 0:
+                break
+            pivot = int(bad[0])
+            failure = f"nonpositive pivot {pivot} ({pivots[pivot]:.3e})"
+            lu = None
+        if shift == 0.0:
+            log.warning(
+                "%s factoring n=%d; refactoring with diagonal shift %g",
+                failure, n, eps_shift,
+            )
     if lu is None:
         raise NotPositiveDefiniteError(
-            f"matrix is not positive definite (pivot {bad[0]})", pivot=int(bad[0])
+            f"matrix is not positive definite: {failure} factoring n={n} "
+            f"even with diagonal shift {eps_shift:g}", pivot=pivot,
         )
     def precond(r):
         return s * lu.solve(s * r)

@@ -20,7 +20,6 @@ import numpy as np
 from scipy.integrate import quad
 
 from bilap_dpg import shape
-from bilap_dpg.forms import ElementBases
 from bilap_dpg.linsolve import dense_spd_solve
 
 REFERENCE_TRIANGLE = shape.REFERENCE_VERTICES
@@ -268,27 +267,27 @@ def unboundedness_demo(n_list, quadrature=None):
     return rows
 
 
-def _edge_constraint_rows(bases, z, n_moments_val, n_moments_nder, rule):
+def _edge_constraint_rows(vertices, tab, jinv, det, z, n_moments_val, n_moments_nder):
     """Trace-matching moments on the three element edges.
 
-    Returns (C, d): C maps basis coefficients to edge moments of the
-    trace pair, d holds the same moments of z.  Legendre moments up to
-    the given orders force exact polynomial equality edgewise.
+    Returns (C, d): C maps coefficients in the element's orthonormal
+    basis (`tab` mapped by `jinv`, `det`) to edge moments of the trace
+    pair, d holds the same moments of z.  Legendre moments up to the
+    given orders force exact polynomial equality edgewise.
     """
-    verts = bases.coords[0]
-    t = rule.points
-    weights = rule.weights
+    t = tab.edge_rule.points
+    weights = tab.edge_rule.weights
     legendre = np.polynomial.legendre.legvander(2.0 * t - 1.0, max(n_moments_val, n_moments_nder))
     rows_c, rows_d = [], []
     for k in range(3):
-        a, b = verts[k], verts[(k + 1) % 3]
+        a, b = vertices[k], vertices[(k + 1) % 3]
         d_vec = b - a
         length = np.hypot(*d_vec)
         nrm = np.array([d_vec[1], -d_vec[0]]) / length
         pts = a[None, :] + t[:, None] * d_vec[None, :]
-        val, grad, _ = bases.eval(pts[None])
-        val, grad = val[0], grad[0]
-        dn = grad @ nrm
+        # edge slot k in its own direction: vertex k to vertex k + 1
+        edge = shape.map_jet(shape.Jet(*(x[k, 0] for x in tab.edge)), jinv, det)
+        val, dn = edge.val, edge.grad @ nrm
         z_val = z(pts[:, 0], pts[:, 1])
         z_dn = z.dx()(pts[:, 0], pts[:, 1]) * nrm[0] + z.dy()(pts[:, 0], pts[:, 1]) * nrm[1]
         for m in range(n_moments_val + 1):
@@ -328,7 +327,6 @@ def norm_identity_check(vertices, z, dual_degree, extension_degree):
         raise ValueError("degrees must be at least 4")
     vertices = np.asarray(vertices, dtype=float)
 
-    z_lap = Poly2(np.zeros((1, 1)))
     cxx = np.polynomial.polynomial.polyder(z.c, m=2, axis=0)
     cyy = np.polynomial.polynomial.polyder(z.c, m=2, axis=1)
     lap_c = np.zeros((max(cxx.shape[0], cyy.shape[0], 1), max(cxx.shape[1], cyy.shape[1], 1)))
@@ -336,37 +334,37 @@ def norm_identity_check(vertices, z, dual_degree, extension_degree):
     lap_c[: cyy.shape[0], : cyy.shape[1]] += cyy
     z_lap = Poly2(lap_c)
 
+    jac, det, jinv = (x[0] for x in shape.affine_maps(vertices[None]))
+
     def graph_gram_and_pairing(degree):
-        bases = ElementBases(
-            vertices, degree, orthonormal=True, quad_exactness=2 * degree + 8
-        )
-        w = bases.weights[0]
-        val = bases.val[0]
-        lap = bases.hess[0][..., 0] + bases.hess[0][..., 2]
+        # the element's orthonormal P_degree basis from the reference
+        # tables the element kernels use
+        tab = shape.reference_tables(degree)
+        basis = shape.map_jet(tab.tri, jinv, det)
+        w = abs(det) * tab.quad.weights
+        pts = vertices[0] + tab.quad.points @ jac.T
+        val = basis.val
+        lap = basis.hess[..., 0] + basis.hess[..., 2]
         gram = np.einsum("q,qi,qj->ij", w, val, val) + np.einsum(
             "q,qi,qj->ij", w, lap, lap
         )
-        pts = bases.points[0]
-        pairing = lap.T @ (w * z(pts[:, 0], pts[:, 1])) - val.T @ (
-            w * z_lap(pts[:, 0], pts[:, 1])
-        )
-        return bases, gram, pairing
+        z_w = w * z(pts[:, 0], pts[:, 1])
+        pairing = lap.T @ z_w - val.T @ (w * z_lap(pts[:, 0], pts[:, 1]))
+        return gram, pairing, val.T @ z_w
 
     # duality side: sup <tr z, w> / ||w||_Delta = |b|_{G^-1}
-    _, gram_d, b = graph_gram_and_pairing(dual_degree)
+    gram_d, b, _ = graph_gram_and_pairing(dual_degree)
     duality = float(np.sqrt(max(b @ dense_spd_solve(gram_d, b), 0.0)))
 
     # extension side: min ||y||_Delta with tr(y) = tr(z) matched exactly
-    bases_e, gram_e, _ = graph_gram_and_pairing(extension_degree)
+    gram_e, _, y0 = graph_gram_and_pairing(extension_degree)
     n_mom = max(extension_degree, z.degree)
-    rule = shape.edge_quadrature(2 * max(extension_degree, z.degree) + 2)
-    c_mat, d_vec = _edge_constraint_rows(bases_e, z, n_mom, n_mom - 1, rule)
+    c_mat, d_vec = _edge_constraint_rows(
+        vertices, shape.reference_tables(extension_degree), jinv, det, z, n_mom, n_mom - 1
+    )
 
-    # feasible point: represent z in the element basis (z has degree <= 4
-    # <= extension_degree, so the representation is exact)
-    w = bases_e.weights[0]
-    val = bases_e.val[0]
-    y0 = val.T @ (w * z(bases_e.points[0][:, 0], bases_e.points[0][:, 1]))
+    # feasible point: z in the element basis (z has degree <= 4 <=
+    # extension_degree, so its L2 coefficients y0 represent it exactly)
     feas = np.linalg.norm(c_mat @ y0 - d_vec)
     if feas > 1e-8 * max(1.0, np.linalg.norm(d_vec)):
         raise RuntimeError(f"constraint system inconsistent (defect {feas:.2e})")

@@ -44,3 +44,133 @@ def random_triangle(rng, min_double_area=0.2):
         d1, d2 = v[1] - v[0], v[2] - v[0]
         if d1[0] * d2[1] - d1[1] * d2[0] > min_double_area:
             return v
+
+
+def _monomial_jet(points, centre, h, degree):
+    """Centred, h-scaled monomials (total degree <= degree) at physical
+    points (n, 2): values (n, d), gradients (n, d, 2) and Hessian
+    components (n, d, 3) ordered (xx, xy, yy)."""
+    u = (points - centre) / h
+    x, y = u[:, 0, None], u[:, 1, None]
+    i = np.array([q - j for q in range(degree + 1) for j in range(q + 1)])
+    j = np.array([j for q in range(degree + 1) for j in range(q + 1)])
+
+    def pw(base, n):  # base**n, zero where n < 0
+        return np.where(n >= 0, base ** np.maximum(n, 0), 0.0)
+
+    val = pw(x, i) * pw(y, j)
+    grad = np.stack([i * pw(x, i - 1) * pw(y, j), j * pw(x, i) * pw(y, j - 1)], axis=-1)
+    hess = np.stack(
+        [
+            i * (i - 1) * pw(x, i - 2) * pw(y, j),
+            i * j * pw(x, i - 1) * pw(y, j - 1),
+            j * (j - 1) * pw(x, i) * pw(y, j - 2),
+        ],
+        axis=-1,
+    )
+    return val, grad / h, hess / h**2
+
+
+def _whitener(stack):
+    """L^-1 for G = S^T S = L L^T, from the R factor of QR(S)."""
+    r = np.linalg.qr(stack, mode="r")
+    return np.linalg.inv(r.T)
+
+
+def monomial_local_systems(mesh, scheme, field_degree, test_degree, f):
+    """Per-element W^T W, W^T wl and |wl|^2 of the DPG local systems.
+
+    An element-by-element oracle seeded by monomials at each element's
+    own quadrature points: the test basis is the centred,
+    diameter-scaled monomials of degree `test_degree`; the Gram blocks
+    (scheme 1: mass + Laplacian for both; scheme 2: mass + Frobenius
+    Hessian for the v block) are whitened through the QR of the stacked
+    weighted tables.  The trial basis is the monomials of degree
+    `field_degree` times L^-T, L the Cholesky factor of their moment
+    matrix.  The skeleton columns pair the cubic Hermite trace values
+    and linear normal derivatives along each edge (global lo -> hi
+    parameter, global normal) as -s int_e (w dn(t) - w_n t) ds, s = +1
+    on the edge's owner (lower-index element); scheme 2 adds the six
+    corner columns (telescoped endpoint coefficients against the test
+    value at the corner).  These quantities do not depend on the test
+    basis, so they match any correct implementation.
+    """
+    from bilap_dpg.shape import edge_quadrature, map_to_triangle, triangle_quadrature
+
+    dim_p = (field_degree + 1) * (field_degree + 2) // 2
+    k = (test_degree + 1) * (test_degree + 2) // 2
+    ncol = 2 * dim_p + 18 + (6 if scheme == 2 else 0)
+    vol_rule = triangle_quadrature(2 * test_degree + 2)
+    edge_rule = edge_quadrature(2 * test_degree + 4)
+    t, tw = edge_rule.points, edge_rule.weights
+    out_wtw, out_wtl, out_ll = [], [], []
+    for tri, verts in enumerate(mesh.triangle_coords()):
+        centre = verts.mean(axis=0)
+        h = max(np.hypot(*(verts[(i + 1) % 3] - verts[i])) for i in range(3))
+        pts, w = map_to_triangle(vol_rule, verts)
+        val, _, hess = _monomial_jet(pts, centre, h, test_degree)
+        lap = hess[..., 0] + hess[..., 2]
+        sw = np.sqrt(w)[:, None]
+        s_tau = np.vstack([sw * val, sw * lap])
+        if scheme == 1:
+            s_v = s_tau
+        else:
+            s_v = np.vstack([sw * val, sw * hess[..., 0], np.sqrt(2) * sw * hess[..., 1],
+                             sw * hess[..., 2]])
+
+        mono = _monomial_jet(pts, centre, h, field_degree)[0]
+        chol = np.linalg.cholesky(mono.T @ (w[:, None] * mono))
+        trial = np.linalg.solve(chol, mono.T).T
+
+        b = np.zeros((2 * k, ncol))
+        du = lap.T @ (w[:, None] * trial)
+        b[k:, :dim_p] = du
+        b[:k, dim_p : 2 * dim_p] = du
+        b[k:, dim_p : 2 * dim_p] = -val.T @ (w[:, None] * trial)
+
+        local = list(mesh.triangles[tri])
+        for slot in range(3):
+            e = mesh.tri_edges[tri, slot]
+            lo, hi = mesh.edges[e]
+            plo, phi = mesh.vertices[lo], mesh.vertices[hi]
+            length = np.hypot(*(phi - plo))
+            tau = (phi - plo) / length
+            nrm = mesh.edge_normal[e]
+            side = 1.0 if mesh.edge_tris[e, 0] == tri else -1.0
+            x = plo + t[:, None] * (phi - plo)
+            v_t, g_t, _ = _monomial_jet(x, centre, h, test_degree)
+            dn_t = g_t @ nrm
+            h00 = 1 - 3 * t**2 + 2 * t**3
+            h10 = t - 2 * t**2 + t**3
+            h01 = 3 * t**2 - 2 * t**3
+            h11 = t**3 - t**2
+            val6 = np.column_stack([h00, h10 * length * tau[0], h10 * length * tau[1],
+                                    h01, h11 * length * tau[0], h11 * length * tau[1]])
+            nd6 = np.column_stack([0 * t, (1 - t) * nrm[0], (1 - t) * nrm[1],
+                                   0 * t, t * nrm[0], t * nrm[1]])
+            contrib = -side * length * (
+                (tw[:, None] * dn_t).T @ val6 - (tw[:, None] * v_t).T @ nd6
+            )
+            for d in range(6):
+                loc = local.index(lo if d < 3 else hi)
+                b[k:, 2 * dim_p + 3 * loc + d % 3] += contrib[:, d]
+                b[:k, 2 * dim_p + 9 + 3 * loc + d % 3] += contrib[:, d]
+
+        if scheme == 2:
+            corner_val = _monomial_jet(verts, centre, h, test_degree)[0]
+            for c in range(3):
+                for which, slot in ((0, c), (1, (c + 2) % 3)):
+                    e = mesh.tri_edges[tri, slot]
+                    starts_at_lo = mesh.triangles[tri, slot] == mesh.edges[e, 0]
+                    side = 1.0 if mesh.edge_tris[e, 0] == tri else -1.0
+                    sign = (1.0 if starts_at_lo else -1.0) * side * (-1.0 if which else 1.0)
+                    b[:k, 2 * dim_p + 18 + 2 * c + which] = sign * corner_val[c]
+
+        load = val.T @ (w * f(pts[:, 0], pts[:, 1]))
+        linv_v, linv_tau = _whitener(s_v), _whitener(s_tau)
+        wmat = np.vstack([linv_v @ b[:k], linv_tau @ b[k:]])
+        wl = np.concatenate([linv_v @ load, np.zeros(k)])
+        out_wtw.append(wmat.T @ wmat)
+        out_wtl.append(wmat.T @ wl)
+        out_ll.append(wl @ wl)
+    return np.array(out_wtw), np.array(out_wtl), np.array(out_ll)

@@ -91,9 +91,10 @@ def test_indicator_total_is_sum_of_locals():
 
 
 def test_indicators_match_raw_basis_recomputation():
-    # eta(T) is basis independent: recompute r^T G^-1 r with the raw
-    # monomial basis through the public per-element operations (scheme 1,
-    # whose local layout matches the public trial-to-test matrix)
+    # recompute r^T G^-1 r through the public per-element operations,
+    # with G formed explicitly and solved by Cholesky instead of the
+    # whitened QR path (scheme 1, whose local layout matches the public
+    # trial-to-test matrix; the trial coefficients apply as they are)
     prob = smooth_problem()
     mesh = make_unit_square(2)
     sol = assemble_and_solve(mesh, VF1, prob)
@@ -102,11 +103,7 @@ def test_indicators_match_raw_basis_recomputation():
         g = local_gram(mesh.triangle_coords()[t], VF1)
         b = local_b(mesh, t, VF1)
         l = local_load(mesh.triangle_coords()[t], prob.f, VF1)
-        x = sol.x_local[t].copy()
-        scale = sol.local.trial_chol[t][0, 0]
-        x[0] /= scale
-        x[1] /= scale
-        r = l - b @ x
+        r = l - b @ sol.x_local[t]
         eta_sq = r @ dense_spd_solve(g, r)
         assert np.sqrt(max(eta_sq, 0)) == pytest.approx(
             ind.per_element[t], rel=1e-9, abs=1e-12
@@ -165,6 +162,36 @@ def test_global_matrix_symmetric_and_spd():
     a = builder.tocsr()
     assert abs(a - a.T).max() <= 1e-12 * abs(a).max()
     sparse_spd_solve(a, np.ones(n_free))  # raises if not SPD
+
+
+@pytest.mark.parametrize("form", [VF1, VF2])
+def test_global_pattern_has_no_cross_block_couplings(form, monkeypatch):
+    # u and uhat pair only with the tau test block, sigma_hat and the
+    # corner coefficients only with the v block: their couplings vanish
+    # on every mesh, and storing them would give the ordering fill it
+    # cannot remove
+    from bilap_dpg import dpg_solver
+
+    captured = []
+    solve = dpg_solver.sparse_spd_solve
+
+    def capture(a, b):
+        captured.append(a.tocoo())
+        return solve(a, b)
+
+    monkeypatch.setattr(dpg_solver, "sparse_spd_solve", capture)
+    sol = assemble_and_solve(make_unit_square(4), form, smooth_problem())
+    p = form.field_dim
+    cols = sol.free_cols
+
+    def ids(local):
+        x = cols[:, local].ravel()
+        return x[x >= 0]
+
+    tau_only = ids(np.r_[0:p, 2 * p : 2 * p + 9])
+    v_only = ids(np.r_[2 * p + 9 : cols.shape[1]])
+    [a] = captured
+    assert not np.any(np.isin(a.row, tau_only) & np.isin(a.col, v_only))
 
 
 def test_scheme_equivalence_on_smooth_problem():

@@ -1,21 +1,28 @@
 import numpy as np
 import pytest
-from oracles import Poly2d, random_triangle
+from oracles import Poly2d, monomial_local_systems, random_triangle
 
+from bilap_dpg import forms, shape
+from bilap_dpg.dpg_solver import assemble_and_solve, error_indicators
 from bilap_dpg.forms import (
-    ElementBases,
     Formulation,
     FormsError,
     build_local_systems,
     local_b,
     local_gram,
     local_load,
-    monomial_exponents,
     translation_classes,
 )
-from bilap_dpg.linsolve import cholesky_spd
-from bilap_dpg.mesh import Mesh, make_sector_domain, make_unit_square, refine_nvb
-from bilap_dpg.shape import REFERENCE_VERTICES, eval_basis
+from bilap_dpg.linsolve import NotPositiveDefiniteError, cholesky_spd
+from bilap_dpg.mesh import (
+    Mesh,
+    doerfler_mark,
+    make_sector_domain,
+    make_unit_square,
+    refine_nvb,
+)
+from bilap_dpg.problems import singular_problem
+from bilap_dpg.shape import REFERENCE_VERTICES, monomial_exponents
 from bilap_dpg.trace_space import build_trace_space, interpolate_function
 
 VF1 = Formulation(scheme=1)
@@ -31,26 +38,41 @@ def test_formulation_validation():
 
 
 def test_gram_degree0_reference_triangle():
+    # the test basis is L2-orthonormal on the element, so the constant
+    # member has unit mass
     g = local_gram(REFERENCE_VERTICES, VF1, test_degree=0)
-    assert np.allclose(g, np.diag([0.5, 0.5]), atol=1e-14)
+    assert np.allclose(g, np.diag([1.0, 1.0]), atol=1e-14)
 
 
 def test_gram_vf2_degree1_is_mass_matrix():
-    # linear test block: Hessian term vanishes, leaving the mass matrix
+    # linear test block: Hessian term vanishes, leaving the mass matrix,
+    # computed here by quadrature of the mapped basis
     tri = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
     g = local_gram(tri, VF2, test_degree=1)
-    bases = ElementBases(tri, 1, quad_exactness=4)
-    mass = np.einsum("q,qi,qj->ij", bases.weights[0], bases.val[0], bases.val[0])
+    pts, w = shape.map_to_triangle(shape.triangle_quadrature(4), tri)
+    jac, det, jinv = (x[0] for x in shape.affine_maps(tri[None]))
+    val = shape.map_jet(shape.orthonormal_basis(1, (pts - tri[0]) @ jinv.T), jinv, det).val
+    mass = np.einsum("q,qi,qj->ij", w, val, val)
     assert np.allclose(g[:3, :3], mass, atol=1e-13)
+    assert np.allclose(mass, np.eye(3), atol=1e-13)
+
+
+def _thin_triangle(rng, aspect):
+    angle = rng.uniform(0, 2 * np.pi)
+    e1 = np.array([np.cos(angle), np.sin(angle)])
+    e2 = rng.uniform(-1, 1) * e1 + np.array([-e1[1], e1[0]]) / aspect
+    v0 = rng.uniform(-1, 1, size=2)
+    return np.array([v0, v0 + e1, v0 + e2])
 
 
 @pytest.mark.parametrize("form", [VF1, VF2])
-@pytest.mark.parametrize("orthonormal", [False, True])
-def test_gram_symmetric_and_spd(form, orthonormal):
+@pytest.mark.parametrize("thin", [False, True])
+def test_gram_symmetric_and_spd(form, thin):
+    # round random elements, or thin ones with aspect ratios to 1e3
     rng = np.random.default_rng(8)
     for _ in range(4):
-        tri = random_triangle(rng)
-        g = local_gram(tri, form, orthonormal=orthonormal)
+        tri = _thin_triangle(rng, 10 ** rng.uniform(1, 3)) if thin else random_triangle(rng)
+        g = local_gram(tri, form)
         assert np.abs(g - g.T).max() <= 1e-13 * np.abs(g).max()
         cholesky_spd(g)  # raises if not SPD
 
@@ -62,16 +84,15 @@ def test_gram_rejects_degenerate_element():
 
 
 def test_local_b_constants_example():
-    # constant trial and test functions: the u column vanishes, the
-    # sigma column pairs with tau as -(sigma, tau) = -|T|
+    # constant trial and test functions, both of unit L2 norm: the u
+    # column vanishes, the sigma column pairs with tau as -(sigma, tau) = -1
     mesh = make_unit_square(1)
     for tri in range(mesh.num_triangles):
         b = local_b(mesh, tri, VF1, test_degree=0)
-        area = mesh.areas[tri]
         assert b.shape == (2, 20)
         assert b[1, 0] == pytest.approx(0.0, abs=1e-15)  # (u, Delta tau)
         assert b[0, 1] == pytest.approx(0.0, abs=1e-15)  # (sigma, Delta v)
-        assert b[1, 1] == pytest.approx(-area, abs=1e-14)  # -(sigma, tau)
+        assert b[1, 1] == pytest.approx(-1.0, abs=1e-14)  # -(sigma, tau)
 
 
 def test_local_b_uhat_linear_against_constant_tau():
@@ -95,16 +116,17 @@ def test_local_b_zero_trial_vector():
 
 
 def test_load_examples():
+    # the constant test member is |T|^(-1/2), so (c, v_0) = c |T|^(1/2)
     one = lambda x, y: np.ones_like(x)
     l = local_load(REFERENCE_VERTICES, one, VF1, test_degree=0)
-    assert l[0] == pytest.approx(0.5, abs=1e-15)
+    assert l[0] == pytest.approx(np.sqrt(0.5), abs=1e-15)
     assert l[1] == 0.0
     zero = lambda x, y: np.zeros_like(x)
     assert np.all(local_load(REFERENCE_VERTICES, zero, VF1) == 0.0)
     tri = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 2.0]])  # area 3
     five = lambda x, y: 5.0 * np.ones_like(x)
     l = local_load(tri, five, VF2, test_degree=0)
-    assert l[0] == pytest.approx(15.0, rel=1e-14)
+    assert l[0] == pytest.approx(5.0 * np.sqrt(3.0), rel=1e-14)
 
 
 def test_vf1_vf2_b_matrices_coincide():
@@ -117,57 +139,56 @@ def test_vf1_vf2_b_matrices_coincide():
 
 
 def test_element_basis_matches_reference_on_unit_triangle():
-    # affine chain rule: basis gradients/Hessians on a physical triangle
-    # equal the mapped reference derivatives
+    # affine chain rule: each reference member mapped to a physical
+    # triangle, expanded in physical monomials by interpolation, has the
+    # mapped values, gradients (J^-T grad) and Hessians (J^-T H J^-1)
     rng = np.random.default_rng(15)
     tri = random_triangle(rng)
-    a = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
-    a_inv = np.linalg.inv(a)
-    ref_pts = rng.dirichlet([1, 1, 1], size=12)[:, :2]
-    phys = tri[0] + ref_pts @ a.T
-
+    jac, det, jinv = (x[0] for x in shape.affine_maps(tri[None]))
     degree = 3
-    ref_val, ref_grad, ref_hess = eval_basis(degree, ref_pts)
-    bases = ElementBases(tri, degree)
-    val_p, grad_p, hess_p = bases.eval(phys[None])
+    ref_pts = rng.dirichlet([1, 1, 1], size=12)[:, :2]
+    phys = tri[0] + ref_pts @ jac.T
+    mapped = shape.map_jet(shape.orthonormal_basis(degree, ref_pts), jinv, det)
 
-    # express each reference basis member in the element monomial basis
-    # by matching values at unisolvent points, then push derivatives
     nodes_ref = rng.dirichlet([1, 1, 1], size=40)[:, :2]
-    nodes_phys = tri[0] + nodes_ref @ a.T
-    v_elem = bases.eval(nodes_phys[None])[0][0]
-    v_ref = eval_basis(degree, nodes_ref)[0]
-    coef, *_ = np.linalg.lstsq(v_elem, v_ref, rcond=None)
-
-    got_val = val_p[0] @ coef
-    got_grad = np.einsum("qnd,nm->qmd", grad_p[0], coef)
-    got_hess = np.einsum("qnc,nm->qmc", hess_p[0], coef)
-    assert np.allclose(got_val, ref_val, atol=1e-12)
-
-    # reference gradient pushed forward: grad_phys = A^-T grad_ref
-    push_grad = np.einsum("qmd,ed->qme", ref_grad, a_inv.T)
-    assert np.allclose(got_grad, push_grad, atol=1e-12)
-    # Hessian: H_phys = A^-T H_ref A^-1
-    push = np.einsum("de,qmef,fg->qmdg", a_inv.T, ref_hess, a_inv)
-    got_full = np.empty(push.shape)
-    got_full[..., 0, 0] = got_hess[..., 0]
-    got_full[..., 0, 1] = got_full[..., 1, 0] = got_hess[..., 1]
-    got_full[..., 1, 1] = got_hess[..., 2]
-    assert np.allclose(got_full, push, atol=1e-12)
+    nodes_phys = tri[0] + nodes_ref @ jac.T
+    v_nodes = shape.map_jet(shape.orthonormal_basis(degree, nodes_ref), jinv, det).val
+    ex = monomial_exponents(degree)
+    vander = nodes_phys[:, None, 0] ** ex[:, 0] * nodes_phys[:, None, 1] ** ex[:, 1]
+    coef, *_ = np.linalg.lstsq(vander, v_nodes, rcond=None)
+    x, y = phys[:, 0], phys[:, 1]
+    # orthonormal members are O(|T|^-1/2) and gain a factor ~1/h per
+    # derivative: each comparison is relative to its table's magnitude
+    atol = [1e-12 * max(1.0, np.abs(table).max()) for table in mapped]
+    for m in range(coef.shape[1]):
+        c = np.zeros((degree + 1, degree + 1))
+        c[ex[:, 0], ex[:, 1]] = coef[:, m]
+        p = Poly2d(c)
+        assert np.allclose(p(x, y), mapped.val[:, m], atol=atol[0])
+        grad = np.column_stack(p.grad(x, y))
+        assert np.allclose(grad, mapped.grad[:, m], atol=atol[1])
+        hess = np.column_stack([p.dx().dx()(x, y), p.dx().dy()(x, y), p.dy().dy()(x, y)])
+        assert np.allclose(hess, mapped.hess[:, m], atol=atol[2])
 
 
-def _local_trial_vector(mesh, tri, form, u_poly, sigma_poly, uhat, shat, bases):
-    """Exact-solution coefficients in the element's trial layout."""
+def _local_trial_vector(mesh, tri, form, u_poly, sigma_poly, uhat, shat):
+    """Exact-solution coefficients in the element's trial layout.
+
+    The trial basis is the centred, diameter-scaled monomials times
+    L^-T, L the Cholesky factor of their moment matrix: an L2-orthonormal
+    basis, so the field coefficients are L2 projections.
+    """
     dim_p = form.field_dim
-    w = bases.weights[0]
-    val = bases.val[0][:, :dim_p]
-    pts = bases.points[0]
-    gram = np.einsum("q,qi,qj->ij", w, val, val)
+    verts = mesh.triangle_coords()[tri]
+    pts, w = shape.map_to_triangle(shape.triangle_quadrature(2 * form.test_degree + 2), verts)
+    ex = monomial_exponents(form.field_degree)
+    u = (pts - verts.mean(axis=0)) / mesh.diameters[tri]
+    mono = u[:, None, 0] ** ex[:, 0] * u[:, None, 1] ** ex[:, 1]
+    chol = np.linalg.cholesky(np.einsum("q,qi,qj->ij", w, mono, mono))
+    val = np.linalg.solve(chol, mono.T).T
     x = np.zeros(2 * dim_p + 18)
-    x[:dim_p] = np.linalg.solve(gram, val.T @ (w * u_poly(pts[:, 0], pts[:, 1])))
-    x[dim_p : 2 * dim_p] = np.linalg.solve(
-        gram, val.T @ (w * sigma_poly(pts[:, 0], pts[:, 1]))
-    )
+    x[:dim_p] = val.T @ (w * u_poly(pts[:, 0], pts[:, 1]))
+    x[dim_p : 2 * dim_p] = val.T @ (w * sigma_poly(pts[:, 0], pts[:, 1]))
     for loc, v in enumerate(mesh.triangles[tri]):
         x[2 * dim_p + 3 * loc : 2 * dim_p + 3 * loc + 3] = uhat[3 * v : 3 * v + 3]
         x[2 * dim_p + 9 + 3 * loc : 2 * dim_p + 12 + 3 * loc] = shat[3 * v : 3 * v + 3]
@@ -196,11 +217,9 @@ def test_adjoint_consistency_quadratic(scheme, mesh_builder):
     shat = interpolate_function(space, sigma, sigma.grad)
     zero = lambda x, y: np.zeros_like(x)
     for tri in range(mesh.num_triangles):
-        bases = ElementBases(mesh.triangle_coords()[tri], form.test_degree,
-                             quad_exactness=2 * form.test_degree + 2)
         b = local_b(mesh, tri, form)
         l = local_load(mesh.triangle_coords()[tri], zero, form)
-        x = _local_trial_vector(mesh, tri, form, u, sigma, uhat, shat, bases)
+        x = _local_trial_vector(mesh, tri, form, u, sigma, uhat, shat)
         assert np.abs(l - b @ x).max() < 1e-9
 
 
@@ -216,11 +235,9 @@ def test_adjoint_consistency_cubic_on_structured_mesh():
     shat = interpolate_function(space, sigma, sigma.grad)
     zero = lambda x, y: np.zeros_like(x)
     for tri in range(mesh.num_triangles):
-        bases = ElementBases(mesh.triangle_coords()[tri], form.test_degree,
-                             quad_exactness=2 * form.test_degree + 2)
         b = local_b(mesh, tri, form)
         l = local_load(mesh.triangle_coords()[tri], zero, form)
-        x = _local_trial_vector(mesh, tri, form, u, sigma, uhat, shat, bases)
+        x = _local_trial_vector(mesh, tri, form, u, sigma, uhat, shat)
         assert np.abs(l - b @ x).max() < 1e-9
 
 
@@ -308,3 +325,66 @@ def test_class_cache_matches_shifted_mesh(name, scheme, degree):
         assert np.array_equal(a.corner_cols, b.corner_cols)
     else:
         assert a.corner_cols is None and b.corner_cols is None
+
+
+def _doerfler_sector(steps):
+    problem = singular_problem()
+    mesh = make_sector_domain()
+    for _ in range(steps):
+        indicators = error_indicators(assemble_and_solve(mesh, VF2, problem))
+        mesh = refine_nvb(mesh, doerfler_mark(indicators.per_element, 0.5))
+    return mesh
+
+
+ORACLE_MESHES = {
+    "jittered-square": lambda: _jittered_square(6, seed=4),
+    "graded-sector": lambda: _doerfler_sector(6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
+@pytest.mark.parametrize("scheme,degree", [(1, 1), (2, 0)])
+def test_local_systems_match_monomial_oracle(name, scheme, degree):
+    # W^T W = B^T G^-1 B, W^T wl and |wl|^2 do not depend on the test
+    # basis: the mapped reference tables must reproduce an element-wise
+    # monomial-seeded computation
+    mesh = ORACLE_MESHES[name]()
+    f = lambda x, y: np.sin(3 * x + 1) * np.cos(2 * y) + x * y + 2.0
+    loc = build_local_systems(mesh, Formulation(scheme, degree, 4), f)
+    wtw, wtl, ll = monomial_local_systems(mesh, scheme, degree, 4, f)
+    got_wtw = np.einsum("eri,erj->eij", loc.w, loc.w)
+    got_wtl = np.einsum("eri,er->ei", loc.w, loc.wl)
+    got_ll = np.einsum("er,er->e", loc.wl, loc.wl)
+    for got, want in ((got_wtw, wtw), (got_wtl, wtl)):
+        err = np.abs(got - want).reshape(len(want), -1).max(axis=1)
+        assert np.all(err <= 1e-9 * np.abs(want).reshape(len(want), -1).max(axis=1))
+    assert np.all(np.abs(got_ll - ll) <= 1e-9 * ll)
+
+
+def _mesh_with_sliver(area):
+    # positively oriented triangle (0, 1, 2) of the given area, inside a
+    # conforming three-triangle mesh
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 2.0 * area], [0.5, 1.0]])
+    return Mesh(vertices, np.array([[2, 0, 1], [0, 2, 3], [2, 1, 3]]))
+
+
+@pytest.mark.parametrize("form", [VF1, VF2])
+def test_build_local_systems_rejects_sliver(form):
+    mesh = _mesh_with_sliver(1e-16)
+    assert mesh.areas[0] == pytest.approx(1e-16)
+    f = lambda x, y: np.ones_like(x)
+    with pytest.raises(FormsError, match="degenerate element 0"):
+        build_local_systems(mesh, form, f)
+
+
+@pytest.mark.parametrize("form", [VF1, VF2])
+def test_build_local_systems_singular_gram_block(form, monkeypatch):
+    # with the area guard off, a sliver whose inverse Jacobian overflows
+    # leaves no usable Gram factor: the whitening must raise, naming it
+    monkeypatch.setattr(forms, "MIN_ELEMENT_AREA", 0.0)
+    mesh = _mesh_with_sliver(1e-300)
+    f = lambda x, y: np.ones_like(x)
+    message = r"test Gram block is singular \(element 0\)"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NotPositiveDefiniteError, match=message):
+            build_local_systems(mesh, form, f)

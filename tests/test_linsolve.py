@@ -19,7 +19,7 @@ from bilap_dpg.linsolve import (
     dense_spd_solve,
     sparse_spd_solve,
 )
-from bilap_dpg.mesh import make_unit_square
+from bilap_dpg.mesh import Mesh, make_unit_square
 from bilap_dpg.problems import smooth_problem
 
 
@@ -112,6 +112,50 @@ def test_eps_shift_is_logged(caplog):
     assert "pivot 2 " in shifts[0].getMessage()
 
 
+def _neumann_laplacian(n):
+    a = scipy.sparse.diags(
+        [-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]
+    ).tolil()
+    a[0, 0] = a[n - 1, n - 1] = 1.0
+    return a.tocsr()
+
+
+SINGULAR = {
+    "ones-2x2": scipy.sparse.csr_matrix(np.ones((2, 2))),
+    "neumann-1d": _neumann_laplacian(6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGULAR))
+def test_exactly_singular_factor_is_shifted(name, caplog):
+    # positive semidefinite with an exactly zero pivot: SuperLU reports
+    # an exactly singular factor, which takes the same eps-shift retry as
+    # a roundoff-negative pivot; b lies in the range, so the shifted
+    # solve succeeds
+    a = SINGULAR[name]
+    n = a.shape[0]
+    b = a @ np.arange(1.0, n + 1.0)
+    with caplog.at_level(logging.WARNING, logger="bilap_dpg.linsolve"):
+        x = sparse_spd_solve(a, b)
+    assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+    shifts = [r for r in caplog.records if "refactoring with diagonal shift" in r.getMessage()]
+    assert len(shifts) == 1
+    assert shifts[0].levelno == logging.WARNING
+    assert "exactly singular" in shifts[0].getMessage()
+    assert f"n={n};" in shifts[0].getMessage()
+
+
+def test_singular_after_shift_raises_not_positive_definite(monkeypatch, caplog):
+    def always_singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", always_singular)
+    with caplog.at_level(logging.WARNING, logger="bilap_dpg.linsolve"):
+        with pytest.raises(NotPositiveDefiniteError, match=r"exactly singular.*n=2 "):
+            sparse_spd_solve(SINGULAR["ones-2x2"], np.array([1.0, -1.0]))
+    assert len(caplog.records) == 1
+
+
 def test_pcg_best_iterate_is_logged(caplog):
     n = 5
     a = scipy.sparse.diags(
@@ -197,3 +241,23 @@ def test_builder_insertion_order_invariance(rnd):
     b2.add(rows[perm], cols[perm], vals[perm])
     a1, a2 = b1.tocsr(), b2.tocsr()
     assert (a1 != a2).nnz == 0 or np.abs((a1 - a2).toarray()).max() <= 1e-15
+
+
+def test_fill_does_not_depend_on_rounding(caplog):
+    # the same scheme-2 system on the 16x16 square and on a copy shifted
+    # by (0.1, 0.3): the shift changes only the rounding of the element
+    # kernels, so entries that vanish by symmetry come out as exact
+    # zeros on one mesh and as roundoff on the other; the stored pattern,
+    # and with it the ordering and the fill, must not follow them
+    # (pruning the zeros gave 624,208 against 446,404)
+    mesh = make_unit_square(16)
+    shifted = Mesh(mesh.vertices + np.array([0.1, 0.3]), mesh.triangles)
+    fills = []
+    for m in (mesh, shifted):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="bilap_dpg.linsolve"):
+            dpg_solver.assemble_and_solve(m, Formulation(scheme=2), smooth_problem())
+        [record] = [r for r in caplog.records if r.levelno == logging.DEBUG]
+        sizes = re.search(r"nnz\(A\)=(\d+) nnz\(L\+U\)=(\d+)", record.getMessage())
+        fills.append(sizes.groups())
+    assert fills[0] == fills[1]
