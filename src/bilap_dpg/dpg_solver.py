@@ -14,9 +14,10 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from bilap_dpg import forms, problems, shape
-from bilap_dpg.linsolve import SparseSymBuilder, sparse_spd_solve
+from bilap_dpg.linsolve import sparse_spd_solve
 from bilap_dpg.mesh import doerfler_mark, refine_nvb
 from bilap_dpg.trace_space import (
     DOFS_PER_VERTEX,
@@ -203,29 +204,27 @@ def assemble_and_solve(mesh, formulation, problem):
     )
 
     w, wl = local.w, local.wl
-    schur = np.einsum("eri,erj->eij", w, w)
-    g_vec = np.einsum("eri,er->ei", w, wl)
-    fixed_local = fixed_values[full_cols]
-    g_vec = g_vec - np.einsum("eij,ej->ei", schur, fixed_local)
-
-    cols_free = free_map[full_cols]  # (nt, ncol), -1 where fixed
-    builder = SparseSymBuilder(n_free)
-    rhs = np.zeros(n_free)
-    ncol = full_cols.shape[1]
-    rows_idx = np.repeat(cols_free[:, :, None], ncol, axis=2)
-    cols_idx = np.repeat(cols_free[:, None, :], ncol, axis=1)
+    x_fixed = fixed_values[full_cols]
+    cols = free_map[full_cols]  # (nt, ncol), -1 where fixed
+    free = cols >= 0
     # two columns couple where they meet a common test block (v or tau);
     # storing exactly that pattern, also where an entry cancels to zero,
     # keeps the sparsity and the factor's fill independent of rounding
     k = w.shape[1] // 2
     tested = np.stack([np.any(w[:, :k], axis=(0, 1)), np.any(w[:, k:], axis=(0, 1))])
     couples = (tested.T.astype(np.int64) @ tested.astype(np.int64)) > 0
-    keep = (rows_idx >= 0) & (cols_idx >= 0) & couples
-    builder.add(rows_idx[keep], cols_idx[keep], schur[keep])
-    keep_r = cols_free >= 0
-    np.add.at(rhs, cols_free[keep_r], g_vec[keep_r])
+    w_t = np.swapaxes(w, 1, 2)
+    schur = w_t @ w
+    keep = free[:, :, None] & free[:, None, :] & couples
+    row = np.broadcast_to(cols[:, :, None], keep.shape)[keep]
+    col = np.broadcast_to(cols[:, None, :], keep.shape)[keep]
+    a = scipy.sparse.csr_matrix((schur[keep], (row, col)), shape=(n_free, n_free))
+    # nothing of size nt * ncol^2 stays alive through the factorization
+    del schur, keep, row, col
+    # the fixed dofs move to the right: W^T (wl - W x_fixed)
+    g_vec = (w_t @ (wl[:, :, None] - w @ x_fixed[:, :, None]))[..., 0]
+    rhs = np.bincount(cols[free], g_vec[free], minlength=n_free)
 
-    a = builder.tocsr()
     try:
         x_free = sparse_spd_solve(a, rhs)
     except Exception as exc:
@@ -233,13 +232,12 @@ def assemble_and_solve(mesh, formulation, problem):
             f"global solve failed on mesh with {mesh.num_triangles} triangles: {exc}"
         ) from exc
 
-    x_local = np.where(cols_free >= 0, x_free[np.maximum(cols_free, 0)], fixed_local)
+    x_all = fixed_values.copy()
+    x_all[free_map >= 0] = x_free
+    x_local = x_all[full_cols]
 
     nt, dim_p = mesh.num_triangles, formulation.field_dim
     n_field = nt * dim_p
-    x_all = np.zeros(len(free_map))
-    x_all[free_map >= 0] = x_free[free_map[free_map >= 0]]
-    x_all = np.where(free_map >= 0, x_all, fixed_values)
 
     def make_field(offset):
         return BrokenField(
@@ -265,7 +263,7 @@ def assemble_and_solve(mesh, formulation, problem):
         uhat_space=uhat_space,
         local=local,
         x_local=x_local,
-        free_cols=cols_free,
+        free_cols=cols,
         ndof_total=n_free,
         ndof_field=2 * n_field,
         rhs_inf=float(np.abs(rhs).max(initial=0.0)),
@@ -299,22 +297,20 @@ def residual_orthogonality(solution):
     local trial vectors include the eliminated boundary values.
     """
     proj = np.einsum("eri,er->ei", solution.local.w, _residuals(solution))
-    out = np.zeros(solution.ndof_total)
     keep = solution.free_cols >= 0
-    np.add.at(out, solution.free_cols[keep], proj[keep])
+    out = np.bincount(
+        solution.free_cols[keep], proj[keep], minlength=solution.ndof_total
+    )
     return float(np.abs(out).max() / max(solution.rhs_inf, 1e-300))
 
 
-def solve_and_record(mesh, formulation, problem, level, compute_errors=True):
+def solve_and_record(mesh, formulation, problem, level):
     """Solve one level and produce its study record."""
     t0 = time.perf_counter()
     solution = assemble_and_solve(mesh, formulation, problem)
     indicators = error_indicators(solution)
     elapsed = time.perf_counter() - t0
-    if compute_errors:
-        err_u, err_sigma = problems.l2_errors(solution, problem)
-    else:
-        err_u = err_sigma = float("nan")
+    err_u, err_sigma = problems.l2_errors(solution, problem)
     record = StudyRecord(
         level=level,
         ndof_total=solution.ndof_total,
@@ -328,7 +324,7 @@ def solve_and_record(mesh, formulation, problem, level, compute_errors=True):
     return record, solution, indicators
 
 
-def adaptive_loop(mesh, formulation, problem, theta, max_dofs, compute_errors=True):
+def adaptive_loop(mesh, formulation, problem, theta, max_dofs):
     """Solve -> estimate -> Doerfler mark -> refine until max_dofs.
 
     Every level is solved from scratch (no field transfer).  Returns
@@ -349,9 +345,7 @@ def adaptive_loop(mesh, formulation, problem, theta, max_dofs, compute_errors=Tr
         )
     while True:
         try:
-            record, _, indicators = solve_and_record(
-                mesh, formulation, problem, level, compute_errors
-            )
+            record, _, indicators = solve_and_record(mesh, formulation, problem, level)
         except SolverError as exc:
             raise SolverError(f"level {level}: {exc}") from exc
         records.append(record)

@@ -17,7 +17,6 @@ import logging
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 import scipy.sparse.linalg
 
 log = logging.getLogger(__name__)
@@ -83,44 +82,6 @@ def dense_spd_solve(a, rhs):
     if residual > tol:
         raise LinearSolveError(f"dense solve residual {residual:.3e} above tolerance")
     return x
-
-
-class SparseSymBuilder:
-    """Triplet accumulator for a symmetric sparse matrix.
-
-    Duplicate entries are summed on compression; insertion order does
-    not affect the compressed values beyond roundoff.
-    """
-
-    def __init__(self, n):
-        self.n = int(n)
-        self._rows = []
-        self._cols = []
-        self._vals = []
-
-    def add(self, rows, cols, vals):
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        cols = np.asarray(cols, dtype=np.int64).ravel()
-        vals = np.asarray(vals, dtype=float).ravel()
-        if not (len(rows) == len(cols) == len(vals)):
-            raise ValueError("triplet arrays must have equal length")
-        self._rows.append(rows)
-        self._cols.append(cols)
-        self._vals.append(vals)
-
-    def tocsr(self):
-        if self._rows:
-            rows = np.concatenate(self._rows)
-            cols = np.concatenate(self._cols)
-            vals = np.concatenate(self._vals)
-        else:
-            rows = cols = np.empty(0, dtype=np.int64)
-            vals = np.empty(0)
-        mat = scipy.sparse.coo_matrix(
-            (vals, (rows, cols)), shape=(self.n, self.n)
-        ).tocsr()
-        mat.sum_duplicates()
-        return mat
 
 
 def sparse_spd_solve(a, b):

@@ -84,6 +84,22 @@ class Mesh:
                 else:
                     arr = np.full(nt, default, dtype=np.int64)
             object.__setattr__(self, name, np.asarray(arr, dtype=np.int64))
+        # checked before the topology, which would index with bad ids
+        # and propagate non-finite coordinates into lengths and normals
+        bad = np.nonzero(~np.isfinite(vertices).all(axis=1))[0]
+        if bad.size:
+            v = int(bad[0])
+            raise MeshError(
+                f"vertex {v} has non-finite coordinates {vertices[v].tolist()}"
+            )
+        out_of_range = (triangles < 0) | (triangles >= len(vertices))
+        bad = np.nonzero(out_of_range.any(axis=1))[0]
+        if bad.size:
+            t = int(bad[0])
+            raise MeshError(
+                f"triangle {t} refers to a nonexistent vertex: "
+                f"{triangles[t].tolist()} with {len(vertices)} vertices"
+            )
         self._build_topology()
         self._validate()
 
@@ -169,15 +185,15 @@ class Mesh:
         if np.any(self.areas <= 0):
             bad = int(np.argmin(self.areas))
             raise MeshError(f"triangle {bad} is not positively oriented")
-        if self.triangles.min(initial=0) < 0 or self.triangles.max(initial=-1) >= len(
-            self.vertices
-        ):
-            raise MeshError("triangle refers to a nonexistent vertex")
         # Euler characteristic of a simply connected single-boundary-loop
         # triangulation; catches hanging vertices that edge counts miss.
         euler = len(self.vertices) - len(self.edges) + len(self.triangles)
         if euler != 1:
-            raise MeshError(f"non-conforming mesh (Euler characteristic {euler} != 1)")
+            raise MeshError(
+                f"not a conforming mesh of a simply connected domain (Euler "
+                f"characteristic {euler} != 1); possible causes: a hanging "
+                "vertex, a hole or a disconnected part"
+            )
 
     # -- convenience ----------------------------------------------------
 
@@ -200,11 +216,6 @@ class Mesh:
     def triangle_coords(self):
         """Vertex coordinates per triangle, shape (nt, 3, 2)."""
         return self.vertices[self.triangles]
-
-    def edge_sign(self, tri, local_edge):
-        """+1 if the global edge normal is outward for `tri`, else -1."""
-        e = self.tri_edges[tri, local_edge]
-        return 1.0 if self.edge_tris[e, 0] == tri else -1.0
 
     def edge_signs(self):
         """Orientation factors for all (triangle, local edge) pairs, (nt, 3)."""

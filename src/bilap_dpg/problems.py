@@ -212,29 +212,28 @@ def element_quadrature(mesh, exactness, singular_corner=None, levels=4):
     return base_pts, base_w, graded
 
 
-def l2_errors(solution, problem, exactness=None):
+def l2_errors(solution, problem):
     """Element-wise L2 errors of the two field variables.
 
-    All elements are evaluated in one batch with the plain rule; the
-    few elements touching the singular corner are then integrated again
-    with their graded rules, which replace their plain contribution.
+    All elements are evaluated in one batch with the plain rule of
+    exactness 2 * test_degree + 2; the few elements touching the
+    singular corner are then integrated again with their graded rules,
+    which replace their plain contribution.
 
     Parameters
     ----------
     solution : object with `mesh`, `u`, `sigma` broken fields
     problem : Problem
-    exactness : int, optional
-        Quadrature exactness; defaults to 2 * test_degree + 2.
 
     Returns
     -------
     (err_u, err_sigma)
     """
     mesh = solution.mesh
-    if exactness is None:
-        exactness = 2 * solution.formulation.test_degree + 2
     pts, wts, graded = element_quadrature(
-        mesh, exactness, singular_corner=problem.singular_corner
+        mesh,
+        2 * solution.formulation.test_degree + 2,
+        singular_corner=problem.singular_corner,
     )
 
     def squared(tris, p, w):

@@ -174,3 +174,21 @@ def monomial_local_systems(mesh, scheme, field_degree, test_degree, f):
         out_wtl.append(wmat.T @ wl)
         out_ll.append(wl @ wl)
     return np.array(out_wtw), np.array(out_wtl), np.array(out_ll)
+
+
+def dense_normal_equations(w, wl, cols, fixed_values, fixed):
+    """Dense DPG normal equations over the free dofs.
+
+    Sums P_T^T (W_T^T W_T) P_T and P_T^T W_T^T wl_T element by element
+    into dense arrays over all dofs (`cols[T]` holds the global ids of
+    element T's columns), then eliminates the `fixed` dofs at their
+    values: A = K_ff and rhs = F_f - K_fc x_c, free dofs ascending.
+    """
+    n = len(fixed)
+    k, f = np.zeros((n, n)), np.zeros(n)
+    for w_t, wl_t, c in zip(w, wl, cols):
+        k[np.ix_(c, c)] += w_t.T @ w_t
+        f[c] += w_t.T @ wl_t
+    free = ~fixed
+    rhs = f[free] - k[np.ix_(free, fixed)] @ fixed_values[fixed]
+    return k[np.ix_(free, free)], rhs

@@ -36,7 +36,7 @@ from bilap_dpg.trace_lab import (
     unboundedness_demo,
 )
 from bilap_dpg.trace_space import apply_clamped_bc, build_trace_space
-from test_dpg_solver import cubic_problem
+from test_dpg_solver import cubic_problem, solve_capturing_system
 from test_trace_space import skeleton_pairing
 
 _CACHE = {}
@@ -165,7 +165,7 @@ def test_criterion_4_consistency_and_uniqueness():
     assert ok
 
 
-def test_criterion_5_minimum_residual_optimality():
+def test_criterion_5_minimum_residual_optimality(monkeypatch):
     rng = np.random.default_rng(23)
     prob = smooth_problem()
     never_decreased = True
@@ -184,31 +184,16 @@ def test_criterion_5_minimum_residual_optimality():
                     never_decreased = False
         worst_orth = max(worst_orth, residual_orthogonality(sol))
 
-    # symmetry and SPD of the assembled matrix
-    from bilap_dpg.dpg_solver import _global_columns, _trace_spaces
-    from bilap_dpg.forms import build_local_systems
-    from bilap_dpg.linsolve import SparseSymBuilder, sparse_spd_solve
+    # symmetry and SPD of the matrix the solver factors
+    from bilap_dpg.linsolve import sparse_spd_solve
 
-    mesh = make_unit_square(2)
-    form = Formulation(scheme=2)
-    uhat_space = _trace_spaces(mesh, prob)
-    local = build_local_systems(mesh, form, prob.f)
-    full_cols, _, free_map, n_free = _global_columns(
-        mesh, form, uhat_space, local.corner_cols
+    _, a, _ = solve_capturing_system(
+        monkeypatch, make_unit_square(2), Formulation(scheme=2), prob
     )
-    schur = np.einsum("eri,erj->eij", local.w, local.w)
-    cols_free = free_map[full_cols]
-    builder = SparseSymBuilder(n_free)
-    ncol = full_cols.shape[1]
-    ri = np.repeat(cols_free[:, :, None], ncol, axis=2)
-    ci = np.repeat(cols_free[:, None, :], ncol, axis=1)
-    keep = (ri >= 0) & (ci >= 0)
-    builder.add(ri[keep], ci[keep], schur[keep])
-    a = builder.tocsr()
     sym_defect = abs(a - a.T).max() / abs(a).max()
     spd_ok = True
     try:
-        sparse_spd_solve(a, np.ones(n_free))
+        sparse_spd_solve(a, np.ones(a.shape[0]))
     except Exception:
         spd_ok = False
     ok = never_decreased and worst_orth <= 1e-8 and sym_defect <= 1e-12 and spd_ok

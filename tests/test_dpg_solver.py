@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
-from oracles import Poly2d
+from oracles import Poly2d, dense_normal_equations
 
 from bilap_dpg.forms import Formulation, local_b, local_gram, local_load
-from bilap_dpg.linsolve import dense_spd_solve
-from bilap_dpg.mesh import make_sector_domain, make_unit_square, refine_nvb
+from bilap_dpg.linsolve import dense_spd_solve, sparse_spd_solve
+from bilap_dpg.mesh import (
+    doerfler_mark,
+    make_sector_domain,
+    make_unit_square,
+    refine_nvb,
+)
 from bilap_dpg.problems import (
     Problem,
     l2_errors,
@@ -14,6 +19,7 @@ from bilap_dpg.problems import (
 )
 from bilap_dpg.dpg_solver import (
     SolverError,
+    _global_columns,
     adaptive_loop,
     assemble_and_solve,
     error_indicators,
@@ -136,32 +142,55 @@ def test_normal_equation_orthogonality(form, prob_name):
     assert residual_orthogonality(sol) <= 1e-8
 
 
-def test_global_matrix_symmetric_and_spd():
-    # rebuild the global matrix the way the solver does and check it
-    from bilap_dpg.dpg_solver import _global_columns, _trace_spaces
-    from bilap_dpg.forms import build_local_systems
-    from bilap_dpg.linsolve import SparseSymBuilder, sparse_spd_solve
+def solve_capturing_system(monkeypatch, mesh, form, prob):
+    """`assemble_and_solve`, plus the matrix and rhs it passes to the
+    sparse solver."""
+    from bilap_dpg import dpg_solver
 
-    prob = smooth_problem()
-    mesh = make_unit_square(2)
-    form = VF2
-    uhat_space = _trace_spaces(mesh, prob)
-    local = build_local_systems(mesh, form, prob.f)
-    full_cols, fixed_values, free_map, n_free = _global_columns(
-        mesh, form, uhat_space, local.corner_cols
+    captured = []
+    solve = dpg_solver.sparse_spd_solve
+
+    def capture(a, b):
+        captured.append((a, b))
+        return solve(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dpg_solver, "sparse_spd_solve", capture)
+        sol = assemble_and_solve(mesh, form, prob)
+    [(a, rhs)] = captured
+    return sol, a, rhs
+
+
+def test_global_matrix_symmetric_and_spd(monkeypatch):
+    _, a, _ = solve_capturing_system(
+        monkeypatch, make_unit_square(2), VF2, smooth_problem()
     )
-    w = local.w
-    schur = np.einsum("eri,erj->eij", w, w)
-    cols_free = free_map[full_cols]
-    builder = SparseSymBuilder(n_free)
-    ncol = full_cols.shape[1]
-    ri = np.repeat(cols_free[:, :, None], ncol, axis=2)
-    ci = np.repeat(cols_free[:, None, :], ncol, axis=1)
-    keep = (ri >= 0) & (ci >= 0)
-    builder.add(ri[keep], ci[keep], schur[keep])
-    a = builder.tocsr()
     assert abs(a - a.T).max() <= 1e-12 * abs(a).max()
-    sparse_spd_solve(a, np.ones(n_free))  # raises if not SPD
+    sparse_spd_solve(a, np.ones(a.shape[0]))  # raises if not SPD
+
+
+@pytest.mark.parametrize("form", [VF1, VF2])
+@pytest.mark.parametrize("domain", ["square", "sector"])
+def test_assembly_matches_dense_oracle(domain, form, monkeypatch):
+    # shared dofs must sum their element contributions, and fixed dofs
+    # must leave the matrix and enter the rhs at their values
+    if domain == "square":
+        prob, mesh = smooth_problem(), make_unit_square(2)
+    else:
+        prob = singular_problem()
+        mesh = prob.make_domain()
+        for _ in range(2):
+            ind = error_indicators(assemble_and_solve(mesh, form, prob))
+            mesh = refine_nvb(mesh, doerfler_mark(ind.per_element, 0.5))
+    sol, a, rhs = solve_capturing_system(monkeypatch, mesh, form, prob)
+    full_cols, fixed_values, free_map, _ = _global_columns(
+        mesh, form, sol.uhat_space, sol.local.corner_cols
+    )
+    a_ref, rhs_ref = dense_normal_equations(
+        sol.local.w, sol.local.wl, full_cols, fixed_values, free_map < 0
+    )
+    assert np.abs(a.toarray() - a_ref).max() <= 1e-13 * np.abs(a_ref).max()
+    assert np.abs(rhs - rhs_ref).max() <= 1e-13 * np.abs(rhs_ref).max()
 
 
 @pytest.mark.parametrize("form", [VF1, VF2])
@@ -241,12 +270,9 @@ def test_adaptive_loop_theta_one_is_uniform():
 
 def test_adaptive_loop_singular_concentrates_at_corner():
     prob = singular_problem()
-    records = adaptive_loop(prob.make_domain(), VF2, prob, 0.5, 2000,
-                            compute_errors=False)
+    records = adaptive_loop(prob.make_domain(), VF2, prob, 0.5, 2000)
     # reconstruct the final mesh to compare corner grading against h_max
     mesh = prob.make_domain()
-    from bilap_dpg.mesh import doerfler_mark
-
     d0_corner, h0 = None, None
     for _ in range(len(records) - 1):
         sol = assemble_and_solve(mesh, VF2, prob)

@@ -5,15 +5,12 @@ import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bilap_dpg import dpg_solver
 from bilap_dpg.forms import Formulation
 from bilap_dpg.linsolve import (
     LinearSolveError,
     NotPositiveDefiniteError,
-    SparseSymBuilder,
     _pcg,
     cholesky_spd,
     dense_spd_solve,
@@ -212,35 +209,6 @@ def test_ordering_reduces_fill_on_dpg_system(caplog, monkeypatch):
         options=dict(SymmetricMode=True),
     )
     assert fill <= 0.8 * colamd.nnz
-
-
-def test_builder_sums_duplicates():
-    builder = SparseSymBuilder(3)
-    builder.add([0, 1, 0], [0, 1, 0], [1.0, 2.0, 3.0])
-    builder.add([2], [2], [5.0])
-    a = builder.tocsr()
-    assert a[0, 0] == 4.0
-    assert a[1, 1] == 2.0
-    assert a[2, 2] == 5.0
-    assert a.nnz == 3
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.randoms(use_true_random=False))
-def test_builder_insertion_order_invariance(rnd):
-    rng = np.random.default_rng(rnd.randint(0, 2**31))
-    n_trip = rng.integers(3, 25)
-    rows = rng.integers(0, 6, n_trip)
-    cols = rng.integers(0, 6, n_trip)
-    vals = rng.standard_normal(n_trip)
-    perm = rng.permutation(n_trip)
-
-    b1 = SparseSymBuilder(6)
-    b1.add(rows, cols, vals)
-    b2 = SparseSymBuilder(6)
-    b2.add(rows[perm], cols[perm], vals[perm])
-    a1, a2 = b1.tocsr(), b2.tocsr()
-    assert (a1 != a2).nnz == 0 or np.abs((a1 - a2).toarray()).max() <= 1e-15
 
 
 def test_fill_does_not_depend_on_rounding(caplog):

@@ -238,3 +238,46 @@ def test_mesh_rejects_hanging_vertex():
     tris = np.array([[0, 1, 2], [0, 4, 3], [4, 1, 3]])
     with pytest.raises(MeshError):
         Mesh(verts, tris)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_mesh_rejects_non_finite_vertex(value):
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    verts[3, 1] = value
+    with pytest.raises(MeshError, match="vertex 3 has non-finite"):
+        Mesh(verts, np.array([[0, 1, 2], [0, 2, 3]]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("index", [-1, 4])
+def test_mesh_rejects_nonexistent_vertex(index):
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(MeshError, match="triangle 1 refers to a nonexistent vertex"):
+        Mesh(verts, np.array([[0, 1, 2], [0, 2, index]]))
+
+
+def _write(path, verts, tris):
+    lines = [f"v {x} {y}" for x, y in verts] + [f"t {a} {b} {c} 0" for a, b, c in tris]
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    return path
+
+
+def test_read_mesh_rejects_square_with_hole(tmp_path):
+    # [0, 3]^2 without [1, 2]^2: eight triangles, Euler characteristic 0
+    outer = [(0, 0), (3, 0), (3, 3), (0, 3)]
+    inner = [(1, 1), (2, 1), (2, 2), (1, 2)]
+    tris = []
+    for k in range(4):
+        o0, o1, i0, i1 = k, (k + 1) % 4, 4 + k, 4 + (k + 1) % 4
+        tris += [(o0, o1, i1), (o0, i1, i0)]
+    path = _write(tmp_path / "hole.txt", outer + inner, tris)
+    with pytest.raises(MeshError, match=r"characteristic 0 != 1\); possible causes: .*a hole"):
+        read_mesh(path)
+
+
+def test_read_mesh_rejects_clockwise_triangle(tmp_path):
+    verts = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    path = _write(tmp_path / "cw.txt", verts, [(0, 1, 2), (0, 3, 2)])
+    with pytest.raises(MeshError, match="triangle 1 is not positively oriented"):
+        read_mesh(path)
