@@ -48,15 +48,14 @@ class BrokenField:
         Returns shape (m, nq).
         """
         tris = np.asarray(tris)
-        exponents = shape.monomial_exponents(self.degree)
         scale = self.h[tris, None, None]
         u = (np.asarray(points, dtype=float) - self.centroid[tris, None, :]) / scale
-        mono = u[..., 0, None] ** exponents[:, 0] * u[..., 1, None] ** exponents[:, 1]
+        mono = shape.monomials(self.degree, u)
         # the field is mono L^-T c, so its monomial coefficients are L^-T c
         mono_coeffs = np.linalg.solve(
             np.swapaxes(self.trial_chol[tris], 1, 2), self.coeffs[tris, :, None]
         )
-        return np.einsum("tqi,ti->tq", mono, mono_coeffs[..., 0])
+        return (mono @ mono_coeffs)[..., 0]
 
 
 @dataclass

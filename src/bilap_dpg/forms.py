@@ -181,10 +181,13 @@ def _trial_basis(tab, jac, det, h, degree, labels):
     T (n, k, dim_p) holding (test_i, trial_j), which vanishes below row
     dim_p.
     """
-    ex = shape.monomial_exponents(degree)
-    dim_p = len(ex)
-    u = np.einsum("eab,qb->eqa", jac, tab.quad.points - 1.0 / 3.0) / h[:, None, None]
-    mono = u[..., 0, None] ** ex[:, 0] * u[..., 1, None] ** ex[:, 1]
+    dim_p = shape.basis_dimension(degree)
+    # u = J (x_ref - 1/3) / h written out, which is several times
+    # faster than the einsum and rounds the same
+    rel = tab.quad.points - 1.0 / 3.0
+    u = rel[:, 0, None] * jac[:, None, :, 0] + rel[:, 1, None] * jac[:, None, :, 1]
+    u /= h[:, None, None]
+    mono = shape.monomials(degree, u)
     weighted = tab.quad.weights[:, None] * tab.tri.val[:, :dim_p]
     moments = np.sqrt(det)[:, None, None] * np.einsum("ql,eqj->elj", weighted, mono)
     q, r = np.linalg.qr(moments)
@@ -211,52 +214,56 @@ def _b_matrix(mesh, tris, tab, det, jinv, lap, trial, ncol):
     b[:, :k, dim_p : 2 * dim_p] = du  # (sigma, Delta v)
     b[:, k:, dim_p : 2 * dim_p] = -trial  # -(sigma, tau)
     scale = det**-0.5
-    _skeleton_b(mesh, tris, tab, scale, jinv, dim_p, b)
-    base_cols = 2 * dim_p + 2 * TRACE_COLS
+    trace = _skeleton_b(mesh, tris, tab, scale, jinv)
+    sigma_hat = 2 * dim_p + TRACE_COLS
+    base_cols = sigma_hat + TRACE_COLS
+    b[:, k:, 2 * dim_p : sigma_hat] = trace  # uhat meets the tau block
+    b[:, :k, sigma_hat:base_cols] = trace  # sigma_hat meets the v block
     if ncol > base_cols:
         _corner_b(mesh, tris, scale[:, None, None] * tab.vertex.val, b, base_cols)
     return b
 
 
-def _skeleton_b(mesh, tris, tab, scale, jinv, dim_p, b):
-    """Accumulate the trace columns of B in place.
+def _skeleton_b(mesh, tris, tab, scale, jinv):
+    """The trace columns (n, k, 9) of B, shared by both trace unknowns.
 
     For each element edge the contribution to a test function t is
         -s int_e ( w dn_e(t) - w_n t ) ds
     where (w, w_n) is the reduced-HCT edge trace pair in the edge's
-    global orientation and s the element-side orientation factor; trace
-    columns of the first unknown pair with the tau block, those of the
-    second with the v block.  The edge tables are read in the direction
-    of the edge's global lo -> hi parameter; dn(t) = (J^-1 n) . grad_ref.
+    global orientation and s the element-side orientation factor;
+    `_b_matrix` pairs the columns of the first trace unknown with the
+    tau block and those of the second with the v block.  The edge
+    tables are read in the direction of the edge's global lo -> hi
+    parameter; dn(t) = (J^-1 n) . grad_ref.  Per slot, the weighted
+    dof tables meet the mapped test values in two batched matmuls, and
+    the lo/hi halves are swapped where the slot runs hi -> lo.
     """
     k = tab.dim
     rule = tab.edge_rule
+    weights = rule.weights[:, None]
     signs = mesh.edge_signs()[tris]
     tri_vertices = mesh.triangles[tris]
-    rows = np.arange(len(tris))[:, None, None]
-    test_rows = np.arange(k)[None, :, None]
-    comps = np.tile(np.arange(3), 2)
+    out = np.zeros((len(tris), k, TRACE_COLS))
 
     for slot in range(3):
         e = mesh.tri_edges[tris, slot]
         lo_first = tri_vertices[:, slot] == mesh.edges[e, 0]
         direction = np.where(lo_first, 0, 1)
-        val_t = scale[:, None, None] * tab.edge.val[slot, direction]
+        val_t = tab.edge.val[slot, direction]
         kn = np.einsum("eab,eb->ea", jinv, mesh.edge_normal[e])
-        dn_t = scale[:, None, None] * np.einsum(
-            "eqid,ed->eqi", tab.edge.grad[slot, direction], kn
-        )
+        dn_t = (tab.edge.grad[slot, direction] @ kn[:, None, :, None])[..., 0]
         val6, nd6 = ts.edge_dof_tables(mesh, e, rule.points)
-        contrib = np.einsum("q,eqd,eqi->eid", rule.weights, val6, dn_t) - np.einsum(
-            "q,eqd,eqi->eid", rule.weights, nd6, val_t
-        )
-        contrib *= (-signs[:, slot] * mesh.edge_length[e])[:, None, None]
+        contrib = np.swapaxes(dn_t, 1, 2) @ (weights * val6)
+        contrib -= np.swapaxes(val_t, 1, 2) @ (weights * nd6)
+        contrib *= (-scale * signs[:, slot] * mesh.edge_length[e])[:, None, None]
 
-        # local vertex of the lo (dofs 0-2) and hi (dofs 3-5) endpoint
-        ends = np.where(lo_first[:, None], [slot, slot + 1], [slot + 1, slot]) % 3
-        cols = (3 * np.repeat(ends, 3, axis=1) + comps)[:, None, :]
-        b[rows, k + test_rows, 2 * dim_p + cols] += contrib
-        b[rows, test_rows, 2 * dim_p + TRACE_COLS + cols] += contrib
+        # dofs 0-2 belong to the lo endpoint, 3-5 to the hi one: order
+        # them as the slot's first then second local vertex
+        contrib = np.where(lo_first[:, None, None], contrib, np.roll(contrib, 3, axis=2))
+        first, second = 3 * slot, 3 * ((slot + 1) % 3)
+        out[:, :, first : first + 3] += contrib[:, :, :3]
+        out[:, :, second : second + 3] += contrib[:, :, 3:]
+    return out
 
 
 def _corner_b(mesh, tris, corner_vals, b, base_cols):
@@ -302,7 +309,7 @@ def _load(tab, coords, det, f):
     """Loads (f, test_i) of a batch of elements, (n, k): the reference
     operator |det J|^(1/2) (w_ref V_ref)^T applied to f at the mapped
     quadrature points."""
-    pts = np.einsum("qr,erd->eqd", _barycentric(tab.quad), coords)
+    pts = _barycentric(tab.quad) @ coords
     fv = np.broadcast_to(np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float), pts.shape[:2])
     return np.sqrt(det)[:, None] * (fv @ (tab.quad.weights[:, None] * tab.tri.val))
 

@@ -110,22 +110,30 @@ class Mesh:
         halfedges = np.stack(
             [t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]], axis=1
         ).reshape(-1, 2)
-        sorted_he = np.sort(halfedges, axis=1)
-        edges, inverse = np.unique(sorted_he, axis=0, return_inverse=True)
+        # lexicographic (lo, hi) order, as np.unique(axis=0) would give
+        lo, hi = halfedges.min(axis=1), halfedges.max(axis=1)
+        _, first, inverse, counts = np.unique(
+            lo * len(self.vertices) + hi,
+            return_index=True, return_inverse=True, return_counts=True,
+        )
+        edges = np.column_stack([lo[first], hi[first]])
         tri_edges = inverse.reshape(nt, 3)
 
-        ne = len(edges)
-        edge_tris = np.full((ne, 2), -1, dtype=np.int64)
-        tri_of_halfedge = np.repeat(np.arange(nt), 3)
-        counts = np.zeros(ne, dtype=np.int64)
-        # deterministic fill: lower triangle index ends up in column 0
-        order = np.argsort(tri_of_halfedge, kind="stable")
-        for he in order:
-            e = inverse[he]
-            if counts[e] >= 2:
-                raise MeshError(f"edge {e} shared by more than two triangles")
-            edge_tris[e, counts[e]] = tri_of_halfedge[he]
-            counts[e] += 1
+        bad = np.nonzero(counts > 2)[0]
+        if bad.size:
+            e = int(bad[0])
+            raise MeshError(
+                f"edge {e} (vertices {edges[e, 0]}-{edges[e, 1]}) shared by "
+                f"{counts[e]} triangles, more than two"
+            )
+        # halfedges grouped by edge in halfedge order: an edge's first
+        # one is its lower triangle's, its second the higher one's
+        by_edge = np.argsort(inverse, kind="stable")
+        starts = np.cumsum(counts) - counts
+        two = counts == 2
+        edge_tris = np.full((len(edges), 2), -1, dtype=np.int64)
+        edge_tris[:, 0] = first // 3
+        edge_tris[two, 1] = by_edge[starts[two] + 1] // 3
 
         vec = self.vertices[edges[:, 1]] - self.vertices[edges[:, 0]]
         length = np.hypot(vec[:, 0], vec[:, 1])
@@ -134,24 +142,11 @@ class Mesh:
         tangent = vec / length[:, None]
 
         # outward normal of the owning (lower-index) triangle: for the
-        # traversal direction d of that triangle, outward = (d_y, -d_x)
-        owner = edge_tris[:, 0]
-        owner_tris = t[owner]
-        # direction of the edge as traversed by the owner
-        same = owner_tris[:, [0, 1, 2]]
-        nxt = owner_tris[:, [1, 2, 0]]
-        normal = np.empty_like(tangent)
-        for e in range(ne):
-            lo, hi = edges[e]
-            for k in range(3):
-                p, q = same[e, k], nxt[e, k]
-                if {p, q} == {lo, hi}:
-                    d = self.vertices[q] - self.vertices[p]
-                    n = np.array([d[1], -d[0]]) / np.hypot(d[0], d[1])
-                    normal[e] = n
-                    break
-            else:
-                raise MeshError("edge ownership inconsistency")
+        # direction d of the owner's first halfedge on the edge,
+        # outward = (d_y, -d_x)
+        owner_he = halfedges[first]
+        d = self.vertices[owner_he[:, 1]] - self.vertices[owner_he[:, 0]]
+        normal = np.column_stack([d[:, 1], -d[:, 0]]) / np.hypot(d[:, 0], d[:, 1])[:, None]
 
         is_bedge = edge_tris[:, 1] < 0
         is_bvert = np.zeros(len(self.vertices), dtype=bool)
@@ -384,6 +379,10 @@ def doerfler_mark(indicators, theta):
         Marked triangle indices, ascending.
     """
     eta = np.asarray(indicators, dtype=float)
+    bad = np.nonzero(~np.isfinite(eta))[0]
+    if bad.size:
+        t = int(bad[0])
+        raise MeshError(f"non-finite error indicator {eta[t]} on triangle {t}")
     if np.any(eta < 0):
         raise MeshError("negative error indicator")
     if not 0.0 < theta <= 1.0:
@@ -411,24 +410,34 @@ def write_mesh(mesh, path):
             fh.write(f"t {a} {b} {c} 0\n")
 
 
+def _numbers(kind, fields, where, line):
+    try:
+        return [kind(x) for x in fields]
+    except ValueError:
+        raise MeshError(f"{where}: bad number in {line!r}") from None
+
+
 def read_mesh(path):
     """Read a mesh written by :func:`write_mesh` (or compatible).
 
     Triangles are rotated so the designated refinement edge comes first;
-    generation counters restart at zero.
+    generation counters restart at zero.  A malformed line raises
+    :class:`MeshError` naming ``path:lineno``.
     """
     verts, tris = [], []
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, 1):
             parts = line.split()
+            where = f"{path}:{lineno}"
             if not parts:
                 continue
             if parts[0] == "v" and len(parts) == 3:
-                verts.append((float(parts[1]), float(parts[2])))
+                verts.append(_numbers(float, parts[1:], where, line))
             elif parts[0] == "t" and len(parts) == 5:
-                a, b, c, r = map(int, parts[1:])
-                rot = [(a, b, c), (b, c, a), (c, a, b)][r % 3]
-                tris.append(rot)
+                a, b, c, r = _numbers(int, parts[1:], where, line)
+                if r not in (0, 1, 2):
+                    raise MeshError(f"{where}: refinement edge {r} is not 0, 1 or 2")
+                tris.append([(a, b, c), (b, c, a), (c, a, b)][r])
             else:
-                raise MeshError(f"{path}:{lineno}: unrecognized line {line!r}")
+                raise MeshError(f"{where}: unrecognized line {line!r}")
     return Mesh(np.array(verts, dtype=float), np.array(tris, dtype=np.int64))

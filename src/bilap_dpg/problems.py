@@ -186,13 +186,10 @@ def element_quadrature(mesh, exactness, singular_corner=None, levels=4):
     """
     rule = shape.triangle_quadrature(exactness)
     coords = mesh.triangle_coords()
-    base_pts = np.einsum(
-        "qr,trd->tqd",
-        np.column_stack(
-            [1 - rule.points[:, 0] - rule.points[:, 1], rule.points[:, 0], rule.points[:, 1]]
-        ),
-        coords,
+    bary = np.column_stack(
+        [1 - rule.points[:, 0] - rule.points[:, 1], rule.points[:, 0], rule.points[:, 1]]
     )
+    base_pts = bary @ coords
     base_w = np.outer(2.0 * mesh.areas, rule.weights)
     graded = {}
     if singular_corner is None:

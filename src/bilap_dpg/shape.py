@@ -35,6 +35,21 @@ def monomial_exponents(degree):
     return np.array(out, dtype=np.int64)
 
 
+def monomials(degree, points):
+    """The monomials of `monomial_exponents(degree)`, in that order, at
+    points (..., 2), shape (..., dim P_degree).
+
+    Each degree is the one below times x, plus its last member times
+    y: one product per member, where `**` would call pow twice."""
+    x, y = points[..., 0], points[..., 1]
+    level = [np.ones_like(x)]
+    out = list(level)
+    for _ in range(degree):
+        level = [x * m for m in level] + [y * level[-1]]
+        out += level
+    return np.stack(out, axis=-1)
+
+
 class Jet(NamedTuple):
     """Values (..., k), gradients (..., k, 2) and Hessian components
     (..., k, 3), ordered (xx, xy, yy), of k basis functions."""

@@ -38,6 +38,37 @@ class Poly2d:
         return Poly2d(out)
 
 
+def mesh_topology(vertices, triangles):
+    """Edge topology of a triangulation by a plain scan.
+
+    Each triangle's edges are collected in a dict keyed by the sorted
+    vertex pair, in triangle order.  Returns edges (lexicographic),
+    tri_edges, edge_tris (lower triangle first, -1 where there is no
+    second one) and the unit normals taken from the lower triangle's
+    traversal direction d as (d_y, -d_x), which is outward on the
+    boundary for counterclockwise triangles.
+    """
+    tris = np.asarray(triangles).tolist()
+    incident = {}
+    for t, tri in enumerate(tris):
+        for p, q in zip(tri, tri[1:] + tri[:1]):
+            incident.setdefault((min(p, q), max(p, q)), []).append((t, p, q))
+    edges = sorted(incident)
+    index = {e: i for i, e in enumerate(edges)}
+    tri_edges = [
+        [index[min(p, q), max(p, q)] for p, q in zip(tri, tri[1:] + tri[:1])] for tri in tris
+    ]
+    edge_tris = np.full((len(edges), 2), -1, dtype=np.int64)
+    normal = np.empty((len(edges), 2))
+    for i, e in enumerate(edges):
+        for slot, (t, _, _) in enumerate(incident[e]):
+            edge_tris[i, slot] = t
+        _, p, q = incident[e][0]
+        d = vertices[q] - vertices[p]
+        normal[i] = np.array([d[1], -d[0]]) / np.hypot(d[0], d[1])
+    return np.array(edges, dtype=np.int64), np.array(tri_edges, dtype=np.int64), edge_tris, normal
+
+
 def random_triangle(rng, min_double_area=0.2):
     while True:
         v = rng.uniform(-1, 1, size=(3, 2))

@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import mesh_topology
 
 from bilap_dpg.mesh import (
     Mesh,
@@ -164,6 +167,54 @@ def test_nvb_similarity_classes_bounded(builder):
     assert all(len(s) <= 4 for s in classes.values())
 
 
+def _assert_topology_matches_oracle(mesh):
+    edges, tri_edges, edge_tris, normal = mesh_topology(mesh.vertices, mesh.triangles)
+    for got, want in (
+        (mesh.edges, edges),
+        (mesh.tri_edges, tri_edges),
+        (mesh.edge_tris, edge_tris),
+        (mesh.edge_normal, normal),
+    ):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    boundary = edge_tris[:, 1] < 0
+    assert np.array_equal(mesh.is_boundary_edge, boundary)
+    on_boundary = np.zeros(mesh.num_vertices, dtype=bool)
+    on_boundary[edges[boundary].ravel()] = True
+    assert np.array_equal(mesh.is_boundary_vertex, on_boundary)
+    # boundary normals point away from the owner's centroid
+    owner = mesh.triangle_coords()[edge_tris[boundary, 0]].mean(axis=1)
+    mid = mesh.vertices[edges[boundary]].mean(axis=1)
+    assert np.all(np.einsum("ed,ed->e", normal[boundary], mid - owner) > 0)
+
+
+@pytest.mark.parametrize(
+    "mesh", [make_unit_square(1), make_unit_square(7), make_sector_domain()],
+    ids=["square1", "square7", "sector"],
+)
+def test_topology_matches_brute_force_oracle(mesh):
+    _assert_topology_matches_oracle(mesh)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["square", "sector"]), st.data())
+def test_topology_matches_oracle_on_nvb_refinements(domain, data):
+    mesh = make_unit_square(2) if domain == "square" else make_sector_domain()
+    for _ in range(data.draw(st.integers(1, 5))):
+        marked = data.draw(
+            st.sets(st.integers(0, mesh.num_triangles - 1), min_size=1, max_size=8)
+        )
+        mesh = refine_nvb(mesh, marked)
+        _assert_topology_matches_oracle(mesh)
+
+
+def test_mesh_rejects_edge_shared_by_three_triangles():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
+    tris = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+    with pytest.raises(MeshError, match=r"edge 0 \(vertices 0-1\) shared by 3 triangles"):
+        Mesh(verts, tris)
+
+
 def _brute_force_doerfler(eta, theta):
     eta2 = np.asarray(eta) ** 2
     total = eta2.sum()
@@ -192,6 +243,14 @@ def test_doerfler_all_zero():
 def test_doerfler_negative_raises():
     with pytest.raises(MeshError):
         doerfler_mark([0.1, -0.2], 0.5)
+
+
+@pytest.mark.parametrize(
+    "eta, bad", [([1.0, np.nan, 2.0], 1), ([np.nan, np.nan], 0), ([np.inf, 1.0], 0)]
+)
+def test_doerfler_rejects_non_finite_indicator(eta, bad):
+    with pytest.raises(MeshError, match=f"non-finite error indicator .* on triangle {bad}$"):
+        doerfler_mark(eta, 0.5)
 
 
 def test_doerfler_invalid_theta():
@@ -280,4 +339,20 @@ def test_read_mesh_rejects_clockwise_triangle(tmp_path):
     verts = [(0, 0), (1, 0), (1, 1), (0, 1)]
     path = _write(tmp_path / "cw.txt", verts, [(0, 1, 2), (0, 3, 2)])
     with pytest.raises(MeshError, match="triangle 1 is not positively oriented"):
+        read_mesh(path)
+
+
+@pytest.mark.parametrize("r", ["5", "-1", "3"])
+def test_read_mesh_rejects_bad_refinement_edge(tmp_path, r):
+    path = tmp_path / "edge.txt"
+    path.write_text(f"v 0 0\nv 1 0\nv 0 1\nt 0 1 2 {r}\n", encoding="ascii")
+    with pytest.raises(MeshError, match=f"edge.txt:4: refinement edge {r} is not 0, 1 or 2"):
+        read_mesh(path)
+
+
+@pytest.mark.parametrize("line", ["v 0 abc", "t 0 1 x 0", "t 0 1 2 0.5"])
+def test_read_mesh_rejects_bad_number(tmp_path, line):
+    path = tmp_path / "number.txt"
+    path.write_text(f"v 0 0\nv 1 0\n{line}\n", encoding="ascii")
+    with pytest.raises(MeshError, match="number.txt:3: bad number in"):
         read_mesh(path)

@@ -1,4 +1,7 @@
+import re
+from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,8 @@ from bilap_dpg.shape import (
     edge_quadrature,
     map_jet,
     map_to_triangle,
+    monomial_exponents,
+    monomials,
     orthonormal_basis,
     reference_tables,
     triangle_quadrature,
@@ -244,3 +249,44 @@ def test_orthonormal_basis_is_graded():
     assert np.allclose(tab.tri.val[:, 0], np.sqrt(2.0), rtol=1e-14)
     # P_2 members have constant Hessians
     assert np.allclose(tab.tri.hess[:, 3:6], tab.tri.hess[:1, 3:6], atol=1e-12)
+
+
+@pytest.mark.parametrize("degree", range(5))
+def test_monomials_against_exact_products_and_power_form(degree):
+    rng = np.random.default_rng(degree)
+    pts = rng.uniform(-1.5, 1.5, size=(400, 7, 2))
+    got = monomials(degree, pts)
+    ex = monomial_exponents(degree)
+    power = pts[..., 0, None] ** ex[:, 0] * pts[..., 1, None] ** ex[:, 1]
+    assert got.shape == power.shape
+    q = ex.sum(axis=1)
+    eps = np.finfo(float).eps
+    # a monomial of degree q takes q - 1 rounded products, so its
+    # relative error is at most gamma_(q-1) = (q-1)u / (1 - (q-1)u),
+    # u = eps / 2; checked in exact rational arithmetic
+    u_round = Fraction(eps) / 2
+    for (x, y), row in zip(pts[:5].reshape(-1, 2).tolist(), got[:5].reshape(-1, len(ex))):
+        for (i, j), value, n in zip(ex.tolist(), row.tolist(), (q - 1).clip(0).tolist()):
+            exact = Fraction(x) ** i * Fraction(y) ** j
+            gamma = n * u_round / (1 - n * u_round)
+            assert abs(Fraction(value) - exact) <= gamma * abs(exact)
+    # the pow form is exact up to degree 1; above that numpy's pow is
+    # not correctly rounded (x**2 differs from x*x in the last bit for
+    # some x): allow 1 ulp (2u) per pow, u for its product and
+    # gamma_(q-1) for the repeated products, at most (q + 1) eps
+    if degree <= 1:
+        assert got.tobytes() == power.tobytes()
+    else:
+        assert np.all(np.abs(got - power) <= (q + 1) * eps * np.abs(power))
+
+
+def test_no_power_form_monomials_in_src():
+    src = Path(monomials.__code__.co_filename).parent
+    pattern = re.compile(r"\*\*\s*(ex|exponents)\[")
+    hits = [
+        f"{path.name}:{n}"
+        for path in sorted(src.glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert hits == []
