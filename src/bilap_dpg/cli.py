@@ -18,7 +18,8 @@ unit-square meshes (n doubling per level); everything else refines by
 newest-vertex bisection.  Options may also come from a plain ``key=value``
 config file; command-line flags take precedence over the file, which
 takes precedence over the defaults.  Exit codes: 0 success, 1 usage
-error, 2 numerical failure.
+error (including a missing or malformed config file, an unknown option
+and a value that does not parse), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -137,11 +138,14 @@ def run_study(config):
 
 
 def run_tracelab(mode, params):
-    """Run one trace-lab experiment and write its CSV table."""
+    """Run one trace-lab experiment and write its CSV table.
+
+    ``params`` holds parsed values, keyed as in ``_TRACELAB_TYPES``.
+    """
     output = params.get("output", "tracelab.csv")
     if mode == "dirac":
-        lo = int(params.get("eps_min_pow", 2))
-        hi = int(params.get("eps_max_pow", 10))
+        lo = params.get("eps_min_pow", 2)
+        hi = params.get("eps_max_pow", 10)
         study = trace_lab.dirac_convergence_study(
             eps_list=[2.0**-k for k in range(lo, hi + 1)]
         )
@@ -149,12 +153,11 @@ def run_tracelab(mode, params):
         write_csv(output, "eps,error,slope", rows)
         return study
     if mode == "unbounded":
-        n_list = [int(v) for v in str(params.get("n_list", "1,10,100,1000")).split(",")]
-        rows = trace_lab.unboundedness_demo(n_list)
+        rows = trace_lab.unboundedness_demo(params.get("n_list", (1, 10, 100, 1000)))
         write_csv(output, "n,corner_value,l2_norm", rows)
         return rows
     if mode == "norm-identity":
-        lo, hi = (int(v) for v in str(params.get("degrees", "4:8")).split(":"))
+        lo, hi = params.get("degrees", (4, 8))
         rows = []
         for degree in range(lo, hi + 1):
             duality, extension = trace_lab.norm_identity_check(
@@ -171,17 +174,25 @@ def run_tracelab(mode, params):
 
 
 def read_config_file(path):
-    """Plain key=value option file; '#' starts a comment."""
+    """Plain ASCII key=value option file; '#' starts a comment."""
     options = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise UsageError(f"{path}:{lineno}: expected key=value")
-            key, value = (part.strip() for part in text.split("=", 1))
-            options[key.replace("-", "_")] = value
+    try:
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise UsageError(f"{path}: cannot read config file: {exc.strerror}") from None
+    for lineno, raw in enumerate(lines, 1):
+        try:
+            line = raw.decode("ascii")
+        except UnicodeDecodeError:
+            raise UsageError(f"{path}:{lineno}: non-ASCII byte") from None
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise UsageError(f"{path}:{lineno}: expected key=value")
+        key, value = (part.strip() for part in text.split("=", 1))
+        options[key.replace("-", "_")] = value
     return options
 
 
@@ -219,6 +230,15 @@ def build_parser():
     return parser
 
 
+def _int_list(text):
+    return tuple(int(v) for v in text.split(","))
+
+
+def _int_range(text):
+    lo, hi = (int(v) for v in text.split(":"))
+    return lo, hi
+
+
 _STUDY_TYPES = {
     "problem": str,
     "scheme": int,
@@ -231,22 +251,39 @@ _STUDY_TYPES = {
     "output": str,
 }
 
+_TRACELAB_TYPES = {
+    "mode": str,
+    "eps_min_pow": int,
+    "eps_max_pow": int,
+    "n_list": _int_list,
+    "degrees": _int_range,
+    "output": str,
+}
 
-def _merge_study_config(args):
+
+def _merge_options(args, types, command):
+    """Config file, then flags over it, each value parsed by ``types``.
+
+    A usage error names where the offending option came from: the config
+    file or the flag.
+    """
     options = {}
     if args.config:
-        options.update(read_config_file(args.config))
-    for name in _STUDY_TYPES:
+        for key, value in read_config_file(args.config).items():
+            options[key] = (value, args.config)
+    for name in types:
         flag = getattr(args, name, None)
         if flag is not None:
-            options[name] = flag
-    coerced = {}
-    for key, value in options.items():
-        if key not in _STUDY_TYPES:
-            raise UsageError(f"unknown study option {key!r}")
-        typ = _STUDY_TYPES[key]
-        coerced[key] = typ(value) if typ in (int, float) else str(value)
-    return StudyConfig(**coerced)
+            options[name] = (flag, "--" + name.replace("_", "-"))
+    parsed = {}
+    for key, (value, origin) in options.items():
+        if key not in types:
+            raise UsageError(f"{origin}: unknown {command} option {key!r}")
+        try:
+            parsed[key] = types[key](value)
+        except ValueError:
+            raise UsageError(f"{origin}: invalid {key} value {value!r}") from None
+    return parsed
 
 
 def main(argv=None):
@@ -258,18 +295,12 @@ def main(argv=None):
         return 1
     try:
         if args.command == "study":
-            config = _merge_study_config(args)
+            config = StudyConfig(**_merge_options(args, _STUDY_TYPES, "study"))
             records = run_study(config)
             print(f"wrote {len(records)} levels to {config.output}")
             return 0
-        params = {}
-        if args.config:
-            params.update(read_config_file(args.config))
-        for key in ("eps_min_pow", "eps_max_pow", "n_list", "degrees", "output"):
-            value = getattr(args, key, None)
-            if value is not None:
-                params[key] = value
-        mode = params.pop("mode", None) or args.mode
+        params = _merge_options(args, _TRACELAB_TYPES, "tracelab")
+        mode = params.pop("mode", None)
         if mode is None:
             raise UsageError("tracelab requires --mode")
         out = params.get("output", "tracelab.csv")

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from bilap_dpg import shape
 from bilap_dpg.linsolve import dense_spd_solve
@@ -77,6 +76,11 @@ def mollifier_constant():
 
     C = 1 / (2 int_0^1 exp(-1/(1-s^2)) ds), by adaptive quadrature.
     """
+    # imported here, not at module level: scipy.integrate also loads
+    # scipy.optimize and scipy.special (about 0.3 s), which every CLI
+    # start would pay and only the Dirac experiment needs
+    from scipy.integrate import quad
+
     integral, err = quad(
         lambda s: np.exp(-1.0 / (1.0 - s * s)) if s < 1.0 else 0.0,
         0.0,

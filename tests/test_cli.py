@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -130,6 +136,61 @@ def test_config_file_parsing_errors(tmp_path):
         read_config_file(bad)
 
 
+@pytest.mark.parametrize(
+    "content, key",
+    [
+        (b"levels = abc\n", "levels"),
+        (b"scheme = 2  # \xce\xb8\n", ":1: non-ASCII"),
+        (None, "cannot read config file"),
+    ],
+    ids=["unparsable-value", "non-ascii-byte", "missing-file"],
+)
+def test_study_config_file_errors_exit_one(tmp_path, capsys, content, key):
+    cfg = tmp_path / "study.cfg"
+    if content is not None:
+        cfg.write_bytes(content)
+    assert main(["study", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert str(cfg) in err and key in err
+
+
+@pytest.mark.parametrize(
+    "flags, config, option",
+    [
+        (["--mode", "norm-identity", "--degrees", "4"], None, "--degrees"),
+        (["--mode", "unbounded", "--n-list", "1,x"], None, "--n-list"),
+        ([], "mode = dirac\neps_min_pow = abc\n", "eps_min_pow"),
+        ([], "mode = dirac\neps_minpow = 3\n", "unknown tracelab option 'eps_minpow'"),
+    ],
+    ids=["degrees", "n-list", "config-value", "unknown-config-key"],
+)
+def test_tracelab_option_errors_exit_one(tmp_path, capsys, flags, config, option):
+    out = tmp_path / "t.csv"
+    argv = ["tracelab", *flags, "--output", str(out)]
+    if config is not None:
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text(config)
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert option in err and "numerical failure" not in err
+    if config is not None:
+        assert str(tmp_path / "lab.cfg") in err
+    assert not out.exists()
+
+
+def test_tracelab_mode_flag_wins_over_config(tmp_path):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("mode = dirac\nn_list = 1,10\n")
+    out = tmp_path / "unb.csv"
+    assert main(["tracelab", "--config", str(cfg), "--mode", "unbounded",
+                 "--output", str(out)]) == 0
+    header, rows = _read_rows(out)
+    assert header == "n,corner_value,l2_norm"
+    assert [r[0] for r in rows] == ["1", "10"]
+
+
 def test_study_config_validation():
     with pytest.raises(UsageError):
         StudyConfig(problem="poisson")
@@ -199,3 +260,28 @@ def test_run_study_returns_records(tmp_path):
 def test_run_tracelab_rejects_unknown_mode(tmp_path):
     with pytest.raises(UsageError):
         run_tracelab("bogus", {"output": str(tmp_path / "x.csv")})
+
+
+_IMPORT_GUARD = """
+import json, sys
+import bilap_dpg.cli as cli
+heavy = [m for m in ("scipy.integrate", "scipy.optimize", "scipy.special")
+         if m in sys.modules]
+before = set(sys.modules)
+cli.run_study(cli.StudyConfig(scheme=2, levels=2, output=sys.argv[1]))
+print(json.dumps({"heavy": heavy, "added": sorted(set(sys.modules) - before)}))
+"""
+
+
+def test_import_path_stays_light_and_study_imports_nothing(tmp_path):
+    # The package's import cost is paid by every CLI invocation: keep
+    # scipy.integrate (which loads scipy.optimize and scipy.special) off it,
+    # and keep the study from deferring any import into its own run time.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD, str(tmp_path / "s.csv")],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report == {"heavy": [], "added": []}
