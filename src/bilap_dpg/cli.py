@@ -18,13 +18,15 @@ unit-square meshes (n doubling per level); everything else refines by
 newest-vertex bisection.  Options may also come from a plain ``key=value``
 config file; command-line flags take precedence over the file, which
 takes precedence over the defaults.  Exit codes: 0 success, 1 usage
-error (including a missing or malformed config file, an unknown option
-and a value that does not parse), 2 numerical failure.
+error (including a missing or malformed config file, an unknown option,
+a value that does not parse or is out of range, and an output file in a
+missing directory; all found before any work), 2 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 
@@ -140,12 +142,13 @@ def run_study(config):
 def run_tracelab(mode, params):
     """Run one trace-lab experiment and write its CSV table.
 
-    ``params`` holds parsed values, keyed as in ``_TRACELAB_TYPES``.
+    ``params`` holds parsed values, keyed as in ``_TRACELAB_TYPES``;
+    missing ones take ``_TRACELAB_DEFAULTS``.
     """
-    output = params.get("output", "tracelab.csv")
+    params = {**_TRACELAB_DEFAULTS, **params}
+    output = params["output"]
     if mode == "dirac":
-        lo = params.get("eps_min_pow", 2)
-        hi = params.get("eps_max_pow", 10)
+        lo, hi = params["eps_min_pow"], params["eps_max_pow"]
         study = trace_lab.dirac_convergence_study(
             eps_list=[2.0**-k for k in range(lo, hi + 1)]
         )
@@ -153,11 +156,11 @@ def run_tracelab(mode, params):
         write_csv(output, "eps,error,slope", rows)
         return study
     if mode == "unbounded":
-        rows = trace_lab.unboundedness_demo(params.get("n_list", (1, 10, 100, 1000)))
+        rows = trace_lab.unboundedness_demo(params["n_list"])
         write_csv(output, "n,corner_value,l2_norm", rows)
         return rows
     if mode == "norm-identity":
-        lo, hi = params.get("degrees", (4, 8))
+        lo, hi = params["degrees"]
         rows = []
         for degree in range(lo, hi + 1):
             duality, extension = trace_lab.norm_identity_check(
@@ -260,6 +263,11 @@ _TRACELAB_TYPES = {
     "output": str,
 }
 
+_TRACELAB_DEFAULTS = dict(
+    eps_min_pow=2, eps_max_pow=10, n_list=(1, 10, 100, 1000), degrees=(4, 8),
+    output="tracelab.csv",
+)
+
 
 def _merge_options(args, types, command):
     """Config file, then flags over it, each value parsed by ``types``.
@@ -286,6 +294,28 @@ def _merge_options(args, types, command):
     return parsed
 
 
+def _check_tracelab(params):
+    """Out-of-range tracelab values, as usage errors before any work."""
+    n_list = params["n_list"]
+    if min(n_list) < 1:
+        raise UsageError(f"--n-list values must be at least 1, got {','.join(map(str, n_list))}")
+    lo, hi = params["degrees"]
+    if not 4 <= lo <= hi:
+        raise UsageError(f"--degrees must be lo:hi with 4 <= lo <= hi, got {lo}:{hi}")
+    lo, hi = params["eps_min_pow"], params["eps_max_pow"]
+    if not 2 <= lo <= hi:
+        raise UsageError(
+            f"--eps-min-pow and --eps-max-pow must satisfy 2 <= min <= max, got {lo}, {hi}"
+        )
+
+
+def _check_output_dir(path):
+    """A missing output directory is a usage error, found before any work."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise UsageError(f"--output {path}: directory {folder} does not exist")
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -296,16 +326,18 @@ def main(argv=None):
     try:
         if args.command == "study":
             config = StudyConfig(**_merge_options(args, _STUDY_TYPES, "study"))
+            _check_output_dir(config.output)
             records = run_study(config)
             print(f"wrote {len(records)} levels to {config.output}")
             return 0
-        params = _merge_options(args, _TRACELAB_TYPES, "tracelab")
+        params = {**_TRACELAB_DEFAULTS, **_merge_options(args, _TRACELAB_TYPES, "tracelab")}
         mode = params.pop("mode", None)
         if mode is None:
             raise UsageError("tracelab requires --mode")
-        out = params.get("output", "tracelab.csv")
+        _check_tracelab(params)
+        _check_output_dir(params["output"])
         run_tracelab(mode, params)
-        print(f"wrote {out}")
+        print(f"wrote {params['output']}")
         return 0
     except UsageError as exc:
         print(f"bilap-dpg: error: {exc}", file=sys.stderr)

@@ -104,21 +104,16 @@ def sparse_spd_solve(a, b):
         On asymmetry, factorization failure or a residual above
         tolerance.
     """
-    a = a.tocsc()
     b = np.asarray(b, dtype=float)
-    defect = abs(a - a.T).max() if a.nnz else 0.0
+    n = a.shape[0]
     scale = abs(a).max() if a.nnz else 1.0
+    defect = abs(a - a.T).max() if a.nnz else 0.0
     if defect > 1e-12 * max(scale, 1e-300):
         raise LinearSolveError("matrix is not symmetric")
-    return _sparse_direct(a, b)
-
-
-def _sparse_direct(a, b):
     # symmetric Jacobi equilibration first: column scalings of the
     # underlying least-squares problem vary over many orders of
     # magnitude on strongly graded meshes, and the scaled solve is the
     # same problem in rescaled unknowns
-    n = a.shape[0]
     diag = a.diagonal()
     bad = np.nonzero(diag <= 0)[0]
     if bad.size:
@@ -126,11 +121,6 @@ def _sparse_direct(a, b):
             f"matrix is not positive definite (pivot {bad[0]})", pivot=int(bad[0])
         )
     s = 1.0 / np.sqrt(diag)
-    # scaling the stored entries, unlike a sparse product, keeps entries
-    # that are zero by cancellation, so the ordering and the fill follow
-    # the assembled pattern and not the rounding of its values
-    a_scaled = a.copy()
-    a_scaled.data = s[a.indices] * a.data * np.repeat(s, np.diff(a.indptr))
     # diagonal pivoting in symmetric mode makes LU act as LDL^T, so the
     # U diagonal carries the inertia and certifies positive definiteness;
     # the pattern is symmetric, so the fill-reducing ordering is minimum
@@ -141,13 +131,9 @@ def _sparse_direct(a, b):
     # matrix; genuine indefiniteness or singularity survives it and raises.
     lu, eps_shift = None, 1e-12
     for shift in (0.0, eps_shift):
-        shifted = a_scaled
-        if shift:
-            shifted = a_scaled.copy()
-            shifted.setdiag(a_scaled.diagonal() + shift)
         try:
             lu = scipy.sparse.linalg.splu(
-                shifted,
+                _scaled_csc(a, s, shift),
                 permc_spec="MMD_AT_PLUS_A",
                 diag_pivot_thresh=0.0,
                 options=dict(SymmetricMode=True),
@@ -163,7 +149,9 @@ def _sparse_direct(a, b):
                 break
             pivot = int(bad[0])
             failure = f"nonpositive pivot {pivot} ({pivots[pivot]:.3e})"
-            lu = None
+            # its pivots too: left alive through the retry, they raised the
+            # sector's peak RSS from 200 to 215 MB in about half of the runs
+            lu = pivots = bad = None
         if shift == 0.0:
             log.warning(
                 "%s factoring n=%d; refactoring with diagonal shift %g",
@@ -188,12 +176,24 @@ def _sparse_direct(a, b):
         n, a.nnz, lu.nnz, shift, iterations,
         residual / max(np.linalg.norm(b), 1e-300),
     )
-    tol = 1e-10 * max(
-        np.linalg.norm(b), abs(a).max() * np.linalg.norm(x), 1e-300
-    )
+    tol = 1e-10 * max(np.linalg.norm(b), scale * np.linalg.norm(x), 1e-300)
     if residual > tol:
         raise LinearSolveError(f"direct solve residual {residual:.3e} above tolerance")
     return x
+
+
+def _scaled_csc(a, s, shift):
+    # diag(s) A diag(s) + shift I as a new CSC matrix, built for each
+    # factorization and dropped once SuperLU has copied it, before the
+    # pivot read converts the factors; scaling the stored entries, unlike
+    # a sparse product, keeps entries that are zero by cancellation, so
+    # the ordering and the fill follow the assembled pattern, not rounding
+    c = scipy.sparse.csc_matrix(a, dtype=float, copy=True)
+    c.data *= s[c.indices]
+    c.data *= np.repeat(s, np.diff(c.indptr))
+    if shift:
+        c.setdiag(c.diagonal() + shift)
+    return c
 
 
 def _pcg(a, b, precond, rtol, maxiter):

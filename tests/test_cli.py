@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bilap_dpg import cli
 from bilap_dpg.cli import (
     STUDY_HEADER,
     StudyConfig,
@@ -162,8 +163,14 @@ def test_study_config_file_errors_exit_one(tmp_path, capsys, content, key):
         (["--mode", "unbounded", "--n-list", "1,x"], None, "--n-list"),
         ([], "mode = dirac\neps_min_pow = abc\n", "eps_min_pow"),
         ([], "mode = dirac\neps_minpow = 3\n", "unknown tracelab option 'eps_minpow'"),
+        (["--mode", "unbounded", "--n-list", "0,-1"], None, "--n-list"),
+        (["--mode", "norm-identity", "--degrees", "0:1"], None, "--degrees"),
+        (["--mode", "norm-identity", "--degrees", "6:5"], None, "--degrees"),
+        (["--mode", "dirac", "--eps-min-pow", "5", "--eps-max-pow", "3"], None, "--eps-min-pow"),
+        (["--mode", "dirac", "--eps-min-pow", "12"], None, "--eps-max-pow"),
     ],
-    ids=["degrees", "n-list", "config-value", "unknown-config-key"],
+    ids=["degrees", "n-list", "config-value", "unknown-config-key", "n-below-1",
+         "degrees-below-4", "degrees-reversed", "eps-reversed", "eps-above-default-max"],
 )
 def test_tracelab_option_errors_exit_one(tmp_path, capsys, flags, config, option):
     out = tmp_path / "t.csv"
@@ -178,6 +185,29 @@ def test_tracelab_option_errors_exit_one(tmp_path, capsys, flags, config, option
     if config is not None:
         assert str(tmp_path / "lab.cfg") in err
     assert not out.exists()
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started despite a usage error")
+
+
+def test_study_output_in_missing_directory_exits_one_before_the_study(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(cli, "solve_and_record", _no_work)
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["study", "--levels", "1", "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(out) in err and "does not exist" in err
+    assert err.count("\n") == 1
+
+
+def test_tracelab_output_in_missing_directory_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_tracelab", _no_work)
+    out = tmp_path / "missing" / "t.csv"
+    assert main(["tracelab", "--mode", "unbounded", "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(out) in err and "does not exist" in err
 
 
 def test_tracelab_mode_flag_wins_over_config(tmp_path):

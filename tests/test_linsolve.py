@@ -1,5 +1,7 @@
 import logging
 import re
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -75,6 +77,11 @@ def test_sparse_indefinite_rejected():
         sparse_spd_solve(a, np.ones(3))
 
 
+def test_sparse_integer_matrix():
+    a = scipy.sparse.csr_matrix(np.array([[2, 1], [1, 2]]))
+    assert np.allclose(sparse_spd_solve(a, np.array([3, 3])), [1.0, 1.0], atol=1e-12)
+
+
 def test_sparse_asymmetric_rejected():
     a = scipy.sparse.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]]))
     with pytest.raises(LinearSolveError):
@@ -107,6 +114,71 @@ def test_eps_shift_is_logged(caplog):
     assert shifts[0].levelno == logging.WARNING
     assert "n=3" in shifts[0].getMessage()
     assert "pivot 2 " in shifts[0].getMessage()
+
+
+def test_shift_retry_factors_a_fresh_shifted_input(monkeypatch):
+    # the rank-2 Gram matrix above: the retry factors D^-1/2 A D^-1/2 +
+    # 1e-12 I, rebuilt from A, and the first input is gone by then
+    v = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    dense = v.T @ v
+    splu = scipy.sparse.linalg.splu
+    inputs, alive = [], []
+
+    def recording_splu(m, *args, **kwargs):
+        alive.extend(ref() is not None for ref, _ in inputs)
+        inputs.append((weakref.ref(m), m.toarray()))
+        return splu(m, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
+    sparse_spd_solve(scipy.sparse.csr_matrix(dense), dense @ np.ones(3))
+    assert len(inputs) == 2 and alive == [False]
+    s = 1.0 / np.sqrt(np.diag(dense))
+    scaled = s[:, None] * dense * s[None, :]
+    assert np.array_equal(inputs[0][1], scaled)
+    assert np.array_equal(inputs[1][1], scaled + 1e-12 * np.eye(3))
+
+
+def _traced_peak(fn):
+    """Peak bytes traced by tracemalloc while `fn` runs."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_solve_holds_at_most_one_extra_copy_of_a(monkeypatch):
+    # the scheme-2, p = 0 system on the 16x16 square (3,877 dofs): the
+    # solve's traced peak may exceed that of its factorization and pivot
+    # read alone by at most one copy of A (keeping A in a second format,
+    # a scaled copy and |A| alive together measured 3.1 copies)
+    captured = []
+
+    def capture(a, b):
+        captured.append((a, b))
+        return sparse_spd_solve(a, b)
+
+    monkeypatch.setattr(dpg_solver, "sparse_spd_solve", capture)
+    dpg_solver.assemble_and_solve(make_unit_square(16), Formulation(scheme=2), smooth_problem())
+    [(a, b)] = captured
+    copy = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+    s = 1.0 / np.sqrt(a.diagonal())
+    scaled = a.tocsc()
+    scaled.data = s[scaled.indices] * scaled.data * np.repeat(s, np.diff(scaled.indptr))
+
+    def factor_alone():
+        lu = scipy.sparse.linalg.splu(
+            scaled,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options=dict(SymmetricMode=True),
+        )
+        lu.U.diagonal()
+
+    excess = _traced_peak(lambda: sparse_spd_solve(a, b)) - _traced_peak(factor_alone)
+    assert excess <= copy
 
 
 def _neumann_laplacian(n):
