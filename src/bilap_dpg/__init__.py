@@ -39,7 +39,6 @@ from bilap_dpg.trace_space import (
     TraceSpace,
     apply_clamped_bc,
     build_trace_space,
-    eval_edge_trace,
     interpolate_boundary_data,
 )
 
@@ -59,7 +58,6 @@ __all__ = [
     "doerfler_mark",
     "error_indicators",
     "estimate_rate",
-    "eval_edge_trace",
     "interpolate_boundary_data",
     "l2_errors",
     "make_sector_domain",

@@ -30,8 +30,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from bilap_dpg import problems, trace_lab
 from bilap_dpg.forms import Formulation, FormsError
 from bilap_dpg.linsolve import LinearSolveError

@@ -79,7 +79,6 @@ class Solution:
     free_cols: np.ndarray = field(repr=False)  # (nt, ncol) global ids, -1 fixed
     ndof_total: int = 0
     ndof_field: int = 0
-    rhs_inf: float = 0.0
     sigma_hat_corner: np.ndarray | None = None
 
 
@@ -265,7 +264,6 @@ def assemble_and_solve(mesh, formulation, problem):
         free_cols=cols,
         ndof_total=n_free,
         ndof_field=2 * n_field,
-        rhs_inf=float(np.abs(rhs).max(initial=0.0)),
         sigma_hat_corner=corner,
     )
 
@@ -285,22 +283,7 @@ def error_indicators(solution):
     """
     r = _residuals(solution)
     eta_sq = np.einsum("er,er->e", r, r)
-    eta_sq = np.maximum(eta_sq, 0.0)
     return Indicators(np.sqrt(eta_sq), float(np.sqrt(eta_sq.sum())))
-
-
-def residual_orthogonality(solution):
-    """Max-norm of B^T G^-1 (l - B x) over free dofs, relative to the rhs.
-
-    This is exactly the normal-equation residual |rhs - A x| since the
-    local trial vectors include the eliminated boundary values.
-    """
-    proj = np.einsum("eri,er->ei", solution.local.w, _residuals(solution))
-    keep = solution.free_cols >= 0
-    out = np.bincount(
-        solution.free_cols[keep], proj[keep], minlength=solution.ndof_total
-    )
-    return float(np.abs(out).max() / max(solution.rhs_inf, 1e-300))
 
 
 def solve_and_record(mesh, formulation, problem, level):

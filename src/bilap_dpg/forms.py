@@ -16,15 +16,15 @@ The test basis of an element is the L2-orthonormal reference basis of
 so it is L2-orthonormal on the element: every Gram block is the
 identity plus a second-order term that depends on J alone.  The trial
 basis is the centred, diameter-scaled monomials of the field degree
-times L^-T, L the Cholesky factor of their moment matrix.  The
-single-element `local_gram`, `local_b` and `local_load` are views of
-the same kernels.
+times L^-T, L the Cholesky factor of their moment matrix.
 
-`build_local_systems` runs the dense kernels once per translation
-class of elements: elements with bit-equal relative vertex coordinates
-(v1 - v0, v2 - v0), the same orientation of each edge's global lo/hi
-endpoints relative to the element's slots and the same edge owner
-signs have equal local systems up to rounding.  There is no scale key:
+`build_local_systems` is the module's one entry point; a single
+element's system is that of a one-element `Mesh`.  It runs the dense
+kernels once per translation class of elements: elements with
+bit-equal relative vertex coordinates (v1 - v0, v2 - v0), the same
+orientation of each edge's global lo/hi endpoints relative to the
+element's slots and the same edge owner signs have equal local systems
+up to rounding.  There is no scale key:
 mass terms scale with h^2 and Hessian terms with h^-2, so the Gram
 blocks of similar elements are not multiples of each other.  Nested
 newest-vertex bisection yields finitely many shapes, so uniform and
@@ -77,10 +77,6 @@ class Formulation:
             )
 
     @property
-    def tag(self):
-        return f"VF{self.scheme}"
-
-    @property
     def field_dim(self):
         return shape.basis_dimension(self.field_degree)
 
@@ -96,11 +92,6 @@ class Formulation:
 def _barycentric(rule):
     """Barycentric coordinates of a reference triangle rule, (nq, 3)."""
     return np.column_stack([1 - rule.points[:, 0] - rule.points[:, 1], rule.points])
-
-
-def _tables(formulation, test_degree=None):
-    degree = formulation.test_degree if test_degree is None else test_degree
-    return shape.reference_tables(degree)
 
 
 def _maps(coords, labels):
@@ -312,54 +303,6 @@ def _load(tab, coords, det, f):
     pts = _barycentric(tab.quad) @ coords
     fv = np.broadcast_to(np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float), pts.shape[:2])
     return np.sqrt(det)[:, None] * (fv @ (tab.quad.weights[:, None] * tab.tri.val))
-
-
-def local_gram(vertices, formulation, test_degree=None):
-    """Test-space Gram matrix of one element, shape (2k, 2k).
-
-    Block diagonal over the two test components, in the element's
-    orthonormal test basis (see the module docstring for the
-    scheme-dependent inner products); each block is S^T S for the
-    stack whose QR whitens `build_local_systems`.  `test_degree`
-    overrides the formulation's degree (diagnostics with low-degree
-    test blocks need degrees the Formulation invariant would reject).
-    """
-    tab = _tables(formulation, test_degree)
-    _, _, jinv = _maps(np.asarray(vertices, dtype=float)[None], [0])
-    s_v, s_tau = _gram_stacks(_hessians(tab, jinv), formulation.scheme)
-    k = tab.dim
-    g = np.zeros((2 * k, 2 * k))
-    g[:k, :k] = s_v[0].T @ s_v[0]
-    g[k:, k:] = s_tau[0].T @ s_tau[0]
-    return g
-
-
-def local_b(mesh, tri, formulation, test_degree=None):
-    """Trial-to-test matrix of one element, as `build_local_systems`
-    builds it before whitening.
-
-    Rows are the 2k test functions (v block then tau block); columns
-    are ordered [u | sigma | uhat (9) | sigma_hat (9)].
-    """
-    tab = _tables(formulation, test_degree)
-    tris = np.array([tri], dtype=np.int64)
-    jac, det, jinv = _maps(mesh.triangle_coords()[tris], tris)
-    hess = _hessians(tab, jinv)
-    _, trial = _trial_basis(
-        tab, jac, det, mesh.diameters[tris], formulation.field_degree, tris
-    )
-    lap = hess[:, 0] + hess[:, 2]
-    return _b_matrix(mesh, tris, tab, det, jinv, lap, trial, formulation.num_local_cols)[0]
-
-
-def local_load(vertices, f, formulation, test_degree=None):
-    """Load vector (f, v_i) of one element; tau-block entries are zero."""
-    tab = _tables(formulation, test_degree)
-    coords = np.asarray(vertices, dtype=float)[None]
-    _, det, _ = _maps(coords, [0])
-    out = np.zeros(2 * tab.dim)
-    out[: tab.dim] = _load(tab, coords, det, f)[0]
-    return out
 
 
 @dataclass

@@ -54,20 +54,20 @@ def _find_bad_pivot(a):
     return None
 
 
-def cholesky_spd(a, label="matrix"):
+def cholesky_spd(a):
     """Lower Cholesky factor of a dense symmetric matrix.
 
     Raises NotPositiveDefiniteError naming the first bad pivot.
     """
     a = np.asarray(a, dtype=float)
     if _symmetry_defect(a) > 1e-13 * max(1.0, len(a)):
-        raise LinearSolveError(f"{label} is not symmetric")
+        raise LinearSolveError("matrix is not symmetric")
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         pivot = _find_bad_pivot(a)
         raise NotPositiveDefiniteError(
-            f"{label} is not positive definite (pivot {pivot})", pivot=pivot
+            f"matrix is not positive definite (pivot {pivot})", pivot=pivot
         ) from None
 
 

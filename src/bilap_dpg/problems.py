@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -131,23 +131,6 @@ def singular_problem():
         boundary_mode="interpolated",
         make_domain=make_sector_domain,
         singular_corner=(0.0, 0.0),
-    )
-
-
-def zero_problem(make_domain=make_unit_square):
-    """f = 0 with homogeneous clamped data; the exact solution is 0."""
-    zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
-    return Problem(
-        name="zero",
-        u_exact=zero,
-        grad_u_exact=lambda x, y: (
-            np.zeros_like(np.asarray(x, dtype=float)),
-            np.zeros_like(np.asarray(x, dtype=float)),
-        ),
-        sigma_exact=zero,
-        f=zero,
-        boundary_mode="homogeneous",
-        make_domain=make_domain,
     )
 
 

@@ -92,15 +92,6 @@ class QuadRule:
     points: np.ndarray
     weights: np.ndarray
     exactness: int
-    domain: str  # "triangle" (reference coords) or "edge" ([0, 1])
-
-    def integrate(self, f):
-        """Integrate a callable over the reference domain."""
-        if self.domain == "triangle":
-            vals = f(self.points[:, 0], self.points[:, 1])
-        else:
-            vals = f(self.points)
-        return float(self.weights @ np.asarray(vals, dtype=float))
 
 
 def _gauss01(n):
@@ -130,7 +121,7 @@ def triangle_quadrature(exactness):
     exactness = int(exactness)
     if exactness in _TRI_TABLE:
         pts, w = _TRI_TABLE[exactness]
-        return QuadRule(pts.copy(), w.copy(), exactness, "triangle")
+        return QuadRule(pts.copy(), w.copy(), exactness)
     if exactness > _MAX_TENSOR_EXACTNESS:
         raise QuadratureError(
             f"exactness {exactness} above table and tensor-rule limit"
@@ -145,7 +136,7 @@ def triangle_quadrature(exactness):
     Y = np.broadcast_to(eta[:, None], X.shape)
     W = np.outer(wy * (1.0 - eta), wx)
     pts = np.column_stack([X.ravel(), Y.ravel()])
-    return QuadRule(pts, W.ravel(), exactness, "triangle")
+    return QuadRule(pts, W.ravel(), exactness)
 
 
 def edge_quadrature(exactness):
@@ -154,7 +145,7 @@ def edge_quadrature(exactness):
         raise QuadratureError("exactness must be nonnegative")
     n = int(exactness) // 2 + 1
     t, w = _gauss01(n)
-    return QuadRule(t, w, 2 * n - 1, "edge")
+    return QuadRule(t, w, 2 * n - 1)
 
 
 def map_to_triangle(rule, vertices):

@@ -93,52 +93,22 @@ def mollifier_constant():
     return 1.0 / (2.0 * integral)
 
 
-@dataclass(frozen=True)
-class MollifierFamily:
-    """Bump profile phi_eps and the corner function v_eps built from it.
+def mollifier(t, eps):
+    """Bump profile phi_eps(t) = (C/eps) exp(-eps^2 / (eps^2 - t^2)) on
+    [0, eps), else 0, with C = `mollifier_constant()`, so that its
+    integral over (0, 1) is 1/2 for every eps.
 
-    phi_eps(t) = (C/eps) exp(-eps^2 / (eps^2 - t^2)) on [0, eps), else 0,
-    normalized so that its integral over (0, 1) is 1/2 for every eps;
-    v_eps(x, y) = -(x + y) phi_eps(|(x, y)|).
+    The corner function built from it is v_eps(x, y) = -(x + y)
+    phi_eps(|(x, y)|).
     """
-
-    constant: float
-
-    @classmethod
-    def create(cls):
-        return cls(mollifier_constant())
-
-    def phi(self, t, eps):
-        t = np.asarray(t, dtype=float)
-        inside = np.abs(t) < eps
-        tt = np.where(inside, t, 0.0)
-        with np.errstate(over="ignore"):
-            val = (self.constant / eps) * np.exp(
-                -(eps**2) / np.where(inside, eps**2 - tt * tt, 1.0)
-            )
-        return np.where(inside, val, 0.0)
-
-    def phi_prime(self, t, eps):
-        t = np.asarray(t, dtype=float)
-        inside = np.abs(t) < eps
-        tt = np.where(inside, t, 0.0)
-        denom = np.where(inside, (eps**2 - tt * tt) ** 2, 1.0)
-        return np.where(inside, -2.0 * tt * eps**2 / denom * self.phi(tt, eps), 0.0)
-
-    def v(self, x, y, eps):
-        r = np.hypot(x, y)
-        return -(x + y) * self.phi(r, eps)
-
-    def grad_v(self, x, y, eps):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        r = np.hypot(x, y)
-        safe = np.where(r > 0, r, 1.0)
-        p = self.phi(r, eps)
-        dp = self.phi_prime(r, eps)
-        gx = -p - (x + y) * dp * x / safe
-        gy = -p - (x + y) * dp * y / safe
-        return gx, gy
+    t = np.asarray(t, dtype=float)
+    inside = np.abs(t) < eps
+    tt = np.where(inside, t, 0.0)
+    with np.errstate(over="ignore"):
+        val = (mollifier_constant() / eps) * np.exp(
+            -(eps**2) / np.where(inside, eps**2 - tt * tt, 1.0)
+        )
+    return np.where(inside, val, 0.0)
 
 
 def _panel_gauss(eps, panels=96, points_per_panel=8):
@@ -172,9 +142,8 @@ def pair_trace_veps(z, eps, panels=96):
         raise ValueError(f"test polynomial degree {z.degree} exceeds 6")
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
-    fam = MollifierFamily.create()
     t, w = _panel_gauss(eps, panels=max(64, panels))
-    phi = fam.phi(t, eps)
+    phi = mollifier(t, eps)
     zero = np.zeros_like(t)
     # bottom edge y = 0 (outward normal (0,-1)) and left edge x = 0
     # (outward normal (-1,0)); the hypotenuse does not meet the support

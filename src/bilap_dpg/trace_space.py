@@ -34,18 +34,6 @@ class TraceSpace:
     constrained: np.ndarray
     values: np.ndarray
 
-    @property
-    def ndof(self):
-        return DOFS_PER_VERTEX * self.mesh.num_vertices
-
-    @property
-    def ndof_free(self):
-        return int(self.ndof - self.constrained.sum())
-
-    def vertex_dofs(self, vertex):
-        base = DOFS_PER_VERTEX * int(vertex)
-        return np.arange(base, base + DOFS_PER_VERTEX)
-
 
 def build_trace_space(mesh):
     """Unconstrained trace space: 3 dofs per vertex, none fixed."""
@@ -150,41 +138,3 @@ def edge_dof_tables(mesh, edge_ids, t):
     nder[:, :, 5] = t * nrm[:, None, 1]
     return val, nder
 
-
-def eval_edge_trace(space, coeffs, edge, t):
-    """Trace value and normal derivative on one edge.
-
-    Parameters
-    ----------
-    space : TraceSpace
-    coeffs : (3 * nv,) dof vector
-    edge : int
-        Edge index into `space.mesh.edges`.
-    t : float or array in [0, 1]
-        Arc parameter from the lower-index to the higher-index endpoint.
-
-    Returns
-    -------
-    (value, normal_derivative) with the normal derivative taken along
-    the edge's global unit normal.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    lo, hi = space.mesh.edges[edge]
-    dofs = np.concatenate([space.vertex_dofs(lo), space.vertex_dofs(hi)])
-    val_tab, nder_tab = edge_dof_tables(space.mesh, [edge], t_arr)
-    value = val_tab[0] @ coeffs[dofs]
-    nder = nder_tab[0] @ coeffs[dofs]
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return float(value[0]), float(nder[0])
-    return value, nder
-
-
-def interpolate_function(space, u, grad_u):
-    """Vertex-Hermite interpolant of a smooth function (all vertices)."""
-    coeffs = np.zeros(space.ndof)
-    for v in range(space.mesh.num_vertices):
-        x, y = space.mesh.vertices[v]
-        gx, gy = grad_u(x, y)
-        coeffs[DOFS_PER_VERTEX * v : DOFS_PER_VERTEX * v + 3] = (u(x, y), gx, gy)
-    return coeffs

@@ -38,6 +38,33 @@ class Poly2d:
         return Poly2d(out)
 
 
+def zero_problem():
+    """f = 0 with homogeneous clamped data; the exact solution is 0."""
+    from bilap_dpg.mesh import make_unit_square
+    from bilap_dpg.problems import Problem
+
+    def zero(x, y):
+        return np.zeros_like(np.asarray(x, dtype=float))
+
+    return Problem(
+        name="zero",
+        u_exact=zero,
+        grad_u_exact=lambda x, y: (zero(x, y), zero(x, y)),
+        sigma_exact=zero,
+        f=zero,
+        boundary_mode="homogeneous",
+        make_domain=make_unit_square,
+    )
+
+
+def interpolate_function(mesh, u, grad_u):
+    """Vertex-Hermite dofs (u, du/dx, du/dy) of a smooth function at
+    every vertex, as one (3 nv,) vector."""
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    gx, gy = grad_u(x, y)
+    return np.column_stack(np.broadcast_arrays(u(x, y), gx, gy)).ravel().astype(float)
+
+
 def mesh_topology(vertices, triangles):
     """Edge topology of a triangulation by a plain scan.
 
@@ -109,7 +136,7 @@ def _whitener(stack):
 
 
 def monomial_local_systems(mesh, scheme, field_degree, test_degree, f):
-    """Per-element W^T W, W^T wl and |wl|^2 of the DPG local systems.
+    """Per-element whitened DPG local systems W (nt, 2k, ncol) and wl (nt, 2k).
 
     An element-by-element oracle seeded by monomials at each element's
     own quadrature points: the test basis is the centred,
@@ -123,8 +150,9 @@ def monomial_local_systems(mesh, scheme, field_degree, test_degree, f):
     parameter, global normal) as -s int_e (w dn(t) - w_n t) ds, s = +1
     on the edge's owner (lower-index element); scheme 2 adds the six
     corner columns (telescoped endpoint coefficients against the test
-    value at the corner).  These quantities do not depend on the test
-    basis, so they match any correct implementation.
+    value at the corner).  W and wl depend on the test basis, but W^T W,
+    W^T wl, |wl|^2 and the residual |wl - W x| of any trial vector x do
+    not, so those match any correct implementation.
     """
     from bilap_dpg.shape import edge_quadrature, map_to_triangle, triangle_quadrature
 
@@ -134,7 +162,7 @@ def monomial_local_systems(mesh, scheme, field_degree, test_degree, f):
     vol_rule = triangle_quadrature(2 * test_degree + 2)
     edge_rule = edge_quadrature(2 * test_degree + 4)
     t, tw = edge_rule.points, edge_rule.weights
-    out_wtw, out_wtl, out_ll = [], [], []
+    out_w, out_wl = [], []
     for tri, verts in enumerate(mesh.triangle_coords()):
         centre = verts.mean(axis=0)
         h = max(np.hypot(*(verts[(i + 1) % 3] - verts[i])) for i in range(3))
@@ -199,12 +227,9 @@ def monomial_local_systems(mesh, scheme, field_degree, test_degree, f):
 
         load = val.T @ (w * f(pts[:, 0], pts[:, 1]))
         linv_v, linv_tau = _whitener(s_v), _whitener(s_tau)
-        wmat = np.vstack([linv_v @ b[:k], linv_tau @ b[k:]])
-        wl = np.concatenate([linv_v @ load, np.zeros(k)])
-        out_wtw.append(wmat.T @ wmat)
-        out_wtl.append(wmat.T @ wl)
-        out_ll.append(wl @ wl)
-    return np.array(out_wtw), np.array(out_wtl), np.array(out_ll)
+        out_w.append(np.vstack([linv_v @ b[:k], linv_tau @ b[k:]]))
+        out_wl.append(np.concatenate([linv_v @ load, np.zeros(k)]))
+    return np.array(out_w), np.array(out_wl)
 
 
 def dense_normal_equations(w, wl, cols, fixed_values, fixed):

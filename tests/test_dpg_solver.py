@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from oracles import Poly2d, dense_normal_equations
+from oracles import Poly2d, dense_normal_equations, monomial_local_systems, zero_problem
 
-from bilap_dpg.forms import Formulation, local_b, local_gram, local_load
-from bilap_dpg.linsolve import dense_spd_solve, sparse_spd_solve
+from bilap_dpg.forms import Formulation
+from bilap_dpg.linsolve import sparse_spd_solve
 from bilap_dpg.mesh import (
     doerfler_mark,
     make_sector_domain,
@@ -15,7 +15,6 @@ from bilap_dpg.problems import (
     l2_errors,
     singular_problem,
     smooth_problem,
-    zero_problem,
 )
 from bilap_dpg.dpg_solver import (
     SolverError,
@@ -23,7 +22,6 @@ from bilap_dpg.dpg_solver import (
     adaptive_loop,
     assemble_and_solve,
     error_indicators,
-    residual_orthogonality,
     solve_and_record,
 )
 
@@ -97,23 +95,20 @@ def test_indicator_total_is_sum_of_locals():
 
 
 def test_indicators_match_raw_basis_recomputation():
-    # recompute r^T G^-1 r through the public per-element operations,
-    # with G formed explicitly and solved by Cholesky instead of the
-    # whitened QR path (scheme 1, whose local layout matches the public
-    # trial-to-test matrix; the trial coefficients apply as they are)
+    # eta_T = |wl - W x_T| does not depend on the test basis: recompute
+    # it from the monomial-seeded oracle's own whitened W and wl, at the
+    # solver's trial coefficients
     prob = smooth_problem()
     mesh = make_unit_square(2)
-    sol = assemble_and_solve(mesh, VF1, prob)
-    ind = error_indicators(sol)
-    for t in range(mesh.num_triangles):
-        g = local_gram(mesh.triangle_coords()[t], VF1)
-        b = local_b(mesh, t, VF1)
-        l = local_load(mesh.triangle_coords()[t], prob.f, VF1)
-        r = l - b @ sol.x_local[t]
-        eta_sq = r @ dense_spd_solve(g, r)
-        assert np.sqrt(max(eta_sq, 0)) == pytest.approx(
-            ind.per_element[t], rel=1e-9, abs=1e-12
+    for form in (VF1, VF2):
+        sol = assemble_and_solve(mesh, form, prob)
+        ind = error_indicators(sol)
+        w, wl = monomial_local_systems(
+            mesh, form.scheme, form.field_degree, form.test_degree, prob.f
         )
+        eta = np.linalg.norm(wl - np.einsum("eri,ei->er", w, sol.x_local), axis=1)
+        for t in range(mesh.num_triangles):
+            assert eta[t] == pytest.approx(ind.per_element[t], rel=1e-9, abs=1e-12)
 
 
 @pytest.mark.parametrize("form", [VF1, VF2])
@@ -135,11 +130,19 @@ def test_minimum_residual_optimality(form):
 
 @pytest.mark.parametrize("form", [VF1, VF2])
 @pytest.mark.parametrize("prob_name", ["smooth", "singular"])
-def test_normal_equation_orthogonality(form, prob_name):
+def test_normal_equation_orthogonality(form, prob_name, monkeypatch):
     prob = smooth_problem() if prob_name == "smooth" else singular_problem()
     mesh = make_unit_square(3) if prob_name == "smooth" else make_sector_domain()
-    sol = assemble_and_solve(mesh, form, prob)
-    assert residual_orthogonality(sol) <= 1e-8
+    sol, a, rhs = solve_capturing_system(monkeypatch, mesh, form, prob)
+    assert normal_equation_residual(sol, a, rhs) <= 1e-8
+
+
+def normal_equation_residual(sol, a, rhs):
+    """|rhs - A x|_inf / |rhs|_inf at the free dofs of a solution."""
+    free = sol.free_cols >= 0
+    x = np.zeros(sol.ndof_total)
+    x[sol.free_cols[free]] = sol.x_local[free]
+    return np.abs(rhs - a @ x).max() / np.abs(rhs).max()
 
 
 def solve_capturing_system(monkeypatch, mesh, form, prob):

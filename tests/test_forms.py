@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
-from oracles import Poly2d, monomial_local_systems, random_triangle
+from oracles import (
+    Poly2d,
+    interpolate_function,
+    monomial_local_systems,
+    random_triangle,
+)
 
 from bilap_dpg import forms, shape
 from bilap_dpg.dpg_solver import assemble_and_solve, error_indicators
@@ -8,12 +13,9 @@ from bilap_dpg.forms import (
     Formulation,
     FormsError,
     build_local_systems,
-    local_b,
-    local_gram,
-    local_load,
     translation_classes,
 )
-from bilap_dpg.linsolve import NotPositiveDefiniteError, cholesky_spd
+from bilap_dpg.linsolve import NotPositiveDefiniteError
 from bilap_dpg.mesh import (
     Mesh,
     doerfler_mark,
@@ -22,39 +24,28 @@ from bilap_dpg.mesh import (
     refine_nvb,
 )
 from bilap_dpg.problems import singular_problem
-from bilap_dpg.shape import REFERENCE_VERTICES, monomial_exponents
-from bilap_dpg.trace_space import build_trace_space, interpolate_function
+from bilap_dpg.shape import monomial_exponents
 
 VF1 = Formulation(scheme=1)
 VF2 = Formulation(scheme=2)
+RIGHT_TRIANGLE = [[0.0, 0.0], [3.0, 0.0], [0.0, 2.0]]  # area 3
+
+
+def _one_element(vertices):
+    """The mesh of one element, whose local system is that element's."""
+    return Mesh(np.asarray(vertices, dtype=float), np.array([[0, 1, 2]]))
+
+
+def _const(c):
+    return lambda x, y: np.full_like(x, c)
 
 
 def test_formulation_validation():
-    assert VF2.tag == "VF2" and VF1.field_degree == 0 and VF1.test_degree == 4
+    assert VF2.scheme == 2 and VF1.field_degree == 0 and VF1.test_degree == 4
     with pytest.raises(FormsError):
         Formulation(scheme=3)
     with pytest.raises(FormsError):
         Formulation(scheme=1, field_degree=2, test_degree=3)
-
-
-def test_gram_degree0_reference_triangle():
-    # the test basis is L2-orthonormal on the element, so the constant
-    # member has unit mass
-    g = local_gram(REFERENCE_VERTICES, VF1, test_degree=0)
-    assert np.allclose(g, np.diag([1.0, 1.0]), atol=1e-14)
-
-
-def test_gram_vf2_degree1_is_mass_matrix():
-    # linear test block: Hessian term vanishes, leaving the mass matrix,
-    # computed here by quadrature of the mapped basis
-    tri = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
-    g = local_gram(tri, VF2, test_degree=1)
-    pts, w = shape.map_to_triangle(shape.triangle_quadrature(4), tri)
-    jac, det, jinv = (x[0] for x in shape.affine_maps(tri[None]))
-    val = shape.map_jet(shape.orthonormal_basis(1, (pts - tri[0]) @ jinv.T), jinv, det).val
-    mass = np.einsum("q,qi,qj->ij", w, val, val)
-    assert np.allclose(g[:3, :3], mass, atol=1e-13)
-    assert np.allclose(mass, np.eye(3), atol=1e-13)
 
 
 def _thin_triangle(rng, aspect):
@@ -68,74 +59,70 @@ def _thin_triangle(rng, aspect):
 @pytest.mark.parametrize("form", [VF1, VF2])
 @pytest.mark.parametrize("thin", [False, True])
 def test_gram_symmetric_and_spd(form, thin):
-    # round random elements, or thin ones with aspect ratios to 1e3
+    # G = S^T S is never formed: the whitening raises unless the R
+    # factor of QR(S) has a finite nonzero diagonal, that is unless G is
+    # SPD.  Round random elements, or thin ones with aspect ratios to
+    # 1e3; the tau rows of W do not depend on the scheme
+    other = VF2 if form is VF1 else VF1
     rng = np.random.default_rng(8)
     for _ in range(4):
         tri = _thin_triangle(rng, 10 ** rng.uniform(1, 3)) if thin else random_triangle(rng)
-        g = local_gram(tri, form)
-        assert np.abs(g - g.T).max() <= 1e-13 * np.abs(g).max()
-        cholesky_spd(g)  # raises if not SPD
+        mesh = _one_element(tri)
+        w = build_local_systems(mesh, form, _const(1.0)).w[0]
+        assert np.all(np.isfinite(w))
+        w_other = build_local_systems(mesh, other, _const(1.0)).w[0]
+        k, n = form.test_dim, form.num_local_cols
+        assert np.array_equal(w[k:, :n], w_other[k:, :n])
 
 
 def test_gram_rejects_degenerate_element():
-    tri = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1e-16]])
-    with pytest.raises(FormsError):
-        local_gram(tri, VF1)
+    mesh = _one_element([[0.0, 0.0], [1.0, 0.0], [2.0, 1e-16]])
+    with pytest.raises(FormsError, match="degenerate element 0"):
+        build_local_systems(mesh, VF1, _const(1.0))
 
 
 def test_local_b_constants_example():
-    # constant trial and test functions, both of unit L2 norm: the u
-    # column vanishes, the sigma column pairs with tau as -(sigma, tau) = -1
-    mesh = make_unit_square(1)
-    for tri in range(mesh.num_triangles):
-        b = local_b(mesh, tri, VF1, test_degree=0)
-        assert b.shape == (2, 20)
-        assert b[1, 0] == pytest.approx(0.0, abs=1e-15)  # (u, Delta tau)
-        assert b[0, 1] == pytest.approx(0.0, abs=1e-15)  # (sigma, Delta v)
-        assert b[1, 1] == pytest.approx(-1.0, abs=1e-14)  # -(sigma, tau)
-
-
-def test_local_b_uhat_linear_against_constant_tau():
-    # uhat interpolating u(x, y) = x against a constant tau: the edge
-    # pairing reduces to tau * int_dT n_x ds = 0 (divergence theorem)
-    mesh = make_unit_square(1)
-    space = build_trace_space(mesh)
-    coeffs = interpolate_function(space, lambda x, y: x, lambda x, y: (1.0, 0.0))
-    for tri in range(mesh.num_triangles):
-        b = local_b(mesh, tri, VF1, test_degree=0)
-        cols = np.zeros(20)
-        for loc, v in enumerate(mesh.triangles[tri]):
-            cols[2 + 3 * loc : 5 + 3 * loc] = coeffs[3 * v : 3 * v + 3]
-        assert b @ cols == pytest.approx(np.zeros(2), abs=1e-13)
-
-
-def test_local_b_zero_trial_vector():
-    mesh = make_unit_square(1)
-    b = local_b(mesh, 0, VF2)
-    assert np.allclose(b @ np.zeros(b.shape[1]), 0.0)
+    # trial fields of degree <= 1 lie in the span of the leading test
+    # members, which have no Hessian, so the tau-block Gram matrix acts
+    # on them as the identity: the tau rows of the sigma columns,
+    # -(sigma, tau), stay orthonormal after whitening, and the u
+    # columns, (u, Delta tau), are orthogonal to them since the trial
+    # fields are harmonic
+    mesh = _one_element(RIGHT_TRIANGLE)
+    for scheme in (1, 2):
+        for degree in (0, 1):
+            form = Formulation(scheme, degree)
+            p = form.field_dim
+            w_tau = build_local_systems(mesh, form, _const(1.0)).w[0, form.test_dim :]
+            u, sigma = w_tau[:, :p], w_tau[:, p : 2 * p]
+            assert np.abs(sigma.T @ sigma - np.eye(p)).max() <= 1e-14
+            assert np.abs(u.T @ sigma).max() <= 1e-14 * np.abs(u).max()
 
 
 def test_load_examples():
-    # the constant test member is |T|^(-1/2), so (c, v_0) = c |T|^(1/2)
-    one = lambda x, y: np.ones_like(x)
-    l = local_load(REFERENCE_VERTICES, one, VF1, test_degree=0)
-    assert l[0] == pytest.approx(np.sqrt(0.5), abs=1e-15)
-    assert l[1] == 0.0
-    zero = lambda x, y: np.zeros_like(x)
-    assert np.all(local_load(REFERENCE_VERTICES, zero, VF1) == 0.0)
-    tri = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 2.0]])  # area 3
-    five = lambda x, y: 5.0 * np.ones_like(x)
-    l = local_load(tri, five, VF2, test_degree=0)
-    assert l[0] == pytest.approx(5.0 * np.sqrt(3.0), rel=1e-14)
+    # the constant test member is |T|^(-1/2), so f = 5 loads it with
+    # 5 |T|^(1/2) and is orthogonal to the others; it has no Hessian, so
+    # whitening keeps it: |wl|^2 = 25 |T| = 75.  The tau block has no load
+    mesh = _one_element(RIGHT_TRIANGLE)
+    for scheme in (1, 2):
+        for degree in (0, 1):
+            form = Formulation(scheme, degree)
+            wl = build_local_systems(mesh, form, _const(5.0)).wl[0]
+            assert wl @ wl == pytest.approx(75.0, rel=1e-14)
+            assert np.all(wl[form.test_dim :] == 0.0)
+            assert np.all(build_local_systems(mesh, form, _const(0.0)).wl == 0.0)
 
 
 def test_vf1_vf2_b_matrices_coincide():
-    mesh = refine_nvb(make_unit_square(2), [0, 1])
-    for tri in (0, 3, 7):
-        b1 = local_b(mesh, tri, VF1)
-        b2 = local_b(mesh, tri, VF2)
-        scale = np.abs(b1).max()
-        assert np.abs(b1 - b2).max() <= 1e-12 * scale
+    # both schemes share B and the tau-block Gram matrix: the tau rows of
+    # W are bit-equal, and scheme 2's corner columns meet the v block only
+    for mesh in (_one_element(RIGHT_TRIANGLE), refine_nvb(make_unit_square(2), [0, 1])):
+        for degree in (0, 1):
+            w1 = build_local_systems(mesh, Formulation(1, degree), _const(1.0)).w
+            w2 = build_local_systems(mesh, Formulation(2, degree), _const(1.0)).w
+            k, n = w1.shape[1] // 2, w1.shape[2]
+            assert np.array_equal(w2[:, k:, :n], w1[:, k:])
+            assert np.all(w2[:, k:, n:] == 0.0)
 
 
 def test_element_basis_matches_reference_on_unit_triangle():
@@ -195,6 +182,22 @@ def _local_trial_vector(mesh, tri, form, u_poly, sigma_poly, uhat, shat):
     return x
 
 
+def _exact_residuals(mesh, form, u, sigma):
+    """Whitened residuals wl - W x of every element at the trial vector
+    x of (u, sigma) and their Hermite traces, with f = 0.  Corner
+    coefficients stay 0: the corner jumps of a smooth sigma telescope to
+    zero."""
+    uhat = interpolate_function(mesh, u, u.grad)
+    shat = interpolate_function(mesh, sigma, sigma.grad)
+    loc = build_local_systems(mesh, form, _const(0.0))
+    x = np.zeros(loc.w.shape[::2])
+    for tri in range(mesh.num_triangles):
+        x[tri, : form.num_local_cols] = _local_trial_vector(
+            mesh, tri, form, u, sigma, uhat, shat
+        )
+    return loc.wl - np.einsum("eri,ei->er", loc.w, x)
+
+
 @pytest.mark.parametrize("scheme", [1, 2])
 @pytest.mark.parametrize(
     "mesh_builder",
@@ -208,37 +211,19 @@ def test_adjoint_consistency_quadratic(scheme, mesh_builder):
     # a global quadratic u with sigma = Delta u and exact Hermite trace
     # data solves the discrete equations with zero residual (f = 0)
     rng = np.random.default_rng(21)
-    mesh = mesh_builder()
     u = Poly2d.random(rng, 2)
-    sigma = u.laplacian()
     form = Formulation(scheme=scheme, field_degree=2, test_degree=4)
-    space = build_trace_space(mesh)
-    uhat = interpolate_function(space, u, u.grad)
-    shat = interpolate_function(space, sigma, sigma.grad)
-    zero = lambda x, y: np.zeros_like(x)
-    for tri in range(mesh.num_triangles):
-        b = local_b(mesh, tri, form)
-        l = local_load(mesh.triangle_coords()[tri], zero, form)
-        x = _local_trial_vector(mesh, tri, form, u, sigma, uhat, shat)
-        assert np.abs(l - b @ x).max() < 1e-9
+    r = _exact_residuals(mesh_builder(), form, u, u.laplacian())
+    assert np.abs(r).max() < 1e-9
 
 
 def test_adjoint_consistency_cubic_on_structured_mesh():
     # u = x^3 + y^3 has edgewise-linear normal derivatives on structured
     # square meshes, so its reduced-HCT interpolant is an exact trace
-    mesh = make_unit_square(2)
     u = Poly2d(np.array([[0, 0, 0, 1.0], [0, 0, 0, 0], [0, 0, 0, 0], [1.0, 0, 0, 0]]))
-    sigma = u.laplacian()
     form = Formulation(scheme=2, field_degree=3, test_degree=5)
-    space = build_trace_space(mesh)
-    uhat = interpolate_function(space, u, u.grad)
-    shat = interpolate_function(space, sigma, sigma.grad)
-    zero = lambda x, y: np.zeros_like(x)
-    for tri in range(mesh.num_triangles):
-        b = local_b(mesh, tri, form)
-        l = local_load(mesh.triangle_coords()[tri], zero, form)
-        x = _local_trial_vector(mesh, tri, form, u, sigma, uhat, shat)
-        assert np.abs(l - b @ x).max() < 1e-9
+    r = _exact_residuals(make_unit_square(2), form, u, u.laplacian())
+    assert np.abs(r).max() < 1e-9
 
 
 def test_build_local_systems_shapes():
@@ -337,6 +322,7 @@ def _doerfler_sector(steps):
 
 
 ORACLE_MESHES = {
+    "one-element": lambda: _one_element(RIGHT_TRIANGLE),
     "jittered-square": lambda: _jittered_square(6, seed=4),
     "graded-sector": lambda: _doerfler_sector(6),
 }
@@ -351,7 +337,10 @@ def test_local_systems_match_monomial_oracle(name, scheme, degree):
     mesh = ORACLE_MESHES[name]()
     f = lambda x, y: np.sin(3 * x + 1) * np.cos(2 * y) + x * y + 2.0
     loc = build_local_systems(mesh, Formulation(scheme, degree, 4), f)
-    wtw, wtl, ll = monomial_local_systems(mesh, scheme, degree, 4, f)
+    w, wl = monomial_local_systems(mesh, scheme, degree, 4, f)
+    wtw = np.einsum("eri,erj->eij", w, w)
+    wtl = np.einsum("eri,er->ei", w, wl)
+    ll = np.einsum("er,er->e", wl, wl)
     got_wtw = np.einsum("eri,erj->eij", loc.w, loc.w)
     got_wtl = np.einsum("eri,er->ei", loc.w, loc.wl)
     got_ll = np.einsum("er,er->e", loc.wl, loc.wl)

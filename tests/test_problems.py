@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import zero_problem
 
 from bilap_dpg.mesh import make_sector_domain, make_unit_square
 from bilap_dpg.problems import (
@@ -10,7 +11,6 @@ from bilap_dpg.problems import (
     l2_errors,
     singular_problem,
     smooth_problem,
-    zero_problem,
 )
 
 

@@ -5,10 +5,10 @@ from scipy.integrate import quad
 from bilap_dpg.shape import REFERENCE_VERTICES
 from bilap_dpg.trace_lab import (
     DiracStudy,
-    MollifierFamily,
     Poly2,
     dirac_convergence_study,
     default_z_list,
+    mollifier,
     mollifier_constant,
     norm_identity_check,
     pair_trace_veps,
@@ -27,29 +27,32 @@ def test_mollifier_constant_value():
 
 @pytest.mark.parametrize("eps", [0.25, 0.125, 0.05])
 def test_mollifier_normalization(eps):
-    fam = MollifierFamily.create()
-    val, _ = quad(lambda t: fam.phi(t, eps), 0, eps, epsabs=1e-12, limit=200)
+    val, _ = quad(lambda t: mollifier(t, eps), 0, eps, epsabs=1e-12, limit=200)
     assert val == pytest.approx(0.5, abs=1e-9)
 
 
 def test_mollifier_vanishes_at_support_edge():
-    fam = MollifierFamily.create()
     eps = 0.25
-    assert fam.phi(eps, eps) == 0.0
-    assert fam.phi(eps + 1e-12, eps) == 0.0
+    assert mollifier(eps, eps) == 0.0
+    assert mollifier(eps + 1e-12, eps) == 0.0
     # continuity from the left: the profile decays to zero at t = eps
-    assert fam.phi(eps * (1 - 1e-6), eps) < 1e-200
+    assert mollifier(eps * (1 - 1e-6), eps) < 1e-200
 
 
 def test_mollifier_support_of_v_and_gradient():
-    fam = MollifierFamily.create()
-    eps = 0.2
+    # v_eps(x, y) = -(x + y) phi_eps(|(x, y)|) and its central
+    # differences vanish on and outside the circle of radius eps
+    eps, h = 0.2, 1e-7
     angles = np.linspace(0, np.pi / 2, 7)
+
+    def v(x, y):
+        return -(x + y) * mollifier(np.hypot(x, y), eps)
+
     for r in (eps, 1.2 * eps, 0.7):
         x, y = r * np.cos(angles), r * np.sin(angles)
-        assert np.all(fam.v(x, y, eps) == 0.0)
-        gx, gy = fam.grad_v(x, y, eps)
-        assert np.all(gx == 0.0) and np.all(gy == 0.0)
+        assert np.all(v(x, y) == 0.0)
+        assert np.all(v(x + h, y) - v(x - h, y) == 0.0)
+        assert np.all(v(x, y + h) - v(x, y - h) == 0.0)
 
 
 def test_pair_constant_is_one():
@@ -98,11 +101,10 @@ def test_dirac_study_constant_only_is_exact():
 
 def test_weighted_mollifier_norm_decays():
     # ||t phi_eps(t)|| decays like eps^(1/2)
-    fam = MollifierFamily.create()
     eps_list = [2.0**-k for k in range(2, 9)]
     norms = []
     for eps in eps_list:
-        val, _ = quad(lambda t: (t * fam.phi(t, eps)) ** 2, 0, eps, limit=200)
+        val, _ = quad(lambda t: (t * mollifier(t, eps)) ** 2, 0, eps, limit=200)
         norms.append(np.sqrt(val))
     norms = np.array(norms)
     assert np.all(np.diff(norms) < 0)
