@@ -2,7 +2,10 @@
 
 Every element contributes its Schur complement B^T G^-1 B (realized
 through whitened local systems) to a sparse symmetric positive
-definite matrix over [field dofs | free trace dofs].  Constrained trace
+definite matrix over [field dofs | free trace dofs].  W = chol(G)^-1 B
+is kept as its two test blocks (`forms.LocalSystems`): each block adds
+W^T W over its own columns, sigma being the one unknown in both, and
+the estimator sums the two blocks' residuals.  Constrained trace
 dofs enter by elimination, never by penalty, so the minimum-residual
 structure is preserved exactly.  Element processing is batched in a
 fixed order, which makes repeated runs bit-identical.
@@ -201,27 +204,39 @@ def assemble_and_solve(mesh, formulation, problem):
         mesh, formulation, uhat_space, local.corner_cols
     )
 
-    w, wl = local.w, local.wl
     x_fixed = fixed_values[full_cols]
     cols = free_map[full_cols]  # (nt, ncol), -1 where fixed
-    free = cols >= 0
-    # two columns couple where they meet a common test block (v or tau);
-    # storing exactly that pattern, also where an entry cancels to zero,
-    # keeps the sparsity and the factor's fill independent of rounding
-    k = w.shape[1] // 2
-    tested = np.stack([np.any(w[:, :k], axis=(0, 1)), np.any(w[:, k:], axis=(0, 1))])
-    couples = (tested.T.astype(np.int64) @ tested.astype(np.int64)) > 0
-    w_t = np.swapaxes(w, 1, 2)
-    schur = w_t @ w
-    keep = free[:, :, None] & free[:, None, :] & couples
-    row = np.broadcast_to(cols[:, :, None], keep.shape)[keep]
-    col = np.broadcast_to(cols[:, None, :], keep.shape)[keep]
-    a = scipy.sparse.csr_matrix((schur[keep], (row, col)), shape=(n_free, n_free))
-    # nothing of size nt * ncol^2 stays alive through the factorization
-    del schur, keep, row, col
-    # the fixed dofs move to the right: W^T (wl - W x_fixed)
-    g_vec = (w_t @ (wl[:, :, None] - w @ x_fixed[:, :, None]))[..., 0]
-    rhs = np.bincount(cols[free], g_vec[free], minlength=n_free)
+    # each test block couples exactly its own columns: storing all their
+    # free x free couplings, also where an entry cancels to zero, keeps
+    # the sparsity and the factor's fill independent of rounding.  sigma
+    # meets both blocks, and the COO -> CSR conversion sums the two
+    blocks = [(w, load, cols[:, c], x_fixed[:, c]) for w, load, c in local.blocks()]
+    n_entries = sum(int(((c >= 0).sum(axis=1) ** 2).sum()) for _, _, c, _ in blocks)
+    # ids in the int32 that scipy stores them in need no converted copy
+    index = np.int32 if n_free <= np.iinfo(np.int32).max else np.int64
+    vals = np.empty(n_entries)
+    row = np.empty(n_entries, dtype=index)
+    col = np.empty(n_entries, dtype=index)
+    rhs = np.zeros(n_free)
+    start = 0
+    for w, load, c, x_c in blocks:
+        free = c >= 0
+        keep = free[:, :, None] & free[:, None, :]
+        stop = start + np.count_nonzero(keep)
+        w_t = np.swapaxes(w, 1, 2)
+        vals[start:stop] = (w_t @ w)[keep]
+        row[start:stop] = np.broadcast_to(c[:, :, None], keep.shape)[keep]
+        col[start:stop] = np.broadcast_to(c[:, None, :], keep.shape)[keep]
+        start = stop
+        # the fixed dofs move to the right: W^T (wl - W x_fixed)
+        g_vec = (w_t @ (load - (w @ x_c[:, :, None])[..., 0])[:, :, None])[..., 0]
+        rhs += np.bincount(c[free], g_vec[free], minlength=n_free)
+    a = scipy.sparse.csr_matrix((vals, (row, col)), shape=(n_free, n_free))
+    # nothing of size nt * ncol^2 stays alive through the factorization,
+    # and the conversion leaves the summed entries at the front of
+    # triplet-sized buffers: the solver gets exactly nnz(A) of them
+    del blocks, keep, vals, row, col
+    a.data, a.indices = a.data.copy(), a.indices.copy()
 
     try:
         x_free = sparse_spd_solve(a, rhs)
@@ -268,21 +283,18 @@ def assemble_and_solve(mesh, formulation, problem):
     )
 
 
-def _residuals(solution):
-    """Whitened local residuals wl - w x, shape (nt, 2k)."""
-    return solution.local.wl - np.einsum(
-        "eri,ei->er", solution.local.w, solution.x_local
-    )
-
-
 def error_indicators(solution):
     """Residual error indicators eta(T)^2 = r_T^T G_T^-1 r_T.
 
     The residual is evaluated against the full enriched test space from
-    the cached (whitened) local systems.
+    the cached (whitened) local systems: it is the sum of the whitened
+    residuals |load - w x| of the two test blocks.
     """
-    r = _residuals(solution)
-    eta_sq = np.einsum("er,er->e", r, r)
+    x = solution.x_local
+    eta_sq = 0.0
+    for w, load, c in solution.local.blocks():
+        r = load - (w @ x[:, c][:, :, None])[..., 0]
+        eta_sq = eta_sq + np.einsum("er,er->e", r, r)
     return Indicators(np.sqrt(eta_sq), float(np.sqrt(eta_sq.sum())))
 
 
@@ -327,9 +339,10 @@ def adaptive_loop(mesh, formulation, problem, theta, max_dofs):
         )
     while True:
         try:
-            record, _, indicators = solve_and_record(mesh, formulation, problem, level)
+            record, solution, indicators = solve_and_record(mesh, formulation, problem, level)
         except SolverError as exc:
             raise SolverError(f"level {level}: {exc}") from exc
+        del solution  # its W blocks must not live through the next level's solve
         records.append(record)
         if record.ndof_total > max_dofs:
             return records

@@ -84,10 +84,6 @@ class Formulation:
     def test_dim(self):
         return shape.basis_dimension(self.test_degree)
 
-    @property
-    def num_local_cols(self):
-        return 2 * self.field_dim + 2 * TRACE_COLS
-
 
 def _barycentric(rule):
     """Barycentric coordinates of a reference triangle rule, (nq, 3)."""
@@ -188,31 +184,23 @@ def _trial_basis(tab, jac, det, h, degree, labels):
     return np.swapaxes(r * sign[:, :, None], 1, 2), t
 
 
-def _b_matrix(mesh, tris, tab, det, jinv, lap, trial, ncol):
-    """Trial-to-test matrices (n, 2k, ncol) in the element's orthonormal
-    test basis.
+def _b_blocks(mesh, tris, tab, det, jinv, lap, trial, with_corners):
+    """The two nonzero blocks (b_v, b_tau) of the trial-to-test matrix
+    in the element's orthonormal test basis, each (n, k, columns).
 
-    Rows are the v block then the tau block; columns [u | sigma | uhat
-    | sigma_hat], followed by the six corner columns of scheme 2 when
-    `ncol` leaves room for them.  `lap` (n, m, k) expands the test
-    Laplacians in the first m test members and `trial` holds
-    (test_i, trial_j).
+    The v block's columns are [sigma | sigma_hat], followed by the six
+    corner columns of scheme 2 when `with_corners`; the tau block's are
+    [u | sigma | uhat].  `lap` (n, m, k) expands the test Laplacians in
+    the first m test members and `trial` holds (test_i, trial_j).
     """
-    k, m, dim_p = tab.dim, lap.shape[1], trial.shape[2]
-    b = np.zeros((len(tris), 2 * k, ncol))
-    du = np.einsum("emi,emj->eij", lap, trial[:, :m])
-    b[:, k:, :dim_p] = du  # (u, Delta tau)
-    b[:, :k, dim_p : 2 * dim_p] = du  # (sigma, Delta v)
-    b[:, k:, dim_p : 2 * dim_p] = -trial  # -(sigma, tau)
+    m = lap.shape[1]
+    du = np.einsum("emi,emj->eij", lap, trial[:, :m])  # (u, Delta tau) = (sigma, Delta v)
     scale = det**-0.5
-    trace = _skeleton_b(mesh, tris, tab, scale, jinv)
-    sigma_hat = 2 * dim_p + TRACE_COLS
-    base_cols = sigma_hat + TRACE_COLS
-    b[:, k:, 2 * dim_p : sigma_hat] = trace  # uhat meets the tau block
-    b[:, :k, sigma_hat:base_cols] = trace  # sigma_hat meets the v block
-    if ncol > base_cols:
-        _corner_b(mesh, tris, scale[:, None, None] * tab.vertex.val, b, base_cols)
-    return b
+    trace = _skeleton_b(mesh, tris, tab, scale, jinv)  # uhat meets tau, sigma_hat meets v
+    v_parts = [du, trace]
+    if with_corners:
+        v_parts.append(_corner_b(mesh, tris, scale[:, None, None] * tab.vertex.val))
+    return np.concatenate(v_parts, axis=2), np.concatenate([du, -trial, trace], axis=2)
 
 
 def _skeleton_b(mesh, tris, tab, scale, jinv):
@@ -222,7 +210,7 @@ def _skeleton_b(mesh, tris, tab, scale, jinv):
         -s int_e ( w dn_e(t) - w_n t ) ds
     where (w, w_n) is the reduced-HCT edge trace pair in the edge's
     global orientation and s the element-side orientation factor;
-    `_b_matrix` pairs the columns of the first trace unknown with the
+    `_b_blocks` pairs the columns of the first trace unknown with the
     tau block and those of the second with the v block.  The edge
     tables are read in the direction of the edge's global lo -> hi
     parameter; dn(t) = (J^-1 n) . grad_ref.  Per slot, the weighted
@@ -257,8 +245,9 @@ def _skeleton_b(mesh, tris, tab, scale, jinv):
     return out
 
 
-def _corner_b(mesh, tris, corner_vals, b, base_cols):
-    """Corner-functional columns of the second trace unknown (scheme 2).
+def _corner_b(mesh, tris, corner_vals):
+    """Corner-functional columns (n, k, 6) of the second trace unknown
+    (scheme 2), ordered as the ids of `_corner_cols`.
 
     The scheme-2 trace space contains point functionals at mesh
     vertices (the tensor-trace pairing carries corner jump terms), so
@@ -268,18 +257,16 @@ def _corner_b(mesh, tris, corner_vals, b, base_cols):
     makes the data of any globally smooth tensor sum to zero around
     interior vertices, which keeps the enrichment conforming; one
     coefficient per vertex is a pure gauge and is fixed to zero by the
-    solver.
-
-    Fills six columns of `b` from `base_cols` on (v block), ordered as
-    the ids of `_corner_cols`."""
-    k = b.shape[1] // 2
+    solver."""
     # per slot: +1 if it runs from its edge's global lo vertex, times
     # the owner sign; corner c starts slot c and ends slot c - 1
     lo_first = mesh.triangles[tris] == mesh.edges[mesh.tri_edges[tris], 0]
     sign = np.where(lo_first, 1.0, -1.0) * mesh.edge_signs()[tris]
+    out = np.empty((len(tris), corner_vals.shape[2], CORNER_COLS))
     for c in range(3):
-        b[:, :k, base_cols + 2 * c] = sign[:, c, None] * corner_vals[:, c]
-        b[:, :k, base_cols + 2 * c + 1] = -sign[:, c - 1, None] * corner_vals[:, c]
+        out[:, :, 2 * c] = sign[:, c, None] * corner_vals[:, c]
+        out[:, :, 2 * c + 1] = -sign[:, c - 1, None] * corner_vals[:, c]
+    return out
 
 
 def _corner_cols(mesh):
@@ -307,24 +294,46 @@ def _load(tab, coords, det, f):
 
 @dataclass
 class LocalSystems:
-    """Whitened per-element systems.
+    """Whitened per-element systems, stored as their two test blocks.
 
-    `w` holds chol(G)^-1 B and `wl` holds chol(G)^-1 l, so the local
-    normal-equation blocks are w^T w and w^T wl, and the squared
-    residual indicator is |wl - w x|^2.  Trial-basis data (centroid,
+    Each trial unknown is tested by one test component only: u and uhat
+    meet tau, sigma_hat and the corner functionals meet v, and sigma
+    meets both.  So W = chol(G)^-1 B is zero outside two blocks, and
+    only those are stored: `w_v` (nt, k, n_v) over the local columns
+    `v_cols` [sigma | sigma_hat | corners] and `w_tau` (nt, k, n_tau)
+    over `tau_cols` [u | sigma | uhat].  The ids index the element
+    layout [u | sigma | uhat | sigma_hat | corners].  `wl_v` holds
+    chol(G_v)^-1 l; the load does not meet tau.  The local
+    normal-equation blocks are the sums of w^T w and w^T load over the
+    two blocks, and the squared residual indicator is the sum of
+    |load - w x| over them (`blocks`).  Trial-basis data (centroid,
     scale, Cholesky of the field moment matrix) supports evaluating
     the broken field variables.  For scheme 2, `corner_cols` maps the
-    six appended corner-functional columns of each element to global
+    six corner-functional columns of each element to global
     edge-endpoint coefficient ids (2 per edge).
     """
 
     formulation: Formulation
-    w: np.ndarray
-    wl: np.ndarray
+    w_v: np.ndarray
+    wl_v: np.ndarray
+    w_tau: np.ndarray
+    v_cols: np.ndarray
+    tau_cols: np.ndarray
     centroid: np.ndarray
     h: np.ndarray
     trial_chol: np.ndarray
     corner_cols: np.ndarray | None = None
+
+    def blocks(self):
+        """(w, load, local column ids) of the v and the tau block."""
+        return (self.w_v, self.wl_v, self.v_cols), (self.w_tau, 0.0, self.tau_cols)
+
+
+def _block_cols(dim_p, with_corners):
+    """Local column ids of the v and the tau block."""
+    sigma_hat = 2 * dim_p + TRACE_COLS
+    end = sigma_hat + TRACE_COLS + (CORNER_COLS if with_corners else 0)
+    return np.r_[dim_p : 2 * dim_p, sigma_hat:end], np.arange(sigma_hat)
 
 
 def translation_classes(mesh):
@@ -356,6 +365,7 @@ def build_local_systems(mesh, formulation, f):
 
     Scheme 2 appends the corner-functional columns of the second trace
     unknown after the standard [u | sigma | uhat | sigma_hat] layout.
+    B and W are built as their two test blocks only (`LocalSystems`).
 
     The dense kernels (the mapped reference tables, B, the QR whitening
     and its inverse factors) run once per class of
@@ -369,11 +379,12 @@ def build_local_systems(mesh, formulation, f):
     """
     nt = mesh.num_triangles
     k = formulation.test_dim
-    with_corners = formulation.scheme == 2
-    ncol = formulation.num_local_cols + (CORNER_COLS if with_corners else 0)
-    w_all = np.empty((nt, 2 * k, ncol))
-    wl_all = np.zeros((nt, 2 * k))  # the tau-block load is identically zero
     dim_p = formulation.field_dim
+    with_corners = formulation.scheme == 2
+    v_cols, tau_cols = _block_cols(dim_p, with_corners)
+    w_v = np.empty((nt, k, len(v_cols)))
+    w_tau = np.empty((nt, k, len(tau_cols)))
+    wl_v = np.empty((nt, k))
     trial_chol = np.empty((nt, dim_p, dim_p))
 
     tab = shape.reference_tables(formulation.test_degree)
@@ -392,24 +403,30 @@ def build_local_systems(mesh, formulation, f):
         chol, trial = _trial_basis(
             tab, jac, det, mesh.diameters[reps], formulation.field_degree, reps
         )
-        b = _b_matrix(mesh, reps, tab, det, jinv, hess[:, 0] + hess[:, 2], trial, ncol)
-        b[:, :k] = linv_v @ b[:, :k]
-        b[:, k:] = linv_tau @ b[:, k:]
+        b_v, b_tau = _b_blocks(
+            mesh, reps, tab, det, jinv, hess[:, 0] + hess[:, 2], trial, with_corners
+        )
+        b_v = linv_v @ b_v
+        b_tau = linv_tau @ b_tau
 
         # members in slices of CHUNK, so no per-element copy of a class
         # table is ever larger than one slice
         for s in range(starts[c0], starts[c1], CHUNK):
             tris = by_class[s : min(s + CHUNK, starts[c1])]
             loc = cls[tris] - c0
-            w_all[tris] = b[loc]
+            w_v[tris] = b_v[loc]
+            w_tau[tris] = b_tau[loc]
             trial_chol[tris] = chol[loc]
             load = _load(tab, coords[tris], det[loc], f)
-            wl_all[tris, :k] = np.einsum("eij,ej->ei", linv_v[loc], load)
+            wl_v[tris] = np.einsum("eij,ej->ei", linv_v[loc], load)
 
     return LocalSystems(
         formulation,
-        w_all,
-        wl_all,
+        w_v,
+        wl_v,
+        w_tau,
+        v_cols,
+        tau_cols,
         coords.mean(axis=1),
         mesh.diameters,
         trial_chol,

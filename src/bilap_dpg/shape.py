@@ -87,11 +87,10 @@ def _check_reference_points(pts):
 
 @dataclass(frozen=True)
 class QuadRule:
-    """Quadrature points and weights with a certified exactness degree."""
+    """Quadrature points and weights."""
 
     points: np.ndarray
     weights: np.ndarray
-    exactness: int
 
 
 def _gauss01(n):
@@ -121,7 +120,7 @@ def triangle_quadrature(exactness):
     exactness = int(exactness)
     if exactness in _TRI_TABLE:
         pts, w = _TRI_TABLE[exactness]
-        return QuadRule(pts.copy(), w.copy(), exactness)
+        return QuadRule(pts.copy(), w.copy())
     if exactness > _MAX_TENSOR_EXACTNESS:
         raise QuadratureError(
             f"exactness {exactness} above table and tensor-rule limit"
@@ -136,7 +135,7 @@ def triangle_quadrature(exactness):
     Y = np.broadcast_to(eta[:, None], X.shape)
     W = np.outer(wy * (1.0 - eta), wx)
     pts = np.column_stack([X.ravel(), Y.ravel()])
-    return QuadRule(pts, W.ravel(), exactness)
+    return QuadRule(pts, W.ravel())
 
 
 def edge_quadrature(exactness):
@@ -145,7 +144,7 @@ def edge_quadrature(exactness):
         raise QuadratureError("exactness must be nonnegative")
     n = int(exactness) // 2 + 1
     t, w = _gauss01(n)
-    return QuadRule(t, w, 2 * n - 1)
+    return QuadRule(t, w)
 
 
 def map_to_triangle(rule, vertices):

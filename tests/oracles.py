@@ -232,6 +232,20 @@ def monomial_local_systems(mesh, scheme, field_degree, test_degree, f):
     return np.array(out_w), np.array(out_wl)
 
 
+def dense_local_systems(local):
+    """Dense W (nt, 2k, ncol) and wl (nt, 2k) of a `forms.LocalSystems`.
+
+    The v block's rows come first; every entry outside the two stored
+    blocks, and the tau rows of wl, are zero.
+    """
+    nt, k, _ = local.w_v.shape
+    ncol = max(local.v_cols.max(), local.tau_cols.max()) + 1
+    w = np.zeros((nt, 2 * k, ncol))
+    w[:, :k, local.v_cols] = local.w_v
+    w[:, k:, local.tau_cols] = local.w_tau
+    return w, np.concatenate([local.wl_v, np.zeros((nt, k))], axis=1)
+
+
 def dense_normal_equations(w, wl, cols, fixed_values, fixed):
     """Dense DPG normal equations over the free dofs.
 

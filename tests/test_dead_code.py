@@ -1,10 +1,14 @@
-"""Every function, class and method in src is used by production code.
+"""Every function, class, method and class field in src is used by
+production code.
 
 A name counts as used when `src/` or `perfbench/` refers to it outside
 its own definition: as a name, an attribute, an imported name or a
-string (perfbench patches functions by their names).  Names exported in
-`bilap_dpg.__all__` and dunders are exempt.  Tests do not count, so a
-helper that only tests reach belongs in `tests/oracles.py`.
+string (perfbench patches functions by their names).  A field counts as
+read where an attribute of its name is read or its name is a string (as
+in `getattr`); passing it to a constructor does not count.  Names
+exported in `bilap_dpg.__all__`, the fields of exported classes and
+dunders are exempt.  Tests do not count, so a helper that only tests
+reach belongs in `tests/oracles.py`.
 """
 
 import ast
@@ -37,9 +41,13 @@ def _definitions(tree):
             yield node.name, node.lineno, node.end_lineno
 
 
-def test_every_src_definition_is_referenced_by_production_code():
+def _production_trees():
     files = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
+    return {path: ast.parse(path.read_text(), str(path)) for path in files}
+
+
+def test_every_src_definition_is_referenced_by_production_code():
+    trees = _production_trees()
     refs = {path: list(_references(tree)) for path, tree in trees.items()}
     exempt = set(bilap_dpg.__all__)
     unused = []
@@ -57,3 +65,29 @@ def test_every_src_definition_is_referenced_by_production_code():
     assert not unused, "defined in src but never used by src or perfbench: " + ", ".join(
         unused
     )
+
+
+def _reads(tree):
+    """Attribute names a module reads, directly or as strings."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                yield node.value
+
+
+def test_every_src_class_field_is_read_by_production_code():
+    trees = _production_trees()
+    reads = {name for tree in trees.values() for name in _reads(tree)}
+    exempt = set(bilap_dpg.__all__)
+    unread = [
+        f"{path.name}:{stmt.lineno} {cls.name}.{stmt.target.id}"
+        for path in sorted(SRC.glob("*.py"))
+        for cls in ast.walk(trees[path])
+        if isinstance(cls, ast.ClassDef) and cls.name not in exempt
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and stmt.target.id not in reads
+    ]
+    assert not unread, "class fields that src and perfbench never read: " + ", ".join(unread)

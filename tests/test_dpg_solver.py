@@ -1,7 +1,20 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
-from oracles import Poly2d, dense_normal_equations, monomial_local_systems, zero_problem
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    Poly2d,
+    dense_local_systems,
+    dense_normal_equations,
+    monomial_local_systems,
+    zero_problem,
+)
+from test_mesh import nvb_refinements
 
+from bilap_dpg import cli, dpg_solver, linsolve
 from bilap_dpg.forms import Formulation
 from bilap_dpg.linsolve import sparse_spd_solve
 from bilap_dpg.mesh import (
@@ -124,8 +137,18 @@ def test_minimum_residual_optimality(form):
         for mag in (1e-3, 1e-1, 1.0):
             x_pert = sol.x_local.copy()
             x_pert[free] += mag * direction[sol.free_cols[free]]
-            r = sol.local.wl - np.einsum("eri,ei->er", sol.local.w, x_pert)
-            assert np.sqrt((r**2).sum()) >= eta0 - 1e-9
+            assert residual_norm(sol.local, x_pert) >= eta0 - 1e-9
+
+
+def residual_norm(local, x):
+    """|wl - W x| over all elements at local trial vectors x (nt, ncol),
+    from the two test blocks."""
+    return np.sqrt(
+        sum(
+            ((load - (w @ x[:, c][:, :, None])[..., 0]) ** 2).sum()
+            for w, load, c in local.blocks()
+        )
+    )
 
 
 @pytest.mark.parametrize("form", [VF1, VF2])
@@ -148,8 +171,6 @@ def normal_equation_residual(sol, a, rhs):
 def solve_capturing_system(monkeypatch, mesh, form, prob):
     """`assemble_and_solve`, plus the matrix and rhs it passes to the
     sparse solver."""
-    from bilap_dpg import dpg_solver
-
     captured = []
     solve = dpg_solver.sparse_spd_solve
 
@@ -162,6 +183,91 @@ def solve_capturing_system(monkeypatch, mesh, form, prob):
         sol = assemble_and_solve(mesh, form, prob)
     [(a, rhs)] = captured
     return sol, a, rhs
+
+
+def test_solver_gets_buffers_of_exactly_nnz_entries(monkeypatch):
+    # the COO -> CSR conversion sums the duplicates at the front of
+    # triplet-sized buffers; none of that slack may reach the solve
+    for form in (VF1, VF2):
+        _, a, _ = solve_capturing_system(monkeypatch, make_unit_square(4), form, smooth_problem())
+        for buffer in (a.data, a.indices):
+            assert buffer.base is None and buffer.size == a.nnz
+
+
+def _levels_alive_at_each_solve(monkeypatch, study):
+    """For each sparse solve of `study()`, whether each earlier level's
+    Solution was still alive.  The cyclic collector is off, so a level
+    counts as freed only once nothing refers to it."""
+    solve_and_record = dpg_solver.solve_and_record
+    solve = dpg_solver.sparse_spd_solve
+    levels, alive = [], []
+
+    def record_level(*args, **kwargs):
+        out = solve_and_record(*args, **kwargs)
+        levels.append(weakref.ref(out[1]))
+        return out
+
+    def check_levels(a, b):
+        alive.append([level() is not None for level in levels])
+        return solve(a, b)
+
+    monkeypatch.setattr(dpg_solver, "solve_and_record", record_level)
+    monkeypatch.setattr(cli, "solve_and_record", record_level)
+    monkeypatch.setattr(dpg_solver, "sparse_spd_solve", check_levels)
+    gc.disable()
+    try:
+        study()
+    finally:
+        gc.enable()
+    return alive
+
+
+def test_adaptive_loop_frees_each_level_before_the_next_solve(monkeypatch):
+    # the sparse solve sets the peak memory, so level k's W blocks must
+    # be gone when level k + 1 factors
+    alive = _levels_alive_at_each_solve(
+        monkeypatch,
+        lambda: adaptive_loop(make_sector_domain(), VF2, singular_problem(), 0.5, 300),
+    )
+    assert len(alive) >= 3
+    assert alive == [[False] * level for level in range(len(alive))]
+
+
+@pytest.mark.parametrize("problem", ["smooth", "singular"])
+def test_uniform_study_frees_each_level_before_the_next_solve(problem, monkeypatch, tmp_path):
+    config = cli.StudyConfig(problem=problem, levels=3, output=str(tmp_path / "study.csv"))
+    alive = _levels_alive_at_each_solve(monkeypatch, lambda: cli.run_study(config))
+    assert alive == [[False] * level for level in range(3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(nvb_refinements(), st.sampled_from([1, 2]), st.sampled_from([0, 1]))
+def test_solver_invariants_on_random_nvb_meshes(refinements, scheme, degree):
+    # on graded meshes that the fixed cases miss: the matrix the solver
+    # is given is symmetric and factors with positive pivots (no
+    # eps-shift warning), the solution satisfies the normal equations,
+    # eta is the 2-norm of its element parts, and a rerun is bit-identical
+    domain, meshes = refinements
+    prob = smooth_problem() if domain == "square" else singular_problem()
+    form = Formulation(scheme, degree)
+    warned = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linsolve.log, "warning", lambda *args: warned.append(args))
+        runs = [solve_capturing_system(patch, meshes[-1], form, prob) for _ in range(2)]
+    (sol, a, rhs), (rerun, a2, rhs2) = runs
+    assert not warned
+    assert abs(a - a.T).max() <= 1e-12 * abs(a).max()
+    assert normal_equation_residual(sol, a, rhs) <= 1e-8
+    ind = error_indicators(sol)
+    assert ind.total == pytest.approx(np.linalg.norm(ind.per_element), rel=1e-14)
+    for first, second in (
+        (a.indptr, a2.indptr),
+        (a.indices, a2.indices),
+        (a.data, a2.data),
+        (rhs, rhs2),
+        (sol.x_local, rerun.x_local),
+    ):
+        assert np.array_equal(first, second)
 
 
 def test_global_matrix_symmetric_and_spd(monkeypatch):
@@ -189,9 +295,8 @@ def test_assembly_matches_dense_oracle(domain, form, monkeypatch):
     full_cols, fixed_values, free_map, _ = _global_columns(
         mesh, form, sol.uhat_space, sol.local.corner_cols
     )
-    a_ref, rhs_ref = dense_normal_equations(
-        sol.local.w, sol.local.wl, full_cols, fixed_values, free_map < 0
-    )
+    w, wl = dense_local_systems(sol.local)
+    a_ref, rhs_ref = dense_normal_equations(w, wl, full_cols, fixed_values, free_map < 0)
     assert np.abs(a.toarray() - a_ref).max() <= 1e-13 * np.abs(a_ref).max()
     assert np.abs(rhs - rhs_ref).max() <= 1e-13 * np.abs(rhs_ref).max()
 
@@ -202,8 +307,6 @@ def test_global_pattern_has_no_cross_block_couplings(form, monkeypatch):
     # corner coefficients only with the v block: their couplings vanish
     # on every mesh, and storing them would give the ordering fill it
     # cannot remove
-    from bilap_dpg import dpg_solver
-
     captured = []
     solve = dpg_solver.sparse_spd_solve
 

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from oracles import (
@@ -62,17 +64,16 @@ def test_gram_symmetric_and_spd(form, thin):
     # G = S^T S is never formed: the whitening raises unless the R
     # factor of QR(S) has a finite nonzero diagonal, that is unless G is
     # SPD.  Round random elements, or thin ones with aspect ratios to
-    # 1e3; the tau rows of W do not depend on the scheme
+    # 1e3; the tau block of W does not depend on the scheme
     other = VF2 if form is VF1 else VF1
     rng = np.random.default_rng(8)
     for _ in range(4):
         tri = _thin_triangle(rng, 10 ** rng.uniform(1, 3)) if thin else random_triangle(rng)
         mesh = _one_element(tri)
-        w = build_local_systems(mesh, form, _const(1.0)).w[0]
-        assert np.all(np.isfinite(w))
-        w_other = build_local_systems(mesh, other, _const(1.0)).w[0]
-        k, n = form.test_dim, form.num_local_cols
-        assert np.array_equal(w[k:, :n], w_other[k:, :n])
+        loc = build_local_systems(mesh, form, _const(1.0))
+        assert np.all(np.isfinite(loc.w_v)) and np.all(np.isfinite(loc.w_tau))
+        loc_other = build_local_systems(mesh, other, _const(1.0))
+        assert np.array_equal(loc.w_tau, loc_other.w_tau)
 
 
 def test_gram_rejects_degenerate_element():
@@ -84,7 +85,7 @@ def test_gram_rejects_degenerate_element():
 def test_local_b_constants_example():
     # trial fields of degree <= 1 lie in the span of the leading test
     # members, which have no Hessian, so the tau-block Gram matrix acts
-    # on them as the identity: the tau rows of the sigma columns,
+    # on them as the identity: the tau block's sigma columns,
     # -(sigma, tau), stay orthonormal after whitening, and the u
     # columns, (u, Delta tau), are orthogonal to them since the trial
     # fields are harmonic
@@ -93,7 +94,7 @@ def test_local_b_constants_example():
         for degree in (0, 1):
             form = Formulation(scheme, degree)
             p = form.field_dim
-            w_tau = build_local_systems(mesh, form, _const(1.0)).w[0, form.test_dim :]
+            w_tau = build_local_systems(mesh, form, _const(1.0)).w_tau[0]
             u, sigma = w_tau[:, :p], w_tau[:, p : 2 * p]
             assert np.abs(sigma.T @ sigma - np.eye(p)).max() <= 1e-14
             assert np.abs(u.T @ sigma).max() <= 1e-14 * np.abs(u).max()
@@ -102,27 +103,28 @@ def test_local_b_constants_example():
 def test_load_examples():
     # the constant test member is |T|^(-1/2), so f = 5 loads it with
     # 5 |T|^(1/2) and is orthogonal to the others; it has no Hessian, so
-    # whitening keeps it: |wl|^2 = 25 |T| = 75.  The tau block has no load
+    # whitening keeps it: |wl|^2 = 25 |T| = 75.  Only the v block has a load
     mesh = _one_element(RIGHT_TRIANGLE)
     for scheme in (1, 2):
         for degree in (0, 1):
             form = Formulation(scheme, degree)
-            wl = build_local_systems(mesh, form, _const(5.0)).wl[0]
-            assert wl @ wl == pytest.approx(75.0, rel=1e-14)
-            assert np.all(wl[form.test_dim :] == 0.0)
-            assert np.all(build_local_systems(mesh, form, _const(0.0)).wl == 0.0)
+            wl = build_local_systems(mesh, form, _const(5.0)).wl_v
+            assert wl.shape == (1, form.test_dim)
+            assert wl[0] @ wl[0] == pytest.approx(75.0, rel=1e-14)
+            assert np.all(build_local_systems(mesh, form, _const(0.0)).wl_v == 0.0)
 
 
 def test_vf1_vf2_b_matrices_coincide():
-    # both schemes share B and the tau-block Gram matrix: the tau rows of
-    # W are bit-equal, and scheme 2's corner columns meet the v block only
+    # both schemes share B and the tau-block Gram matrix: the tau blocks
+    # of W are bit-equal, and scheme 2's corner columns meet the v block only
     for mesh in (_one_element(RIGHT_TRIANGLE), refine_nvb(make_unit_square(2), [0, 1])):
         for degree in (0, 1):
-            w1 = build_local_systems(mesh, Formulation(1, degree), _const(1.0)).w
-            w2 = build_local_systems(mesh, Formulation(2, degree), _const(1.0)).w
-            k, n = w1.shape[1] // 2, w1.shape[2]
-            assert np.array_equal(w2[:, k:, :n], w1[:, k:])
-            assert np.all(w2[:, k:, n:] == 0.0)
+            loc1 = build_local_systems(mesh, Formulation(1, degree), _const(1.0))
+            loc2 = build_local_systems(mesh, Formulation(2, degree), _const(1.0))
+            n = 2 * Formulation(1, degree).field_dim + 18  # columns before the corners
+            assert np.array_equal(loc2.w_tau, loc1.w_tau)
+            assert np.array_equal(loc2.tau_cols, loc1.tau_cols)
+            assert np.array_equal(loc2.v_cols, np.r_[loc1.v_cols, n : n + 6])
 
 
 def test_element_basis_matches_reference_on_unit_triangle():
@@ -190,12 +192,14 @@ def _exact_residuals(mesh, form, u, sigma):
     uhat = interpolate_function(mesh, u, u.grad)
     shat = interpolate_function(mesh, sigma, sigma.grad)
     loc = build_local_systems(mesh, form, _const(0.0))
-    x = np.zeros(loc.w.shape[::2])
+    x = np.zeros((mesh.num_triangles, loc.v_cols[-1] + 1))
     for tri in range(mesh.num_triangles):
-        x[tri, : form.num_local_cols] = _local_trial_vector(
+        x[tri, : 2 * form.field_dim + 18] = _local_trial_vector(
             mesh, tri, form, u, sigma, uhat, shat
         )
-    return loc.wl - np.einsum("eri,ei->er", loc.w, x)
+    return np.concatenate(
+        [load - (w @ x[:, c][:, :, None])[..., 0] for w, load, c in loc.blocks()], axis=1
+    )
 
 
 @pytest.mark.parametrize("scheme", [1, 2])
@@ -230,16 +234,23 @@ def test_build_local_systems_shapes():
     mesh = make_unit_square(2)
     f = lambda x, y: np.ones_like(x)
     loc1 = build_local_systems(mesh, VF1, f)
-    nt, k = mesh.num_triangles, VF1.test_dim
-    assert loc1.w.shape == (nt, 2 * k, VF1.num_local_cols)
+    nt, k, p = mesh.num_triangles, VF1.test_dim, VF1.field_dim
+    # v meets [sigma | sigma_hat], tau meets [u | sigma | uhat]
+    assert loc1.w_v.shape == (nt, k, p + 9)
+    assert loc1.w_tau.shape == (nt, k, 2 * p + 9)
     assert loc1.corner_cols is None
     loc2 = build_local_systems(mesh, VF2, f)
-    # scheme 2 appends six corner-functional columns per element
-    assert loc2.w.shape == (nt, 2 * k, VF2.num_local_cols + 6)
+    # scheme 2 appends six corner-functional columns to the v block
+    assert loc2.w_v.shape == (nt, k, p + 15)
+    assert loc2.w_tau.shape == (nt, k, 2 * p + 9)
     assert loc2.corner_cols.shape == (nt, 6)
     assert loc2.corner_cols.max() < 2 * mesh.num_edges
-    assert loc2.wl.shape == (nt, 2 * k)
+    assert loc2.wl_v.shape == (nt, k)
     assert loc2.trial_chol.shape == (nt, 1, 1)
+    # together the blocks cover every column, and only sigma is in both
+    for loc, ncol in ((loc1, 2 * p + 18), (loc2, 2 * p + 24)):
+        assert np.array_equal(np.union1d(loc.v_cols, loc.tau_cols), np.arange(ncol))
+        assert np.array_equal(np.intersect1d(loc.v_cols, loc.tau_cols), np.arange(p, 2 * p))
 
 
 def test_monomial_exponents_graded():
@@ -302,7 +313,7 @@ def test_class_cache_matches_shifted_mesh(name, scheme, degree):
     b = build_local_systems(shifted, form, g)
     if name == "square":
         assert len(translation_classes(shifted)[0]) > len(translation_classes(mesh)[0])
-    for field in ("w", "wl", "h", "trial_chol"):
+    for field in ("w_v", "wl_v", "w_tau", "h", "trial_chol"):
         x, y = getattr(a, field), getattr(b, field)
         assert np.abs(x - y).max() <= 1e-8 * np.abs(x).max(), field
     assert np.allclose(b.centroid, a.centroid + offset, rtol=0, atol=1e-14)
@@ -328,25 +339,40 @@ ORACLE_MESHES = {
 }
 
 
+@functools.cache
+def _oracle_mesh(name):
+    return ORACLE_MESHES[name]()
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
-@pytest.mark.parametrize("scheme,degree", [(1, 1), (2, 0)])
+@pytest.mark.parametrize("scheme,degree", [(1, 1), (2, 0), (1, 0), (2, 1)])
 def test_local_systems_match_monomial_oracle(name, scheme, degree):
-    # W^T W = B^T G^-1 B, W^T wl and |wl|^2 do not depend on the test
+    # each test block is whitened by its own Gram matrix, so its
+    # w^T w = B^T G^-1 B, w^T wl and |wl|^2 do not depend on the test
     # basis: the mapped reference tables must reproduce an element-wise
-    # monomial-seeded computation
-    mesh = ORACLE_MESHES[name]()
+    # monomial-seeded computation, whose W is exactly zero outside the
+    # two blocks
+    mesh = _oracle_mesh(name)
     f = lambda x, y: np.sin(3 * x + 1) * np.cos(2 * y) + x * y + 2.0
     loc = build_local_systems(mesh, Formulation(scheme, degree, 4), f)
     w, wl = monomial_local_systems(mesh, scheme, degree, 4, f)
-    wtw = np.einsum("eri,erj->eij", w, w)
-    wtl = np.einsum("eri,er->ei", w, wl)
-    ll = np.einsum("er,er->e", wl, wl)
-    got_wtw = np.einsum("eri,erj->eij", loc.w, loc.w)
-    got_wtl = np.einsum("eri,er->ei", loc.w, loc.wl)
-    got_ll = np.einsum("er,er->e", loc.wl, loc.wl)
-    for got, want in ((got_wtw, wtw), (got_wtl, wtl)):
+    k = loc.w_v.shape[1]
+    outside = np.ones(w.shape[1:], dtype=bool)
+    outside[:k, loc.v_cols] = outside[k:, loc.tau_cols] = False
+    assert np.all(w[:, outside] == 0.0) and np.all(wl[:, k:] == 0.0)
+
+    def close(got, want):
         err = np.abs(got - want).reshape(len(want), -1).max(axis=1)
-        assert np.all(err <= 1e-9 * np.abs(want).reshape(len(want), -1).max(axis=1))
+        return np.all(err <= 1e-9 * np.abs(want).reshape(len(want), -1).max(axis=1))
+
+    for (got, _, c), rows in zip(loc.blocks(), (slice(None, k), slice(k, None))):
+        want = w[:, rows][:, :, c]
+        assert close(np.swapaxes(got, 1, 2) @ got, np.swapaxes(want, 1, 2) @ want)
+    want = w[:, :k][:, :, loc.v_cols]
+    assert close(
+        np.einsum("eri,er->ei", loc.w_v, loc.wl_v), np.einsum("eri,er->ei", want, wl[:, :k])
+    )
+    got_ll, ll = np.einsum("er,er->e", loc.wl_v, loc.wl_v), np.einsum("er,er->e", wl, wl)
     assert np.all(np.abs(got_ll - ll) <= 1e-9 * ll)
 
 

@@ -196,15 +196,25 @@ def test_topology_matches_brute_force_oracle(mesh):
     _assert_topology_matches_oracle(mesh)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.sampled_from(["square", "sector"]), st.data())
-def test_topology_matches_oracle_on_nvb_refinements(domain, data):
+@st.composite
+def nvb_refinements(draw):
+    """(domain, meshes): 1-5 newest-vertex bisection steps of 1-8 drawn
+    elements each, from the 2x2 square or the sector, and every mesh
+    they produce."""
+    domain = draw(st.sampled_from(["square", "sector"]))
     mesh = make_unit_square(2) if domain == "square" else make_sector_domain()
-    for _ in range(data.draw(st.integers(1, 5))):
-        marked = data.draw(
-            st.sets(st.integers(0, mesh.num_triangles - 1), min_size=1, max_size=8)
-        )
+    meshes = []
+    for _ in range(draw(st.integers(1, 5))):
+        marked = draw(st.sets(st.integers(0, mesh.num_triangles - 1), min_size=1, max_size=8))
         mesh = refine_nvb(mesh, marked)
+        meshes.append(mesh)
+    return domain, meshes
+
+
+@settings(max_examples=25, deadline=None)
+@given(nvb_refinements())
+def test_topology_matches_oracle_on_nvb_refinements(refinements):
+    for mesh in refinements[1]:
         _assert_topology_matches_oracle(mesh)
 
 

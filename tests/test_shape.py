@@ -11,7 +11,6 @@ from oracles import Poly2d, random_triangle
 
 from bilap_dpg.shape import (
     QuadratureError,
-    QuadRule,
     affine_maps,
     basis_dimension,
     edge_quadrature,
@@ -167,12 +166,6 @@ def test_integration_by_parts_identity():
             dnz = z.dx()(x, y) * n[0] + z.dy()(x, y) * n[1]
             boundary += length * (edge_rule.weights @ (z(x, y) * dnv - v(x, y) * dnz))
         assert volume == pytest.approx(boundary, abs=1e-10)
-
-
-def test_quadrule_dataclass_fields():
-    rule = triangle_quadrature(3)
-    assert isinstance(rule, QuadRule)
-    assert rule.exactness >= 3
 
 
 @st.composite
