@@ -15,14 +15,11 @@ from bilap_dpg.mesh import (
     doerfler_mark,
     make_sector_domain,
     make_unit_square,
-    read_mesh,
     refine_nvb,
-    write_mesh,
 )
 from bilap_dpg.forms import Formulation
 from bilap_dpg.problems import (
     Problem,
-    estimate_rate,
     l2_errors,
     singular_problem,
     smooth_problem,
@@ -57,16 +54,13 @@ __all__ = [
     "build_trace_space",
     "doerfler_mark",
     "error_indicators",
-    "estimate_rate",
     "interpolate_boundary_data",
     "l2_errors",
     "make_sector_domain",
     "make_unit_square",
-    "read_mesh",
     "refine_nvb",
     "singular_problem",
     "smooth_problem",
-    "write_mesh",
 ]
 
 __version__ = "0.1.0"

@@ -65,24 +65,18 @@ class BrokenField:
 class Solution:
     """Discrete solution of one DPG solve plus cached local systems.
 
-    `sigma_hat_corner` carries the corner-functional coefficients of
-    the second trace unknown (scheme 2 only; two per edge, one per
-    vertex gauge-fixed to zero).
+    `x_local` holds every element's trial coefficients, trace and
+    corner unknowns included, in the column layout of `local`.
     """
 
     mesh: object
     formulation: forms.Formulation
     u: BrokenField
     sigma: BrokenField
-    uhat: np.ndarray
-    sigma_hat: np.ndarray
-    uhat_space: object
     local: forms.LocalSystems = field(repr=False)
     x_local: np.ndarray = field(repr=False)  # (nt, ncol) local trial vectors
-    free_cols: np.ndarray = field(repr=False)  # (nt, ncol) global ids, -1 fixed
     ndof_total: int = 0
     ndof_field: int = 0
-    sigma_hat_corner: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -262,24 +256,15 @@ def assemble_and_solve(mesh, formulation, problem):
             local.trial_chol,
         )
 
-    n_trace = DOFS_PER_VERTEX * mesh.num_vertices
-    corner = None
-    if local.corner_cols is not None:
-        corner = x_all[2 * n_field + 2 * n_trace :]
     return Solution(
         mesh=mesh,
         formulation=formulation,
         u=make_field(0),
         sigma=make_field(n_field),
-        uhat=x_all[2 * n_field : 2 * n_field + n_trace],
-        sigma_hat=x_all[2 * n_field + n_trace : 2 * n_field + 2 * n_trace],
-        uhat_space=uhat_space,
         local=local,
         x_local=x_local,
-        free_cols=cols,
         ndof_total=n_free,
         ndof_field=2 * n_field,
-        sigma_hat_corner=corner,
     )
 
 

@@ -1,11 +1,9 @@
-"""Dense and sparse symmetric positive definite linear algebra.
+"""Sparse symmetric positive definite solve of the assembled system.
 
-Dense factorizations serve the per-element Gram/Schur work; the sparse
-path solves the assembled normal-equation system.  A failed Cholesky on
-a Gram matrix signals a formulation bug (those matrices are SPD in
-exact arithmetic), so non-SPD input raises instead of falling through.
+The DPG normal-equation matrix is SPD in exact arithmetic, so
+asymmetric or indefinite input raises instead of falling through.
 
-The sparse solve reports through the `bilap_dpg.linsolve` logger: a
+The solve reports through the `bilap_dpg.linsolve` logger: a
 warning when the eps-shift refactorization fires or the polish stops
 short of its tolerance, and one debug record per solve with its sizes.
 The library installs no handler.
@@ -16,7 +14,6 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse.linalg
 
 log = logging.getLogger(__name__)
@@ -35,53 +32,6 @@ class NotPositiveDefiniteError(LinearSolveError):
     def __init__(self, message, pivot=None):
         super().__init__(message)
         self.pivot = pivot
-
-
-def _symmetry_defect(a):
-    scale = np.abs(a).max()
-    if scale == 0:
-        return 0.0
-    return float(np.abs(a - a.T).max() / scale)
-
-
-def _find_bad_pivot(a):
-    # failure path only: locate the first non-SPD leading minor
-    for k in range(1, len(a) + 1):
-        try:
-            np.linalg.cholesky(a[:k, :k])
-        except np.linalg.LinAlgError:
-            return k - 1
-    return None
-
-
-def cholesky_spd(a):
-    """Lower Cholesky factor of a dense symmetric matrix.
-
-    Raises NotPositiveDefiniteError naming the first bad pivot.
-    """
-    a = np.asarray(a, dtype=float)
-    if _symmetry_defect(a) > 1e-13 * max(1.0, len(a)):
-        raise LinearSolveError("matrix is not symmetric")
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        pivot = _find_bad_pivot(a)
-        raise NotPositiveDefiniteError(
-            f"matrix is not positive definite (pivot {pivot})", pivot=pivot
-        ) from None
-
-
-def dense_spd_solve(a, rhs):
-    """Solve a dense SPD system for one or several right-hand sides."""
-    a = np.asarray(a, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    chol = cholesky_spd(a)
-    x = scipy.linalg.cho_solve((chol, True), rhs)
-    residual = np.linalg.norm(a @ x - rhs)
-    tol = 1e-11 * max(np.linalg.norm(rhs), np.abs(a).max() * np.linalg.norm(x), 1e-300)
-    if residual > tol:
-        raise LinearSolveError(f"dense solve residual {residual:.3e} above tolerance")
-    return x
 
 
 def sparse_spd_solve(a, b):
@@ -125,10 +75,12 @@ def sparse_spd_solve(a, b):
     # U diagonal carries the inertia and certifies positive definiteness;
     # the pattern is symmetric, so the fill-reducing ordering is minimum
     # degree on A + A^T rather than COLAMD's ordering of A^T A.
-    # A nonpositive pivot at roundoff scale or an exactly singular factor
-    # (near-null directions, e.g. gauge remnants on graded meshes) is
-    # retried once with an eps-level shift of the unit-diagonal scaled
-    # matrix; genuine indefiniteness or singularity survives it and raises.
+    # Any nonpositive pivot, whatever its size, or an exactly singular
+    # factor is retried once with an eps-level shift of the unit-diagonal
+    # scaled matrix.  The failed pivot need not be at roundoff scale: on
+    # graded meshes a near-null direction gives a tiny pivot, and the
+    # growth after it an O(1) negative one.  A failure that survives the
+    # shift raises.
     lu, eps_shift = None, 1e-12
     for shift in (0.0, eps_shift):
         try:

@@ -38,13 +38,6 @@ class Mesh:
     triangles : (nt, 3) int array
         Vertex indices per triangle; positively oriented, refinement edge
         first (see module docstring).
-    generation : (nt,) int array, optional
-        Bisection generation counters (0 for an initial mesh).
-    root : (nt,) int array, optional
-        Index of the initial-mesh ancestor of each triangle.
-    parent : (nt,) int array, optional
-        Index of the parent triangle in the mesh this one was refined
-        from, -1 for initial triangles.
 
     Derived edge topology is built on construction.  Interior edges carry
     a fixed global orientation: the unit normal points from the
@@ -55,9 +48,6 @@ class Mesh:
 
     vertices: np.ndarray
     triangles: np.ndarray
-    generation: np.ndarray = None
-    root: np.ndarray = None
-    parent: np.ndarray = None
 
     edges: np.ndarray = field(init=False, repr=False)
     tri_edges: np.ndarray = field(init=False, repr=False)
@@ -75,15 +65,6 @@ class Mesh:
         triangles = np.ascontiguousarray(self.triangles, dtype=np.int64)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "triangles", triangles)
-        nt = len(triangles)
-        for name, default in (("generation", 0), ("root", None), ("parent", -1)):
-            arr = getattr(self, name)
-            if arr is None:
-                if default is None:
-                    arr = np.arange(nt, dtype=np.int64)
-                else:
-                    arr = np.full(nt, default, dtype=np.int64)
-            object.__setattr__(self, name, np.asarray(arr, dtype=np.int64))
         # checked before the topology, which would index with bad ids
         # and propagate non-finite coordinates into lengths and normals
         bad = np.nonzero(~np.isfinite(vertices).all(axis=1))[0]
@@ -326,19 +307,11 @@ def refine_nvb(mesh, marked):
         midpoint[e] = len(vertices)
         vertices.append(tuple(0.5 * (mesh.vertices[lo] + mesh.vertices[hi])))
 
-    tris, gen, root, parent = [], [], [], []
-
-    def emit(tri, g, r, p):
-        tris.append(tri)
-        gen.append(g)
-        root.append(r)
-        parent.append(p)
-
+    tris = []
     for i, (a, b, c) in enumerate(mesh.triangles):
         e0, e1, e2 = mesh.tri_edges[i]
-        g, r = mesh.generation[i], mesh.root[i]
         if not edge_marked[e0]:
-            emit((a, b, c), g, r, mesh.parent[i])
+            tris.append((a, b, c))
             continue
         m0 = midpoint[e0]
         # child (c, a, m0) owns parent edge e2 = (c, a); (b, c, m0) owns e1
@@ -346,18 +319,12 @@ def refine_nvb(mesh, marked):
             if edge_marked[e_child]:
                 ca, cb, cc = child
                 mc = midpoint[e_child]
-                emit((cc, ca, mc), g + 2, r, i)
-                emit((cb, cc, mc), g + 2, r, i)
+                tris.append((cc, ca, mc))
+                tris.append((cb, cc, mc))
             else:
-                emit(child, g + 1, r, i)
+                tris.append(child)
 
-    return Mesh(
-        np.array(vertices, dtype=float),
-        np.array(tris, dtype=np.int64),
-        np.array(gen, dtype=np.int64),
-        np.array(root, dtype=np.int64),
-        np.array(parent, dtype=np.int64),
-    )
+    return Mesh(np.array(vertices, dtype=float), np.array(tris, dtype=np.int64))
 
 
 def doerfler_mark(indicators, theta):
@@ -395,49 +362,3 @@ def doerfler_mark(indicators, theta):
         return np.empty(0, dtype=np.int64)
     k = int(np.searchsorted(csum, theta * total)) + 1
     return np.sort(order[:k])
-
-
-def write_mesh(mesh, path):
-    """Plain-text mesh dump: "v x y" lines, then "t i j k r" lines.
-
-    `r` is the local index of the refinement edge (always 0 in this
-    package's storage convention).  Floats carry 17 significant digits.
-    """
-    with open(path, "w", encoding="ascii") as fh:
-        for x, y in mesh.vertices:
-            fh.write(f"v {x:.17g} {y:.17g}\n")
-        for a, b, c in mesh.triangles:
-            fh.write(f"t {a} {b} {c} 0\n")
-
-
-def _numbers(kind, fields, where, line):
-    try:
-        return [kind(x) for x in fields]
-    except ValueError:
-        raise MeshError(f"{where}: bad number in {line!r}") from None
-
-
-def read_mesh(path):
-    """Read a mesh written by :func:`write_mesh` (or compatible).
-
-    Triangles are rotated so the designated refinement edge comes first;
-    generation counters restart at zero.  A malformed line raises
-    :class:`MeshError` naming ``path:lineno``.
-    """
-    verts, tris = [], []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.split()
-            where = f"{path}:{lineno}"
-            if not parts:
-                continue
-            if parts[0] == "v" and len(parts) == 3:
-                verts.append(_numbers(float, parts[1:], where, line))
-            elif parts[0] == "t" and len(parts) == 5:
-                a, b, c, r = _numbers(int, parts[1:], where, line)
-                if r not in (0, 1, 2):
-                    raise MeshError(f"{where}: refinement edge {r} is not 0, 1 or 2")
-                tris.append([(a, b, c), (b, c, a), (c, a, b)][r])
-            else:
-                raise MeshError(f"{where}: unrecognized line {line!r}")
-    return Mesh(np.array(verts, dtype=float), np.array(tris, dtype=np.int64))

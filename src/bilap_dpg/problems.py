@@ -1,4 +1,4 @@
-"""Manufactured problems, L2 error evaluation, and rate estimation."""
+"""Manufactured problems and L2 error evaluation."""
 
 from __future__ import annotations
 
@@ -227,31 +227,3 @@ def l2_errors(solution, problem):
     for t, (p, w) in graded.items():
         total += squared([t], p[None], w[None])
     return float(np.sqrt(total[0])), float(np.sqrt(total[1]))
-
-
-_RECORD_X = {"h": "h_max", "ndof": "ndof_total"}
-_RECORD_Y = {"eta": "eta", "err_u": "err_u", "err_sigma": "err_sigma"}
-
-
-def estimate_rate(records, key, x="h", window=4):
-    """Least-squares convergence rate from the last few study records.
-
-    Fits log(value) against log(x) over the last `min(window, n)`
-    records.  The sign convention makes a positive rate mean decay:
-    value ~ h^rate for x = "h", value ~ ndof^(-rate) for x = "ndof".
-    """
-    if key not in _RECORD_Y or x not in _RECORD_X:
-        raise ValueError(f"unknown key {key!r} or axis {x!r}")
-    if len(records) < 3:
-        raise ValueError("need at least 3 records to estimate a rate")
-    tail = list(records)[-min(window, len(records)) :]
-
-    def get(rec, name):
-        return rec[name] if isinstance(rec, dict) else getattr(rec, name)
-
-    ys = np.array([get(r, _RECORD_Y[key]) for r in tail], dtype=float)
-    xs = np.array([get(r, _RECORD_X[x]) for r in tail], dtype=float)
-    if np.any(ys <= 0) or np.any(xs <= 0):
-        raise ValueError("rate estimation requires positive values")
-    slope = np.polyfit(np.log(xs), np.log(ys), 1)[0]
-    return float(slope) if x == "h" else float(-slope)

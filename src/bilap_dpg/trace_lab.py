@@ -18,8 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from bilap_dpg import shape
-from bilap_dpg.linsolve import dense_spd_solve
+from bilap_dpg import forms, shape
 
 REFERENCE_TRIANGLE = shape.REFERENCE_VERTICES
 
@@ -309,28 +308,32 @@ def norm_identity_check(vertices, z, dual_degree, extension_degree):
 
     jac, det, jinv = (x[0] for x in shape.affine_maps(vertices[None]))
 
-    def graph_gram_and_pairing(degree):
+    def graph_table_and_pairing(degree):
         # the element's orthonormal P_degree basis from the reference
-        # tables the element kernels use
+        # tables the element kernels use; the graph-norm Gram matrix is
+        # S^T S for the stacked table S = [sqrt(w) val; sqrt(w) lap]
         tab = shape.reference_tables(degree)
         basis = shape.map_jet(tab.tri, jinv, det)
         w = abs(det) * tab.quad.weights
         pts = vertices[0] + tab.quad.points @ jac.T
         val = basis.val
         lap = basis.hess[..., 0] + basis.hess[..., 2]
-        gram = np.einsum("q,qi,qj->ij", w, val, val) + np.einsum(
-            "q,qi,qj->ij", w, lap, lap
-        )
+        root_w = np.sqrt(w)[:, None]
+        table = np.vstack([root_w * val, root_w * lap])
         z_w = w * z(pts[:, 0], pts[:, 1])
         pairing = lap.T @ z_w - val.T @ (w * z_lap(pts[:, 0], pts[:, 1]))
-        return gram, pairing, val.T @ z_w
+        return table, pairing, val.T @ z_w
 
-    # duality side: sup <tr z, w> / ||w||_Delta = |b|_{G^-1}
-    gram_d, b, _ = graph_gram_and_pairing(dual_degree)
-    duality = float(np.sqrt(max(b @ dense_spd_solve(gram_d, b), 0.0)))
+    def inverse_factor(table):
+        # L^-1 for G = S^T S = L L^T, by the QR the element kernels use
+        return forms._inverse_factor(table[None], [0])[0]
+
+    # duality side: sup <tr z, w> / ||w||_Delta = |b|_{G^-1} = |L^-1 b|
+    table_d, b, _ = graph_table_and_pairing(dual_degree)
+    duality = float(np.linalg.norm(inverse_factor(table_d) @ b))
 
     # extension side: min ||y||_Delta with tr(y) = tr(z) matched exactly
-    gram_e, _, y0 = graph_gram_and_pairing(extension_degree)
+    table_e, _, y0 = graph_table_and_pairing(extension_degree)
     n_mom = max(extension_degree, z.degree)
     c_mat, d_vec = _edge_constraint_rows(
         vertices, shape.reference_tables(extension_degree), jinv, det, z, n_mom, n_mom - 1
@@ -345,12 +348,12 @@ def norm_identity_check(vertices, z, dual_degree, extension_degree):
     u_svd, s_svd, vt = np.linalg.svd(c_mat, full_matrices=True)
     rank = int(np.sum(s_svd > 1e-11 * s_svd[0]))
     null = vt[rank:].T  # (dim, n_null)
+    y = y0
     if null.shape[1]:
-        red = null.T @ gram_e @ null
-        rhs = -(null.T @ (gram_e @ y0))
-        coef = dense_spd_solve(red, rhs)
-        y = y0 + null @ coef
-    else:
-        y = y0
-    extension = float(np.sqrt(max(y @ gram_e @ y, 0.0)))
+        # min |S (y0 + N c)| over c: with (S N)^T (S N) = L L^T, the
+        # normal equations give c = -L^-T L^-1 (S N)^T S y0
+        table_n = table_e @ null
+        linv = inverse_factor(table_n)
+        y = y0 - null @ (linv.T @ (linv @ (table_n.T @ (table_e @ y0))))
+    extension = float(np.linalg.norm(table_e @ y))
     return duality, extension

@@ -5,16 +5,15 @@ A name counts as used when `src/` or `perfbench/` refers to it outside
 its own definition: as a name, an attribute, an imported name or a
 string (perfbench patches functions by their names).  A field counts as
 read where an attribute of its name is read or its name is a string (as
-in `getattr`); passing it to a constructor does not count.  Names
-exported in `bilap_dpg.__all__`, the fields of exported classes and
-dunders are exempt.  Tests do not count, so a helper that only tests
-reach belongs in `tests/oracles.py`.
+in `getattr`); passing it to a constructor does not count.  Only dunders
+are exempt.  Neither tests nor the re-exports of `bilap_dpg/__init__.py`
+(its imports and `__all__`) count, so a public name needs a production
+caller too, and a helper that only tests reach belongs in
+`tests/oracles.py`.
 """
 
 import ast
 from pathlib import Path
-
-import bilap_dpg
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "bilap_dpg"
@@ -42,18 +41,25 @@ def _definitions(tree):
 
 
 def _production_trees():
+    """Parsed src and perfbench modules, but not `__init__.py`: it only
+    re-exports, and a re-export is not a use."""
     files = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    return {path: ast.parse(path.read_text(), str(path)) for path in files}
+    return {
+        path: ast.parse(path.read_text(), str(path))
+        for path in files
+        if path.name != "__init__.py"
+    }
 
 
 def test_every_src_definition_is_referenced_by_production_code():
     trees = _production_trees()
     refs = {path: list(_references(tree)) for path, tree in trees.items()}
-    exempt = set(bilap_dpg.__all__)
     unused = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(trees):
+        if path.parent != SRC:
+            continue
         for name, first, last in _definitions(trees[path]):
-            if name in exempt or (name.startswith("__") and name.endswith("__")):
+            if name.startswith("__") and name.endswith("__"):
                 continue
             used = any(
                 ref == name and not (other == path and first <= line <= last)
@@ -80,12 +86,12 @@ def _reads(tree):
 def test_every_src_class_field_is_read_by_production_code():
     trees = _production_trees()
     reads = {name for tree in trees.values() for name in _reads(tree)}
-    exempt = set(bilap_dpg.__all__)
     unread = [
         f"{path.name}:{stmt.lineno} {cls.name}.{stmt.target.id}"
-        for path in sorted(SRC.glob("*.py"))
+        for path in sorted(trees)
+        if path.parent == SRC
         for cls in ast.walk(trees[path])
-        if isinstance(cls, ast.ClassDef) and cls.name not in exempt
+        if isinstance(cls, ast.ClassDef)
         for stmt in cls.body
         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
         and stmt.target.id not in reads

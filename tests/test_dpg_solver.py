@@ -32,6 +32,7 @@ from bilap_dpg.problems import (
 from bilap_dpg.dpg_solver import (
     SolverError,
     _global_columns,
+    _trace_spaces,
     adaptive_loop,
     assemble_and_solve,
     error_indicators,
@@ -42,21 +43,36 @@ VF1 = Formulation(scheme=1)
 VF2 = Formulation(scheme=2)
 
 
-def cubic_problem():
-    """u = x^3 + y^3: biharmonic, with edgewise-linear normal derivatives
-    on structured square meshes, so all traces interpolate exactly."""
-    c = np.zeros((4, 4))
-    c[3, 0] = c[0, 3] = 1.0
+def _polynomial_problem(name, c):
+    """u = sum c[i, j] x^i y^j of degree <= 3, so f = 0, with
+    interpolated boundary data."""
     u = Poly2d(c)
-    sigma = u.laplacian()
     return Problem(
-        name="cubic",
+        name=name,
         u_exact=u,
         grad_u_exact=u.grad,
-        sigma_exact=sigma,
+        sigma_exact=u.laplacian(),
         f=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
         boundary_mode="interpolated",
         make_domain=make_unit_square,
+    )
+
+
+def cubic_problem():
+    """u = x^3 + y^3: its normal derivative is linear along axis-parallel
+    edges and along the lower-left to upper-right diagonals of
+    `make_unit_square`, so all traces interpolate exactly there.  NVB
+    adds the other diagonals, along which it is quadratic."""
+    c = np.zeros((4, 4))
+    c[3, 0] = c[0, 3] = 1.0
+    return _polynomial_problem("cubic", c)
+
+
+def quadratic_problem():
+    """u = 1/4 + x/2 + x^2 + 3xy - 2y^2: its normal derivative is linear
+    along every edge, so all traces interpolate exactly on any mesh."""
+    return _polynomial_problem(
+        "quadratic", [[0.25, 0.0, -2.0], [0.5, 3.0, 0.0], [1.0, 0.0, 0.0]]
     )
 
 
@@ -64,8 +80,8 @@ def cubic_problem():
 def test_zero_problem_solves_to_exact_zero(form):
     for mesh in (make_unit_square(2), make_sector_domain()):
         sol = assemble_and_solve(mesh, form, zero_problem())
+        # x_local holds every field, trace and corner coefficient
         assert np.all(sol.x_local == 0.0)
-        assert np.all(sol.uhat == 0.0) and np.all(sol.sigma_hat == 0.0)
         assert error_indicators(sol).total == 0.0
 
 
@@ -77,7 +93,6 @@ def test_smooth_solve_finite_and_deterministic():
     err_u, err_s = l2_errors(sol1, prob)
     assert 0 < err_u < 1 and 0 < err_s < 1
     assert np.array_equal(sol1.x_local, sol2.x_local)  # bit-identical rerun
-    assert np.array_equal(sol1.uhat, sol2.uhat)
 
 
 @pytest.mark.parametrize("form", [Formulation(1, 3, 5), Formulation(2, 3, 5)])
@@ -131,13 +146,23 @@ def test_minimum_residual_optimality(form):
     sol = assemble_and_solve(make_unit_square(2), form, prob)
     eta0 = error_indicators(sol).total
     rng = np.random.default_rng(17)
-    free = sol.free_cols >= 0
+    cols = free_cols(sol, prob)
+    free = cols >= 0
     for _ in range(20):
         direction = rng.standard_normal(sol.ndof_total)
         for mag in (1e-3, 1e-1, 1.0):
             x_pert = sol.x_local.copy()
-            x_pert[free] += mag * direction[sol.free_cols[free]]
+            x_pert[free] += mag * direction[cols[free]]
             assert residual_norm(sol.local, x_pert) >= eta0 - 1e-9
+
+
+def free_cols(sol, prob):
+    """The free global id of each local trial column, -1 where fixed,
+    from the solver's own column map."""
+    full_cols, _, free_map, _ = _global_columns(
+        sol.mesh, sol.formulation, _trace_spaces(sol.mesh, prob), sol.local.corner_cols
+    )
+    return free_map[full_cols]
 
 
 def residual_norm(local, x):
@@ -157,14 +182,15 @@ def test_normal_equation_orthogonality(form, prob_name, monkeypatch):
     prob = smooth_problem() if prob_name == "smooth" else singular_problem()
     mesh = make_unit_square(3) if prob_name == "smooth" else make_sector_domain()
     sol, a, rhs = solve_capturing_system(monkeypatch, mesh, form, prob)
-    assert normal_equation_residual(sol, a, rhs) <= 1e-8
+    assert normal_equation_residual(sol, prob, a, rhs) <= 1e-8
 
 
-def normal_equation_residual(sol, a, rhs):
+def normal_equation_residual(sol, prob, a, rhs):
     """|rhs - A x|_inf / |rhs|_inf at the free dofs of a solution."""
-    free = sol.free_cols >= 0
+    cols = free_cols(sol, prob)
+    free = cols >= 0
     x = np.zeros(sol.ndof_total)
-    x[sol.free_cols[free]] = sol.x_local[free]
+    x[cols[free]] = sol.x_local[free]
     return np.abs(rhs - a @ x).max() / np.abs(rhs).max()
 
 
@@ -246,7 +272,8 @@ def test_solver_invariants_on_random_nvb_meshes(refinements, scheme, degree):
     # on graded meshes that the fixed cases miss: the matrix the solver
     # is given is symmetric and factors with positive pivots (no
     # eps-shift warning), the solution satisfies the normal equations,
-    # eta is the 2-norm of its element parts, and a rerun is bit-identical
+    # eta is the 2-norm of its element parts, a rerun is bit-identical,
+    # and representable solutions are recovered
     domain, meshes = refinements
     prob = smooth_problem() if domain == "square" else singular_problem()
     form = Formulation(scheme, degree)
@@ -257,7 +284,7 @@ def test_solver_invariants_on_random_nvb_meshes(refinements, scheme, degree):
     (sol, a, rhs), (rerun, a2, rhs2) = runs
     assert not warned
     assert abs(a - a.T).max() <= 1e-12 * abs(a).max()
-    assert normal_equation_residual(sol, a, rhs) <= 1e-8
+    assert normal_equation_residual(sol, prob, a, rhs) <= 1e-8
     ind = error_indicators(sol)
     assert ind.total == pytest.approx(np.linalg.norm(ind.per_element), rel=1e-14)
     for first, second in (
@@ -268,6 +295,12 @@ def test_solver_invariants_on_random_nvb_meshes(refinements, scheme, degree):
         (sol.x_local, rerun.x_local),
     ):
         assert np.array_equal(first, second)
+    zero = assemble_and_solve(meshes[-1], form, zero_problem())
+    assert np.all(zero.x_local == 0.0) and error_indicators(zero).total == 0.0
+    quadratic = quadratic_problem()
+    exact = assemble_and_solve(meshes[-1], Formulation(scheme, 2, 4), quadratic)
+    assert error_indicators(exact).total <= 1e-7
+    assert max(l2_errors(exact, quadratic)) <= 1e-8
 
 
 def test_global_matrix_symmetric_and_spd(monkeypatch):
@@ -293,7 +326,7 @@ def test_assembly_matches_dense_oracle(domain, form, monkeypatch):
             mesh = refine_nvb(mesh, doerfler_mark(ind.per_element, 0.5))
     sol, a, rhs = solve_capturing_system(monkeypatch, mesh, form, prob)
     full_cols, fixed_values, free_map, _ = _global_columns(
-        mesh, form, sol.uhat_space, sol.local.corner_cols
+        mesh, form, _trace_spaces(mesh, prob), sol.local.corner_cols
     )
     w, wl = dense_local_systems(sol.local)
     a_ref, rhs_ref = dense_normal_equations(w, wl, full_cols, fixed_values, free_map < 0)
@@ -315,9 +348,10 @@ def test_global_pattern_has_no_cross_block_couplings(form, monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(dpg_solver, "sparse_spd_solve", capture)
-    sol = assemble_and_solve(make_unit_square(4), form, smooth_problem())
+    prob = smooth_problem()
+    sol = assemble_and_solve(make_unit_square(4), form, prob)
     p = form.field_dim
-    cols = sol.free_cols
+    cols = free_cols(sol, prob)
 
     def ids(local):
         x = cols[:, local].ravel()

@@ -14,45 +14,10 @@ from bilap_dpg.linsolve import (
     LinearSolveError,
     NotPositiveDefiniteError,
     _pcg,
-    cholesky_spd,
-    dense_spd_solve,
     sparse_spd_solve,
 )
 from bilap_dpg.mesh import Mesh, make_unit_square
 from bilap_dpg.problems import smooth_problem
-
-
-def test_dense_identity():
-    rhs = np.array([1.0, -2.0, 3.0])
-    assert np.allclose(dense_spd_solve(np.eye(3), rhs), rhs)
-
-
-def test_dense_hand_solve():
-    a = np.array([[2.0, 1.0], [1.0, 2.0]])
-    x = dense_spd_solve(a, np.array([3.0, 3.0]))
-    assert np.allclose(x, [1.0, 1.0], atol=1e-13)
-
-
-def test_dense_zero_pivot_reports_index():
-    a = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    with pytest.raises(NotPositiveDefiniteError) as err:
-        dense_spd_solve(a, np.ones(3))
-    assert err.value.pivot == 1
-
-
-def test_dense_asymmetric_rejected():
-    with pytest.raises(LinearSolveError):
-        cholesky_spd(np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-
-def test_dense_random_spd_residuals():
-    rng = np.random.default_rng(5)
-    for n in (3, 10, 50):
-        m = rng.standard_normal((n, n))
-        a = m.T @ m + np.eye(n)
-        b = rng.standard_normal(n)
-        x = dense_spd_solve(a, b)
-        assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_sparse_diagonal():
@@ -97,7 +62,7 @@ def test_sparse_random_spd_matches_dense():
     b = rng.standard_normal(n)
     x = sparse_spd_solve(a, b)
     assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
-    assert np.allclose(x, dense_spd_solve(dense, b), atol=1e-8)
+    assert np.allclose(x, np.linalg.solve(dense, b), atol=1e-8)
 
 
 def test_eps_shift_is_logged(caplog):

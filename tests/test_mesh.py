@@ -12,9 +12,7 @@ from bilap_dpg.mesh import (
     doerfler_mark,
     make_sector_domain,
     make_unit_square,
-    read_mesh,
     refine_nvb,
-    write_mesh,
 )
 
 
@@ -106,10 +104,11 @@ def test_sector_clamped_rays_match_singular_solution():
 def test_refine_single_triangle():
     m = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[1, 2, 0]]))
     r = refine_nvb(m, [0])
-    assert r.num_triangles == 2
+    # the midpoint of the refinement edge (1, 2) is appended as vertex 3,
+    # and the children (c, a, m), (b, c, m) replace the parent in place
+    assert r.vertices.tolist() == m.vertices.tolist() + [[0.5, 0.5]]
+    assert r.triangles.tolist() == [[0, 1, 3], [2, 0, 3]]
     assert r.areas.sum() == pytest.approx(m.areas.sum())
-    assert np.all(r.generation == 1)
-    assert np.all(r.root == 0)
 
 
 def test_refine_square_closure():
@@ -155,15 +154,29 @@ def _shape_class(mesh, i):
     return tuple(np.round(sides, 9))
 
 
+def _initial_ancestors(initial, mesh):
+    """For each element of `mesh`, the triangle of `initial` that holds
+    its centroid strictly inside: its ancestor under refinement."""
+    centroid = mesh.triangle_coords().mean(axis=1)[:, None, :]
+    corners = initial.triangle_coords()[None]
+    inside = np.ones((mesh.num_triangles, initial.num_triangles), dtype=bool)
+    for k in range(3):
+        a, b = corners[..., k, :], corners[..., (k + 1) % 3, :]
+        d, r = b - a, centroid - a
+        inside &= d[..., 0] * r[..., 1] - d[..., 1] * r[..., 0] > 0
+    assert np.all(inside.sum(axis=1) == 1)
+    return inside.argmax(axis=1)
+
+
 @pytest.mark.parametrize("builder", [make_unit_square, make_sector_domain])
 def test_nvb_similarity_classes_bounded(builder):
     # repeated NVB generates at most 4 similarity classes per initial triangle
-    m = builder() if builder is make_sector_domain else builder(1)
+    m = initial = builder() if builder is make_sector_domain else builder(1)
     classes = {}
     for _ in range(8):
         m = refine_nvb(m, range(m.num_triangles))
-        for i in range(m.num_triangles):
-            classes.setdefault(int(m.root[i]), set()).add(_shape_class(m, i))
+        for i, root in enumerate(_initial_ancestors(initial, m)):
+            classes.setdefault(int(root), set()).add(_shape_class(m, i))
     assert all(len(s) <= 4 for s in classes.values())
 
 
@@ -284,15 +297,6 @@ def test_doerfler_minimal_cardinality_vs_brute_force():
             assert (eta[rest] ** 2).sum() < theta * (eta**2).sum() + 1e-12
 
 
-def test_mesh_dump_roundtrip(tmp_path):
-    m = refine_nvb(make_unit_square(2), [0, 3])
-    path = tmp_path / "mesh.txt"
-    write_mesh(m, path)
-    r = read_mesh(path)
-    assert np.array_equal(r.triangles, m.triangles)
-    assert np.array_equal(r.vertices, m.vertices)
-
-
 def test_mesh_rejects_flipped_triangle():
     with pytest.raises(MeshError):
         Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 2, 1]]))
@@ -326,13 +330,7 @@ def test_mesh_rejects_nonexistent_vertex(index):
         Mesh(verts, np.array([[0, 1, 2], [0, 2, index]]))
 
 
-def _write(path, verts, tris):
-    lines = [f"v {x} {y}" for x, y in verts] + [f"t {a} {b} {c} 0" for a, b, c in tris]
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
-    return path
-
-
-def test_read_mesh_rejects_square_with_hole(tmp_path):
+def test_mesh_rejects_square_with_hole():
     # [0, 3]^2 without [1, 2]^2: eight triangles, Euler characteristic 0
     outer = [(0, 0), (3, 0), (3, 3), (0, 3)]
     inner = [(1, 1), (2, 1), (2, 2), (1, 2)]
@@ -340,29 +338,11 @@ def test_read_mesh_rejects_square_with_hole(tmp_path):
     for k in range(4):
         o0, o1, i0, i1 = k, (k + 1) % 4, 4 + k, 4 + (k + 1) % 4
         tris += [(o0, o1, i1), (o0, i1, i0)]
-    path = _write(tmp_path / "hole.txt", outer + inner, tris)
     with pytest.raises(MeshError, match=r"characteristic 0 != 1\); possible causes: .*a hole"):
-        read_mesh(path)
+        Mesh(np.array(outer + inner, dtype=float), np.array(tris))
 
 
-def test_read_mesh_rejects_clockwise_triangle(tmp_path):
-    verts = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    path = _write(tmp_path / "cw.txt", verts, [(0, 1, 2), (0, 3, 2)])
+def test_mesh_rejects_clockwise_triangle():
+    verts = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float)
     with pytest.raises(MeshError, match="triangle 1 is not positively oriented"):
-        read_mesh(path)
-
-
-@pytest.mark.parametrize("r", ["5", "-1", "3"])
-def test_read_mesh_rejects_bad_refinement_edge(tmp_path, r):
-    path = tmp_path / "edge.txt"
-    path.write_text(f"v 0 0\nv 1 0\nv 0 1\nt 0 1 2 {r}\n", encoding="ascii")
-    with pytest.raises(MeshError, match=f"edge.txt:4: refinement edge {r} is not 0, 1 or 2"):
-        read_mesh(path)
-
-
-@pytest.mark.parametrize("line", ["v 0 abc", "t 0 1 x 0", "t 0 1 2 0.5"])
-def test_read_mesh_rejects_bad_number(tmp_path, line):
-    path = tmp_path / "number.txt"
-    path.write_text(f"v 0 0\nv 1 0\n{line}\n", encoding="ascii")
-    with pytest.raises(MeshError, match="number.txt:3: bad number in"):
-        read_mesh(path)
+        Mesh(verts, np.array([(0, 1, 2), (0, 3, 2)]))

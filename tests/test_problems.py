@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
-from oracles import zero_problem
+from oracles import estimate_rate, zero_problem
 
 from bilap_dpg.mesh import make_sector_domain, make_unit_square
 from bilap_dpg.problems import (
     SINGULAR_ALPHA,
     SINGULAR_C,
     element_quadrature,
-    estimate_rate,
     l2_errors,
     singular_problem,
     smooth_problem,
