@@ -2,10 +2,16 @@
 
 Every element contributes its Schur complement B^T G^-1 B (realized
 through whitened local systems) to a sparse symmetric positive
-definite matrix over [field dofs | free trace dofs].  W = chol(G)^-1 B
+definite matrix over [sigma fields | free trace dofs].  W = chol(G)^-1 B
 is kept as its two test blocks (`forms.LocalSystems`): each block adds
 W^T W over its own columns, sigma being the one unknown in both, and
-the estimator sums the two blocks' residuals.  Constrained trace
+the estimator sums the two blocks' residuals.  The field u meets the
+tau block alone, which has no load, so it is condensed out element by
+element before assembly: the tau block is stored projected off the u
+columns, which adds no entry outside the pattern that sigma and uhat
+already have, and after the solve each element recovers u = -G x_tau
+(static condensation in the sense of Carstensen, Demkowicz and
+Gopalakrishnan).  The dof counts still include u.  Constrained trace
 dofs enter by elimination, never by penalty, so the minimum-residual
 structure is preserved exactly.  Element processing is batched in a
 fixed order, which makes repeated runs bit-identical.
@@ -198,8 +204,15 @@ def assemble_and_solve(mesh, formulation, problem):
         mesh, formulation, uhat_space, local.corner_cols
     )
 
+    dim_p = formulation.field_dim
+    n_field = mesh.num_triangles * dim_p
     x_fixed = fixed_values[full_cols]
-    cols = free_map[full_cols]  # (nt, ncol), -1 where fixed
+    # u is condensed out element by element (`forms.LocalSystems`); its
+    # dofs lead the ordering and are never fixed, so the remaining free
+    # dofs are numbered from n_field on.  (nt, ncol), negative on u and
+    # where fixed
+    cols = free_map[full_cols] - n_field
+    n_rest = n_free - n_field
     # each test block couples exactly its own columns: storing all their
     # free x free couplings, also where an entry cancels to zero, keeps
     # the sparsity and the factor's fill independent of rounding.  sigma
@@ -207,11 +220,11 @@ def assemble_and_solve(mesh, formulation, problem):
     blocks = [(w, load, cols[:, c], x_fixed[:, c]) for w, load, c in local.blocks()]
     n_entries = sum(int(((c >= 0).sum(axis=1) ** 2).sum()) for _, _, c, _ in blocks)
     # ids in the int32 that scipy stores them in need no converted copy
-    index = np.int32 if n_free <= np.iinfo(np.int32).max else np.int64
+    index = np.int32 if n_rest <= np.iinfo(np.int32).max else np.int64
     vals = np.empty(n_entries)
     row = np.empty(n_entries, dtype=index)
     col = np.empty(n_entries, dtype=index)
-    rhs = np.zeros(n_free)
+    rhs = np.zeros(n_rest)
     start = 0
     for w, load, c, x_c in blocks:
         free = c >= 0
@@ -224,8 +237,8 @@ def assemble_and_solve(mesh, formulation, problem):
         start = stop
         # the fixed dofs move to the right: W^T (wl - W x_fixed)
         g_vec = (w_t @ (load - (w @ x_c[:, :, None])[..., 0])[:, :, None])[..., 0]
-        rhs += np.bincount(c[free], g_vec[free], minlength=n_free)
-    a = scipy.sparse.csr_matrix((vals, (row, col)), shape=(n_free, n_free))
+        rhs += np.bincount(c[free], g_vec[free], minlength=n_rest)
+    a = scipy.sparse.csr_matrix((vals, (row, col)), shape=(n_rest, n_rest))
     # nothing of size nt * ncol^2 stays alive through the factorization,
     # and the conversion leaves the summed entries at the front of
     # triplet-sized buffers: the solver gets exactly nnz(A) of them
@@ -240,17 +253,16 @@ def assemble_and_solve(mesh, formulation, problem):
         ) from exc
 
     x_all = fixed_values.copy()
-    x_all[free_map >= 0] = x_free
+    x_all[free_map >= n_field] = x_free
     x_local = x_all[full_cols]
+    # the tau block has no load, so the condensed u is -G x_tau
+    x_local[:, :dim_p] = -(local.u_recovery @ x_local[:, local.tau_cols, None])[..., 0]
 
-    nt, dim_p = mesh.num_triangles, formulation.field_dim
-    n_field = nt * dim_p
-
-    def make_field(offset):
+    def make_field(coeffs):
         return BrokenField(
             mesh,
             formulation.field_degree,
-            x_all[offset : offset + n_field].reshape(nt, dim_p),
+            coeffs,
             local.centroid,
             local.h,
             local.trial_chol,
@@ -259,8 +271,8 @@ def assemble_and_solve(mesh, formulation, problem):
     return Solution(
         mesh=mesh,
         formulation=formulation,
-        u=make_field(0),
-        sigma=make_field(n_field),
+        u=make_field(x_local[:, :dim_p]),
+        sigma=make_field(x_local[:, dim_p : 2 * dim_p]),
         local=local,
         x_local=x_local,
         ndof_total=n_free,
@@ -273,7 +285,8 @@ def error_indicators(solution):
 
     The residual is evaluated against the full enriched test space from
     the cached (whitened) local systems: it is the sum of the whitened
-    residuals |load - w x| of the two test blocks.
+    residuals |load - w x| of the two test blocks.  The tau block has u
+    condensed out, and at the recovered u its residual is the full one.
     """
     x = solution.x_local
     eta_sq = 0.0

@@ -294,29 +294,36 @@ def _load(tab, coords, det, f):
 
 @dataclass
 class LocalSystems:
-    """Whitened per-element systems, stored as their two test blocks.
+    """Whitened per-element systems, stored as their two test blocks,
+    with u condensed out.
 
     Each trial unknown is tested by one test component only: u and uhat
     meet tau, sigma_hat and the corner functionals meet v, and sigma
     meets both.  So W = chol(G)^-1 B is zero outside two blocks, and
-    only those are stored: `w_v` (nt, k, n_v) over the local columns
-    `v_cols` [sigma | sigma_hat | corners] and `w_tau` (nt, k, n_tau)
-    over `tau_cols` [u | sigma | uhat].  The ids index the element
-    layout [u | sigma | uhat | sigma_hat | corners].  `wl_v` holds
-    chol(G_v)^-1 l; the load does not meet tau.  The local
-    normal-equation blocks are the sums of w^T w and w^T load over the
-    two blocks, and the squared residual indicator is the sum of
-    |load - w x| over them (`blocks`).  Trial-basis data (centroid,
-    scale, Cholesky of the field moment matrix) supports evaluating
-    the broken field variables.  For scheme 2, `corner_cols` maps the
-    six corner-functional columns of each element to global
-    edge-endpoint coefficient ids (2 per edge).
+    only those are stored.  The ids index the element layout
+    [u | sigma | uhat | sigma_hat | corners].  `w_v` (nt, k, n_v) is
+    the v block over `v_cols` [sigma | sigma_hat | corners], with its
+    load `wl_v` = chol(G_v)^-1 l.  The load does not meet tau, so u is
+    eliminated element by element (static condensation): with the QR
+    W_u = Q R of the tau block's u columns and W_r its [sigma | uhat]
+    columns, `w_tau` (nt, k, n_tau) holds (I - Q Q^T) W_r over
+    `tau_cols` [sigma | uhat], and `u_recovery` (nt, dim_p, n_tau)
+    holds G = R^-1 Q^T W_r, the map u = -G x_tau to the u that
+    minimizes the tau residual.  The local normal-equation blocks are
+    the sums of w^T w and w^T load over the two blocks, and the squared
+    residual indicator is the sum of |load - w x| over them (`blocks`);
+    at u = -G x_tau the condensed tau residual is the full one.
+    Trial-basis data (centroid, scale, Cholesky of the field moment
+    matrix) supports evaluating the broken field variables.  For scheme
+    2, `corner_cols` maps the six corner-functional columns of each
+    element to global edge-endpoint coefficient ids (2 per edge).
     """
 
     formulation: Formulation
     w_v: np.ndarray
     wl_v: np.ndarray
     w_tau: np.ndarray
+    u_recovery: np.ndarray
     v_cols: np.ndarray
     tau_cols: np.ndarray
     centroid: np.ndarray
@@ -330,10 +337,26 @@ class LocalSystems:
 
 
 def _block_cols(dim_p, with_corners):
-    """Local column ids of the v and the tau block."""
+    """Local column ids of the v and the condensed tau block."""
     sigma_hat = 2 * dim_p + TRACE_COLS
     end = sigma_hat + TRACE_COLS + (CORNER_COLS if with_corners else 0)
-    return np.r_[dim_p : 2 * dim_p, sigma_hat:end], np.arange(sigma_hat)
+    return np.r_[dim_p : 2 * dim_p, sigma_hat:end], np.arange(dim_p, sigma_hat)
+
+
+def _condense_u(w, dim_p):
+    """Eliminate u from a batch of whitened tau blocks [u | sigma | uhat].
+
+    u meets tau alone and tau has no load, so for any values x_r of the
+    other columns W_r the u minimizing |W_u u + W_r x_r| is -G x_r with
+    G = R^-1 Q^T W_r, W_u = Q R, and the minimum is |(I - Q Q^T) W_r x_r|.
+    The QR avoids the normal equations W_u^T W_u, which would square the
+    cancellation that the field columns already suffer.  Returns
+    ((I - Q Q^T) W_r, G).
+    """
+    q, r = np.linalg.qr(w[:, :, :dim_p])
+    rest = w[:, :, dim_p:]
+    qt_rest = np.swapaxes(q, 1, 2) @ rest
+    return rest - q @ qt_rest, np.linalg.solve(r, qt_rest)
 
 
 def translation_classes(mesh):
@@ -365,10 +388,11 @@ def build_local_systems(mesh, formulation, f):
 
     Scheme 2 appends the corner-functional columns of the second trace
     unknown after the standard [u | sigma | uhat | sigma_hat] layout.
-    B and W are built as their two test blocks only (`LocalSystems`).
+    B and W are built as their two test blocks only, with u condensed
+    out of the tau block (`LocalSystems`).
 
     The dense kernels (the mapped reference tables, B, the QR whitening
-    and its inverse factors) run once per class of
+    and its inverse factors, the condensation of u) run once per class of
     `translation_classes`, on its first element, and are copied to the
     other members; only the load f(x_q) and its whitening, the centroid
     and the corner ids are computed per element.  The key is
@@ -384,6 +408,7 @@ def build_local_systems(mesh, formulation, f):
     v_cols, tau_cols = _block_cols(dim_p, with_corners)
     w_v = np.empty((nt, k, len(v_cols)))
     w_tau = np.empty((nt, k, len(tau_cols)))
+    u_recovery = np.empty((nt, dim_p, len(tau_cols)))
     wl_v = np.empty((nt, k))
     trial_chol = np.empty((nt, dim_p, dim_p))
 
@@ -407,7 +432,7 @@ def build_local_systems(mesh, formulation, f):
             mesh, reps, tab, det, jinv, hess[:, 0] + hess[:, 2], trial, with_corners
         )
         b_v = linv_v @ b_v
-        b_tau = linv_tau @ b_tau
+        b_tau, recovery = _condense_u(linv_tau @ b_tau, dim_p)
 
         # members in slices of CHUNK, so no per-element copy of a class
         # table is ever larger than one slice
@@ -416,6 +441,7 @@ def build_local_systems(mesh, formulation, f):
             loc = cls[tris] - c0
             w_v[tris] = b_v[loc]
             w_tau[tris] = b_tau[loc]
+            u_recovery[tris] = recovery[loc]
             trial_chol[tris] = chol[loc]
             load = _load(tab, coords[tris], det[loc], f)
             wl_v[tris] = np.einsum("eij,ej->ei", linv_v[loc], load)
@@ -425,6 +451,7 @@ def build_local_systems(mesh, formulation, f):
         w_v,
         wl_v,
         w_tau,
+        u_recovery,
         v_cols,
         tau_cols,
         coords.mean(axis=1),

@@ -16,6 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+DOERFLER_TIE_RTOL = 1e-9  # relative gap below which indicators tie in marking
+
+
 class MeshError(Exception):
     """Invalid mesh topology, geometry, or refinement request."""
 
@@ -328,12 +331,16 @@ def refine_nvb(mesh, marked):
 
 
 def doerfler_mark(indicators, theta):
-    """Minimal Doerfler mark set.
+    """Minimal Doerfler mark set, closed under near-ties.
 
-    Returns the smallest set M with sum_{T in M} eta(T)^2 >=
-    theta * sum_T eta(T)^2, built by sorting the indicators in
-    descending order (ties broken by ascending triangle index) and
-    taking the shortest qualifying prefix.
+    Takes the smallest set M with sum_{T in M} eta(T)^2 >=
+    theta * sum_T eta(T)^2, the shortest qualifying prefix of the
+    indicators sorted in descending order (ties broken by ascending
+    triangle index), and adds every indicator within a relative
+    DOERFLER_TIE_RTOL of the smallest one in M.  Without the closure,
+    rounding decides between elements that are equal in exact arithmetic
+    (those of a symmetric mesh), and a last-bit change in eta changes
+    the marked set.
 
     Parameters
     ----------
@@ -361,4 +368,6 @@ def doerfler_mark(indicators, theta):
     if total == 0.0:
         return np.empty(0, dtype=np.int64)
     k = int(np.searchsorted(csum, theta * total)) + 1
+    ranked = eta[order]
+    k = np.count_nonzero(ranked >= (1.0 - DOERFLER_TIE_RTOL) * ranked[k - 1])
     return np.sort(order[:k])

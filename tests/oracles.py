@@ -1,6 +1,7 @@
 """Independent test oracles shared across test modules."""
 
 import numpy as np
+import scipy.sparse
 
 
 class Poly2d:
@@ -232,18 +233,32 @@ def monomial_local_systems(mesh, scheme, field_degree, test_degree, f):
     return np.array(out_w), np.array(out_wl)
 
 
-def dense_local_systems(local):
-    """Dense W (nt, 2k, ncol) and wl (nt, 2k) of a `forms.LocalSystems`.
+def sparse_normal_matrix(w, cols, free_map, block_cols):
+    """Sparse DPG matrix over the free dofs that stores every free x free
+    coupling of each test block, zeros included.
 
-    The v block's rows come first; every entry outside the two stored
-    blocks, and the tau rows of wl, are zero.
+    `w` (nt, 2k, ncol) holds the v block's rows first, and `block_cols`
+    the local columns of the v and of the tau block; `cols[T]` holds the
+    global ids of element T's columns and `free_map` the free index of
+    each global id, or -1.  Shared dofs sum their element parts and
+    entries that cancel stay stored, so the pattern is that of the
+    element couplings, not of rounding.
     """
-    nt, k, _ = local.w_v.shape
-    ncol = max(local.v_cols.max(), local.tau_cols.max()) + 1
-    w = np.zeros((nt, 2 * k, ncol))
-    w[:, :k, local.v_cols] = local.w_v
-    w[:, k:, local.tau_cols] = local.w_tau
-    return w, np.concatenate([local.wl_v, np.zeros((nt, k))], axis=1)
+    k = w.shape[1] // 2
+    rows, columns, values = [], [], []
+    for w_t, c in zip(w, cols):
+        for block, local in zip((w_t[:k], w_t[k:]), block_cols):
+            ids = free_map[c[local]]
+            keep = ids >= 0
+            a = block[:, local].T @ block[:, local]
+            rows.append(np.repeat(ids[keep], keep.sum()))
+            columns.append(np.tile(ids[keep], keep.sum()))
+            values.append(a[np.ix_(keep, keep)].ravel())
+    n = int(free_map.max()) + 1
+    return scipy.sparse.csr_matrix(
+        (np.concatenate(values), (np.concatenate(rows), np.concatenate(columns))),
+        shape=(n, n),
+    )
 
 
 def dense_normal_equations(w, wl, cols, fixed_values, fixed):

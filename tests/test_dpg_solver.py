@@ -7,17 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     Poly2d,
-    dense_local_systems,
     dense_normal_equations,
     monomial_local_systems,
     zero_problem,
 )
 from test_mesh import nvb_refinements
 
-from bilap_dpg import cli, dpg_solver, linsolve
-from bilap_dpg.forms import Formulation
+from bilap_dpg import cli, dpg_solver, forms, linsolve
+from bilap_dpg.forms import Formulation, translation_classes
 from bilap_dpg.linsolve import sparse_spd_solve
 from bilap_dpg.mesh import (
+    Mesh,
     doerfler_mark,
     make_sector_domain,
     make_unit_square,
@@ -140,10 +140,11 @@ def test_indicators_match_raw_basis_recomputation():
 
 
 @pytest.mark.parametrize("form", [VF1, VF2])
-def test_minimum_residual_optimality(form):
-    # random perturbations of the free dofs never decrease the residual
+def test_minimum_residual_optimality(form, monkeypatch):
+    # random perturbations of the free dofs, u included, never decrease
+    # the residual of the uncondensed system
     prob = smooth_problem()
-    sol = assemble_and_solve(make_unit_square(2), form, prob)
+    sol, _, _, w, wl = solve_capturing_full_system(monkeypatch, make_unit_square(2), form, prob)
     eta0 = error_indicators(sol).total
     rng = np.random.default_rng(17)
     cols = free_cols(sol, prob)
@@ -153,27 +154,27 @@ def test_minimum_residual_optimality(form):
         for mag in (1e-3, 1e-1, 1.0):
             x_pert = sol.x_local.copy()
             x_pert[free] += mag * direction[cols[free]]
-            assert residual_norm(sol.local, x_pert) >= eta0 - 1e-9
+            assert residual_norm(w, wl, x_pert) >= eta0 - 1e-9
 
 
 def free_cols(sol, prob):
     """The free global id of each local trial column, -1 where fixed,
-    from the solver's own column map."""
+    from the solver's own column map; u counts as free."""
     full_cols, _, free_map, _ = _global_columns(
         sol.mesh, sol.formulation, _trace_spaces(sol.mesh, prob), sol.local.corner_cols
     )
     return free_map[full_cols]
 
 
-def residual_norm(local, x):
-    """|wl - W x| over all elements at local trial vectors x (nt, ncol),
-    from the two test blocks."""
-    return np.sqrt(
-        sum(
-            ((load - (w @ x[:, c][:, :, None])[..., 0]) ** 2).sum()
-            for w, load, c in local.blocks()
-        )
-    )
+def condensed_cols(sol, prob):
+    """The id of each local trial column in the system that the sparse
+    solver is given, negative on u and where fixed."""
+    return free_cols(sol, prob) - sol.mesh.num_triangles * sol.formulation.field_dim
+
+
+def residual_norm(w, wl, x):
+    """|wl - W x| over all elements at local trial vectors x (nt, ncol)."""
+    return np.linalg.norm(wl - np.einsum("eri,ei->er", w, x))
 
 
 @pytest.mark.parametrize("form", [VF1, VF2])
@@ -186,10 +187,11 @@ def test_normal_equation_orthogonality(form, prob_name, monkeypatch):
 
 
 def normal_equation_residual(sol, prob, a, rhs):
-    """|rhs - A x|_inf / |rhs|_inf at the free dofs of a solution."""
-    cols = free_cols(sol, prob)
+    """|rhs - A x|_inf / |rhs|_inf at the dofs of a solution that the
+    condensed system holds."""
+    cols = condensed_cols(sol, prob)
     free = cols >= 0
-    x = np.zeros(sol.ndof_total)
+    x = np.zeros(a.shape[0])
     x[cols[free]] = sol.x_local[free]
     return np.abs(rhs - a @ x).max() / np.abs(rhs).max()
 
@@ -209,6 +211,30 @@ def solve_capturing_system(monkeypatch, mesh, form, prob):
         sol = assemble_and_solve(mesh, form, prob)
     [(a, rhs)] = captured
     return sol, a, rhs
+
+
+def solve_capturing_full_system(monkeypatch, mesh, form, prob):
+    """`solve_capturing_system`, plus every element's whitened W
+    (nt, 2k, ncol) and load (nt, 2k) before u is condensed out: the v
+    block's rows first, then the tau block as `forms._condense_u`
+    receives it, over [u | sigma | uhat]."""
+    taus = []
+    condense = forms._condense_u
+
+    def record(w, dim_p):
+        taus.append(w)
+        return condense(w, dim_p)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(forms, "_condense_u", record)
+        sol, a, rhs = solve_capturing_system(patch, mesh, form, prob)
+    loc = sol.local
+    nt, k, _ = loc.w_v.shape
+    w_tau = np.concatenate(taus)[translation_classes(mesh)[1]]
+    w = np.zeros((nt, 2 * k, loc.v_cols[-1] + 1))
+    w[:, :k, loc.v_cols] = loc.w_v
+    w[:, k:, : w_tau.shape[2]] = w_tau
+    return sol, a, rhs, w, np.concatenate([loc.wl_v, np.zeros((nt, k))], axis=1)
 
 
 def test_solver_gets_buffers_of_exactly_nnz_entries(monkeypatch):
@@ -303,6 +329,30 @@ def test_solver_invariants_on_random_nvb_meshes(refinements, scheme, degree):
     assert max(l2_errors(exact, quadratic)) <= 1e-8
 
 
+@pytest.mark.slow
+@pytest.mark.xfail(
+    strict=True,
+    reason="the final sector-s2-adaptive solve amplifies rounding: scaling its mesh by "
+    "1 + 4e-16 / 1 - 4e-16 moves err_sigma by -2.8e-4 / -1.8e-3 (with one BLAS thread; "
+    "-6.3e-4 / -2.6e-3 before u was condensed out)",
+)
+def test_sector_final_error_is_stable_under_rounding():
+    # ROADMAP item 3's success measure: scaling the vertices of the
+    # benchmark's final sector mesh (scheme 2, Doerfler 0.5 to 20,000
+    # dofs) by 1 +- 4e-16 must move err_sigma by less than 1e-4 relative
+    prob = singular_problem()
+    mesh = prob.make_domain()
+    while True:
+        record, _, ind = solve_and_record(mesh, VF2, prob, 0)
+        if record.ndof_total > 20_000:
+            break
+        mesh = refine_nvb(mesh, doerfler_mark(ind.per_element, 0.5))
+    for factor in (1 + 4e-16, 1 - 4e-16):
+        scaled = Mesh(mesh.vertices * factor, mesh.triangles)
+        _, err_sigma = l2_errors(assemble_and_solve(scaled, VF2, prob), prob)
+        assert abs(err_sigma / record.err_sigma - 1) < 1e-4
+
+
 def test_global_matrix_symmetric_and_spd(monkeypatch):
     _, a, _ = solve_capturing_system(
         monkeypatch, make_unit_square(2), VF2, smooth_problem()
@@ -314,30 +364,67 @@ def test_global_matrix_symmetric_and_spd(monkeypatch):
 @pytest.mark.parametrize("form", [VF1, VF2])
 @pytest.mark.parametrize("domain", ["square", "sector"])
 def test_assembly_matches_dense_oracle(domain, form, monkeypatch):
-    # shared dofs must sum their element contributions, and fixed dofs
-    # must leave the matrix and enter the rhs at their values
+    # condensing u element by element is exact: the matrix and rhs the
+    # solver is given are the dense Schur complement of the uncondensed
+    # normal equations on u (shared dofs summing their element parts,
+    # fixed dofs leaving the matrix and entering the rhs at their
+    # values), with the pattern the uncondensed matrix has there; the
+    # recovered solution is the uncondensed one, u included, and so is
+    # every element's residual
     if domain == "square":
-        prob, mesh = smooth_problem(), make_unit_square(2)
+        prob, mesh = smooth_problem(), make_unit_square(8)
     else:
         prob = singular_problem()
         mesh = prob.make_domain()
-        for _ in range(2):
+        for _ in range(4):
             ind = error_indicators(assemble_and_solve(mesh, form, prob))
             mesh = refine_nvb(mesh, doerfler_mark(ind.per_element, 0.5))
-    sol, a, rhs = solve_capturing_system(monkeypatch, mesh, form, prob)
-    full_cols, fixed_values, free_map, _ = _global_columns(
-        mesh, form, _trace_spaces(mesh, prob), sol.local.corner_cols
-    )
-    w, wl = dense_local_systems(sol.local)
-    a_ref, rhs_ref = dense_normal_equations(w, wl, full_cols, fixed_values, free_map < 0)
-    assert np.abs(a.toarray() - a_ref).max() <= 1e-13 * np.abs(a_ref).max()
-    assert np.abs(rhs - rhs_ref).max() <= 1e-13 * np.abs(rhs_ref).max()
+    for degree in (0, 1):
+        form_p = Formulation(form.scheme, degree)
+        sol, a, rhs, w, wl = solve_capturing_full_system(monkeypatch, mesh, form_p, prob)
+        full_cols, fixed_values, free_map, _ = _global_columns(
+            mesh, form_p, _trace_spaces(mesh, prob), sol.local.corner_cols
+        )
+        fixed = free_map < 0
+        k_full, rhs_full = dense_normal_equations(w, wl, full_cols, fixed_values, fixed)
+        u = slice(0, mesh.num_triangles * form_p.field_dim)  # u leads the free dofs
+        r = slice(u.stop, None)
+        coupling = np.linalg.solve(k_full[u, u], k_full[u, r])
+        a_ref = k_full[r, r] - k_full[r, u] @ coupling
+        rhs_ref = rhs_full[r] - coupling.T @ rhs_full[u]
+        assert np.abs(a.toarray() - a_ref).max() <= 1e-13 * np.abs(a_ref).max()
+        assert np.abs(rhs - rhs_ref).max() <= 1e-13 * np.abs(rhs_ref).max()
+
+        # every coupling of each uncondensed test block, as ones
+        n_k = w.shape[1] // 2
+        blocks = np.zeros_like(w)
+        blocks[:, :n_k, sol.local.v_cols] = 1.0
+        blocks[:, n_k:, : sol.local.tau_cols[-1] + 1] = 1.0
+        pattern = dense_normal_equations(blocks, wl, full_cols, fixed_values, fixed)[0][r, r]
+        stored = np.zeros(a.shape, dtype=bool)
+        coo = a.tocoo()
+        stored[coo.row, coo.col] = True
+        assert np.array_equal(stored, pattern != 0)
+
+        # the recovered vector, u included, solves the uncondensed
+        # equations.  Against a dense solve (equilibrated, since plain
+        # and equilibrated dense solves differ by up to 1e-7 in the trace
+        # unknowns of scheme 2, its conditioning) u agrees to 1e-10
+        x = np.zeros(len(fixed))
+        x[full_cols] = sol.x_local
+        x = x[~fixed]
+        assert np.abs(k_full @ x - rhs_full).max() <= 1e-12 * np.abs(rhs_full).max()
+        s = 1.0 / np.sqrt(np.diag(k_full))
+        x_ref = s * np.linalg.solve(s[:, None] * k_full * s, s * rhs_full)
+        assert np.abs(x[u] - x_ref[u]).max() <= 1e-10 * np.abs(x_ref[u]).max()
+        eta = np.linalg.norm(wl - np.einsum("eri,ei->er", w, sol.x_local), axis=1)
+        assert np.all(np.abs(error_indicators(sol).per_element - eta) <= 1e-12 * eta)
 
 
 @pytest.mark.parametrize("form", [VF1, VF2])
 def test_global_pattern_has_no_cross_block_couplings(form, monkeypatch):
-    # u and uhat pair only with the tau test block, sigma_hat and the
-    # corner coefficients only with the v block: their couplings vanish
+    # uhat pairs only with the (condensed) tau test block, sigma_hat and
+    # the corner coefficients only with the v block: their couplings vanish
     # on every mesh, and storing them would give the ordering fill it
     # cannot remove
     captured = []
@@ -351,13 +438,13 @@ def test_global_pattern_has_no_cross_block_couplings(form, monkeypatch):
     prob = smooth_problem()
     sol = assemble_and_solve(make_unit_square(4), form, prob)
     p = form.field_dim
-    cols = free_cols(sol, prob)
+    cols = condensed_cols(sol, prob)
 
     def ids(local):
         x = cols[:, local].ravel()
         return x[x >= 0]
 
-    tau_only = ids(np.r_[0:p, 2 * p : 2 * p + 9])
+    tau_only = ids(np.r_[2 * p : 2 * p + 9])
     v_only = ids(np.r_[2 * p + 9 : cols.shape[1]])
     [a] = captured
     assert not np.any(np.isin(a.row, tau_only) & np.isin(a.col, v_only))

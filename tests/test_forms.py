@@ -88,16 +88,17 @@ def test_local_b_constants_example():
     # on them as the identity: the tau block's sigma columns,
     # -(sigma, tau), stay orthonormal after whitening, and the u
     # columns, (u, Delta tau), are orthogonal to them since the trial
-    # fields are harmonic
+    # fields are harmonic.  So condensing u leaves the sigma columns as
+    # they are, and u is recovered without them
     mesh = _one_element(RIGHT_TRIANGLE)
     for scheme in (1, 2):
         for degree in (0, 1):
             form = Formulation(scheme, degree)
             p = form.field_dim
-            w_tau = build_local_systems(mesh, form, _const(1.0)).w_tau[0]
-            u, sigma = w_tau[:, :p], w_tau[:, p : 2 * p]
+            loc = build_local_systems(mesh, form, _const(1.0))
+            sigma, recovery = loc.w_tau[0][:, :p], loc.u_recovery[0]
             assert np.abs(sigma.T @ sigma - np.eye(p)).max() <= 1e-14
-            assert np.abs(u.T @ sigma).max() <= 1e-14 * np.abs(u).max()
+            assert np.abs(recovery[:, :p]).max() <= 1e-14 * np.abs(recovery).max()
 
 
 def test_load_examples():
@@ -123,6 +124,7 @@ def test_vf1_vf2_b_matrices_coincide():
             loc2 = build_local_systems(mesh, Formulation(2, degree), _const(1.0))
             n = 2 * Formulation(1, degree).field_dim + 18  # columns before the corners
             assert np.array_equal(loc2.w_tau, loc1.w_tau)
+            assert np.array_equal(loc2.u_recovery, loc1.u_recovery)
             assert np.array_equal(loc2.tau_cols, loc1.tau_cols)
             assert np.array_equal(loc2.v_cols, np.r_[loc1.v_cols, n : n + 6])
 
@@ -186,9 +188,9 @@ def _local_trial_vector(mesh, tri, form, u_poly, sigma_poly, uhat, shat):
 
 def _exact_residuals(mesh, form, u, sigma):
     """Whitened residuals wl - W x of every element at the trial vector
-    x of (u, sigma) and their Hermite traces, with f = 0.  Corner
-    coefficients stay 0: the corner jumps of a smooth sigma telescope to
-    zero."""
+    x of (u, sigma) and their Hermite traces, with f = 0, followed by the
+    error u + G x_tau of the recovered u.  Corner coefficients stay 0:
+    the corner jumps of a smooth sigma telescope to zero."""
     uhat = interpolate_function(mesh, u, u.grad)
     shat = interpolate_function(mesh, sigma, sigma.grad)
     loc = build_local_systems(mesh, form, _const(0.0))
@@ -197,8 +199,11 @@ def _exact_residuals(mesh, form, u, sigma):
         x[tri, : 2 * form.field_dim + 18] = _local_trial_vector(
             mesh, tri, form, u, sigma, uhat, shat
         )
+    recovered = -(loc.u_recovery @ x[:, loc.tau_cols, None])[..., 0]
     return np.concatenate(
-        [load - (w @ x[:, c][:, :, None])[..., 0] for w, load, c in loc.blocks()], axis=1
+        [load - (w @ x[:, c][:, :, None])[..., 0] for w, load, c in loc.blocks()]
+        + [x[:, : form.field_dim] - recovered],
+        axis=1,
     )
 
 
@@ -235,21 +240,25 @@ def test_build_local_systems_shapes():
     f = lambda x, y: np.ones_like(x)
     loc1 = build_local_systems(mesh, VF1, f)
     nt, k, p = mesh.num_triangles, VF1.test_dim, VF1.field_dim
-    # v meets [sigma | sigma_hat], tau meets [u | sigma | uhat]
+    # v meets [sigma | sigma_hat], the condensed tau block [sigma | uhat],
+    # and u is recovered from the latter
     assert loc1.w_v.shape == (nt, k, p + 9)
-    assert loc1.w_tau.shape == (nt, k, 2 * p + 9)
+    assert loc1.w_tau.shape == (nt, k, p + 9)
+    assert loc1.u_recovery.shape == (nt, p, p + 9)
     assert loc1.corner_cols is None
     loc2 = build_local_systems(mesh, VF2, f)
     # scheme 2 appends six corner-functional columns to the v block
     assert loc2.w_v.shape == (nt, k, p + 15)
-    assert loc2.w_tau.shape == (nt, k, 2 * p + 9)
+    assert loc2.w_tau.shape == (nt, k, p + 9)
+    assert loc2.u_recovery.shape == (nt, p, p + 9)
     assert loc2.corner_cols.shape == (nt, 6)
     assert loc2.corner_cols.max() < 2 * mesh.num_edges
     assert loc2.wl_v.shape == (nt, k)
     assert loc2.trial_chol.shape == (nt, 1, 1)
-    # together the blocks cover every column, and only sigma is in both
+    # together the blocks cover every column but u's, and only sigma is
+    # in both
     for loc, ncol in ((loc1, 2 * p + 18), (loc2, 2 * p + 24)):
-        assert np.array_equal(np.union1d(loc.v_cols, loc.tau_cols), np.arange(ncol))
+        assert np.array_equal(np.union1d(loc.v_cols, loc.tau_cols), np.arange(p, ncol))
         assert np.array_equal(np.intersect1d(loc.v_cols, loc.tau_cols), np.arange(p, 2 * p))
 
 
@@ -313,7 +322,7 @@ def test_class_cache_matches_shifted_mesh(name, scheme, degree):
     b = build_local_systems(shifted, form, g)
     if name == "square":
         assert len(translation_classes(shifted)[0]) > len(translation_classes(mesh)[0])
-    for field in ("w_v", "wl_v", "w_tau", "h", "trial_chol"):
+    for field in ("w_v", "wl_v", "w_tau", "u_recovery", "h", "trial_chol"):
         x, y = getattr(a, field), getattr(b, field)
         assert np.abs(x - y).max() <= 1e-8 * np.abs(x).max(), field
     assert np.allclose(b.centroid, a.centroid + offset, rtol=0, atol=1e-14)
@@ -349,28 +358,41 @@ def _oracle_mesh(name):
 def test_local_systems_match_monomial_oracle(name, scheme, degree):
     # each test block is whitened by its own Gram matrix, so its
     # w^T w = B^T G^-1 B, w^T wl and |wl|^2 do not depend on the test
-    # basis: the mapped reference tables must reproduce an element-wise
-    # monomial-seeded computation, whose W is exactly zero outside the
-    # two blocks
+    # basis, nor do the Schur complement of the tau block's w^T w on u
+    # and the map G with A_uu G = A_ur that recovers u: the mapped
+    # reference tables and the condensation must reproduce an
+    # element-wise monomial-seeded computation, whose W is exactly zero
+    # outside the two blocks.  G itself is a difference of nearly equal
+    # numbers, so it is checked as A_uu G against A_ur, at the scale of
+    # the uncondensed tau block's w^T w
     mesh = _oracle_mesh(name)
     f = lambda x, y: np.sin(3 * x + 1) * np.cos(2 * y) + x * y + 2.0
     loc = build_local_systems(mesh, Formulation(scheme, degree, 4), f)
     w, wl = monomial_local_systems(mesh, scheme, degree, 4, f)
-    k = loc.w_v.shape[1]
+    k, p = loc.w_v.shape[1], loc.u_recovery.shape[1]
     outside = np.ones(w.shape[1:], dtype=bool)
-    outside[:k, loc.v_cols] = outside[k:, loc.tau_cols] = False
+    outside[:k, loc.v_cols] = outside[k:, : loc.tau_cols[-1] + 1] = False
     assert np.all(w[:, outside] == 0.0) and np.all(wl[:, k:] == 0.0)
 
-    def close(got, want):
-        err = np.abs(got - want).reshape(len(want), -1).max(axis=1)
-        return np.all(err <= 1e-9 * np.abs(want).reshape(len(want), -1).max(axis=1))
+    def close(got, want, scale=None):
+        def size(x):
+            return np.abs(x).reshape(len(x), -1).max(axis=1)
 
-    for (got, _, c), rows in zip(loc.blocks(), (slice(None, k), slice(k, None))):
-        want = w[:, rows][:, :, c]
-        assert close(np.swapaxes(got, 1, 2) @ got, np.swapaxes(want, 1, 2) @ want)
-    want = w[:, :k][:, :, loc.v_cols]
+        return np.all(size(got - want) <= 1e-9 * size(want if scale is None else scale))
+
+    def gram(x, y):
+        return np.swapaxes(x, 1, 2) @ y
+
+    want_v = w[:, :k][:, :, loc.v_cols]
+    assert close(gram(loc.w_v, loc.w_v), gram(want_v, want_v))
+    w_tau = w[:, k:, : loc.tau_cols[-1] + 1]
+    a_tau = gram(w_tau, w_tau)
+    a_uu, a_ur, a_rr = a_tau[:, :p, :p], a_tau[:, :p, p:], a_tau[:, p:, p:]
+    assert close(a_uu @ loc.u_recovery, a_ur, scale=a_tau)
+    schur = a_rr - np.swapaxes(a_ur, 1, 2) @ np.linalg.solve(a_uu, a_ur)
+    assert close(gram(loc.w_tau, loc.w_tau), schur)
     assert close(
-        np.einsum("eri,er->ei", loc.w_v, loc.wl_v), np.einsum("eri,er->ei", want, wl[:, :k])
+        np.einsum("eri,er->ei", loc.w_v, loc.wl_v), np.einsum("eri,er->ei", want_v, wl[:, :k])
     )
     got_ll, ll = np.einsum("er,er->e", loc.wl_v, loc.wl_v), np.einsum("er,er->e", wl, wl)
     assert np.all(np.abs(got_ll - ll) <= 1e-9 * ll)

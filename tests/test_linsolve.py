@@ -8,12 +8,16 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
+from oracles import monomial_local_systems, sparse_normal_matrix
+
 from bilap_dpg import dpg_solver
-from bilap_dpg.forms import Formulation
+from bilap_dpg.dpg_solver import _global_columns, _trace_spaces
+from bilap_dpg.forms import Formulation, build_local_systems
 from bilap_dpg.linsolve import (
     LinearSolveError,
     NotPositiveDefiniteError,
     _pcg,
+    _scaled_csc,
     sparse_spd_solve,
 )
 from bilap_dpg.mesh import Mesh, make_unit_square
@@ -219,28 +223,29 @@ def test_solve_logs_one_debug_record(caplog):
         assert field in message
 
 
-def test_ordering_reduces_fill_on_dpg_system(caplog, monkeypatch):
-    # the scheme-2, p = 0 system on the 8x8 square: minimum degree on
-    # A + A^T must beat COLAMD's fill on the same equilibrated matrix
-    captured = []
-
-    def capture(a, b):
-        captured.append(a)
-        return sparse_spd_solve(a, b)
-
-    monkeypatch.setattr(dpg_solver, "sparse_spd_solve", capture)
+def test_ordering_reduces_fill_on_dpg_system(caplog):
+    # the uncondensed scheme-2, p = 0 system on the 8x8 square, u
+    # included, built from the oracle's element blocks with every block
+    # coupling stored as the solver's assembly stores them: minimum
+    # degree on A + A^T must beat COLAMD's fill on the same equilibrated
+    # matrix, explicit zeros included.  (On the system the solver gets
+    # now, with u condensed out, MMD gives 85,318 and COLAMD 83,120.)
+    mesh, prob, form = make_unit_square(8), smooth_problem(), Formulation(scheme=2)
+    loc = build_local_systems(mesh, form, prob.f)
+    full_cols, _, free_map, _ = _global_columns(
+        mesh, form, _trace_spaces(mesh, prob), loc.corner_cols
+    )
+    w, _ = monomial_local_systems(mesh, 2, 0, form.test_degree, prob.f)
+    block_cols = (loc.v_cols, np.arange(loc.tau_cols[-1] + 1))
+    a = sparse_normal_matrix(w, full_cols, free_map, block_cols)
     with caplog.at_level(logging.DEBUG, logger="bilap_dpg.linsolve"):
-        dpg_solver.assemble_and_solve(
-            make_unit_square(8), Formulation(scheme=2), smooth_problem()
-        )
+        sparse_spd_solve(a, a @ np.ones(a.shape[0]))
     [record] = [r for r in caplog.records if r.levelno == logging.DEBUG]
     fill = int(re.search(r"nnz\(L\+U\)=(\d+)", record.getMessage()).group(1))
+    assert fill == 68_320  # as when the solver assembled this system itself
 
-    [a] = captured
-    s = scipy.sparse.diags(1.0 / np.sqrt(a.diagonal()))
-    a_scaled = (s @ a @ s).tocsc()
     colamd = scipy.sparse.linalg.splu(
-        a_scaled,
+        _scaled_csc(a, 1.0 / np.sqrt(a.diagonal()), 0.0),
         permc_spec="COLAMD",
         diag_pivot_thresh=0.0,
         options=dict(SymmetricMode=True),

@@ -281,6 +281,15 @@ def test_doerfler_invalid_theta():
         doerfler_mark([0.1, 0.2], 0.0)
 
 
+def test_doerfler_closes_marked_set_under_near_ties():
+    # one element reaches theta, but the second is equal up to rounding
+    # and joins it; a real gap leaves it out
+    tie = 1.0 - 1e-14
+    assert list(doerfler_mark([0.5, 1.0, tie], 0.4)) == [1, 2]
+    assert list(doerfler_mark([0.5, tie, 1.0], 0.4)) == [1, 2]
+    assert list(doerfler_mark([0.5, 1.0, 1.0 - 1e-8], 0.4)) == [1]
+
+
 def test_doerfler_minimal_cardinality_vs_brute_force():
     rng = np.random.default_rng(11)
     for _ in range(25):
