@@ -20,16 +20,18 @@ times L^-T, L the Cholesky factor of their moment matrix.
 
 `build_local_systems` is the module's one entry point; a single
 element's system is that of a one-element `Mesh`.  It runs the dense
-kernels once per translation class of elements: elements with
-bit-equal relative vertex coordinates (v1 - v0, v2 - v0), the same
-orientation of each edge's global lo/hi endpoints relative to the
-element's slots and the same edge owner signs have equal local systems
-up to rounding.  There is no scale key:
-mass terms scale with h^2 and Hessian terms with h^-2, so the Gram
-blocks of similar elements are not multiples of each other.  Nested
-newest-vertex bisection yields finitely many shapes, so uniform and
-graded meshes reuse most kernels; a mesh without repeated shapes has
-one class per element.
+kernels once per translation class of elements: elements whose
+relative vertex coordinates (v1 - v0, v2 - v0) agree after rounding to
+2^-40 of their binade 2^floor(log2 h), in the same binade, with the
+same orientation of each edge's global lo/hi endpoints relative to the
+element's slots and the same edge owner signs, have equal local systems
+up to rounding.  There is no scale key: mass terms scale with h^2 and
+Hessian terms with h^-2, so the Gram blocks of similar elements are not
+multiples of each other.  Nested newest-vertex bisection yields
+finitely many shapes, so uniform and graded meshes reuse most kernels;
+a mesh without repeated shapes has one class per element.  Given a
+`KernelCache`, the classes already met on the previous adaptive level
+are copied from it instead of recomputed.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ TRACE_COLS = 9  # 3 vertices x (value, d/dx, d/dy) per trace unknown
 CORNER_COLS = 6  # 3 corners x (outgoing, incoming) jump coefficients
 MIN_ELEMENT_AREA = 1e-14
 CHUNK = 1024  # classes per batch of dense kernels, elements per batch of copies
+KEY_BITS = 40  # class keys round relative coordinates to 2^-KEY_BITS of the binade of h
 
 
 class FormsError(Exception):
@@ -362,28 +365,70 @@ def _condense_u(w, dim_p):
 def translation_classes(mesh):
     """Group the elements into classes whose local systems coincide.
 
-    The key of an element is the exact bytes of its relative vertex
-    coordinates (v1 - v0, v2 - v0) plus two bits per local edge:
-    whether the edge's global lo vertex is the slot's first vertex (it
-    fixes the edge parameter, the tangent and where the lo/hi dofs go)
-    and the owner sign of `Mesh.edge_signs` (it fixes the normal and
-    the corner-column signs).  Returns (first, cls, counts): the first
-    element of each class, the class of each element and the class
-    sizes.
+    The key of an element is the binade exponent e = floor(log2 h) of
+    its diameter h, its relative vertex coordinates (v1 - v0, v2 - v0)
+    rounded to the quantum 2^(e - KEY_BITS), and two bits per local
+    edge: whether the edge's global lo vertex is the slot's first vertex
+    (it fixes the edge parameter, the tangent and where the lo/hi dofs
+    go) and the owner sign of `Mesh.edge_signs` (it fixes the normal and
+    the corner-column signs).  The quantum is tied to the element's own
+    size, so translates whose coordinates differ in the last bits (the
+    midpoints of irrational vertices) share a class, while an element
+    and its exactly similar copy of another size do not.  Returns
+    (first, cls, counts, keys): the first element of each class, the
+    class of each element, the class sizes and the class keys, in the
+    order of the classes.
     """
     coords = mesh.triangle_coords()
+    _, exponent = np.frexp(mesh.diameters)  # h in [2^(exponent - 1), 2^exponent)
+    rel = (coords[:, 1:] - coords[:, :1]).reshape(-1, 4)
     lo_first = mesh.triangles == mesh.edges[mesh.tri_edges, 0]
     keys = np.column_stack(
-        [(coords[:, 1:] - coords[:, :1]).reshape(-1, 4), lo_first, mesh.edge_signs()]
+        [
+            exponent,
+            np.rint(np.ldexp(rel, (KEY_BITS + 1 - exponent)[:, None])),
+            lo_first,
+            mesh.edge_signs(),
+        ]
+    ).astype(np.int64)
+    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))[:, 0]
+    keys, first, cls, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
     )
-    keys = np.ascontiguousarray(keys).view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
-    _, first, cls, counts = np.unique(
-        keys[:, 0], return_index=True, return_inverse=True, return_counts=True
-    )
-    return first, cls, counts
+    return first, cls, counts, keys
 
 
-def build_local_systems(mesh, formulation, f):
+@dataclass
+class KernelCache:
+    """The class kernels of one adaptive level, for the next one.
+
+    `dpg_solver.adaptive_loop` owns one and hands it to the
+    `build_local_systems` of every level, which copies the kernels of
+    each class found here instead of recomputing them and then refills
+    the cache with its own level.  It holds that level's `local`
+    systems (which its Solution keeps through the solve anyway), the
+    class `keys` of `translation_classes`, an `element` of `local` per
+    class and each class's `linv_v` = chol(G_v)^-1, which whitens the
+    load of new members.
+    """
+
+    local: LocalSystems | None = None
+    keys: np.ndarray | None = None
+    element: np.ndarray | None = None
+    linv_v: np.ndarray | None = None
+
+    def find(self, keys, formulation):
+        """Per class key, the index of its class here, or -1."""
+        if self.local is None or self.local.formulation != formulation:
+            return np.full(len(keys), -1)
+        n_old = len(self.keys)
+        _, inverse = np.unique(np.concatenate([self.keys, keys]), return_inverse=True)
+        known = np.full(n_old + len(keys), -1)
+        known[inverse[:n_old]] = np.arange(n_old)
+        return known[inverse[n_old:]]
+
+
+def build_local_systems(mesh, formulation, f, cache=None):
     """Factor and whiten the local systems of every element.
 
     Scheme 2 appends the corner-functional columns of the second trace
@@ -395,11 +440,16 @@ def build_local_systems(mesh, formulation, f):
     and its inverse factors, the condensation of u) run once per class of
     `translation_classes`, on its first element, and are copied to the
     other members; only the load f(x_q) and its whitening, the centroid
-    and the corner ids are computed per element.  The key is
-    translation-only on purpose: mass terms scale with h^2 and Hessian
-    terms with h^-2, so the Gram blocks follow no common scaling law
-    and a similarity key would need one.  A mesh without repeated
-    shapes has one class per element and takes the same path.
+    and the corner ids are computed per element.  The class key rounds
+    the relative coordinates at about 1e-12 h, so members agree with
+    their representative up to that rounding, not bit for bit.  The key
+    is translation-only on purpose: mass terms scale with h^2 and
+    Hessian terms with h^-2, so the Gram blocks follow no common scaling
+    law and a similarity key would need one.  A mesh without repeated
+    shapes has one class per element and takes the same path.  With a
+    `KernelCache`, a class of the cached level is copied from there and
+    the cache is then refilled with this level, so adaptive levels
+    compute only the classes that refinement creates.
     """
     nt = mesh.num_triangles
     k = formulation.test_dim
@@ -414,25 +464,35 @@ def build_local_systems(mesh, formulation, f):
 
     tab = shape.reference_tables(formulation.test_degree)
     coords = mesh.triangle_coords()
-    first, cls, counts = translation_classes(mesh)
+    first, cls, counts, keys = translation_classes(mesh)
+    known = np.full(len(first), -1) if cache is None else cache.find(keys, formulation)
+    # the classes to compute lead, so that their members are contiguous
+    order = np.argsort(known >= 0, kind="stable")
+    first, counts, keys, known = first[order], counts[order], keys[order], known[order]
+    cls = np.argsort(order)[cls]
+    n_new = int(np.count_nonzero(known < 0))
+    jac, det, jinv = _maps(coords[first], first)
+    linv_all = None if cache is None else np.empty((len(first), k, k))
+
     by_class = np.argsort(cls, kind="stable")
     starts = np.concatenate([[0], np.cumsum(counts)])
-    for c0 in range(0, len(first), CHUNK):
-        c1 = min(c0 + CHUNK, len(first))
+    for c0 in range(0, n_new, CHUNK):
+        c1 = min(c0 + CHUNK, n_new)
         reps = first[c0:c1]
-        jac, det, jinv = _maps(coords[reps], reps)
-        hess = _hessians(tab, jinv)
+        hess = _hessians(tab, jinv[c0:c1])
         s_v, s_tau = _gram_stacks(hess, formulation.scheme)
         linv_v = _inverse_factor(s_v, reps)
         linv_tau = linv_v if s_tau is s_v else _inverse_factor(s_tau, reps)
         chol, trial = _trial_basis(
-            tab, jac, det, mesh.diameters[reps], formulation.field_degree, reps
+            tab, jac[c0:c1], det[c0:c1], mesh.diameters[reps], formulation.field_degree, reps
         )
         b_v, b_tau = _b_blocks(
-            mesh, reps, tab, det, jinv, hess[:, 0] + hess[:, 2], trial, with_corners
+            mesh, reps, tab, det[c0:c1], jinv[c0:c1], hess[:, 0] + hess[:, 2], trial, with_corners
         )
         b_v = linv_v @ b_v
         b_tau, recovery = _condense_u(linv_tau @ b_tau, dim_p)
+        if linv_all is not None:
+            linv_all[c0:c1] = linv_v
 
         # members in slices of CHUNK, so no per-element copy of a class
         # table is ever larger than one slice
@@ -443,10 +503,23 @@ def build_local_systems(mesh, formulation, f):
             w_tau[tris] = b_tau[loc]
             u_recovery[tris] = recovery[loc]
             trial_chol[tris] = chol[loc]
-            load = _load(tab, coords[tris], det[loc], f)
+            load = _load(tab, coords[tris], det[cls[tris]], f)
             wl_v[tris] = np.einsum("eij,ej->ei", linv_v[loc], load)
 
-    return LocalSystems(
+    if n_new < len(first):  # the carried classes copy the cached level's kernels
+        linv_all[n_new:] = cache.linv_v[known[n_new:]]
+        for s in range(starts[n_new], nt, CHUNK):
+            tris = by_class[s : s + CHUNK]
+            c = cls[tris]
+            old = cache.element[known[c]]
+            w_v[tris] = cache.local.w_v[old]
+            w_tau[tris] = cache.local.w_tau[old]
+            u_recovery[tris] = cache.local.u_recovery[old]
+            trial_chol[tris] = cache.local.trial_chol[old]
+            load = _load(tab, coords[tris], det[c], f)
+            wl_v[tris] = np.einsum("eij,ej->ei", linv_all[c], load)
+
+    local = LocalSystems(
         formulation,
         w_v,
         wl_v,
@@ -459,3 +532,6 @@ def build_local_systems(mesh, formulation, f):
         trial_chol,
         _corner_cols(mesh) if with_corners else None,
     )
+    if cache is not None:
+        cache.local, cache.keys, cache.element, cache.linv_v = local, keys, first, linv_all
+    return local

@@ -291,9 +291,64 @@ def test_square_class_count_does_not_grow():
 
 def test_jittered_square_has_one_class_per_element():
     mesh = _jittered_square(8, seed=1)
-    first, cls, counts = translation_classes(mesh)
+    first, cls, counts, _ = translation_classes(mesh)
     assert len(first) == mesh.num_triangles
     assert np.all(counts == 1) and np.array_equal(np.sort(cls), np.arange(mesh.num_triangles))
+
+
+def test_similar_elements_of_different_size_get_different_classes():
+    # the dyadic half-size copy has the same relative coordinates in
+    # units of its own binade: only the binade exponent tells them apart
+    mesh = make_unit_square(2)
+    half = Mesh(mesh.vertices / 2, mesh.triangles)
+    keys, half_keys = translation_classes(mesh)[3], translation_classes(half)[3]
+    assert len(np.unique(np.concatenate([keys, half_keys]))) == len(keys) + len(half_keys)
+
+
+def _nudged_square(step):
+    """The 4x4 square with one interior vertex moved by `step` in x, and
+    the elements that touch it."""
+    mesh = make_unit_square(4)
+    vertex = np.nonzero(~mesh.is_boundary_vertex)[0][0]
+    vertices = mesh.vertices.copy()
+    vertices[vertex, 0] = step(vertices[vertex, 0])
+    return mesh, Mesh(vertices, mesh.triangles), np.any(mesh.triangles == vertex, axis=1)
+
+
+def test_translate_perturbed_by_one_ulp_shares_its_class():
+    mesh, nudged, touched = _nudged_square(lambda x: np.nextafter(x, 2.0))
+    assert not np.array_equal(mesh.triangle_coords(), nudged.triangle_coords())
+    first, cls, _, _ = translation_classes(mesh)
+    nudged_first, nudged_cls, _, _ = translation_classes(nudged)
+    assert touched.any() and len(nudged_first) == len(first)
+    assert np.array_equal(nudged_cls, cls)
+
+
+def test_element_perturbed_by_1e_9_h_gets_its_own_class():
+    h = make_unit_square(4).h_max
+    mesh, nudged, touched = _nudged_square(lambda x: x + 1e-9 * h)
+    first, _, _, _ = translation_classes(mesh)
+    nudged_first, nudged_cls, counts, _ = translation_classes(nudged)
+    assert len(nudged_first) == len(first) + touched.sum()
+    assert np.all(counts[nudged_cls[touched]] == 1)
+
+
+def _exact_byte_classes(mesh):
+    """Class count of keys made of the exact bytes of the relative
+    vertex coordinates, with `translation_classes`' orientation bits."""
+    coords = mesh.triangle_coords()
+    lo_first = mesh.triangles == mesh.edges[mesh.tri_edges, 0]
+    keys = np.column_stack(
+        [(coords[:, 1:] - coords[:, :1]).reshape(-1, 4), lo_first, mesh.edge_signs()]
+    )
+    return len(np.unique(keys, axis=0))
+
+
+def test_size_relative_key_merges_more_graded_sector_elements_than_exact_bytes():
+    # the NVB midpoints of the sector's irrational vertices make
+    # translates differ in the last bits
+    mesh = _oracle_mesh("graded-sector")
+    assert len(translation_classes(mesh)[0]) < _exact_byte_classes(mesh)
 
 
 CLASS_MESHES = {
@@ -305,23 +360,30 @@ CLASS_MESHES = {
 }
 
 
+def _one_class_per_element(mesh):
+    ids = np.arange(mesh.num_triangles)
+    return ids, ids, np.ones_like(ids), ids
+
+
 @pytest.mark.parametrize("name", sorted(CLASS_MESHES))
 @pytest.mark.parametrize("scheme", [1, 2])
 @pytest.mark.parametrize("degree", [0, 1])
-def test_class_cache_matches_shifted_mesh(name, scheme, degree):
-    # a non-dyadic shift changes the rounding of the relative vertex
-    # coordinates and so splits the classes: this compares the cached
-    # kernels of the mesh against (mostly) per-element ones
+def test_class_cache_matches_shifted_mesh(name, scheme, degree, monkeypatch):
+    # the cached kernels of the mesh against per-element ones of a
+    # shifted copy, whose non-dyadic shift changes the rounding of the
+    # relative vertex coordinates; the size-relative key absorbs that
+    # rounding, so the shifted square keeps its class count
     offset = np.array([0.1, 0.3])
     mesh = CLASS_MESHES[name]()
     shifted = Mesh(mesh.vertices + offset, mesh.triangles)
     form = Formulation(scheme=scheme, field_degree=degree, test_degree=4)
     f = lambda x, y: np.sin(3 * x + 1) * np.cos(2 * y) + x * y
     g = lambda x, y: f(x - offset[0], y - offset[1])
-    a = build_local_systems(mesh, form, f)
-    b = build_local_systems(shifted, form, g)
     if name == "square":
-        assert len(translation_classes(shifted)[0]) > len(translation_classes(mesh)[0])
+        assert len(translation_classes(shifted)[0]) == len(translation_classes(mesh)[0])
+    a = build_local_systems(mesh, form, f)
+    monkeypatch.setattr(forms, "translation_classes", _one_class_per_element)
+    b = build_local_systems(shifted, form, g)
     for field in ("w_v", "wl_v", "w_tau", "u_recovery", "h", "trial_chol"):
         x, y = getattr(a, field), getattr(b, field)
         assert np.abs(x - y).max() <= 1e-8 * np.abs(x).max(), field
