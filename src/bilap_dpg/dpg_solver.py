@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.linalg
 
 from bilap_dpg import forms, problems, shape
 from bilap_dpg.linsolve import sparse_spd_solve
@@ -209,47 +210,47 @@ def assemble_and_solve(mesh, formulation, problem, cache=None):
 
     dim_p = formulation.field_dim
     n_field = mesh.num_triangles * dim_p
-    x_fixed = fixed_values[full_cols]
     # u is condensed out element by element (`forms.LocalSystems`); its
-    # dofs lead the ordering and are never fixed, so the remaining free
-    # dofs are numbered from n_field on.  (nt, ncol), negative on u and
-    # where fixed
-    cols = free_map[full_cols] - n_field
+    # dofs lead the ordering and are never fixed, so the others are
+    # numbered from n_field on, with n_rest on fixed columns and on u's
     n_rest = n_free - n_field
+    cols = free_map[full_cols] - n_field
+    cols[cols < 0] = n_rest
+    # the fixed dofs move to the right: wl - W x_fixed, per test block
+    blocks = [(w, cols[:, ids]) for w, _, ids in local.blocks()]
+    load = np.concatenate([
+        (wl - (w @ fixed_values[full_cols[:, ids]][..., None])[..., 0]).ravel()
+        for w, wl, ids in local.blocks()
+    ])
     # each test block couples exactly its own columns: storing all their
     # free x free couplings, also where an entry cancels to zero, keeps
     # the sparsity and the factor's fill independent of rounding.  sigma
     # meets both blocks, and the COO -> CSR conversion sums the two
-    blocks = [(w, load, cols[:, c], x_fixed[:, c]) for w, load, c in local.blocks()]
-    n_entries = sum(int(((c >= 0).sum(axis=1) ** 2).sum()) for _, _, c, _ in blocks)
+    n_entries = sum(int(((c < n_rest).sum(axis=1) ** 2).sum()) for _, c in blocks)
     # ids in the int32 that scipy stores them in need no converted copy
     index = np.int32 if n_rest <= np.iinfo(np.int32).max else np.int64
     vals = np.empty(n_entries)
     row = np.empty(n_entries, dtype=index)
     col = np.empty(n_entries, dtype=index)
-    rhs = np.zeros(n_rest)
     start = 0
-    for w, load, c, x_c in blocks:
-        free = c >= 0
+    for w, c in blocks:
+        free = c < n_rest
         keep = free[:, :, None] & free[:, None, :]
         stop = start + np.count_nonzero(keep)
-        w_t = np.swapaxes(w, 1, 2)
-        vals[start:stop] = (w_t @ w)[keep]
+        vals[start:stop] = (np.swapaxes(w, 1, 2) @ w)[keep]
         row[start:stop] = np.broadcast_to(c[:, :, None], keep.shape)[keep]
         col[start:stop] = np.broadcast_to(c[:, None, :], keep.shape)[keep]
         start = stop
-        # the fixed dofs move to the right: W^T (wl - W x_fixed)
-        g_vec = (w_t @ (load - (w @ x_c[:, :, None])[..., 0])[:, :, None])[..., 0]
-        rhs += np.bincount(c[free], g_vec[free], minlength=n_rest)
     a = scipy.sparse.csr_matrix((vals, (row, col)), shape=(n_rest, n_rest))
-    # nothing of size nt * ncol^2 stays alive through the factorization,
-    # and the conversion leaves the summed entries at the front of
-    # triplet-sized buffers: the solver gets exactly nnz(A) of them
-    del blocks, keep, vals, row, col
+    # nothing of size nt * ncol^2, nor the column map, stays alive through
+    # the factorization, and the conversion leaves the summed entries at
+    # the front of triplet-sized buffers: the solver gets exactly nnz(A)
+    del keep, vals, row, col, cols
     a.data, a.indices = a.data.copy(), a.indices.copy()
+    w_free = _free_operator(blocks, n_rest)
 
     try:
-        x_free = sparse_spd_solve(a, rhs)
+        x_free = sparse_spd_solve(a, w_free.rmatvec(load), w_free, load)
     except Exception as exc:
         raise SolverError(
             f"global solve failed on mesh with {mesh.num_triangles} triangles: {exc}"
@@ -280,6 +281,30 @@ def assemble_and_solve(mesh, formulation, problem, cache=None):
         x_local=x_local,
         ndof_total=n_free,
         ndof_field=2 * n_field,
+    )
+
+
+def _free_operator(blocks, n):
+    """W over the n free unknowns as a LinearOperator, from (w, c) per
+    test block, c being the free id of each local column or n if fixed.
+
+    W x stacks each block's rows element by element, as `load` does.
+    """
+    sizes = np.cumsum([0] + [w.shape[0] * w.shape[1] for w, _ in blocks])
+
+    def matvec(x):
+        x = np.append(x, 0.0)  # the value of every fixed column
+        return np.concatenate([(w @ x[c][:, :, None]).ravel() for w, c in blocks])
+
+    def rmatvec(r):
+        out = np.zeros(n + 1)  # the last entry sums the fixed columns
+        for (w, c), lo, hi in zip(blocks, sizes, sizes[1:]):
+            g = np.swapaxes(w, 1, 2) @ r[lo:hi].reshape(len(w), -1, 1)
+            out += np.bincount(c.ravel(), g.ravel(), minlength=n + 1)
+        return out[:n]
+
+    return scipy.sparse.linalg.LinearOperator(
+        (sizes[-1], n), matvec=matvec, rmatvec=rmatvec, dtype=float
     )
 
 

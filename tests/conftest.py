@@ -1,10 +1,10 @@
 """Run the tests with one BLAS thread, as the benchmark does.
 
-The adaptive sector study depends on the BLAS thread count: its last
-levels and its final err_sigma move when the thread count changes
-(ROADMAP item 3), so the expectations of the tests hold at one thread.
-The variables are read when numpy loads its BLAS, so they must be set
-before the first import of numpy.
+The thread count changes the order of BLAS sums, so results can differ
+in their last digits between thread counts, and the tests that compare
+reruns bit for bit or pin measured figures are meant to see what the
+benchmark sees.  The variables are read when numpy loads its BLAS, so
+they must be set before the first import of numpy.
 """
 
 import os

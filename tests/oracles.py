@@ -235,17 +235,19 @@ def monomial_local_systems(mesh, scheme, field_degree, test_degree, f):
 
 def sparse_normal_matrix(w, cols, free_map, block_cols):
     """Sparse DPG matrix over the free dofs that stores every free x free
-    coupling of each test block, zeros included.
+    coupling of each test block, zeros included, and the sparse W over
+    the free dofs that it is W^T W of.
 
     `w` (nt, 2k, ncol) holds the v block's rows first, and `block_cols`
     the local columns of the v and of the tau block; `cols[T]` holds the
     global ids of element T's columns and `free_map` the free index of
     each global id, or -1.  Shared dofs sum their element parts and
     entries that cancel stay stored, so the pattern is that of the
-    element couplings, not of rounding.
+    element couplings, not of rounding.  Returns (A, W).
     """
     k = w.shape[1] // 2
     rows, columns, values = [], [], []
+    w_rows, w_columns, w_values = [], [], []
     for w_t, c in zip(w, cols):
         for block, local in zip((w_t[:k], w_t[k:]), block_cols):
             ids = free_map[c[local]]
@@ -254,11 +256,19 @@ def sparse_normal_matrix(w, cols, free_map, block_cols):
             rows.append(np.repeat(ids[keep], keep.sum()))
             columns.append(np.tile(ids[keep], keep.sum()))
             values.append(a[np.ix_(keep, keep)].ravel())
+            w_rows.append(np.repeat(k * len(w_rows) + np.arange(k), keep.sum()))
+            w_columns.append(np.tile(ids[keep], k))
+            w_values.append(block[:, local][:, keep].ravel())
     n = int(free_map.max()) + 1
-    return scipy.sparse.csr_matrix(
+    a = scipy.sparse.csr_matrix(
         (np.concatenate(values), (np.concatenate(rows), np.concatenate(columns))),
         shape=(n, n),
     )
+    w_free = scipy.sparse.csr_matrix(
+        (np.concatenate(w_values), (np.concatenate(w_rows), np.concatenate(w_columns))),
+        shape=(k * len(w_rows), n),
+    )
+    return a, w_free
 
 
 def dense_normal_equations(w, wl, cols, fixed_values, fixed):

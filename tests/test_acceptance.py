@@ -35,6 +35,7 @@ from test_dpg_solver import (
     free_cols,
     normal_equation_residual,
     residual_norm,
+    solve_capturing_arguments,
     solve_capturing_full_system,
 )
 from test_trace_space import skeleton_pairing
@@ -188,8 +189,11 @@ def test_criterion_5_minimum_residual_optimality(monkeypatch):
         worst_orth = max(worst_orth, normal_equation_residual(sol, prob, a, rhs))
         # symmetry and SPD of the matrix the solver factors
         sym_defect = max(sym_defect, abs(a - a.T).max() / abs(a).max())
+        _, args = solve_capturing_arguments(
+            monkeypatch, make_unit_square(2), Formulation(scheme=scheme), prob
+        )
         try:
-            sparse_spd_solve(a, np.ones(a.shape[0]))
+            sparse_spd_solve(*args)
         except Exception:
             spd_ok = False
     ok = never_decreased and worst_orth <= 1e-8 and sym_defect <= 1e-12 and spd_ok

@@ -1,7 +1,6 @@
 import logging
 import re
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -10,101 +9,165 @@ import scipy.sparse.linalg
 
 from oracles import monomial_local_systems, sparse_normal_matrix
 
-from bilap_dpg import dpg_solver
+from bilap_dpg import dpg_solver, linsolve
 from bilap_dpg.dpg_solver import _global_columns, _trace_spaces
 from bilap_dpg.forms import Formulation, build_local_systems
 from bilap_dpg.linsolve import (
     LinearSolveError,
     NotPositiveDefiniteError,
-    _pcg,
-    _scaled_csc,
+    _cgls,
     sparse_spd_solve,
 )
 from bilap_dpg.mesh import Mesh, make_unit_square
 from bilap_dpg.problems import smooth_problem
 
 
+def lstsq_solve(w, load):
+    """`sparse_spd_solve` on a dense W: A = W^T W and b = W^T load."""
+    w = np.asarray(w)
+    return sparse_spd_solve(
+        scipy.sparse.csr_matrix(w.T @ w), w.T @ load,
+        scipy.sparse.linalg.aslinearoperator(w), load,
+    )
+
+
+def any_w(a):
+    """A W for input that is rejected before W is used."""
+    return scipy.sparse.linalg.aslinearoperator(np.eye(a.shape[0])), np.ones(a.shape[0])
+
+
+def difference_matrix(rows, n):
+    """rows x n, x -> x_i - x_(i-1) with x_(-1) = 0 when rows = n + 1
+    (W^T W = tridiag(-1, 2, -1)), and x_(i+1) - x_i when rows = n - 1
+    (the 1-D Neumann Laplacian, singular)."""
+    d = np.zeros((rows, n))
+    if rows == n + 1:
+        d[np.arange(n), np.arange(n)] = 1.0
+        d[np.arange(1, n + 1), np.arange(n)] = -1.0
+    else:
+        d[np.arange(rows), np.arange(rows)] = -1.0
+        d[np.arange(rows), np.arange(1, n)] = 1.0
+    return d
+
+
 def test_sparse_diagonal():
-    a = scipy.sparse.diags([1.0, 2.0, 4.0]).tocsr()
-    x = sparse_spd_solve(a, np.array([1.0, 1.0, 1.0]))
+    d = np.array([1.0, 2.0, 4.0])
+    x = lstsq_solve(np.diag(np.sqrt(d)), 1.0 / np.sqrt(d))
     assert np.allclose(x, [1.0, 0.5, 0.25], atol=1e-12)
 
 
 def test_sparse_tridiagonal_hand_solution():
-    # tridiag(-1, 2, -1), b = ones: x_i = i (n + 1 - i) / 2
+    # W^T W = tridiag(-1, 2, -1) and W^T load = ones: x_i = i (n + 1 - i) / 2,
+    # and the residual, -5/2 on every row, is orthogonal to the range of W
     n = 5
-    a = scipy.sparse.diags(
-        [-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]
-    ).tocsr()
-    x = sparse_spd_solve(a, np.ones(n))
+    w = difference_matrix(n + 1, n)
+    load = -np.arange(n + 1.0)
+    x = lstsq_solve(w, load)
     assert np.allclose(x, [2.5, 4.0, 4.5, 4.0, 2.5], atol=1e-10)
+    assert np.allclose(load - w @ x, -2.5, atol=1e-10)
 
 
 def test_sparse_indefinite_rejected():
     a = scipy.sparse.diags([1.0, -1.0, 1.0]).tocsr()
     with pytest.raises(NotPositiveDefiniteError):
-        sparse_spd_solve(a, np.ones(3))
+        sparse_spd_solve(a, np.ones(3), *any_w(a))
+
+
+def test_indefinite_factor_raises_with_its_pivot():
+    # a positive diagonal, but the second pivot is 1 - 4 = -3
+    a = scipy.sparse.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(NotPositiveDefiniteError, match=r"pivot 1 \(-3.000e\+00\).*n=2") as info:
+        sparse_spd_solve(a, np.ones(2), *any_w(a))
+    assert info.value.pivot == 1
+
+
+def test_exactly_singular_factor_raises(monkeypatch):
+    def always_singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", always_singular)
+    a = scipy.sparse.csr_matrix(np.ones((2, 2)))
+    with pytest.raises(NotPositiveDefiniteError, match=r"exactly singular.*n=2"):
+        sparse_spd_solve(a, np.ones(2), *any_w(a))
 
 
 def test_sparse_integer_matrix():
-    a = scipy.sparse.csr_matrix(np.array([[2, 1], [1, 2]]))
-    assert np.allclose(sparse_spd_solve(a, np.array([3, 3])), [1.0, 1.0], atol=1e-12)
+    # W^T W = [[2, 1], [1, 2]] and W^T load = [3, 3], all integers
+    w = np.array([[1, 1], [1, 0], [0, 1]])
+    assert np.allclose(lstsq_solve(w, np.array([2, 1, 1])), [1.0, 1.0], atol=1e-12)
 
 
 def test_sparse_asymmetric_rejected():
     a = scipy.sparse.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]]))
     with pytest.raises(LinearSolveError):
-        sparse_spd_solve(a, np.ones(2))
+        sparse_spd_solve(a, np.ones(2), *any_w(a))
 
 
 def test_sparse_random_spd_matches_dense():
+    # A = W^T W = M^T M + I for a tall W = [M; I]: x is the least-squares
+    # minimizer of |load - W x|
     rng = np.random.default_rng(9)
     n = 40
-    m = rng.standard_normal((n, n))
-    dense = m.T @ m + np.eye(n)
-    a = scipy.sparse.csr_matrix(dense)
-    b = rng.standard_normal(n)
-    x = sparse_spd_solve(a, b)
-    assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
-    assert np.allclose(x, np.linalg.solve(dense, b), atol=1e-8)
+    w = np.vstack([rng.standard_normal((n, n)), np.eye(n)])
+    load = rng.standard_normal(2 * n)
+    x = lstsq_solve(w, load)
+    reference = np.linalg.lstsq(w, load, rcond=None)[0]
+    assert np.linalg.norm(w.T @ (load - w @ x)) <= 1e-10 * np.linalg.norm(w.T @ load)
+    assert np.allclose(x, reference, atol=1e-8)
 
 
-def test_eps_shift_is_logged(caplog):
-    # rank-2 Gram matrix of the columns of [[1, 2, 3], [4, 5, 6]]: its
-    # equilibrated factorization ends on a roundoff-negative pivot
-    v = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    dense = v.T @ v
-    b = dense @ np.array([1.0, 2.0, 3.0])
-    with caplog.at_level(logging.WARNING, logger="bilap_dpg.linsolve"):
-        x = sparse_spd_solve(scipy.sparse.csr_matrix(dense), b)
-    assert np.linalg.norm(dense @ x - b) <= 1e-10 * np.linalg.norm(b)
-    shifts = [r for r in caplog.records if "refactoring with diagonal shift" in r.getMessage()]
-    assert len(shifts) == 1
-    assert shifts[0].levelno == logging.WARNING
-    assert "n=3" in shifts[0].getMessage()
-    assert "pivot 2 " in shifts[0].getMessage()
+@pytest.mark.parametrize(
+    "w", [np.array([[1.0, 1.0]]), difference_matrix(5, 6)], ids=["ones-2x2", "neumann-1d"]
+)
+def test_rank_deficient_w_gives_a_least_squares_minimizer(w):
+    # W^T W is singular: [[1, 1], [1, 1]] and the 1-D Neumann Laplacian.
+    # The shifted factor stays positive, and CGLS reaches a minimizer
+    load = np.arange(1.0, w.shape[0] + 1.0)
+    x = lstsq_solve(w, load)
+    reference = np.linalg.lstsq(w, load, rcond=None)[0]
+    assert np.linalg.norm(w.T @ (load - w @ x)) <= 1e-10 * np.linalg.norm(w.T @ load)
+    assert np.linalg.norm(load - w @ x) <= np.linalg.norm(load - w @ reference) + 1e-12
 
 
-def test_shift_retry_factors_a_fresh_shifted_input(monkeypatch):
-    # the rank-2 Gram matrix above: the retry factors D^-1/2 A D^-1/2 +
-    # 1e-12 I, rebuilt from A, and the first input is gone by then
-    v = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    dense = v.T @ v
+def test_one_factorization_per_solve(monkeypatch):
+    # the rank-2 Gram matrix of the columns of [[1, 2, 3], [4, 5, 6]],
+    # whose unshifted factor ends on a roundoff-negative pivot: one
+    # factorization of D^-1/2 A D^-1/2 + SHIFT I, and CGLS on W
+    w = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     splu = scipy.sparse.linalg.splu
-    inputs, alive = [], []
+    inputs = []
 
     def recording_splu(m, *args, **kwargs):
-        alive.extend(ref() is not None for ref, _ in inputs)
-        inputs.append((weakref.ref(m), m.toarray()))
+        inputs.append(m.toarray())
         return splu(m, *args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
-    sparse_spd_solve(scipy.sparse.csr_matrix(dense), dense @ np.ones(3))
-    assert len(inputs) == 2 and alive == [False]
+    load = np.array([1.0, -2.0])
+    x = lstsq_solve(w, load)
+    assert np.linalg.norm(load - w @ x) <= 1e-12
+    [factored] = inputs
+    dense = w.T @ w
     s = 1.0 / np.sqrt(np.diag(dense))
-    scaled = s[:, None] * dense * s[None, :]
-    assert np.array_equal(inputs[0][1], scaled)
-    assert np.array_equal(inputs[1][1], scaled + 1e-12 * np.eye(3))
+    assert np.array_equal(factored, s[:, None] * dense * s[None, :] + linsolve.SHIFT * np.eye(3))
+
+
+def test_iteration_cap_is_logged(monkeypatch, caplog):
+    # unpreconditioned CGLS needs n steps on the difference matrix
+    n = 5
+    w = scipy.sparse.linalg.aslinearoperator(difference_matrix(n + 1, n))
+    load = -np.arange(n + 1.0)
+    monkeypatch.setattr(linsolve, "MAXITER", 2)
+    with caplog.at_level(logging.WARNING, logger="bilap_dpg.linsolve"):
+        x, iterations = _cgls(w, load, lambda g: g)
+    assert iterations == 2
+    g, g_0 = w.rmatvec(load - w.matvec(x)), w.rmatvec(load)
+    relative = np.linalg.norm(g) / np.linalg.norm(g_0)
+    assert 1e-12 < relative < 1.0
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING
+    assert "cap of 2 iterations" in record.getMessage()
+    logged = float(re.search(r"normal residual (\S+)", record.getMessage()).group(1))
+    assert logged == pytest.approx(relative, rel=1e-3)
 
 
 def _traced_peak(fn):
@@ -125,13 +188,13 @@ def test_solve_holds_at_most_one_extra_copy_of_a(monkeypatch):
     # a scaled copy and |A| alive together measured 3.1 copies)
     captured = []
 
-    def capture(a, b):
-        captured.append((a, b))
-        return sparse_spd_solve(a, b)
+    def capture(a, b, *args):
+        captured.append((a, b, *args))
+        return sparse_spd_solve(a, b, *args)
 
     monkeypatch.setattr(dpg_solver, "sparse_spd_solve", capture)
     dpg_solver.assemble_and_solve(make_unit_square(16), Formulation(scheme=2), smooth_problem())
-    [(a, b)] = captured
+    [(a, b, w, load)] = captured
     copy = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
     s = 1.0 / np.sqrt(a.diagonal())
     scaled = a.tocsc()
@@ -146,80 +209,18 @@ def test_solve_holds_at_most_one_extra_copy_of_a(monkeypatch):
         )
         lu.U.diagonal()
 
-    excess = _traced_peak(lambda: sparse_spd_solve(a, b)) - _traced_peak(factor_alone)
+    excess = _traced_peak(lambda: sparse_spd_solve(a, b, w, load)) - _traced_peak(factor_alone)
     assert excess <= copy
 
 
-def _neumann_laplacian(n):
-    a = scipy.sparse.diags(
-        [-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]
-    ).tolil()
-    a[0, 0] = a[n - 1, n - 1] = 1.0
-    return a.tocsr()
-
-
-SINGULAR = {
-    "ones-2x2": scipy.sparse.csr_matrix(np.ones((2, 2))),
-    "neumann-1d": _neumann_laplacian(6),
-}
-
-
-@pytest.mark.parametrize("name", sorted(SINGULAR))
-def test_exactly_singular_factor_is_shifted(name, caplog):
-    # positive semidefinite with an exactly zero pivot: SuperLU reports
-    # an exactly singular factor, which takes the same eps-shift retry as
-    # a roundoff-negative pivot; b lies in the range, so the shifted
-    # solve succeeds
-    a = SINGULAR[name]
-    n = a.shape[0]
-    b = a @ np.arange(1.0, n + 1.0)
-    with caplog.at_level(logging.WARNING, logger="bilap_dpg.linsolve"):
-        x = sparse_spd_solve(a, b)
-    assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
-    shifts = [r for r in caplog.records if "refactoring with diagonal shift" in r.getMessage()]
-    assert len(shifts) == 1
-    assert shifts[0].levelno == logging.WARNING
-    assert "exactly singular" in shifts[0].getMessage()
-    assert f"n={n};" in shifts[0].getMessage()
-
-
-def test_singular_after_shift_raises_not_positive_definite(monkeypatch, caplog):
-    def always_singular(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
-
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", always_singular)
-    with caplog.at_level(logging.WARNING, logger="bilap_dpg.linsolve"):
-        with pytest.raises(NotPositiveDefiniteError, match=r"exactly singular.*n=2 "):
-            sparse_spd_solve(SINGULAR["ones-2x2"], np.array([1.0, -1.0]))
-    assert len(caplog.records) == 1
-
-
-def test_pcg_best_iterate_is_logged(caplog):
-    n = 5
-    a = scipy.sparse.diags(
-        [-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]
-    ).tocsr()
-    b = np.ones(n)
-    with caplog.at_level(logging.WARNING, logger="bilap_dpg.linsolve"):
-        x, iterations = _pcg(a, b, lambda r: r, rtol=1e-13, maxiter=2)
-    assert iterations == 2
-    relative = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
-    assert 1e-13 < relative < 1.0
-    [record] = caplog.records
-    assert record.levelno == logging.WARNING
-    assert "after 2 iterations" in record.getMessage()
-    logged = float(re.search(r"relative residual (\S+)", record.getMessage()).group(1))
-    assert logged == pytest.approx(relative, rel=1e-3)
-
-
 def test_solve_logs_one_debug_record(caplog):
-    a = scipy.sparse.diags([1.0, 2.0, 4.0]).tocsr()
+    d = np.array([1.0, 2.0, 4.0])
     with caplog.at_level(logging.DEBUG, logger="bilap_dpg.linsolve"):
-        sparse_spd_solve(a, np.ones(3))
+        lstsq_solve(np.diag(np.sqrt(d)), np.ones(3))
     [record] = caplog.records
     assert record.levelno == logging.DEBUG
     message = record.getMessage()
-    for field in ("n=3", "nnz(A)=3", "nnz(L+U)=", "polish_iterations=1"):
+    for field in ("n=3", "nnz(A)=3", "nnz(L+U)=", "cgls_iterations=1"):
         assert field in message
 
 
@@ -237,15 +238,19 @@ def test_ordering_reduces_fill_on_dpg_system(caplog):
     )
     w, _ = monomial_local_systems(mesh, 2, 0, form.test_degree, prob.f)
     block_cols = (loc.v_cols, np.arange(loc.tau_cols[-1] + 1))
-    a = sparse_normal_matrix(w, full_cols, free_map, block_cols)
+    a, w_free = sparse_normal_matrix(w, full_cols, free_map, block_cols)
+    load = w_free @ np.ones(a.shape[0])
     with caplog.at_level(logging.DEBUG, logger="bilap_dpg.linsolve"):
-        sparse_spd_solve(a, a @ np.ones(a.shape[0]))
+        sparse_spd_solve(a, w_free.T @ load, scipy.sparse.linalg.aslinearoperator(w_free), load)
     [record] = [r for r in caplog.records if r.levelno == logging.DEBUG]
     fill = int(re.search(r"nnz\(L\+U\)=(\d+)", record.getMessage()).group(1))
     assert fill == 68_320  # as when the solver assembled this system itself
 
+    s = 1.0 / np.sqrt(a.diagonal())
+    scaled = a.tocsc()
+    scaled.data = s[scaled.indices] * scaled.data * np.repeat(s, np.diff(scaled.indptr))
     colamd = scipy.sparse.linalg.splu(
-        _scaled_csc(a, 1.0 / np.sqrt(a.diagonal()), 0.0),
+        scaled,
         permc_spec="COLAMD",
         diag_pivot_thresh=0.0,
         options=dict(SymmetricMode=True),
