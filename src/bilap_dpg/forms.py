@@ -18,20 +18,25 @@ identity plus a second-order term that depends on J alone.  The trial
 basis is the centred, diameter-scaled monomials of the field degree
 times L^-T, L the Cholesky factor of their moment matrix.
 
+Every kernel is written in the element's own frame: each edge slot
+runs from the slot's first vertex to its second, along the element's
+counterclockwise traversal, with the element's outward normal, and the
+vertex dofs are Cartesian.  Nothing in a kernel depends on how the mesh
+numbers its vertices or orders its elements.
+
 `build_local_systems` is the module's one entry point; a single
 element's system is that of a one-element `Mesh`.  It runs the dense
 kernels once per translation class of elements: elements whose
 relative vertex coordinates (v1 - v0, v2 - v0) agree after rounding to
-2^-40 of their binade 2^floor(log2 h), in the same binade, with the
-same orientation of each edge's global lo/hi endpoints relative to the
-element's slots and the same edge owner signs, have equal local systems
-up to rounding.  There is no scale key: mass terms scale with h^2 and
-Hessian terms with h^-2, so the Gram blocks of similar elements are not
-multiples of each other.  Nested newest-vertex bisection yields
-finitely many shapes, so uniform and graded meshes reuse most kernels;
-a mesh without repeated shapes has one class per element.  Given a
-`KernelCache`, the classes already met on the previous adaptive level
-are copied from it instead of recomputed.
+2^-40 of their binade 2^floor(log2 h), in the same binade, share one
+kernel, computed from those rounded coordinates alone.  There is no
+scale key: mass terms scale with h^2 and Hessian terms with h^-2, so
+the Gram blocks of similar elements are not multiples of each other.
+Nested newest-vertex bisection yields finitely many shapes, so uniform
+and graded meshes reuse most kernels; a mesh without repeated shapes
+has one class per element.  Given a `KernelCache`, the classes already
+met on the previous adaptive level are copied from it instead of
+recomputed, bit for bit equal to a fresh computation.
 """
 
 from __future__ import annotations
@@ -43,9 +48,11 @@ import numpy as np
 from bilap_dpg import shape
 from bilap_dpg import trace_space as ts
 from bilap_dpg.linsolve import NotPositiveDefiniteError
+from bilap_dpg.mesh import triangle_diameters
 
 TRACE_COLS = 9  # 3 vertices x (value, d/dx, d/dy) per trace unknown
 CORNER_COLS = 6  # 3 corners x (outgoing, incoming) jump coefficients
+CORNER_SIGNS = np.tile([1.0, -1.0], 3)  # outgoing +, incoming -
 MIN_ELEMENT_AREA = 1e-14
 CHUNK = 1024  # classes per batch of dense kernels, elements per batch of copies
 KEY_BITS = 40  # class keys round relative coordinates to 2^-KEY_BITS of the binade of h
@@ -187,9 +194,10 @@ def _trial_basis(tab, jac, det, h, degree, labels):
     return np.swapaxes(r * sign[:, :, None], 1, 2), t
 
 
-def _b_blocks(mesh, tris, tab, det, jinv, lap, trial, with_corners):
+def _b_blocks(coords, tab, det, jinv, lap, trial, with_corners):
     """The two nonzero blocks (b_v, b_tau) of the trial-to-test matrix
-    in the element's orthonormal test basis, each (n, k, columns).
+    in the element's orthonormal test basis, each (n, k, columns), for
+    elements with vertex coordinates `coords` (n, 3, 2).
 
     The v block's columns are [sigma | sigma_hat], followed by the six
     corner columns of scheme 2 when `with_corners`; the tau block's are
@@ -199,77 +207,62 @@ def _b_blocks(mesh, tris, tab, det, jinv, lap, trial, with_corners):
     m = lap.shape[1]
     du = np.einsum("emi,emj->eij", lap, trial[:, :m])  # (u, Delta tau) = (sigma, Delta v)
     scale = det**-0.5
-    trace = _skeleton_b(mesh, tris, tab, scale, jinv)  # uhat meets tau, sigma_hat meets v
+    trace = _skeleton_b(coords, tab, scale, jinv)  # uhat meets tau, sigma_hat meets v
     v_parts = [du, trace]
     if with_corners:
-        v_parts.append(_corner_b(mesh, tris, scale[:, None, None] * tab.vertex.val))
+        v_parts.append(_corner_b(scale[:, None, None] * tab.vertex.val))
     return np.concatenate(v_parts, axis=2), np.concatenate([du, -trial, trace], axis=2)
 
 
-def _skeleton_b(mesh, tris, tab, scale, jinv):
+def _skeleton_b(coords, tab, scale, jinv):
     """The trace columns (n, k, 9) of B, shared by both trace unknowns.
 
-    For each element edge the contribution to a test function t is
-        -s int_e ( w dn_e(t) - w_n t ) ds
-    where (w, w_n) is the reduced-HCT edge trace pair in the edge's
-    global orientation and s the element-side orientation factor;
+    Edge slot s runs from vertex s to vertex s + 1 of the element, with
+    the element's outward normal n.  Its contribution to a test
+    function t is
+        -int_e ( w dn(t) - w_n t ) ds
+    where (w, w_n) is the reduced-HCT trace pair of the slot's endpoint
+    dofs, the first endpoint's three followed by the second's;
     `_b_blocks` pairs the columns of the first trace unknown with the
-    tau block and those of the second with the v block.  The edge
-    tables are read in the direction of the edge's global lo -> hi
-    parameter; dn(t) = (J^-1 n) . grad_ref.  Per slot, the weighted
-    dof tables meet the mapped test values in two batched matmuls, and
-    the lo/hi halves are swapped where the slot runs hi -> lo.
+    tau block and those of the second with the v block.
+    dn(t) = (J^-1 n) . grad_ref.  Per slot, the weighted dof tables
+    meet the mapped test values in two batched matmuls.
     """
-    k = tab.dim
-    rule = tab.edge_rule
-    weights = rule.weights[:, None]
-    signs = mesh.edge_signs()[tris]
-    tri_vertices = mesh.triangles[tris]
-    out = np.zeros((len(tris), k, TRACE_COLS))
-
+    weights = tab.edge_rule.weights[:, None]
+    out = np.zeros((len(coords), tab.dim, TRACE_COLS))
     for slot in range(3):
-        e = mesh.tri_edges[tris, slot]
-        lo_first = tri_vertices[:, slot] == mesh.edges[e, 0]
-        direction = np.where(lo_first, 0, 1)
-        val_t = tab.edge.val[slot, direction]
-        kn = np.einsum("eab,eb->ea", jinv, mesh.edge_normal[e])
-        dn_t = (tab.edge.grad[slot, direction] @ kn[:, None, :, None])[..., 0]
-        val6, nd6 = ts.edge_dof_tables(mesh, e, rule.points)
+        d = coords[:, (slot + 1) % 3] - coords[:, slot]
+        length = np.hypot(d[:, 0], d[:, 1])
+        tangent = d / length[:, None]
+        normal = np.column_stack([tangent[:, 1], -tangent[:, 0]])  # outward: CCW elements
+        kn = np.einsum("eab,eb->ea", jinv, normal)
+        dn_t = (tab.edge.grad[slot] @ kn[:, None, :, None])[..., 0]
+        val6, nd6 = ts.edge_dof_tables(length, tangent, normal, tab.edge_rule.points)
         contrib = np.swapaxes(dn_t, 1, 2) @ (weights * val6)
-        contrib -= np.swapaxes(val_t, 1, 2) @ (weights * nd6)
-        contrib *= (-scale * signs[:, slot] * mesh.edge_length[e])[:, None, None]
-
-        # dofs 0-2 belong to the lo endpoint, 3-5 to the hi one: order
-        # them as the slot's first then second local vertex
-        contrib = np.where(lo_first[:, None, None], contrib, np.roll(contrib, 3, axis=2))
+        contrib -= tab.edge.val[slot].T @ (weights * nd6)
+        contrib *= (-scale * length)[:, None, None]
         first, second = 3 * slot, 3 * ((slot + 1) % 3)
         out[:, :, first : first + 3] += contrib[:, :, :3]
         out[:, :, second : second + 3] += contrib[:, :, 3:]
     return out
 
 
-def _corner_b(mesh, tris, corner_vals):
+def _corner_b(corner_vals):
     """Corner-functional columns (n, k, 6) of the second trace unknown
     (scheme 2), ordered as the ids of `_corner_cols`.
 
     The scheme-2 trace space contains point functionals at mesh
     vertices (the tensor-trace pairing carries corner jump terms), so
-    each edge endpoint gets one jump coefficient; an element pairs the
-    telescoped difference of its two coefficients at each corner with
-    the test value there (`corner_vals`, (n, 3, k)).  The telescoping
-    makes the data of any globally smooth tensor sum to zero around
-    interior vertices, which keeps the enrichment conforming; one
-    coefficient per vertex is a pure gauge and is fixed to zero by the
-    solver."""
-    # per slot: +1 if it runs from its edge's global lo vertex, times
-    # the owner sign; corner c starts slot c and ends slot c - 1
-    lo_first = mesh.triangles[tris] == mesh.edges[mesh.tri_edges[tris], 0]
-    sign = np.where(lo_first, 1.0, -1.0) * mesh.edge_signs()[tris]
-    out = np.empty((len(tris), corner_vals.shape[2], CORNER_COLS))
-    for c in range(3):
-        out[:, :, 2 * c] = sign[:, c, None] * corner_vals[:, c]
-        out[:, :, 2 * c + 1] = -sign[:, c - 1, None] * corner_vals[:, c]
-    return out
+    each edge endpoint gets one jump coefficient.  Along the element's
+    counterclockwise traversal, corner c is where slot c leaves and slot
+    c - 1 arrives: the element pairs the outgoing coefficient minus the
+    incoming one with the test value there (`corner_vals`, (n, 3, k)).
+    The two elements at an edge traverse it in opposite directions, so
+    each coefficient enters one of them with + and the other with -: the
+    data of any globally smooth tensor sums to zero around interior
+    vertices, which keeps the enrichment conforming.  One coefficient
+    per vertex is a pure gauge and is fixed to zero by the solver."""
+    return np.repeat(np.swapaxes(corner_vals, 1, 2), 2, axis=2) * CORNER_SIGNS
 
 
 def _corner_cols(mesh):
@@ -363,39 +356,37 @@ def _condense_u(w, dim_p):
 
 
 def translation_classes(mesh):
-    """Group the elements into classes whose local systems coincide.
+    """Group the elements into classes that share one local system.
 
     The key of an element is the binade exponent e = floor(log2 h) of
-    its diameter h, its relative vertex coordinates (v1 - v0, v2 - v0)
-    rounded to the quantum 2^(e - KEY_BITS), and two bits per local
-    edge: whether the edge's global lo vertex is the slot's first vertex
-    (it fixes the edge parameter, the tangent and where the lo/hi dofs
-    go) and the owner sign of `Mesh.edge_signs` (it fixes the normal and
-    the corner-column signs).  The quantum is tied to the element's own
-    size, so translates whose coordinates differ in the last bits (the
-    midpoints of irrational vertices) share a class, while an element
-    and its exactly similar copy of another size do not.  Returns
-    (first, cls, counts, keys): the first element of each class, the
-    class of each element, the class sizes and the class keys, in the
-    order of the classes.
+    its diameter h and its relative vertex coordinates (v1 - v0,
+    v2 - v0) rounded to the quantum 2^(e - KEY_BITS).  The quantum is
+    tied to the element's own size, so translates whose coordinates
+    differ in the last bits (the midpoints of irrational vertices)
+    share a class, while an element and its exactly similar copy of
+    another size do not.  Returns (first, cls, counts, keys): the first
+    element of each class, the class of each element, the class sizes
+    and the class keys, in the order of the classes.
     """
     coords = mesh.triangle_coords()
     _, exponent = np.frexp(mesh.diameters)  # h in [2^(exponent - 1), 2^exponent)
     rel = (coords[:, 1:] - coords[:, :1]).reshape(-1, 4)
-    lo_first = mesh.triangles == mesh.edges[mesh.tri_edges, 0]
     keys = np.column_stack(
-        [
-            exponent,
-            np.rint(np.ldexp(rel, (KEY_BITS + 1 - exponent)[:, None])),
-            lo_first,
-            mesh.edge_signs(),
-        ]
+        [exponent, np.rint(np.ldexp(rel, (KEY_BITS + 1 - exponent)[:, None]))]
     ).astype(np.int64)
     keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))[:, 0]
     keys, first, cls, counts = np.unique(
         keys, return_index=True, return_inverse=True, return_counts=True
     )
     return first, cls, counts, keys
+
+
+def _key_coords(keys):
+    """The vertex coordinates (n, 3, 2) that class keys stand for: v0 at
+    the origin, v1 and v2 at the rounded relative coordinates."""
+    ints = keys.view(np.int64).reshape(len(keys), -1)
+    rel = np.ldexp(ints[:, 1:].astype(float), ints[:, :1] - KEY_BITS - 1)
+    return np.concatenate([np.zeros((len(keys), 1, 2)), rel.reshape(-1, 2, 2)], axis=1)
 
 
 @dataclass
@@ -438,15 +429,17 @@ def build_local_systems(mesh, formulation, f, cache=None):
 
     The dense kernels (the mapped reference tables, B, the QR whitening
     and its inverse factors, the condensation of u) run once per class of
-    `translation_classes`, on its first element, and are copied to the
-    other members; only the load f(x_q) and its whitening, the centroid
-    and the corner ids are computed per element.  The class key rounds
-    the relative coordinates at about 1e-12 h, so members agree with
-    their representative up to that rounding, not bit for bit.  The key
-    is translation-only on purpose: mass terms scale with h^2 and
-    Hessian terms with h^-2, so the Gram blocks follow no common scaling
-    law and a similarity key would need one.  A mesh without repeated
-    shapes has one class per element and takes the same path.  With a
+    `translation_classes`, on the element its key stands for (v0 at the
+    origin, the rounded relative coordinates), and are copied to every
+    member; only the load f(x_q) and its whitening, the centroid and the
+    corner ids are computed per element.  A kernel is a function of its
+    key alone, so it differs from one built on an element's exact
+    coordinates by the key's rounding, about 1e-12 h, and is the same
+    bits wherever and in whatever company it is computed.  The key is
+    translation-only on purpose: mass terms scale with h^2 and Hessian
+    terms with h^-2, so the Gram blocks follow no common scaling law and
+    a similarity key would need one.  A mesh without repeated shapes has
+    one class per element and takes the same path.  With a
     `KernelCache`, a class of the cached level is copied from there and
     the cache is then refilled with this level, so adaptive levels
     compute only the classes that refinement creates.
@@ -471,7 +464,8 @@ def build_local_systems(mesh, formulation, f, cache=None):
     first, counts, keys, known = first[order], counts[order], keys[order], known[order]
     cls = np.argsort(order)[cls]
     n_new = int(np.count_nonzero(known < 0))
-    jac, det, jinv = _maps(coords[first], first)
+    key_coords = _key_coords(keys)
+    jac, det, jinv = _maps(key_coords, first)
     linv_all = None if cache is None else np.empty((len(first), k, k))
 
     by_class = np.argsort(cls, kind="stable")
@@ -483,11 +477,11 @@ def build_local_systems(mesh, formulation, f, cache=None):
         s_v, s_tau = _gram_stacks(hess, formulation.scheme)
         linv_v = _inverse_factor(s_v, reps)
         linv_tau = linv_v if s_tau is s_v else _inverse_factor(s_tau, reps)
-        chol, trial = _trial_basis(
-            tab, jac[c0:c1], det[c0:c1], mesh.diameters[reps], formulation.field_degree, reps
-        )
+        h = triangle_diameters(key_coords[c0:c1])
+        chol, trial = _trial_basis(tab, jac[c0:c1], det[c0:c1], h, formulation.field_degree, reps)
         b_v, b_tau = _b_blocks(
-            mesh, reps, tab, det[c0:c1], jinv[c0:c1], hess[:, 0] + hess[:, 2], trial, with_corners
+            key_coords[c0:c1], tab, det[c0:c1], jinv[c0:c1], hess[:, 0] + hess[:, 2], trial,
+            with_corners,
         )
         b_v = linv_v @ b_v
         b_tau, recovery = _condense_u(linv_tau @ b_tau, dim_p)

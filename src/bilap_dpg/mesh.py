@@ -30,6 +30,12 @@ def _triangle_areas(vertices, triangles):
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
+def triangle_diameters(coords):
+    """Longest side of each triangle of a batch (n, 3, 2), shape (n,)."""
+    side = np.roll(coords, -1, axis=1) - coords
+    return np.hypot(side[..., 0], side[..., 1]).max(axis=1)
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Conforming triangulation of a polygonal domain.
@@ -42,11 +48,13 @@ class Mesh:
         Vertex indices per triangle; positively oriented, refinement edge
         first (see module docstring).
 
-    Derived edge topology is built on construction.  Interior edges carry
-    a fixed global orientation: the unit normal points from the
-    lower-index incident triangle to the higher-index one, and outward on
-    boundary edges.  All invariants (positive orientation, conformity)
-    are checked on construction and raise :class:`MeshError` on failure.
+    Derived edge topology is built on construction: the edges as
+    lexicographic vertex pairs, each triangle's edge per slot (slot s
+    joins local vertices s and s + 1) and the boundary vertices.  Edges
+    carry no global orientation; element kernels run each edge in the
+    element's own counterclockwise traversal, with its outward normal.
+    All invariants (positive orientation, conformity) are checked on
+    construction and raise :class:`MeshError` on failure.
     """
 
     vertices: np.ndarray
@@ -54,11 +62,6 @@ class Mesh:
 
     edges: np.ndarray = field(init=False, repr=False)
     tri_edges: np.ndarray = field(init=False, repr=False)
-    edge_tris: np.ndarray = field(init=False, repr=False)
-    edge_length: np.ndarray = field(init=False, repr=False)
-    edge_tangent: np.ndarray = field(init=False, repr=False)
-    edge_normal: np.ndarray = field(init=False, repr=False)
-    is_boundary_edge: np.ndarray = field(init=False, repr=False)
     is_boundary_vertex: np.ndarray = field(init=False, repr=False)
     areas: np.ndarray = field(init=False, repr=False)
     diameters: np.ndarray = field(init=False, repr=False)
@@ -110,53 +113,20 @@ class Mesh:
                 f"edge {e} (vertices {edges[e, 0]}-{edges[e, 1]}) shared by "
                 f"{counts[e]} triangles, more than two"
             )
-        # halfedges grouped by edge in halfedge order: an edge's first
-        # one is its lower triangle's, its second the higher one's
-        by_edge = np.argsort(inverse, kind="stable")
-        starts = np.cumsum(counts) - counts
-        two = counts == 2
-        edge_tris = np.full((len(edges), 2), -1, dtype=np.int64)
-        edge_tris[:, 0] = first // 3
-        edge_tris[two, 1] = by_edge[starts[two] + 1] // 3
-
         vec = self.vertices[edges[:, 1]] - self.vertices[edges[:, 0]]
-        length = np.hypot(vec[:, 0], vec[:, 1])
-        if np.any(length <= 0):
+        if np.any(np.hypot(vec[:, 0], vec[:, 1]) <= 0):
             raise MeshError("degenerate (zero-length) edge")
-        tangent = vec / length[:, None]
 
-        # outward normal of the owning (lower-index) triangle: for the
-        # direction d of the owner's first halfedge on the edge,
-        # outward = (d_y, -d_x)
-        owner_he = halfedges[first]
-        d = self.vertices[owner_he[:, 1]] - self.vertices[owner_he[:, 0]]
-        normal = np.column_stack([d[:, 1], -d[:, 0]]) / np.hypot(d[:, 0], d[:, 1])[:, None]
-
-        is_bedge = edge_tris[:, 1] < 0
+        # a boundary edge belongs to one triangle only
         is_bvert = np.zeros(len(self.vertices), dtype=bool)
-        is_bvert[edges[is_bedge].ravel()] = True
+        is_bvert[edges[counts == 1].ravel()] = True
 
-        areas = _triangle_areas(self.vertices, t)
-        p = self.vertices[t]
-        side = np.stack(
-            [
-                np.hypot(*(p[:, 1] - p[:, 0]).T),
-                np.hypot(*(p[:, 2] - p[:, 1]).T),
-                np.hypot(*(p[:, 0] - p[:, 2]).T),
-            ],
-            axis=1,
-        )
         for name, val in (
             ("edges", edges),
             ("tri_edges", tri_edges),
-            ("edge_tris", edge_tris),
-            ("edge_length", length),
-            ("edge_tangent", tangent),
-            ("edge_normal", normal),
-            ("is_boundary_edge", is_bedge),
             ("is_boundary_vertex", is_bvert),
-            ("areas", areas),
-            ("diameters", side.max(axis=1)),
+            ("areas", _triangle_areas(self.vertices, t)),
+            ("diameters", triangle_diameters(self.vertices[t])),
         ):
             object.__setattr__(self, name, val)
 
@@ -195,11 +165,6 @@ class Mesh:
     def triangle_coords(self):
         """Vertex coordinates per triangle, shape (nt, 3, 2)."""
         return self.vertices[self.triangles]
-
-    def edge_signs(self):
-        """Orientation factors for all (triangle, local edge) pairs, (nt, 3)."""
-        owner = self.edge_tris[self.tri_edges, 0]
-        return np.where(owner == np.arange(self.num_triangles)[:, None], 1.0, -1.0)
 
 
 def _ref_edge_first(tri, vertices):

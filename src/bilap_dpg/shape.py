@@ -202,9 +202,9 @@ class ReferenceTables:
 
     `tri` is tabulated at the points of `quad` (triangle rule of
     exactness 2d + 2), `edge` at the points of `edge_rule` (exactness
-    2d + 4) on each edge slot in both directions, shape (3, 2, n, ...):
-    slot s runs from reference vertex s to vertex s + 1 (direction 0)
-    or back (direction 1), and `vertex` at the three reference vertices.
+    2d + 4) on each edge slot, shape (3, n, ...): slot s runs from
+    reference vertex s to vertex s + 1, and `vertex` at the three
+    reference vertices.
     `hess_coeffs` (3, m, k) expands the Hessian components of every
     member in the first m = dim P_(d-2) members, which span the
     Hessians of P_d.
@@ -230,9 +230,7 @@ def reference_tables(degree):
     edge_rule = edge_quadrature(2 * degree + 4)
     a = REFERENCE_VERTICES
     b = np.roll(REFERENCE_VERTICES, -1, axis=0)
-    t = edge_rule.points[None, :, None]
-    edge_pts = np.stack([a[:, None] + t * (b - a)[:, None],
-                         b[:, None] + t * (a - b)[:, None]], axis=1)
+    edge_pts = a[:, None] + edge_rule.points[None, :, None] * (b - a)[:, None]
     tri = orthonormal_basis(degree, quad.points)
     m = basis_dimension(degree - 2) if degree >= 2 else 0
     weighted = quad.weights[:, None] * tri.val[:, :m]

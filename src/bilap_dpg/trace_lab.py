@@ -257,8 +257,8 @@ def _edge_constraint_rows(vertices, tab, jinv, det, z, n_moments_val, n_moments_
         length = np.hypot(*d_vec)
         nrm = np.array([d_vec[1], -d_vec[0]]) / length
         pts = a[None, :] + t[:, None] * d_vec[None, :]
-        # edge slot k in its own direction: vertex k to vertex k + 1
-        edge = shape.map_jet(shape.Jet(*(x[k, 0] for x in tab.edge)), jinv, det)
+        # edge slot k runs from vertex k to vertex k + 1
+        edge = shape.map_jet(shape.Jet(*(x[k] for x in tab.edge)), jinv, det)
         val, dn = edge.val, edge.grad @ nrm
         z_val = z(pts[:, 0], pts[:, 1])
         z_dn = z.dx()(pts[:, 0], pts[:, 1]) * nrm[0] + z.dy()(pts[:, 0], pts[:, 1]) * nrm[1]

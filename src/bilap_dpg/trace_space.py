@@ -4,9 +4,11 @@ Each mesh vertex carries three degrees of freedom: a function value and
 the two gradient components.  Along an edge, the trace value is the
 cubic Hermite interpolant of the endpoint values and tangential
 derivatives; the normal derivative is the linear interpolant of the
-endpoint gradients dotted with the edge's global unit normal.  There
-are no edge-interior dofs (reduced HCT), so the skeleton data is
-single-valued by construction.
+endpoint gradients dotted with a unit normal of the edge.  The vertex
+dofs are Cartesian, so an edge's trace pair reads the same from either
+end and against either normal up to the normal's sign.  There are no
+edge-interior dofs (reduced HCT), so the skeleton data is single-valued
+by construction.
 """
 
 from __future__ import annotations
@@ -47,10 +49,7 @@ def apply_clamped_bc(space):
     This forces the cubic edge trace and the linear normal derivative
     to vanish identically on boundary edges.
     """
-    constrained = space.constrained.copy()
-    bverts = np.nonzero(space.mesh.is_boundary_vertex)[0]
-    for v in bverts:
-        constrained[DOFS_PER_VERTEX * v : DOFS_PER_VERTEX * (v + 1)] = True
+    constrained = space.constrained | np.repeat(space.mesh.is_boundary_vertex, DOFS_PER_VERTEX)
     values = np.where(constrained, 0.0, space.values)
     return replace(space, constrained=constrained, values=values)
 
@@ -101,40 +100,32 @@ def hermite_value_weights(t):
     )
 
 
-def edge_dof_tables(mesh, edge_ids, t):
+def edge_dof_tables(length, tangent, normal, t):
     """Edge-trace shape functions for the six endpoint dofs.
 
-    For each edge in `edge_ids` and parameter in `t` (running from the
-    lower-index to the higher-index endpoint), returns the weights that
-    map the endpoint dof values
-    ``(w_lo, gx_lo, gy_lo, w_hi, gx_hi, gy_hi)`` to the trace value and
-    to the normal derivative with respect to the edge's global normal.
+    For edges of the given lengths (n,), unit tangents (n, 2) and unit
+    normals (n, 2), at the parameters `t` running from each edge's first
+    endpoint to its second, returns the weights that map the endpoint
+    dof values ``(w_0, gx_0, gy_0, w_1, gx_1, gy_1)`` to the trace value
+    and to the normal derivative along `normal`.
 
     Returns
     -------
-    val : (n_edges, n_t, 6)
-    nder : (n_edges, n_t, 6)
+    val : (n, n_t, 6)
+    nder : (n, n_t, 6)
     """
-    edge_ids = np.asarray(edge_ids, dtype=np.int64)
     t = np.asarray(t, dtype=float)
     h00, h10, h01, h11 = hermite_value_weights(t)
-    length = mesh.edge_length[edge_ids][:, None]
-    tau = mesh.edge_tangent[edge_ids]
-    nrm = mesh.edge_normal[edge_ids]
+    along = length[:, None, None] * tangent[:, None, :]
+    nrm = normal[:, None, :]
 
-    ne, nt = len(edge_ids), len(t)
-    val = np.zeros((ne, nt, 6))
+    val = np.zeros((len(length), len(t), 6))
     val[:, :, 0] = h00
-    val[:, :, 1] = h10 * length * tau[:, None, 0]
-    val[:, :, 2] = h10 * length * tau[:, None, 1]
+    val[:, :, 1:3] = h10[:, None] * along
     val[:, :, 3] = h01
-    val[:, :, 4] = h11 * length * tau[:, None, 0]
-    val[:, :, 5] = h11 * length * tau[:, None, 1]
+    val[:, :, 4:6] = h11[:, None] * along
 
-    nder = np.zeros((ne, nt, 6))
-    nder[:, :, 1] = (1.0 - t) * nrm[:, None, 0]
-    nder[:, :, 2] = (1.0 - t) * nrm[:, None, 1]
-    nder[:, :, 4] = t * nrm[:, None, 0]
-    nder[:, :, 5] = t * nrm[:, None, 1]
+    nder = np.zeros_like(val)
+    nder[:, :, 1:3] = (1.0 - t)[:, None] * nrm
+    nder[:, :, 4:6] = t[:, None] * nrm
     return val, nder
-

@@ -149,11 +149,12 @@ def monomial_local_systems(mesh, scheme, field_degree, test_degree, f):
     matrix.  The skeleton columns pair the cubic Hermite trace values
     and linear normal derivatives along each edge (global lo -> hi
     parameter, global normal) as -s int_e (w dn(t) - w_n t) ds, s = +1
-    on the edge's owner (lower-index element); scheme 2 adds the six
-    corner columns (telescoped endpoint coefficients against the test
-    value at the corner).  W and wl depend on the test basis, but W^T W,
-    W^T wl, |wl|^2 and the residual |wl - W x| of any trial vector x do
-    not, so those match any correct implementation.
+    on the edge's owner (lower-index element), with the normals and
+    owners of `mesh_topology`; scheme 2 adds the six corner columns (the
+    element's outgoing minus incoming endpoint coefficient at each
+    corner against the test value there).  W and wl depend on the test
+    basis, but W^T W, W^T wl, |wl|^2 and the residual |wl - W x| of any
+    trial vector x do not, so those match any correct implementation.
     """
     from bilap_dpg.shape import edge_quadrature, map_to_triangle, triangle_quadrature
 
@@ -163,6 +164,7 @@ def monomial_local_systems(mesh, scheme, field_degree, test_degree, f):
     vol_rule = triangle_quadrature(2 * test_degree + 2)
     edge_rule = edge_quadrature(2 * test_degree + 4)
     t, tw = edge_rule.points, edge_rule.weights
+    _, _, edge_tris, normal = mesh_topology(mesh.vertices, mesh.triangles)
     out_w, out_wl = [], []
     for tri, verts in enumerate(mesh.triangle_coords()):
         centre = verts.mean(axis=0)
@@ -195,8 +197,8 @@ def monomial_local_systems(mesh, scheme, field_degree, test_degree, f):
             plo, phi = mesh.vertices[lo], mesh.vertices[hi]
             length = np.hypot(*(phi - plo))
             tau = (phi - plo) / length
-            nrm = mesh.edge_normal[e]
-            side = 1.0 if mesh.edge_tris[e, 0] == tri else -1.0
+            nrm = normal[e]
+            side = 1.0 if edge_tris[e, 0] == tri else -1.0
             x = plo + t[:, None] * (phi - plo)
             v_t, g_t, _ = _monomial_jet(x, centre, h, test_degree)
             dn_t = g_t @ nrm
@@ -219,11 +221,8 @@ def monomial_local_systems(mesh, scheme, field_degree, test_degree, f):
         if scheme == 2:
             corner_val = _monomial_jet(verts, centre, h, test_degree)[0]
             for c in range(3):
-                for which, slot in ((0, c), (1, (c + 2) % 3)):
-                    e = mesh.tri_edges[tri, slot]
-                    starts_at_lo = mesh.triangles[tri, slot] == mesh.edges[e, 0]
-                    side = 1.0 if mesh.edge_tris[e, 0] == tri else -1.0
-                    sign = (1.0 if starts_at_lo else -1.0) * side * (-1.0 if which else 1.0)
+                for which in (0, 1):
+                    sign = -1.0 if which else 1.0
                     b[:k, 2 * dim_p + 18 + 2 * c + which] = sign * corner_val[c]
 
         load = val.T @ (w * f(pts[:, 0], pts[:, 1]))

@@ -2,10 +2,11 @@
 production code.
 
 A name counts as used when `src/` or `perfbench/` refers to it outside
-its own definition: as a name, an attribute, an imported name or a
-string (perfbench patches functions by their names).  A field counts as
-read where an attribute of its name is read or its name is a string (as
-in `getattr`); passing it to a constructor does not count.  Only dunders
+its own definition: as a name, an attribute or an imported name, and in
+`perfbench/` also as a string (it patches functions by their names).  A
+field counts as read where an attribute of its name is read, or its
+name is a string in `perfbench/` (as in `getattr`); passing it to a
+constructor or naming it in src's own setattr tables does not count.  Only dunders
 are exempt.  Neither tests nor the re-exports of `bilap_dpg/__init__.py`
 (its imports and `__all__`) count, so a public name needs a production
 caller too, and a helper that only tests reach belongs in
@@ -19,8 +20,15 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "bilap_dpg"
 
 
-def _references(tree):
-    """(name, line) of every reference in a module."""
+def _is_identifier_string(node):
+    if not (isinstance(node, ast.Constant) and isinstance(node.value, str)):
+        return False
+    return node.value.isidentifier()
+
+
+def _references(tree, strings):
+    """(name, line) of every reference in a module, identifier strings
+    included if `strings`."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
@@ -28,9 +36,8 @@ def _references(tree):
             yield node.attr, node.lineno
         elif isinstance(node, ast.alias):
             yield node.name.rpartition(".")[2], node.lineno
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if node.value.isidentifier():
-                yield node.value, node.lineno
+        elif strings and _is_identifier_string(node):
+            yield node.value, node.lineno
 
 
 def _definitions(tree):
@@ -53,7 +60,7 @@ def _production_trees():
 
 def test_every_src_definition_is_referenced_by_production_code():
     trees = _production_trees()
-    refs = {path: list(_references(tree)) for path, tree in trees.items()}
+    refs = {path: list(_references(tree, path.parent != SRC)) for path, tree in trees.items()}
     unused = []
     for path in sorted(trees):
         if path.parent != SRC:
@@ -73,19 +80,21 @@ def test_every_src_definition_is_referenced_by_production_code():
     )
 
 
-def _reads(tree):
-    """Attribute names a module reads, directly or as strings."""
+def _reads(tree, strings):
+    """Attribute names a module reads, and its identifier strings if
+    `strings`."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if node.value.isidentifier():
-                yield node.value
+        elif strings and _is_identifier_string(node):
+            yield node.value
 
 
 def test_every_src_class_field_is_read_by_production_code():
     trees = _production_trees()
-    reads = {name for tree in trees.values() for name in _reads(tree)}
+    reads = {
+        name for path, tree in trees.items() for name in _reads(tree, path.parent != SRC)
+    }
     unread = [
         f"{path.name}:{stmt.lineno} {cls.name}.{stmt.target.id}"
         for path in sorted(trees)

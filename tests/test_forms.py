@@ -335,13 +335,9 @@ def test_element_perturbed_by_1e_9_h_gets_its_own_class():
 
 def _exact_byte_classes(mesh):
     """Class count of keys made of the exact bytes of the relative
-    vertex coordinates, with `translation_classes`' orientation bits."""
+    vertex coordinates."""
     coords = mesh.triangle_coords()
-    lo_first = mesh.triangles == mesh.edges[mesh.tri_edges, 0]
-    keys = np.column_stack(
-        [(coords[:, 1:] - coords[:, :1]).reshape(-1, 4), lo_first, mesh.edge_signs()]
-    )
-    return len(np.unique(keys, axis=0))
+    return len(np.unique((coords[:, 1:] - coords[:, :1]).reshape(-1, 4), axis=0))
 
 
 def test_size_relative_key_merges_more_graded_sector_elements_than_exact_bytes():
@@ -360,19 +356,16 @@ CLASS_MESHES = {
 }
 
 
-def _one_class_per_element(mesh):
-    ids = np.arange(mesh.num_triangles)
-    return ids, ids, np.ones_like(ids), ids
-
-
 @pytest.mark.parametrize("name", sorted(CLASS_MESHES))
 @pytest.mark.parametrize("scheme", [1, 2])
 @pytest.mark.parametrize("degree", [0, 1])
 def test_class_cache_matches_shifted_mesh(name, scheme, degree, monkeypatch):
-    # the cached kernels of the mesh against per-element ones of a
-    # shifted copy, whose non-dyadic shift changes the rounding of the
-    # relative vertex coordinates; the size-relative key absorbs that
-    # rounding, so the shifted square keeps its class count
+    # the class kernels of the mesh, computed from its keys, against
+    # those of a shifted copy keyed at the last bit of each binade,
+    # which are the kernels of its elements' own coordinates; the
+    # non-dyadic shift changes the rounding of the relative vertex
+    # coordinates, the size-relative key absorbs that rounding, so the
+    # shifted square keeps its class count
     offset = np.array([0.1, 0.3])
     mesh = CLASS_MESHES[name]()
     shifted = Mesh(mesh.vertices + offset, mesh.triangles)
@@ -382,7 +375,7 @@ def test_class_cache_matches_shifted_mesh(name, scheme, degree, monkeypatch):
     if name == "square":
         assert len(translation_classes(shifted)[0]) == len(translation_classes(mesh)[0])
     a = build_local_systems(mesh, form, f)
-    monkeypatch.setattr(forms, "translation_classes", _one_class_per_element)
+    monkeypatch.setattr(forms, "KEY_BITS", 52)
     b = build_local_systems(shifted, form, g)
     for field in ("w_v", "wl_v", "w_tau", "u_recovery", "h", "trial_chol"):
         x, y = getattr(a, field), getattr(b, field)
@@ -392,6 +385,24 @@ def test_class_cache_matches_shifted_mesh(name, scheme, degree, monkeypatch):
         assert np.array_equal(a.corner_cols, b.corner_cols)
     else:
         assert a.corner_cols is None and b.corner_cols is None
+
+
+@pytest.mark.parametrize("scheme", [1, 2])
+@pytest.mark.parametrize("degree", [0, 1])
+def test_local_systems_do_not_depend_on_the_mesh_numbering(scheme, degree):
+    # the same graded mesh with its vertex numbers and its triangle
+    # order reversed, each triangle keeping its local vertex order: every
+    # global edge changes its lo/hi direction and its owner, but no
+    # element's kernel may change in a single bit
+    mesh = _oracle_mesh("graded-sector")
+    nv = mesh.num_vertices
+    renumbered = Mesh(mesh.vertices[::-1], (nv - 1 - mesh.triangles)[::-1])
+    form = Formulation(scheme=scheme, field_degree=degree, test_degree=4)
+    f = lambda x, y: np.sin(3 * x + 1) * np.cos(2 * y) + x * y
+    a = build_local_systems(mesh, form, f)
+    b = build_local_systems(renumbered, form, f)
+    for field in ("w_v", "wl_v", "w_tau", "u_recovery", "trial_chol"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)[::-1]), field
 
 
 def _doerfler_sector(steps):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import Poly2d, interpolate_function
+from oracles import Poly2d, interpolate_function, mesh_topology
 
 from bilap_dpg.mesh import make_sector_domain, make_unit_square, refine_nvb
 from bilap_dpg.shape import edge_quadrature
@@ -23,13 +23,27 @@ def test_dof_count_after_uniform_refinement():
     assert len(build_trace_space(r).values) == 3 * r.num_vertices
 
 
+def _segment_trace(mesh, coeffs, a, b, t):
+    """Trace value and normal derivative along the segment from vertex a
+    to vertex b at the parameters t, against the normal that turns the
+    tangent clockwise (outward for a counterclockwise element), through
+    the element kernels' `edge_dof_tables`; returns them with the
+    segment's length, the points and the normal."""
+    pa, pb = mesh.vertices[a], mesh.vertices[b]
+    length = np.hypot(*(pb - pa))
+    tangent = (pb - pa) / length
+    normal = np.array([tangent[1], -tangent[0]])
+    t = np.atleast_1d(t)
+    dofs = np.asarray(coeffs, dtype=float).reshape(-1, 3)[[a, b]].ravel()
+    val, nder = edge_dof_tables(np.array([length]), tangent[None], normal[None], t)
+    points = pa + t[:, None] * (pb - pa)
+    return val[0] @ dofs, nder[0] @ dofs, length, points, normal
+
+
 def edge_trace(mesh, coeffs, edge, t):
     """Trace value and normal derivative along one edge, t running from
-    its lower- to its higher-index vertex, through the element kernels'
-    `edge_dof_tables`."""
-    dofs = np.asarray(coeffs, dtype=float).reshape(-1, 3)[mesh.edges[edge]].ravel()
-    val, nder = edge_dof_tables(mesh, [edge], np.atleast_1d(t))
-    return val[0] @ dofs, nder[0] @ dofs
+    its lower- to its higher-index vertex."""
+    return _segment_trace(mesh, coeffs, *mesh.edges[edge], t)[:2]
 
 
 def _edge_between(mesh, a_xy, b_xy):
@@ -88,10 +102,7 @@ def test_cubic_reproduction_all_edges():
     linear = Poly2d(np.array([[0.3, -1.2], [0.7, 0.0]]))
     coeffs = interpolate_function(m, linear, linear.grad)
     for e in range(m.num_edges):
-        lo, hi = m.vertices[m.edges[e]]
-        pts = lo[None, :] + t[:, None] * (hi - lo)[None, :]
-        n = m.edge_normal[e]
-        _, nder = edge_trace(m, coeffs, e, t)
+        _, nder, _, pts, n = _segment_trace(m, coeffs, *m.edges[e], t)
         gx, gy = linear.grad(pts[:, 0], pts[:, 1])
         assert np.allclose(nder, gx * n[0] + gy * n[1], atol=1e-12)
 
@@ -109,7 +120,8 @@ def test_clamped_bc_boundary_trace_vanishes():
     space = apply_clamped_bc(build_trace_space(m))
     coeffs = np.where(space.constrained, space.values, 1.37)  # junk interior
     t = np.linspace(0, 1, 6)
-    for e in np.nonzero(m.is_boundary_edge)[0]:
+    edge_tris = mesh_topology(m.vertices, m.triangles)[2]
+    for e in np.nonzero(edge_tris[:, 1] < 0)[0]:
         value, nder = edge_trace(m, coeffs, e, t)
         assert np.all(value == 0) and np.all(nder == 0)
 
@@ -145,23 +157,19 @@ def test_interpolate_singular_solution_origin_dofs_vanish():
 
 
 def skeleton_pairing(mesh, coeffs, test_poly, exactness=14):
-    """sum_T int_dT (w dn(tau) - dn(w) tau) ds for a global test polynomial."""
+    """sum_T int_dT (w dn(tau) - dn(w) tau) ds for a global test
+    polynomial, each element's edges run in its own counterclockwise
+    traversal with its outward normal, as the element kernels run them."""
     rule = edge_quadrature(exactness)
     total = 0.0
-    signs = mesh.edge_signs()
-    for tri in range(mesh.num_triangles):
-        for k in range(3):
-            e = mesh.tri_edges[tri, k]
-            s = signs[tri, k]
-            lo, hi = mesh.vertices[mesh.edges[e]]
-            pts = lo[None, :] + rule.points[:, None] * (hi - lo)[None, :]
-            n = mesh.edge_normal[e]
+    for tri in mesh.triangles:
+        for a, b in zip(tri, np.roll(tri, -1)):
+            w_val, w_nd, length, pts, n = _segment_trace(mesh, coeffs, a, b, rule.points)
             gx, gy = test_poly.grad(pts[:, 0], pts[:, 1])
-            w_val, w_nd = edge_trace(mesh, coeffs, e, rule.points)
             integrand = w_val * (gx * n[0] + gy * n[1]) - w_nd * test_poly(
                 pts[:, 0], pts[:, 1]
             )
-            total += s * mesh.edge_length[e] * (rule.weights @ integrand)
+            total += length * (rule.weights @ integrand)
     return total
 
 
