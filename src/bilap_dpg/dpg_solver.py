@@ -186,7 +186,7 @@ def _global_columns(mesh, formulation, uhat_space, corner_cols=None):
     return full_cols, fixed_values, free_map, len(free_ids)
 
 
-def assemble_and_solve(mesh, formulation, problem, cache=None):
+def assemble_and_solve(mesh, formulation, problem):
     """Assemble the DPG normal equations and solve them.
 
     Parameters
@@ -194,16 +194,13 @@ def assemble_and_solve(mesh, formulation, problem, cache=None):
     mesh : Mesh
     formulation : forms.Formulation
     problem : problems.Problem
-    cache : forms.KernelCache, optional
-        The previous adaptive level's class kernels, passed on to
-        `forms.build_local_systems`.
 
     Returns
     -------
     Solution
     """
     uhat_space = _trace_spaces(mesh, problem)
-    local = forms.build_local_systems(mesh, formulation, problem.f, cache)
+    local = forms.build_local_systems(mesh, formulation, problem.f)
     full_cols, fixed_values, free_map, n_free = _global_columns(
         mesh, formulation, uhat_space, local.corner_cols
     )
@@ -324,10 +321,10 @@ def error_indicators(solution):
     return Indicators(np.sqrt(eta_sq), float(np.sqrt(eta_sq.sum())))
 
 
-def solve_and_record(mesh, formulation, problem, level, cache=None):
+def solve_and_record(mesh, formulation, problem, level):
     """Solve one level and produce its study record."""
     t0 = time.perf_counter()
-    solution = assemble_and_solve(mesh, formulation, problem, cache)
+    solution = assemble_and_solve(mesh, formulation, problem)
     indicators = error_indicators(solution)
     elapsed = time.perf_counter() - t0
     err_u, err_sigma = problems.l2_errors(solution, problem)
@@ -347,12 +344,10 @@ def solve_and_record(mesh, formulation, problem, level, cache=None):
 def adaptive_loop(mesh, formulation, problem, theta, max_dofs):
     """Solve -> estimate -> Doerfler mark -> refine until max_dofs.
 
-    Every level is solved from scratch (no field transfer), but the
-    element kernels of the translation classes that a level shares with
-    the one before are copied through one `forms.KernelCache`, which
-    holds only the previous level and lives no longer than this call.
-    Returns one StudyRecord per level; the loop stops after the first
-    level whose free dof count exceeds `max_dofs`.
+    Every level is solved from scratch: no field and no element kernel
+    is carried from one level to the next.  Returns one StudyRecord per
+    level; the loop stops after the first level whose free dof count
+    exceeds `max_dofs`.
     """
     if not 0.0 < theta <= 1.0:
         raise SolverError(f"theta must be in (0, 1], got {theta}")
@@ -366,16 +361,13 @@ def adaptive_loop(mesh, formulation, problem, theta, max_dofs):
         raise SolverError(
             f"max_dofs={max_dofs} does not exceed the initial dof count {initial_dofs}"
         )
-    cache = forms.KernelCache()
     while True:
         try:
-            record, solution, indicators = solve_and_record(
-                mesh, formulation, problem, level, cache=cache
-            )
+            record, solution, indicators = solve_and_record(mesh, formulation, problem, level)
         except SolverError as exc:
             raise SolverError(f"level {level}: {exc}") from exc
-        # its W blocks must not live through the next level's solve: the
-        # cache lets go of them once the next level's systems are built
+        # its W blocks must not live through the next level's local
+        # systems and solve, which set the peak memory
         del solution
         records.append(record)
         if record.ndof_total > max_dofs:

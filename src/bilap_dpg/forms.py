@@ -34,9 +34,8 @@ scale key: mass terms scale with h^2 and Hessian terms with h^-2, so
 the Gram blocks of similar elements are not multiples of each other.
 Nested newest-vertex bisection yields finitely many shapes, so uniform
 and graded meshes reuse most kernels; a mesh without repeated shapes
-has one class per element.  Given a `KernelCache`, the classes already
-met on the previous adaptive level are copied from it instead of
-recomputed, bit for bit equal to a fresh computation.
+has one class per element.  Each call computes its classes afresh:
+nothing is carried from one mesh to the next.
 """
 
 from __future__ import annotations
@@ -389,37 +388,7 @@ def _key_coords(keys):
     return np.concatenate([np.zeros((len(keys), 1, 2)), rel.reshape(-1, 2, 2)], axis=1)
 
 
-@dataclass
-class KernelCache:
-    """The class kernels of one adaptive level, for the next one.
-
-    `dpg_solver.adaptive_loop` owns one and hands it to the
-    `build_local_systems` of every level, which copies the kernels of
-    each class found here instead of recomputing them and then refills
-    the cache with its own level.  It holds that level's `local`
-    systems (which its Solution keeps through the solve anyway), the
-    class `keys` of `translation_classes`, an `element` of `local` per
-    class and each class's `linv_v` = chol(G_v)^-1, which whitens the
-    load of new members.
-    """
-
-    local: LocalSystems | None = None
-    keys: np.ndarray | None = None
-    element: np.ndarray | None = None
-    linv_v: np.ndarray | None = None
-
-    def find(self, keys, formulation):
-        """Per class key, the index of its class here, or -1."""
-        if self.local is None or self.local.formulation != formulation:
-            return np.full(len(keys), -1)
-        n_old = len(self.keys)
-        _, inverse = np.unique(np.concatenate([self.keys, keys]), return_inverse=True)
-        known = np.full(n_old + len(keys), -1)
-        known[inverse[:n_old]] = np.arange(n_old)
-        return known[inverse[n_old:]]
-
-
-def build_local_systems(mesh, formulation, f, cache=None):
+def build_local_systems(mesh, formulation, f):
     """Factor and whiten the local systems of every element.
 
     Scheme 2 appends the corner-functional columns of the second trace
@@ -439,10 +408,7 @@ def build_local_systems(mesh, formulation, f, cache=None):
     translation-only on purpose: mass terms scale with h^2 and Hessian
     terms with h^-2, so the Gram blocks follow no common scaling law and
     a similarity key would need one.  A mesh without repeated shapes has
-    one class per element and takes the same path.  With a
-    `KernelCache`, a class of the cached level is copied from there and
-    the cache is then refilled with this level, so adaptive levels
-    compute only the classes that refinement creates.
+    one class per element and takes the same path.
     """
     nt = mesh.num_triangles
     k = formulation.test_dim
@@ -458,20 +424,13 @@ def build_local_systems(mesh, formulation, f, cache=None):
     tab = shape.reference_tables(formulation.test_degree)
     coords = mesh.triangle_coords()
     first, cls, counts, keys = translation_classes(mesh)
-    known = np.full(len(first), -1) if cache is None else cache.find(keys, formulation)
-    # the classes to compute lead, so that their members are contiguous
-    order = np.argsort(known >= 0, kind="stable")
-    first, counts, keys, known = first[order], counts[order], keys[order], known[order]
-    cls = np.argsort(order)[cls]
-    n_new = int(np.count_nonzero(known < 0))
     key_coords = _key_coords(keys)
     jac, det, jinv = _maps(key_coords, first)
-    linv_all = None if cache is None else np.empty((len(first), k, k))
 
     by_class = np.argsort(cls, kind="stable")
     starts = np.concatenate([[0], np.cumsum(counts)])
-    for c0 in range(0, n_new, CHUNK):
-        c1 = min(c0 + CHUNK, n_new)
+    for c0 in range(0, len(first), CHUNK):
+        c1 = min(c0 + CHUNK, len(first))
         reps = first[c0:c1]
         hess = _hessians(tab, jinv[c0:c1])
         s_v, s_tau = _gram_stacks(hess, formulation.scheme)
@@ -485,8 +444,6 @@ def build_local_systems(mesh, formulation, f, cache=None):
         )
         b_v = linv_v @ b_v
         b_tau, recovery = _condense_u(linv_tau @ b_tau, dim_p)
-        if linv_all is not None:
-            linv_all[c0:c1] = linv_v
 
         # members in slices of CHUNK, so no per-element copy of a class
         # table is ever larger than one slice
@@ -500,20 +457,7 @@ def build_local_systems(mesh, formulation, f, cache=None):
             load = _load(tab, coords[tris], det[cls[tris]], f)
             wl_v[tris] = np.einsum("eij,ej->ei", linv_v[loc], load)
 
-    if n_new < len(first):  # the carried classes copy the cached level's kernels
-        linv_all[n_new:] = cache.linv_v[known[n_new:]]
-        for s in range(starts[n_new], nt, CHUNK):
-            tris = by_class[s : s + CHUNK]
-            c = cls[tris]
-            old = cache.element[known[c]]
-            w_v[tris] = cache.local.w_v[old]
-            w_tau[tris] = cache.local.w_tau[old]
-            u_recovery[tris] = cache.local.u_recovery[old]
-            trial_chol[tris] = cache.local.trial_chol[old]
-            load = _load(tab, coords[tris], det[c], f)
-            wl_v[tris] = np.einsum("eij,ej->ei", linv_all[c], load)
-
-    local = LocalSystems(
+    return LocalSystems(
         formulation,
         w_v,
         wl_v,
@@ -526,6 +470,3 @@ def build_local_systems(mesh, formulation, f, cache=None):
         trial_chol,
         _corner_cols(mesh) if with_corners else None,
     )
-    if cache is not None:
-        cache.local, cache.keys, cache.element, cache.linv_v = local, keys, first, linv_all
-    return local

@@ -204,18 +204,13 @@ def make_unit_square(n):
     xx, yy = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            ll, lr = vid(i, j), vid(i + 1, j)
-            ur, ul = vid(i + 1, j + 1), vid(i, j + 1)
-            # diagonal ll-ur is the refinement edge of both triangles
-            tris.append((ur, ll, lr))
-            tris.append((ll, ur, ul))
-    return Mesh(vertices, np.array(tris, dtype=np.int64))
+    j, i = np.divmod(np.arange(n * n), n)  # the squares row by row
+    ll = j * (n + 1) + i
+    lr, ul = ll + 1, ll + n + 1
+    ur = ul + 1
+    # diagonal ll-ur is the refinement edge of both triangles
+    tris = np.stack([np.column_stack([ur, ll, lr]), np.column_stack([ll, ur, ul])], axis=1)
+    return Mesh(vertices, tris.reshape(-1, 3))
 
 
 SECTOR_HALF_ANGLE = 5.0 * np.pi / 8.0
@@ -268,31 +263,36 @@ def refine_nvb(mesh, marked):
             break
         edge_marked[ref_edge[need]] = True
 
-    vertices = list(map(tuple, mesh.vertices))
-    midpoint = {}
-    for e in np.nonzero(edge_marked)[0]:
-        lo, hi = mesh.edges[e]
-        midpoint[e] = len(vertices)
-        vertices.append(tuple(0.5 * (mesh.vertices[lo] + mesh.vertices[hi])))
+    split = np.nonzero(edge_marked)[0]
+    midpoint = np.full(mesh.num_edges, -1, dtype=np.int64)
+    midpoint[split] = mesh.num_vertices + np.arange(len(split))
+    ends = mesh.vertices[mesh.edges[split]]
+    vertices = np.concatenate([mesh.vertices, 0.5 * (ends[:, 0] + ends[:, 1])])
 
-    tris = []
-    for i, (a, b, c) in enumerate(mesh.triangles):
-        e0, e1, e2 = mesh.tri_edges[i]
-        if not edge_marked[e0]:
-            tris.append((a, b, c))
-            continue
-        m0 = midpoint[e0]
-        # child (c, a, m0) owns parent edge e2 = (c, a); (b, c, m0) owns e1
-        for child, e_child in (((c, a, m0), e2), ((b, c, m0), e1)):
-            if edge_marked[e_child]:
-                ca, cb, cc = child
-                mc = midpoint[e_child]
-                tris.append((cc, ca, mc))
-                tris.append((cb, cc, mc))
-            else:
-                tris.append(child)
+    a, b, c = mesh.triangles.T
+    m0, m1, m2 = midpoint[mesh.tri_edges].T
+    s0, s1, s2 = edge_marked[mesh.tri_edges].T
 
-    return Mesh(np.array(vertices, dtype=float), np.array(tris, dtype=np.int64))
+    def tri(*corners):
+        return np.column_stack(corners)
+
+    # bisecting (a, b, c) at the midpoint m of (a, b) gives (c, a, m)
+    # and (b, c, m).  A split parent yields its two halves in this order,
+    # and a half whose refinement edge (e2 = (c, a), e1 = (b, c)) is
+    # marked is split once more: up to four children per parent, of
+    # which `live` keeps those that exist, in the parents' order
+    first = np.where(s2[:, None], tri(m0, c, m2), tri(c, a, m0))
+    children = np.stack(
+        [
+            np.where(s0[:, None], first, tri(a, b, c)),
+            tri(a, m0, m2),
+            np.where(s1[:, None], tri(m0, b, m1), tri(b, c, m0)),
+            tri(c, m0, m1),
+        ],
+        axis=1,
+    )
+    live = np.column_stack([np.ones_like(s0), s0 & s2, s0, s0 & s1])
+    return Mesh(vertices, children[live])
 
 
 def doerfler_mark(indicators, theta):

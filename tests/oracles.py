@@ -97,6 +97,70 @@ def mesh_topology(vertices, triangles):
     return np.array(edges, dtype=np.int64), np.array(tri_edges, dtype=np.int64), edge_tris, normal
 
 
+def unit_square_triangles(n):
+    """Triangles of `make_unit_square(n)` by a loop over the squares,
+    row by row: each square gives (ur, ll, lr) and then (ll, ur, ul)."""
+
+    def vid(i, j):
+        return j * (n + 1) + i
+
+    tris = []
+    for j in range(n):
+        for i in range(n):
+            ll, lr = vid(i, j), vid(i + 1, j)
+            ur, ul = vid(i + 1, j + 1), vid(i, j + 1)
+            tris.append((ur, ll, lr))
+            tris.append((ll, ur, ul))
+    return np.array(tris, dtype=np.int64)
+
+
+def refine_nvb_by_loop(mesh, marked):
+    """(vertices, triangles) of `refine_nvb(mesh, marked)` by a loop
+    over the triangles.
+
+    The closure marks the refinement edge of every triangle with a
+    marked edge until nothing changes.  The midpoints of the marked
+    edges are appended in ascending edge id.  A triangle (a, b, c) whose
+    refinement edge e0 is marked is replaced by its halves (c, a, m0)
+    and (b, c, m0), and a half whose outer edge (e2 = (c, a) for the
+    first, e1 = (b, c) for the second) is marked is bisected once more
+    in the same way.
+    """
+    marked = np.unique(np.asarray(list(marked), dtype=np.int64))
+    ref_edge = mesh.tri_edges[:, 0]
+    edge_marked = np.zeros(mesh.num_edges, dtype=bool)
+    edge_marked[ref_edge[marked]] = True
+    while True:
+        need = edge_marked[mesh.tri_edges].any(axis=1) & ~edge_marked[ref_edge]
+        if not need.any():
+            break
+        edge_marked[ref_edge[need]] = True
+
+    vertices = list(map(tuple, mesh.vertices))
+    midpoint = {}
+    for e in np.nonzero(edge_marked)[0]:
+        lo, hi = mesh.edges[e]
+        midpoint[e] = len(vertices)
+        vertices.append(tuple(0.5 * (mesh.vertices[lo] + mesh.vertices[hi])))
+
+    tris = []
+    for i, (a, b, c) in enumerate(mesh.triangles):
+        e0, e1, e2 = mesh.tri_edges[i]
+        if not edge_marked[e0]:
+            tris.append((a, b, c))
+            continue
+        m0 = midpoint[e0]
+        for child, e_child in (((c, a, m0), e2), ((b, c, m0), e1)):
+            if edge_marked[e_child]:
+                ca, cb, cc = child
+                mc = midpoint[e_child]
+                tris.append((cc, ca, mc))
+                tris.append((cb, cc, mc))
+            else:
+                tris.append(child)
+    return np.array(vertices, dtype=float), np.array(tris, dtype=np.int64)
+
+
 def random_triangle(rng, min_double_area=0.2):
     while True:
         v = rng.uniform(-1, 1, size=(3, 2))

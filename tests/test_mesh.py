@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import mesh_topology
+from oracles import mesh_topology, refine_nvb_by_loop, unit_square_triangles
 
 from bilap_dpg.mesh import (
     Mesh,
@@ -30,6 +30,11 @@ def test_unit_square_euler_formula(n):
     assert m.num_vertices - m.num_edges + m.num_triangles == 1
     assert m.num_triangles == 2 * n * n
     assert m.num_vertices == (n + 1) ** 2
+
+
+def test_unit_square_triangles_match_the_loop_oracle():
+    for n in range(1, 65):
+        assert np.array_equal(make_unit_square(n).triangles, unit_square_triangles(n)), n
 
 
 def test_unit_square_rejects_zero():
@@ -225,6 +230,19 @@ def nvb_refinements(draw):
 def test_topology_matches_oracle_on_nvb_refinements(refinements):
     for mesh in refinements[1]:
         _assert_topology_matches_oracle(mesh)
+
+
+@settings(max_examples=25, deadline=None)
+@given(nvb_refinements(), st.data())
+def test_refine_nvb_matches_the_loop_oracle(refinements, data):
+    # bit for bit: the same midpoints in the same order, and the same
+    # children in the same order
+    for mesh in refinements[1]:
+        marked = data.draw(st.sets(st.integers(0, mesh.num_triangles - 1), min_size=1))
+        refined = refine_nvb(mesh, marked)
+        vertices, triangles = refine_nvb_by_loop(mesh, marked)
+        assert np.array_equal(refined.vertices, vertices)
+        assert np.array_equal(refined.triangles, triangles)
 
 
 def test_mesh_rejects_edge_shared_by_three_triangles():
