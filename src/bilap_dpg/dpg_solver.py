@@ -3,9 +3,12 @@
 Every element contributes its Schur complement B^T G^-1 B (realized
 through whitened local systems) to a sparse symmetric positive
 definite matrix over [sigma fields | free trace dofs].  W = chol(G)^-1 B
-is kept as its two test blocks (`forms.LocalSystems`): each block adds
-W^T W over its own columns, sigma being the one unknown in both, and
-the estimator sums the two blocks' residuals.  The field u meets the
+is kept as its two test blocks, once per class of elements
+(`forms.LocalSystems`): each block adds W^T W over its own columns,
+sigma being the one unknown in both, and the estimator sums the two
+blocks' residuals.  Every per-element product with a class kernel
+gathers the kernels of a slice of elements at a time (`_class_chunks`),
+so no per-element copy of W is ever made.  The field u meets the
 tau block alone, which has no load, so it is condensed out element by
 element before assembly: the tau block is stored projected off the u
 columns, which adds no entry outside the pattern that sigma and uhat
@@ -35,6 +38,10 @@ from bilap_dpg.trace_space import (
     build_trace_space,
     interpolate_boundary_data,
 )
+
+# elements per gathered chunk of class kernels: bounds the per-element
+# copies of W that the products make, which the solve's peak holds
+GATHER = 256
 
 
 class SolverError(Exception):
@@ -216,35 +223,16 @@ def assemble_and_solve(mesh, formulation, problem):
     # the fixed dofs move to the right: wl - W x_fixed, per test block
     blocks = [(w, cols[:, ids]) for w, _, ids in local.blocks()]
     load = np.concatenate([
-        (wl - (w @ fixed_values[full_cols[:, ids]][..., None])[..., 0]).ravel()
+        (wl - _products(w, local.cls, fixed_values[full_cols[:, ids]])).ravel()
         for w, wl, ids in local.blocks()
     ])
-    # each test block couples exactly its own columns: storing all their
-    # free x free couplings, also where an entry cancels to zero, keeps
-    # the sparsity and the factor's fill independent of rounding.  sigma
-    # meets both blocks, and the COO -> CSR conversion sums the two
-    n_entries = sum(int(((c < n_rest).sum(axis=1) ** 2).sum()) for _, c in blocks)
-    # ids in the int32 that scipy stores them in need no converted copy
-    index = np.int32 if n_rest <= np.iinfo(np.int32).max else np.int64
-    vals = np.empty(n_entries)
-    row = np.empty(n_entries, dtype=index)
-    col = np.empty(n_entries, dtype=index)
-    start = 0
-    for w, c in blocks:
-        free = c < n_rest
-        keep = free[:, :, None] & free[:, None, :]
-        stop = start + np.count_nonzero(keep)
-        vals[start:stop] = (np.swapaxes(w, 1, 2) @ w)[keep]
-        row[start:stop] = np.broadcast_to(c[:, :, None], keep.shape)[keep]
-        col[start:stop] = np.broadcast_to(c[:, None, :], keep.shape)[keep]
-        start = stop
-    a = scipy.sparse.csr_matrix((vals, (row, col)), shape=(n_rest, n_rest))
-    # nothing of size nt * ncol^2, nor the column map, stays alive through
-    # the factorization, and the conversion leaves the summed entries at
-    # the front of triplet-sized buffers: the solver gets exactly nnz(A)
-    del keep, vals, row, col, cols
+    a = scipy.sparse.csr_matrix(_triplets(blocks, local.cls, n_rest), shape=(n_rest, n_rest))
+    # the column map does not stay alive through the factorization, and
+    # the conversion leaves the summed entries at the front of
+    # triplet-sized buffers: the solver gets exactly nnz(A)
+    del cols
     a.data, a.indices = a.data.copy(), a.indices.copy()
-    w_free = _free_operator(blocks, n_rest)
+    w_free = _free_operator(blocks, local.cls, n_rest)
 
     try:
         x_free = sparse_spd_solve(a, w_free.rmatvec(load), w_free, load)
@@ -257,7 +245,7 @@ def assemble_and_solve(mesh, formulation, problem):
     x_all[free_map >= n_field] = x_free
     x_local = x_all[full_cols]
     # the tau block has no load, so the condensed u is -G x_tau
-    x_local[:, :dim_p] = -(local.u_recovery @ x_local[:, local.tau_cols, None])[..., 0]
+    x_local[:, :dim_p] = -_products(local.u_recovery, local.cls, x_local[:, local.tau_cols])
 
     def make_field(coeffs):
         return BrokenField(
@@ -281,22 +269,73 @@ def assemble_and_solve(mesh, formulation, problem):
     )
 
 
-def _free_operator(blocks, n):
-    """W over the n free unknowns as a LinearOperator, from (w, c) per
-    test block, c being the free id of each local column or n if fixed.
+def _class_chunks(kernels, cls):
+    """(elements, their kernels) in slices of GATHER elements, so that
+    no per-element copy of a class table outgrows one slice."""
+    for start in range(0, len(cls), GATHER):
+        elements = slice(start, start + GATHER)
+        yield elements, kernels[cls[elements]]
+
+
+def _products(kernels, cls, x, transpose=False):
+    """Per-element products kernels[cls[e]] @ x[e], or with the kernels
+    transposed, for vectors x (nt, columns); returns (nt, rows)."""
+    out = np.empty((len(cls), kernels.shape[2 if transpose else 1]))
+    for elements, w in _class_chunks(kernels, cls):
+        if transpose:
+            w = np.swapaxes(w, 1, 2)
+        out[elements] = (w @ x[elements, :, None])[..., 0]
+        del w  # else it lives on while the next slice is gathered
+    return out
+
+
+def _triplets(blocks, cls, n):
+    """COO entries (vals, (row, col)) of A = W^T W over the n free
+    unknowns, from (class kernels w, c) per test block, c being the free
+    id of each element column or n if fixed.
+
+    Each test block couples exactly its own columns: storing all their
+    free x free couplings, also where an entry cancels to zero, keeps
+    the sparsity and the factor's fill independent of rounding.  sigma
+    meets both blocks, and the COO -> CSR conversion sums the two.
+    w^T w is formed once per class and gathered into the entries.
+    """
+    n_entries = sum(int(((c < n).sum(axis=1) ** 2).sum()) for _, c in blocks)
+    # ids in the int32 that scipy stores them in need no converted copy
+    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    vals = np.empty(n_entries)
+    row = np.empty(n_entries, dtype=index)
+    col = np.empty(n_entries, dtype=index)
+    start = 0
+    for w, c in blocks:
+        free = c < n
+        for elements, gram in _class_chunks(np.swapaxes(w, 1, 2) @ w, cls):
+            keep = free[elements, :, None] & free[elements, None, :]
+            stop = start + np.count_nonzero(keep)
+            vals[start:stop] = gram[keep]
+            row[start:stop] = np.broadcast_to(c[elements, :, None], keep.shape)[keep]
+            col[start:stop] = np.broadcast_to(c[elements, None, :], keep.shape)[keep]
+            start = stop
+    return vals, (row, col)
+
+
+def _free_operator(blocks, cls, n):
+    """W over the n free unknowns as a LinearOperator, from (class
+    kernels w, c) per test block, c being the free id of each element
+    column or n if fixed.
 
     W x stacks each block's rows element by element, as `load` does.
     """
-    sizes = np.cumsum([0] + [w.shape[0] * w.shape[1] for w, _ in blocks])
+    sizes = np.cumsum([0] + [len(cls) * w.shape[1] for w, _ in blocks])
 
     def matvec(x):
         x = np.append(x, 0.0)  # the value of every fixed column
-        return np.concatenate([(w @ x[c][:, :, None]).ravel() for w, c in blocks])
+        return np.concatenate([_products(w, cls, x[c]).ravel() for w, c in blocks])
 
     def rmatvec(r):
         out = np.zeros(n + 1)  # the last entry sums the fixed columns
         for (w, c), lo, hi in zip(blocks, sizes, sizes[1:]):
-            g = np.swapaxes(w, 1, 2) @ r[lo:hi].reshape(len(w), -1, 1)
+            g = _products(w, cls, r[lo:hi].reshape(len(cls), -1), transpose=True)
             out += np.bincount(c.ravel(), g.ravel(), minlength=n + 1)
         return out[:n]
 
@@ -316,7 +355,7 @@ def error_indicators(solution):
     x = solution.x_local
     eta_sq = 0.0
     for w, load, c in solution.local.blocks():
-        r = load - (w @ x[:, c][:, :, None])[..., 0]
+        r = load - _products(w, solution.local.cls, x[:, c])
         eta_sq = eta_sq + np.einsum("er,er->e", r, r)
     return Indicators(np.sqrt(eta_sq), float(np.sqrt(eta_sq.sum())))
 

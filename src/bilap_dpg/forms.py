@@ -26,12 +26,13 @@ numbers its vertices or orders its elements.
 
 `build_local_systems` is the module's one entry point; a single
 element's system is that of a one-element `Mesh`.  It runs the dense
-kernels once per translation class of elements: elements whose
-relative vertex coordinates (v1 - v0, v2 - v0) agree after rounding to
-2^-40 of their binade 2^floor(log2 h), in the same binade, share one
-kernel, computed from those rounded coordinates alone.  There is no
-scale key: mass terms scale with h^2 and Hessian terms with h^-2, so
-the Gram blocks of similar elements are not multiples of each other.
+kernels once per translation class of elements and stores them once
+per class: elements whose relative vertex coordinates (v1 - v0,
+v2 - v0) agree after rounding to 2^-40 of their binade 2^floor(log2 h),
+in the same binade, share one kernel, computed from those rounded
+coordinates alone.  There is no scale key: mass terms scale with h^2
+and Hessian terms with h^-2, so the Gram blocks of similar elements are
+not multiples of each other.
 Nested newest-vertex bisection yields finitely many shapes, so uniform
 and graded meshes reuse most kernels; a mesh without repeated shapes
 has one class per element.  Each call computes its classes afresh:
@@ -53,7 +54,7 @@ TRACE_COLS = 9  # 3 vertices x (value, d/dx, d/dy) per trace unknown
 CORNER_COLS = 6  # 3 corners x (outgoing, incoming) jump coefficients
 CORNER_SIGNS = np.tile([1.0, -1.0], 3)  # outgoing +, incoming -
 MIN_ELEMENT_AREA = 1e-14
-CHUNK = 1024  # classes per batch of dense kernels, elements per batch of copies
+CHUNK = 1024  # classes per batch of dense kernels, elements per batch of loads
 KEY_BITS = 40  # class keys round relative coordinates to 2^-KEY_BITS of the binade of h
 
 
@@ -289,29 +290,33 @@ def _load(tab, coords, det, f):
 
 @dataclass
 class LocalSystems:
-    """Whitened per-element systems, stored as their two test blocks,
-    with u condensed out.
+    """Whitened element systems, stored as their two test blocks, with
+    u condensed out, once per class of `translation_classes`.
 
     Each trial unknown is tested by one test component only: u and uhat
     meet tau, sigma_hat and the corner functionals meet v, and sigma
     meets both.  So W = chol(G)^-1 B is zero outside two blocks, and
     only those are stored.  The ids index the element layout
-    [u | sigma | uhat | sigma_hat | corners].  `w_v` (nt, k, n_v) is
-    the v block over `v_cols` [sigma | sigma_hat | corners], with its
-    load `wl_v` = chol(G_v)^-1 l.  The load does not meet tau, so u is
-    eliminated element by element (static condensation): with the QR
-    W_u = Q R of the tau block's u columns and W_r its [sigma | uhat]
-    columns, `w_tau` (nt, k, n_tau) holds (I - Q Q^T) W_r over
-    `tau_cols` [sigma | uhat], and `u_recovery` (nt, dim_p, n_tau)
-    holds G = R^-1 Q^T W_r, the map u = -G x_tau to the u that
+    [u | sigma | uhat | sigma_hat | corners].  The kernels `w_v`,
+    `w_tau` and `u_recovery` have one row per class, and `cls` (nt,) is
+    the class of each element, so element e's v block is
+    `w_v[cls[e]]`.  `w_v` (n_classes, k, n_v) is the v block over
+    `v_cols` [sigma | sigma_hat | corners].  Its load `wl_v` (nt, k) =
+    chol(G_v)^-1 l is per element, since f varies.  The load does not
+    meet tau, so u is eliminated element by element (static
+    condensation): with the QR W_u = Q R of the tau block's u columns
+    and W_r its [sigma | uhat] columns, `w_tau` (n_classes, k, n_tau) holds (I - Q Q^T) W_r over
+    `tau_cols` [sigma | uhat], and `u_recovery` (n_classes, dim_p,
+    n_tau) holds G = R^-1 Q^T W_r, the map u = -G x_tau to the u that
     minimizes the tau residual.  The local normal-equation blocks are
     the sums of w^T w and w^T load over the two blocks, and the squared
     residual indicator is the sum of |load - w x| over them (`blocks`);
     at u = -G x_tau the condensed tau residual is the full one.
-    Trial-basis data (centroid, scale, Cholesky of the field moment
-    matrix) supports evaluating the broken field variables.  For scheme
-    2, `corner_cols` maps the six corner-functional columns of each
-    element to global edge-endpoint coefficient ids (2 per edge).
+    Per-element trial-basis data (centroid, scale, Cholesky of the
+    field moment matrix) supports evaluating the broken field variables.
+    For scheme 2, `corner_cols` maps the six corner-functional columns
+    of each element to global edge-endpoint coefficient ids (2 per
+    edge).
     """
 
     formulation: Formulation
@@ -319,6 +324,7 @@ class LocalSystems:
     wl_v: np.ndarray
     w_tau: np.ndarray
     u_recovery: np.ndarray
+    cls: np.ndarray
     v_cols: np.ndarray
     tau_cols: np.ndarray
     centroid: np.ndarray
@@ -327,7 +333,8 @@ class LocalSystems:
     corner_cols: np.ndarray | None = None
 
     def blocks(self):
-        """(w, load, local column ids) of the v and the tau block."""
+        """(class kernels, per-element load, local column ids) of the v
+        and the tau block."""
         return (self.w_v, self.wl_v, self.v_cols), (self.w_tau, 0.0, self.tau_cols)
 
 
@@ -399,12 +406,13 @@ def build_local_systems(mesh, formulation, f):
     The dense kernels (the mapped reference tables, B, the QR whitening
     and its inverse factors, the condensation of u) run once per class of
     `translation_classes`, on the element its key stands for (v0 at the
-    origin, the rounded relative coordinates), and are copied to every
-    member; only the load f(x_q) and its whitening, the centroid and the
-    corner ids are computed per element.  A kernel is a function of its
-    key alone, so it differs from one built on an element's exact
-    coordinates by the key's rounding, about 1e-12 h, and is the same
-    bits wherever and in whatever company it is computed.  The key is
+    origin, the rounded relative coordinates), and are stored once per
+    class: no element gets a copy of W.  Only the load f(x_q) and its
+    whitening, the trial factor, the centroid and the corner ids are
+    per element.  A kernel is a function of its key alone, so it
+    differs from one built on an element's exact coordinates by the
+    key's rounding, about 1e-12 h, and is the same bits wherever and in
+    whatever company it is computed.  The key is
     translation-only on purpose: mass terms scale with h^2 and Hessian
     terms with h^-2, so the Gram blocks follow no common scaling law and
     a similarity key would need one.  A mesh without repeated shapes has
@@ -415,22 +423,22 @@ def build_local_systems(mesh, formulation, f):
     dim_p = formulation.field_dim
     with_corners = formulation.scheme == 2
     v_cols, tau_cols = _block_cols(dim_p, with_corners)
-    w_v = np.empty((nt, k, len(v_cols)))
-    w_tau = np.empty((nt, k, len(tau_cols)))
-    u_recovery = np.empty((nt, dim_p, len(tau_cols)))
-    wl_v = np.empty((nt, k))
-    trial_chol = np.empty((nt, dim_p, dim_p))
-
     tab = shape.reference_tables(formulation.test_degree)
     coords = mesh.triangle_coords()
     first, cls, counts, keys = translation_classes(mesh)
     key_coords = _key_coords(keys)
     jac, det, jinv = _maps(key_coords, first)
 
+    n_classes = len(first)
+    w_v = np.empty((n_classes, k, len(v_cols)))
+    w_tau = np.empty((n_classes, k, len(tau_cols)))
+    u_recovery = np.empty((n_classes, dim_p, len(tau_cols)))
+    wl_v = np.empty((nt, k))
+    trial_chol = np.empty((nt, dim_p, dim_p))
     by_class = np.argsort(cls, kind="stable")
     starts = np.concatenate([[0], np.cumsum(counts)])
-    for c0 in range(0, len(first), CHUNK):
-        c1 = min(c0 + CHUNK, len(first))
+    for c0 in range(0, n_classes, CHUNK):
+        c1 = min(c0 + CHUNK, n_classes)
         reps = first[c0:c1]
         hess = _hessians(tab, jinv[c0:c1])
         s_v, s_tau = _gram_stacks(hess, formulation.scheme)
@@ -442,17 +450,13 @@ def build_local_systems(mesh, formulation, f):
             key_coords[c0:c1], tab, det[c0:c1], jinv[c0:c1], hess[:, 0] + hess[:, 2], trial,
             with_corners,
         )
-        b_v = linv_v @ b_v
-        b_tau, recovery = _condense_u(linv_tau @ b_tau, dim_p)
+        w_v[c0:c1] = linv_v @ b_v
+        w_tau[c0:c1], u_recovery[c0:c1] = _condense_u(linv_tau @ b_tau, dim_p)
 
-        # members in slices of CHUNK, so no per-element copy of a class
-        # table is ever larger than one slice
+        # the members' load and trial factor, in slices of CHUNK elements
         for s in range(starts[c0], starts[c1], CHUNK):
             tris = by_class[s : min(s + CHUNK, starts[c1])]
             loc = cls[tris] - c0
-            w_v[tris] = b_v[loc]
-            w_tau[tris] = b_tau[loc]
-            u_recovery[tris] = recovery[loc]
             trial_chol[tris] = chol[loc]
             load = _load(tab, coords[tris], det[cls[tris]], f)
             wl_v[tris] = np.einsum("eij,ej->ei", linv_v[loc], load)
@@ -463,6 +467,7 @@ def build_local_systems(mesh, formulation, f):
         wl_v,
         w_tau,
         u_recovery,
+        cls,
         v_cols,
         tau_cols,
         coords.mean(axis=1),

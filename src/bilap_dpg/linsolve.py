@@ -25,7 +25,7 @@ SHIFT = 1e-15
 # leaves normal-equation residuals above 1e-12 on graded meshes)
 RTOL = 1e-12
 # a bound, not a target: the sector study to 20,000 dofs takes at most
-# 39 steps a level, and CGLS run far past convergence drifts
+# 36 steps a level, and CGLS run far past convergence drifts
 MAXITER = 200
 
 
@@ -142,17 +142,25 @@ def _cgls(w, load, precond):
     if gamma == 0:
         return x, 0
     p = z
+    del g, z
+    # the vectors are updated in place, and each step's q, g and z are
+    # dropped before the next W product, whose temporaries set the peak
     for it in range(1, MAXITER + 1):
         q = w.matvec(p)
         alpha = gamma / (q @ q)
         x += alpha * p
-        r -= alpha * q
+        q *= alpha
+        r -= q
+        del q
         g = w.rmatvec(r)
         z = precond(g)
         gamma, gamma_old = g @ z, gamma
+        del g
         if gamma <= RTOL**2 * gamma_0:
             return x, it
-        p = z + (gamma / gamma_old) * p
+        p *= gamma / gamma_old
+        p += z
+        del z
     log.warning(
         "CGLS stopped at its cap of %d iterations at relative preconditioned "
         "normal residual %.3e (target %.0e)",

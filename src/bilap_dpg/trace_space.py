@@ -66,21 +66,24 @@ def interpolate_boundary_data(space, u_exact, grad_u_exact):
     Returns
     -------
     TraceSpace whose `values` hold (u, du/dx, du/dy) at every boundary
-    vertex; interior dofs remain unknowns.  Non-finite data raises.
+    vertex; interior dofs remain unknowns.  Non-finite data raises,
+    naming the first boundary vertex where it occurs.  Both callables
+    get all boundary vertices in one call.
     """
+    verts = np.nonzero(space.mesh.is_boundary_vertex)[0]
+    x, y = space.mesh.vertices[verts].T
+    data = np.empty((len(verts), DOFS_PER_VERTEX))
+    data[:, 0] = u_exact(x, y)
+    data[:, 1], data[:, 2] = grad_u_exact(x, y)
+    bad = ~np.isfinite(data).all(axis=1)
+    if np.any(bad):
+        i = np.argmax(bad)
+        raise ValueError(f"boundary data evaluation failed at vertex {verts[i]} ({x[i]}, {y[i]})")
+    dofs = DOFS_PER_VERTEX * verts[:, None] + np.arange(DOFS_PER_VERTEX)
     constrained = space.constrained.copy()
     values = space.values.copy()
-    for v in np.nonzero(space.mesh.is_boundary_vertex)[0]:
-        x, y = space.mesh.vertices[v]
-        val = float(u_exact(x, y))
-        gx, gy = (float(g) for g in grad_u_exact(x, y))
-        if not (np.isfinite(val) and np.isfinite(gx) and np.isfinite(gy)):
-            raise ValueError(
-                f"boundary data evaluation failed at vertex {v} ({x}, {y})"
-            )
-        base = DOFS_PER_VERTEX * v
-        constrained[base : base + 3] = True
-        values[base : base + 3] = (val, gx, gy)
+    constrained[dofs] = True
+    values[dofs] = data
     return replace(space, constrained=constrained, values=values)
 
 

@@ -15,7 +15,7 @@ from oracles import (
 from test_mesh import nvb_refinements
 
 from bilap_dpg import cli, dpg_solver, forms, linsolve
-from bilap_dpg.forms import Formulation, translation_classes
+from bilap_dpg.forms import Formulation
 from bilap_dpg.linsolve import sparse_spd_solve
 from bilap_dpg.mesh import (
     Mesh,
@@ -237,12 +237,30 @@ def solve_capturing_full_system(monkeypatch, mesh, form, prob):
         patch.setattr(forms, "_condense_u", record)
         sol, a, rhs = solve_capturing_system(patch, mesh, form, prob)
     loc = sol.local
-    nt, k, _ = loc.w_v.shape
-    w_tau = np.concatenate(taus)[translation_classes(mesh)[1]]
+    w_v = loc.w_v[loc.cls]
+    nt, k, _ = w_v.shape
+    w_tau = np.concatenate(taus)[loc.cls]
     w = np.zeros((nt, 2 * k, loc.v_cols[-1] + 1))
-    w[:, :k, loc.v_cols] = loc.w_v
+    w[:, :k, loc.v_cols] = w_v
     w[:, k:, : w_tau.shape[2]] = w_tau
     return sol, a, rhs, w, np.concatenate([loc.wl_v, np.zeros((nt, k))], axis=1)
+
+
+def test_class_products_do_not_depend_on_the_slice_size(monkeypatch):
+    # gathering the class kernels 7 elements at a time splits the mesh's
+    # classes at every offset: the solve, u included, and the residual
+    # indicators must not change in a single bit
+    mesh = refine_nvb(make_unit_square(6), [0, 9, 30])
+    for form in (VF1, Formulation(scheme=2, field_degree=1)):
+        whole = assemble_and_solve(mesh, form, smooth_problem())
+        assert len(whole.local.w_v) < mesh.num_triangles < dpg_solver.GATHER
+        with monkeypatch.context() as patch:
+            patch.setattr(dpg_solver, "GATHER", 7)
+            sliced = assemble_and_solve(mesh, form, smooth_problem())
+        assert np.array_equal(sliced.x_local, whole.x_local)
+        assert np.array_equal(
+            error_indicators(sliced).per_element, error_indicators(whole).per_element
+        )
 
 
 def test_solver_gets_buffers_of_exactly_nnz_entries(monkeypatch):

@@ -33,6 +33,13 @@ VF2 = Formulation(scheme=2)
 RIGHT_TRIANGLE = [[0.0, 0.0], [3.0, 0.0], [0.0, 2.0]]  # area 3
 
 
+def _per_element(loc, field):
+    """A field of `LocalSystems` per element: the class kernels gathered
+    by each element's class, the other fields as they are."""
+    value = getattr(loc, field)
+    return value[loc.cls] if field in ("w_v", "w_tau", "u_recovery") else value
+
+
 def _one_element(vertices):
     """The mesh of one element, whose local system is that element's."""
     return Mesh(np.asarray(vertices, dtype=float), np.array([[0, 1, 2]]))
@@ -96,7 +103,7 @@ def test_local_b_constants_example():
             form = Formulation(scheme, degree)
             p = form.field_dim
             loc = build_local_systems(mesh, form, _const(1.0))
-            sigma, recovery = loc.w_tau[0][:, :p], loc.u_recovery[0]
+            sigma, recovery = loc.w_tau[loc.cls[0]][:, :p], loc.u_recovery[loc.cls[0]]
             assert np.abs(sigma.T @ sigma - np.eye(p)).max() <= 1e-14
             assert np.abs(recovery[:, :p]).max() <= 1e-14 * np.abs(recovery).max()
 
@@ -199,9 +206,9 @@ def _exact_residuals(mesh, form, u, sigma):
         x[tri, : 2 * form.field_dim + 18] = _local_trial_vector(
             mesh, tri, form, u, sigma, uhat, shat
         )
-    recovered = -(loc.u_recovery @ x[:, loc.tau_cols, None])[..., 0]
+    recovered = -(loc.u_recovery[loc.cls] @ x[:, loc.tau_cols, None])[..., 0]
     return np.concatenate(
-        [load - (w @ x[:, c][:, :, None])[..., 0] for w, load, c in loc.blocks()]
+        [load - (w[loc.cls] @ x[:, c][:, :, None])[..., 0] for w, load, c in loc.blocks()]
         + [x[:, : form.field_dim] - recovered],
         axis=1,
     )
@@ -242,15 +249,16 @@ def test_build_local_systems_shapes():
     nt, k, p = mesh.num_triangles, VF1.test_dim, VF1.field_dim
     # v meets [sigma | sigma_hat], the condensed tau block [sigma | uhat],
     # and u is recovered from the latter
-    assert loc1.w_v.shape == (nt, k, p + 9)
-    assert loc1.w_tau.shape == (nt, k, p + 9)
-    assert loc1.u_recovery.shape == (nt, p, p + 9)
+    assert loc1.cls.shape == (nt,)
+    assert loc1.w_v[loc1.cls].shape == (nt, k, p + 9)
+    assert loc1.w_tau[loc1.cls].shape == (nt, k, p + 9)
+    assert loc1.u_recovery[loc1.cls].shape == (nt, p, p + 9)
     assert loc1.corner_cols is None
     loc2 = build_local_systems(mesh, VF2, f)
     # scheme 2 appends six corner-functional columns to the v block
-    assert loc2.w_v.shape == (nt, k, p + 15)
-    assert loc2.w_tau.shape == (nt, k, p + 9)
-    assert loc2.u_recovery.shape == (nt, p, p + 9)
+    assert loc2.w_v[loc2.cls].shape == (nt, k, p + 15)
+    assert loc2.w_tau[loc2.cls].shape == (nt, k, p + 9)
+    assert loc2.u_recovery[loc2.cls].shape == (nt, p, p + 9)
     assert loc2.corner_cols.shape == (nt, 6)
     assert loc2.corner_cols.max() < 2 * mesh.num_edges
     assert loc2.wl_v.shape == (nt, k)
@@ -294,6 +302,19 @@ def test_jittered_square_has_one_class_per_element():
     first, cls, counts, _ = translation_classes(mesh)
     assert len(first) == mesh.num_triangles
     assert np.all(counts == 1) and np.array_equal(np.sort(cls), np.arange(mesh.num_triangles))
+
+
+def test_local_systems_store_each_class_kernel_once():
+    # the class arrays of the square keep its 2 rows however fine the
+    # mesh; a jittered square has one row per element
+    for n in (8, 16, 32):
+        loc = build_local_systems(make_unit_square(n), VF2, _const(1.0))
+        assert [len(x) for x in (loc.w_v, loc.w_tau, loc.u_recovery)] == [2, 2, 2]
+        assert len(loc.cls) == len(loc.wl_v) == len(loc.trial_chol) == 2 * n * n
+    mesh = _jittered_square(8, seed=1)
+    loc = build_local_systems(mesh, VF1, _const(1.0))
+    nt = mesh.num_triangles
+    assert [len(x) for x in (loc.w_v, loc.w_tau, loc.u_recovery)] == [nt, nt, nt]
 
 
 def test_similar_elements_of_different_size_get_different_classes():
@@ -378,7 +399,7 @@ def test_class_cache_matches_shifted_mesh(name, scheme, degree, monkeypatch):
     monkeypatch.setattr(forms, "KEY_BITS", 52)
     b = build_local_systems(shifted, form, g)
     for field in ("w_v", "wl_v", "w_tau", "u_recovery", "h", "trial_chol"):
-        x, y = getattr(a, field), getattr(b, field)
+        x, y = _per_element(a, field), _per_element(b, field)
         assert np.abs(x - y).max() <= 1e-8 * np.abs(x).max(), field
     assert np.allclose(b.centroid, a.centroid + offset, rtol=0, atol=1e-14)
     if scheme == 2:
@@ -402,7 +423,7 @@ def test_local_systems_do_not_depend_on_the_mesh_numbering(scheme, degree):
     a = build_local_systems(mesh, form, f)
     b = build_local_systems(renumbered, form, f)
     for field in ("w_v", "wl_v", "w_tau", "u_recovery", "trial_chol"):
-        assert np.array_equal(getattr(a, field), getattr(b, field)[::-1]), field
+        assert np.array_equal(_per_element(a, field), _per_element(b, field)[::-1]), field
 
 
 def _doerfler_sector(steps):
@@ -441,8 +462,9 @@ def test_local_systems_match_monomial_oracle(name, scheme, degree):
     mesh = _oracle_mesh(name)
     f = lambda x, y: np.sin(3 * x + 1) * np.cos(2 * y) + x * y + 2.0
     loc = build_local_systems(mesh, Formulation(scheme, degree, 4), f)
+    w_v, got_tau, recovery = (_per_element(loc, x) for x in ("w_v", "w_tau", "u_recovery"))
     w, wl = monomial_local_systems(mesh, scheme, degree, 4, f)
-    k, p = loc.w_v.shape[1], loc.u_recovery.shape[1]
+    k, p = w_v.shape[1], recovery.shape[1]
     outside = np.ones(w.shape[1:], dtype=bool)
     outside[:k, loc.v_cols] = outside[k:, : loc.tau_cols[-1] + 1] = False
     assert np.all(w[:, outside] == 0.0) and np.all(wl[:, k:] == 0.0)
@@ -457,15 +479,15 @@ def test_local_systems_match_monomial_oracle(name, scheme, degree):
         return np.swapaxes(x, 1, 2) @ y
 
     want_v = w[:, :k][:, :, loc.v_cols]
-    assert close(gram(loc.w_v, loc.w_v), gram(want_v, want_v))
+    assert close(gram(w_v, w_v), gram(want_v, want_v))
     w_tau = w[:, k:, : loc.tau_cols[-1] + 1]
     a_tau = gram(w_tau, w_tau)
     a_uu, a_ur, a_rr = a_tau[:, :p, :p], a_tau[:, :p, p:], a_tau[:, p:, p:]
-    assert close(a_uu @ loc.u_recovery, a_ur, scale=a_tau)
+    assert close(a_uu @ recovery, a_ur, scale=a_tau)
     schur = a_rr - np.swapaxes(a_ur, 1, 2) @ np.linalg.solve(a_uu, a_ur)
-    assert close(gram(loc.w_tau, loc.w_tau), schur)
+    assert close(gram(got_tau, got_tau), schur)
     assert close(
-        np.einsum("eri,er->ei", loc.w_v, loc.wl_v), np.einsum("eri,er->ei", want_v, wl[:, :k])
+        np.einsum("eri,er->ei", w_v, loc.wl_v), np.einsum("eri,er->ei", want_v, wl[:, :k])
     )
     got_ll, ll = np.einsum("er,er->e", loc.wl_v, loc.wl_v), np.einsum("er,er->e", wl, wl)
     assert np.all(np.abs(got_ll - ll) <= 1e-9 * ll)

@@ -145,6 +145,28 @@ def test_interpolate_linear_data():
         assert np.allclose(space.values[3 * v : 3 * v + 3], (x, 1.0, 0.0))
 
 
+def test_interpolate_names_the_first_vertex_with_non_finite_data():
+    # the value is NaN right of x = 0.6 and the y-derivative infinite
+    # above y = 0.6, on arrays of all boundary vertices at once: the
+    # error names the lowest-numbered vertex where either occurs
+    m = make_unit_square(2)
+    x, y = m.vertices.T
+    bad = np.nonzero(m.is_boundary_vertex & ((x > 0.6) | (y > 0.6)))[0][0]
+    with pytest.raises(ValueError, match=rf"at vertex {bad} \({x[bad]}, {y[bad]}\)$"):
+        interpolate_boundary_data(
+            build_trace_space(m),
+            lambda x, y: np.where(x > 0.6, np.nan, x),
+            lambda x, y: (np.zeros_like(x), np.where(y > 0.6, np.inf, 0.0)),
+        )
+    values = interpolate_boundary_data(
+        build_trace_space(m), lambda x, y: x, lambda x, y: (np.ones_like(x), 0.0)
+    ).values.reshape(-1, 3)
+    assert np.array_equal(values[m.is_boundary_vertex], np.column_stack(
+        [x, np.ones_like(x), np.zeros_like(x)]
+    )[m.is_boundary_vertex])
+    assert np.all(values[~m.is_boundary_vertex] == 0.0)
+
+
 def test_interpolate_singular_solution_origin_dofs_vanish():
     from bilap_dpg.problems import singular_problem
 
