@@ -6,9 +6,9 @@ definite matrix over [sigma fields | free trace dofs].  W = chol(G)^-1 B
 is kept as its two test blocks, once per class of elements
 (`forms.LocalSystems`): each block adds W^T W over its own columns,
 sigma being the one unknown in both, and the estimator sums the two
-blocks' residuals.  Every per-element product with a class kernel
-gathers the kernels of a slice of elements at a time (`_class_chunks`),
-so no per-element copy of W is ever made.  The field u meets the
+blocks' residuals.  Every per-element product with a class kernel is
+`forms.products`, which owns the class format, so no per-element copy
+of W is ever made.  The field u meets the
 tau block alone, which has no load, so it is condensed out element by
 element before assembly: the tau block is stored projected off the u
 columns, which adds no entry outside the pattern that sigma and uhat
@@ -38,10 +38,6 @@ from bilap_dpg.trace_space import (
     build_trace_space,
     interpolate_boundary_data,
 )
-
-# elements per gathered chunk of class kernels: bounds the per-element
-# copies of W that the products make, which the solve's peak holds
-GATHER = 256
 
 
 class SolverError(Exception):
@@ -223,7 +219,7 @@ def assemble_and_solve(mesh, formulation, problem):
     # the fixed dofs move to the right: wl - W x_fixed, per test block
     blocks = [(w, cols[:, ids]) for w, _, ids in local.blocks()]
     load = np.concatenate([
-        (wl - _products(w, local.cls, fixed_values[full_cols[:, ids]])).ravel()
+        (wl - forms.products(w, local.cls, fixed_values[full_cols[:, ids]])).ravel()
         for w, wl, ids in local.blocks()
     ])
     a = scipy.sparse.csr_matrix(_triplets(blocks, local.cls, n_rest), shape=(n_rest, n_rest))
@@ -245,7 +241,7 @@ def assemble_and_solve(mesh, formulation, problem):
     x_all[free_map >= n_field] = x_free
     x_local = x_all[full_cols]
     # the tau block has no load, so the condensed u is -G x_tau
-    x_local[:, :dim_p] = -_products(local.u_recovery, local.cls, x_local[:, local.tau_cols])
+    x_local[:, :dim_p] = -forms.products(local.u_recovery, local.cls, x_local[:, local.tau_cols])
 
     def make_field(coeffs):
         return BrokenField(
@@ -269,26 +265,6 @@ def assemble_and_solve(mesh, formulation, problem):
     )
 
 
-def _class_chunks(kernels, cls):
-    """(elements, their kernels) in slices of GATHER elements, so that
-    no per-element copy of a class table outgrows one slice."""
-    for start in range(0, len(cls), GATHER):
-        elements = slice(start, start + GATHER)
-        yield elements, kernels[cls[elements]]
-
-
-def _products(kernels, cls, x, transpose=False):
-    """Per-element products kernels[cls[e]] @ x[e], or with the kernels
-    transposed, for vectors x (nt, columns); returns (nt, rows)."""
-    out = np.empty((len(cls), kernels.shape[2 if transpose else 1]))
-    for elements, w in _class_chunks(kernels, cls):
-        if transpose:
-            w = np.swapaxes(w, 1, 2)
-        out[elements] = (w @ x[elements, :, None])[..., 0]
-        del w  # else it lives on while the next slice is gathered
-    return out
-
-
 def _triplets(blocks, cls, n):
     """COO entries (vals, (row, col)) of A = W^T W over the n free
     unknowns, from (class kernels w, c) per test block, c being the free
@@ -309,7 +285,7 @@ def _triplets(blocks, cls, n):
     start = 0
     for w, c in blocks:
         free = c < n
-        for elements, gram in _class_chunks(np.swapaxes(w, 1, 2) @ w, cls):
+        for elements, gram in forms.class_chunks(np.swapaxes(w, 1, 2) @ w, cls):
             keep = free[elements, :, None] & free[elements, None, :]
             stop = start + np.count_nonzero(keep)
             vals[start:stop] = gram[keep]
@@ -330,12 +306,12 @@ def _free_operator(blocks, cls, n):
 
     def matvec(x):
         x = np.append(x, 0.0)  # the value of every fixed column
-        return np.concatenate([_products(w, cls, x[c]).ravel() for w, c in blocks])
+        return np.concatenate([forms.products(w, cls, x[c]).ravel() for w, c in blocks])
 
     def rmatvec(r):
         out = np.zeros(n + 1)  # the last entry sums the fixed columns
         for (w, c), lo, hi in zip(blocks, sizes, sizes[1:]):
-            g = _products(w, cls, r[lo:hi].reshape(len(cls), -1), transpose=True)
+            g = forms.products(w, cls, r[lo:hi].reshape(len(cls), -1), transpose=True)
             out += np.bincount(c.ravel(), g.ravel(), minlength=n + 1)
         return out[:n]
 
@@ -355,7 +331,7 @@ def error_indicators(solution):
     x = solution.x_local
     eta_sq = 0.0
     for w, load, c in solution.local.blocks():
-        r = load - _products(w, solution.local.cls, x[:, c])
+        r = load - forms.products(w, solution.local.cls, x[:, c])
         eta_sq = eta_sq + np.einsum("er,er->e", r, r)
     return Indicators(np.sqrt(eta_sq), float(np.sqrt(eta_sq.sum())))
 

@@ -37,6 +37,10 @@ Nested newest-vertex bisection yields finitely many shapes, so uniform
 and graded meshes reuse most kernels; a mesh without repeated shapes
 has one class per element.  Each call computes its classes afresh:
 nothing is carried from one mesh to the next.
+
+`products` is the one per-element product of class kernels: the load
+whitening here and every product with W in `dpg_solver` use it or its
+slices, `class_chunks`.
 """
 
 from __future__ import annotations
@@ -54,8 +58,9 @@ TRACE_COLS = 9  # 3 vertices x (value, d/dx, d/dy) per trace unknown
 CORNER_COLS = 6  # 3 corners x (outgoing, incoming) jump coefficients
 CORNER_SIGNS = np.tile([1.0, -1.0], 3)  # outgoing +, incoming -
 MIN_ELEMENT_AREA = 1e-14
-CHUNK = 1024  # classes per batch of dense kernels, elements per batch of loads
+CHUNK = 1024  # classes per batch of dense kernels
 KEY_BITS = 40  # class keys round relative coordinates to 2^-KEY_BITS of the binade of h
+GATHER = 256  # elements per slice of gathered class kernels (`class_chunks`)
 
 
 class FormsError(Exception):
@@ -298,17 +303,17 @@ class LocalSystems:
     meets both.  So W = chol(G)^-1 B is zero outside two blocks, and
     only those are stored.  The ids index the element layout
     [u | sigma | uhat | sigma_hat | corners].  The kernels `w_v`,
-    `w_tau` and `u_recovery` have one row per class, and `cls` (nt,) is
-    the class of each element, so element e's v block is
-    `w_v[cls[e]]`.  `w_v` (n_classes, k, n_v) is the v block over
-    `v_cols` [sigma | sigma_hat | corners].  Its load `wl_v` (nt, k) =
-    chol(G_v)^-1 l is per element, since f varies.  The load does not
-    meet tau, so u is eliminated element by element (static
+    `w_tau` and `u_recovery` are per class, and `cls` (nt,) is the class
+    of each element (`products` applies them); `wl_v`, `trial_chol`,
+    `centroid`, `h` and `corner_cols` are per element.  `w_v`
+    (n_classes, k, n_v) is the v block over `v_cols` [sigma | sigma_hat
+    | corners], and `wl_v` (nt, k) = chol(G_v)^-1 l its load.  The load
+    does not meet tau, so u is eliminated element by element (static
     condensation): with the QR W_u = Q R of the tau block's u columns
-    and W_r its [sigma | uhat] columns, `w_tau` (n_classes, k, n_tau) holds (I - Q Q^T) W_r over
-    `tau_cols` [sigma | uhat], and `u_recovery` (n_classes, dim_p,
-    n_tau) holds G = R^-1 Q^T W_r, the map u = -G x_tau to the u that
-    minimizes the tau residual.  The local normal-equation blocks are
+    and W_r its [sigma | uhat] columns, `w_tau` (n_classes, k, n_tau)
+    holds (I - Q Q^T) W_r over `tau_cols` [sigma | uhat], and
+    `u_recovery` (n_classes, dim_p, n_tau) holds G = R^-1 Q^T W_r, the
+    map u = -G x_tau to the u that minimizes the tau residual.  The local normal-equation blocks are
     the sums of w^T w and w^T load over the two blocks, and the squared
     residual indicator is the sum of |load - w x| over them (`blocks`);
     at u = -G x_tau the condensed tau residual is the full one.
@@ -370,9 +375,9 @@ def translation_classes(mesh):
     tied to the element's own size, so translates whose coordinates
     differ in the last bits (the midpoints of irrational vertices)
     share a class, while an element and its exactly similar copy of
-    another size do not.  Returns (first, cls, counts, keys): the first
-    element of each class, the class of each element, the class sizes
-    and the class keys, in the order of the classes.
+    another size do not.  Returns (first, cls, keys): the first element
+    of each class, the class of each element and the class keys, in the
+    order of the classes.
     """
     coords = mesh.triangle_coords()
     _, exponent = np.frexp(mesh.diameters)  # h in [2^(exponent - 1), 2^exponent)
@@ -381,10 +386,8 @@ def translation_classes(mesh):
         [exponent, np.rint(np.ldexp(rel, (KEY_BITS + 1 - exponent)[:, None]))]
     ).astype(np.int64)
     keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))[:, 0]
-    keys, first, cls, counts = np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True
-    )
-    return first, cls, counts, keys
+    keys, first, cls = np.unique(keys, return_index=True, return_inverse=True)
+    return first, cls, keys
 
 
 def _key_coords(keys):
@@ -407,25 +410,25 @@ def build_local_systems(mesh, formulation, f):
     and its inverse factors, the condensation of u) run once per class of
     `translation_classes`, on the element its key stands for (v0 at the
     origin, the rounded relative coordinates), and are stored once per
-    class: no element gets a copy of W.  Only the load f(x_q) and its
-    whitening, the trial factor, the centroid and the corner ids are
-    per element.  A kernel is a function of its key alone, so it
-    differs from one built on an element's exact coordinates by the
-    key's rounding, about 1e-12 h, and is the same bits wherever and in
-    whatever company it is computed.  The key is
+    class: no element gets a copy of W.  The one class loop also keeps
+    each class's inverse v-block Gram factor and trial factor; then
+    `products` whitens every element's load f(x_q) with the former, and
+    each element takes its class's trial factor.  A kernel is a function
+    of its key alone, so it differs from one built on an element's exact
+    coordinates by the key's rounding, about 1e-12 h, and is the same
+    bits wherever and in whatever company it is computed.  The key is
     translation-only on purpose: mass terms scale with h^2 and Hessian
     terms with h^-2, so the Gram blocks follow no common scaling law and
     a similarity key would need one.  A mesh without repeated shapes has
     one class per element and takes the same path.
     """
-    nt = mesh.num_triangles
     k = formulation.test_dim
     dim_p = formulation.field_dim
     with_corners = formulation.scheme == 2
     v_cols, tau_cols = _block_cols(dim_p, with_corners)
     tab = shape.reference_tables(formulation.test_degree)
     coords = mesh.triangle_coords()
-    first, cls, counts, keys = translation_classes(mesh)
+    first, cls, keys = translation_classes(mesh)
     key_coords = _key_coords(keys)
     jac, det, jinv = _maps(key_coords, first)
 
@@ -433,38 +436,28 @@ def build_local_systems(mesh, formulation, f):
     w_v = np.empty((n_classes, k, len(v_cols)))
     w_tau = np.empty((n_classes, k, len(tau_cols)))
     u_recovery = np.empty((n_classes, dim_p, len(tau_cols)))
-    wl_v = np.empty((nt, k))
-    trial_chol = np.empty((nt, dim_p, dim_p))
-    by_class = np.argsort(cls, kind="stable")
-    starts = np.concatenate([[0], np.cumsum(counts)])
+    linv_v = np.empty((n_classes, k, k))
+    chol = np.empty((n_classes, dim_p, dim_p))
     for c0 in range(0, n_classes, CHUNK):
-        c1 = min(c0 + CHUNK, n_classes)
-        reps = first[c0:c1]
-        hess = _hessians(tab, jinv[c0:c1])
+        c = slice(c0, c0 + CHUNK)
+        reps = first[c]
+        hess = _hessians(tab, jinv[c])
         s_v, s_tau = _gram_stacks(hess, formulation.scheme)
-        linv_v = _inverse_factor(s_v, reps)
-        linv_tau = linv_v if s_tau is s_v else _inverse_factor(s_tau, reps)
-        h = triangle_diameters(key_coords[c0:c1])
-        chol, trial = _trial_basis(tab, jac[c0:c1], det[c0:c1], h, formulation.field_degree, reps)
-        b_v, b_tau = _b_blocks(
-            key_coords[c0:c1], tab, det[c0:c1], jinv[c0:c1], hess[:, 0] + hess[:, 2], trial,
-            with_corners,
+        linv_v[c] = _inverse_factor(s_v, reps)
+        linv_tau = linv_v[c] if s_tau is s_v else _inverse_factor(s_tau, reps)
+        chol[c], trial = _trial_basis(
+            tab, jac[c], det[c], triangle_diameters(key_coords[c]), formulation.field_degree, reps
         )
-        w_v[c0:c1] = linv_v @ b_v
-        w_tau[c0:c1], u_recovery[c0:c1] = _condense_u(linv_tau @ b_tau, dim_p)
-
-        # the members' load and trial factor, in slices of CHUNK elements
-        for s in range(starts[c0], starts[c1], CHUNK):
-            tris = by_class[s : min(s + CHUNK, starts[c1])]
-            loc = cls[tris] - c0
-            trial_chol[tris] = chol[loc]
-            load = _load(tab, coords[tris], det[cls[tris]], f)
-            wl_v[tris] = np.einsum("eij,ej->ei", linv_v[loc], load)
+        b_v, b_tau = _b_blocks(
+            key_coords[c], tab, det[c], jinv[c], hess[:, 0] + hess[:, 2], trial, with_corners
+        )
+        w_v[c] = linv_v[c] @ b_v
+        w_tau[c], u_recovery[c] = _condense_u(linv_tau @ b_tau, dim_p)
 
     return LocalSystems(
         formulation,
         w_v,
-        wl_v,
+        products(linv_v, cls, _load(tab, coords, det[cls], f)),
         w_tau,
         u_recovery,
         cls,
@@ -472,6 +465,30 @@ def build_local_systems(mesh, formulation, f):
         tau_cols,
         coords.mean(axis=1),
         mesh.diameters,
-        trial_chol,
+        chol[cls],
         _corner_cols(mesh) if with_corners else None,
     )
+
+
+def class_chunks(kernels, cls):
+    """(elements, their kernels) of class kernels (n_classes, ...) in
+    slices of GATHER elements, so that no per-element copy of a class
+    table outgrows one slice."""
+    for start in range(0, len(cls), GATHER):
+        elements = slice(start, start + GATHER)
+        yield elements, kernels[cls[elements]]
+
+
+def products(kernels, cls, x, transpose=False):
+    """Per-element products kernels[cls[e]] @ x[e] of class kernels
+    (n_classes, rows, columns) with vectors x (nt, columns), or with the
+    kernels transposed; returns (nt, rows).  Each slice of
+    `class_chunks` is one batched matmul, whose bits do not depend on
+    where the slices fall."""
+    out = np.empty((len(cls), kernels.shape[2 if transpose else 1]))
+    for elements, w in class_chunks(kernels, cls):
+        if transpose:
+            w = np.swapaxes(w, 1, 2)
+        out[elements] = (w @ x[elements, :, None])[..., 0]
+        del w  # else it lives on while the next slice is gathered
+    return out

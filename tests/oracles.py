@@ -66,6 +66,27 @@ def interpolate_function(mesh, u, grad_u):
     return np.column_stack(np.broadcast_arrays(u(x, y), gx, gy)).ravel().astype(float)
 
 
+def fix_trace(monkeypatch, which, value, grad):
+    """Fix one trace unknown at every vertex to the vertex-Hermite dofs
+    (value, grad) of a smooth function, by patching
+    `dpg_solver._constraints`: `which` is 0 for uhat and 1 for
+    sigma_hat.  The other constraints stay as the solver makes them."""
+    from bilap_dpg import dpg_solver
+    from bilap_dpg.trace_space import DOFS_PER_VERTEX
+
+    constraints = dpg_solver._constraints
+
+    def fixed_trace(mesh, formulation, uhat_space, with_corners):
+        fixed, fixed_values = constraints(mesh, formulation, uhat_space, with_corners)
+        n_trace = DOFS_PER_VERTEX * mesh.num_vertices
+        start = 2 * mesh.num_triangles * formulation.field_dim + which * n_trace
+        fixed[start : start + n_trace] = True
+        fixed_values[start : start + n_trace] = interpolate_function(mesh, value, grad)
+        return fixed, fixed_values
+
+    monkeypatch.setattr(dpg_solver, "_constraints", fixed_trace)
+
+
 def mesh_topology(vertices, triangles):
     """Edge topology of a triangulation by a plain scan.
 

@@ -248,15 +248,18 @@ def solve_capturing_full_system(monkeypatch, mesh, form, prob):
 
 def test_class_products_do_not_depend_on_the_slice_size(monkeypatch):
     # gathering the class kernels 7 elements at a time splits the mesh's
-    # classes at every offset: the solve, u included, and the residual
-    # indicators must not change in a single bit
+    # classes at every offset: the whitened load, the trial factors, the
+    # solve, u included, and the residual indicators must not change in
+    # a single bit
     mesh = refine_nvb(make_unit_square(6), [0, 9, 30])
     for form in (VF1, Formulation(scheme=2, field_degree=1)):
         whole = assemble_and_solve(mesh, form, smooth_problem())
-        assert len(whole.local.w_v) < mesh.num_triangles < dpg_solver.GATHER
+        assert len(whole.local.w_v) < mesh.num_triangles < forms.GATHER
         with monkeypatch.context() as patch:
-            patch.setattr(dpg_solver, "GATHER", 7)
+            patch.setattr(forms, "GATHER", 7)
             sliced = assemble_and_solve(mesh, form, smooth_problem())
+        for name in ("wl_v", "trial_chol"):
+            assert np.array_equal(getattr(sliced.local, name), getattr(whole.local, name)), name
         assert np.array_equal(sliced.x_local, whole.x_local)
         assert np.array_equal(
             error_indicators(sliced).per_element, error_indicators(whole).per_element
