@@ -15,12 +15,19 @@ Two subcommands::
 
 Uniform refinement of the smooth problem walks the nested structured
 unit-square meshes (n doubling per level); everything else refines by
-newest-vertex bisection.  Options may also come from a plain ``key=value``
-config file; command-line flags take precedence over the file, which
-takes precedence over the defaults.  Exit codes: 0 success, 1 usage
-error (including a missing or malformed config file, an unknown option,
-a value that does not parse or is out of range, and an output file in a
-missing directory; all found before any work), 2 numerical failure.
+newest-vertex bisection.
+
+Each subcommand's options are the fields of one frozen config class,
+``StudyConfig`` or ``TracelabConfig``: a field ``max_dofs`` is the flag
+``--max-dofs`` and the config-file key ``max_dofs`` (or ``max-dofs``),
+with the field's default, value parser, allowed values and checks.
+Options may also come from a plain ``key=value`` config file;
+command-line flags take precedence over the file, which takes
+precedence over the defaults.  Exit codes: 0 success, 1 usage error
+(including a missing or malformed config file, an unknown option, a
+value that does not parse, is not among the allowed values, which the
+message lists, or is out of range, and an output file in a missing
+directory; all found before any work), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from bilap_dpg import problems, trace_lab
 from bilap_dpg.forms import Formulation, FormsError
@@ -43,11 +50,47 @@ class UsageError(Exception):
     """Invalid configuration."""
 
 
+def _int_list(text):
+    return tuple(int(v) for v in text.split(","))
+
+
+def _int_range(text):
+    lo, hi = (int(v) for v in text.split(":"))
+    return lo, hi
+
+
+def _option(default, choices=None, parse=None):
+    """A config field whose value must be among `choices`, if given, and
+    whose flag and file values `parse` reads (default: the default's type)."""
+    return field(default=default, metadata={"choices": choices, "parse": parse})
+
+
+def _allowed(f):
+    choices = f.metadata.get("choices")
+    return f" (allowed: {', '.join(map(str, choices))})" if choices else ""
+
+
+def _read(f, text):
+    """A flag or config-file value of field f; ValueError if it does not
+    parse or is not among the field's choices."""
+    value = (f.metadata.get("parse") or type(f.default))(text)
+    if f.metadata.get("choices") and value not in f.metadata["choices"]:
+        raise ValueError(text)
+    return value
+
+
+def _check_choices(config):
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.metadata.get("choices") and value not in f.metadata["choices"]:
+            raise UsageError(f"invalid {f.name} value {value!r}{_allowed(f)}")
+
+
 @dataclass(frozen=True)
 class StudyConfig:
-    problem: str = "smooth"
-    scheme: int = 2
-    refine: str = "uniform"
+    problem: str = _option("smooth", ("smooth", "singular"))
+    scheme: int = _option(2, (1, 2))
+    refine: str = _option("uniform", ("uniform", "adaptive"))
     theta: float = 0.5
     levels: int = 5
     max_dofs: int = 10000
@@ -56,12 +99,7 @@ class StudyConfig:
     output: str = "study.csv"
 
     def __post_init__(self):
-        if self.problem not in ("smooth", "singular"):
-            raise UsageError(f"unknown problem {self.problem!r}")
-        if self.scheme not in (1, 2):
-            raise UsageError(f"scheme must be 1 or 2, got {self.scheme}")
-        if self.refine not in ("uniform", "adaptive"):
-            raise UsageError(f"unknown refinement mode {self.refine!r}")
+        _check_choices(self)
         if not 0.0 < self.theta <= 1.0:
             raise UsageError(f"theta must be in (0, 1], got {self.theta}")
         if self.levels < 1:
@@ -72,6 +110,39 @@ class StudyConfig:
             raise UsageError("field degree must be nonnegative")
         if self.test_degree < self.field_degree + 2:
             raise UsageError("test degree must be at least field degree + 2")
+
+
+@dataclass(frozen=True)
+class TracelabConfig:
+    mode: str | None = _option(None, ("dirac", "unbounded", "norm-identity"), str)
+    eps_min_pow: int = 2
+    eps_max_pow: int = 10
+    n_list: tuple = _option((1, 10, 100, 1000), parse=_int_list)
+    degrees: tuple = _option((4, 8), parse=_int_range)
+    output: str = "tracelab.csv"
+
+    def __post_init__(self):
+        if self.mode is None:
+            raise UsageError("tracelab requires --mode")
+        _check_choices(self)
+        if min(self.n_list) < 1:
+            raise UsageError(
+                f"--n-list values must be at least 1, got {','.join(map(str, self.n_list))}"
+            )
+        lo, hi = self.degrees
+        if not 4 <= lo <= hi:
+            raise UsageError(f"--degrees must be lo:hi with 4 <= lo <= hi, got {lo}:{hi}")
+        lo, hi = self.eps_min_pow, self.eps_max_pow
+        if not 2 <= lo <= hi:
+            raise UsageError(
+                f"--eps-min-pow and --eps-max-pow must satisfy 2 <= min <= max, got {lo}, {hi}"
+            )
+
+
+_COMMANDS = {
+    "study": (StudyConfig, "convergence study -> CSV"),
+    "tracelab": (TracelabConfig, "trace-space experiment -> CSV"),
+}
 
 
 def _fmt(x):
@@ -137,29 +208,22 @@ def run_study(config):
     return records
 
 
-def run_tracelab(mode, params):
-    """Run one trace-lab experiment and write its CSV table.
-
-    ``params`` holds parsed values, keyed as in ``_TRACELAB_TYPES``;
-    missing ones take ``_TRACELAB_DEFAULTS``.
-    """
-    params = {**_TRACELAB_DEFAULTS, **params}
-    output = params["output"]
-    if mode == "dirac":
-        lo, hi = params["eps_min_pow"], params["eps_max_pow"]
+def run_tracelab(config):
+    """Run one trace-lab experiment and write its CSV table."""
+    if config.mode == "dirac":
+        lo, hi = config.eps_min_pow, config.eps_max_pow
         study = trace_lab.dirac_convergence_study(
             eps_list=[2.0**-k for k in range(lo, hi + 1)]
         )
+        header = "eps,error,slope"
         rows = [(e, err, study.slope) for e, err in zip(study.eps, study.error)]
-        write_csv(output, "eps,error,slope", rows)
-        return study
-    if mode == "unbounded":
-        rows = trace_lab.unboundedness_demo(params["n_list"])
-        write_csv(output, "n,corner_value,l2_norm", rows)
-        return rows
-    if mode == "norm-identity":
-        lo, hi = params["degrees"]
+    elif config.mode == "unbounded":
+        header = "n,corner_value,l2_norm"
+        rows = trace_lab.unboundedness_demo(config.n_list)
+    else:  # norm-identity
+        header = "degree,duality_norm,extension_norm,gap"
         rows = []
+        lo, hi = config.degrees
         for degree in range(lo, hi + 1):
             duality, extension = trace_lab.norm_identity_check(
                 trace_lab.REFERENCE_TRIANGLE,
@@ -169,9 +233,7 @@ def run_tracelab(mode, params):
             )
             gap = (extension - duality) / extension if extension > 0 else 0.0
             rows.append((degree, duality, extension, gap))
-        write_csv(output, "degree,duality_norm,extension_norm,gap", rows)
-        return rows
-    raise UsageError(f"unknown tracelab mode {mode!r}")
+    write_csv(config.output, header, rows)
 
 
 def read_config_file(path):
@@ -205,106 +267,49 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser():
+    """One subcommand per config class, one flag per field."""
     parser = _Parser(prog="bilap-dpg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    study = sub.add_parser("study", help="convergence study -> CSV")
-    study.add_argument("--problem", choices=["smooth", "singular"])
-    study.add_argument("--scheme", type=int, choices=[1, 2])
-    study.add_argument("--refine", choices=["uniform", "adaptive"])
-    study.add_argument("--theta", type=float)
-    study.add_argument("--levels", type=int)
-    study.add_argument("--max-dofs", type=int, dest="max_dofs")
-    study.add_argument("--field-degree", type=int, dest="field_degree")
-    study.add_argument("--test-degree", type=int, dest="test_degree")
-    study.add_argument("--output")
-    study.add_argument("--config")
-
-    lab = sub.add_parser("tracelab", help="trace-space experiment -> CSV")
-    lab.add_argument("--mode", choices=["dirac", "unbounded", "norm-identity"])
-    lab.add_argument("--eps-min-pow", type=int, dest="eps_min_pow")
-    lab.add_argument("--eps-max-pow", type=int, dest="eps_max_pow")
-    lab.add_argument("--n-list", dest="n_list")
-    lab.add_argument("--degrees")
-    lab.add_argument("--output")
-    lab.add_argument("--config")
+    for command, (cls, help_text) in _COMMANDS.items():
+        options = sub.add_parser(command, help=help_text)
+        for f in fields(cls):
+            choices = f.metadata.get("choices")
+            options.add_argument(
+                "--" + f.name.replace("_", "-"),
+                metavar="{" + ",".join(map(str, choices)) + "}" if choices else None,
+            )
+        options.add_argument("--config")
     return parser
 
 
-def _int_list(text):
-    return tuple(int(v) for v in text.split(","))
+def parse_config(argv=None):
+    """The command and its config: the --config file's values, then the
+    flags over them, each read as its field's `_option` says.
 
-
-def _int_range(text):
-    lo, hi = (int(v) for v in text.split(":"))
-    return lo, hi
-
-
-_STUDY_TYPES = {
-    "problem": str,
-    "scheme": int,
-    "refine": str,
-    "theta": float,
-    "levels": int,
-    "max_dofs": int,
-    "field_degree": int,
-    "test_degree": int,
-    "output": str,
-}
-
-_TRACELAB_TYPES = {
-    "mode": str,
-    "eps_min_pow": int,
-    "eps_max_pow": int,
-    "n_list": _int_list,
-    "degrees": _int_range,
-    "output": str,
-}
-
-_TRACELAB_DEFAULTS = dict(
-    eps_min_pow=2, eps_max_pow=10, n_list=(1, 10, 100, 1000), degrees=(4, 8),
-    output="tracelab.csv",
-)
-
-
-def _merge_options(args, types, command):
-    """Config file, then flags over it, each value parsed by ``types``.
-
-    A usage error names where the offending option came from: the config
+    A usage error names where the offending value came from: the config
     file or the flag.
     """
+    args = build_parser().parse_args(argv)
+    cls = _COMMANDS[args.command][0]
     options = {}
     if args.config:
-        for key, value in read_config_file(args.config).items():
-            options[key] = (value, args.config)
-    for name in types:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            options[name] = (flag, "--" + name.replace("_", "-"))
-    parsed = {}
-    for key, (value, origin) in options.items():
-        if key not in types:
-            raise UsageError(f"{origin}: unknown {command} option {key!r}")
+        for key, text in read_config_file(args.config).items():
+            options[key] = (text, args.config)
+    known = {f.name: f for f in fields(cls)}
+    for name in known:
+        if getattr(args, name) is not None:
+            options[name] = (getattr(args, name), "--" + name.replace("_", "-"))
+    values = {}
+    for key, (text, origin) in options.items():
+        if key not in known:
+            raise UsageError(f"{origin}: unknown {args.command} option {key!r}")
         try:
-            parsed[key] = types[key](value)
+            values[key] = _read(known[key], text)
         except ValueError:
-            raise UsageError(f"{origin}: invalid {key} value {value!r}") from None
-    return parsed
-
-
-def _check_tracelab(params):
-    """Out-of-range tracelab values, as usage errors before any work."""
-    n_list = params["n_list"]
-    if min(n_list) < 1:
-        raise UsageError(f"--n-list values must be at least 1, got {','.join(map(str, n_list))}")
-    lo, hi = params["degrees"]
-    if not 4 <= lo <= hi:
-        raise UsageError(f"--degrees must be lo:hi with 4 <= lo <= hi, got {lo}:{hi}")
-    lo, hi = params["eps_min_pow"], params["eps_max_pow"]
-    if not 2 <= lo <= hi:
-        raise UsageError(
-            f"--eps-min-pow and --eps-max-pow must satisfy 2 <= min <= max, got {lo}, {hi}"
-        )
+            raise UsageError(
+                f"{origin}: invalid {key} value {text!r}{_allowed(known[key])}"
+            ) from None
+    return args.command, cls(**values)
 
 
 def _check_output_dir(path):
@@ -315,27 +320,12 @@ def _check_output_dir(path):
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"bilap-dpg: error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        if args.command == "study":
-            config = StudyConfig(**_merge_options(args, _STUDY_TYPES, "study"))
-            _check_output_dir(config.output)
-            records = run_study(config)
-            print(f"wrote {len(records)} levels to {config.output}")
-            return 0
-        params = {**_TRACELAB_DEFAULTS, **_merge_options(args, _TRACELAB_TYPES, "tracelab")}
-        mode = params.pop("mode", None)
-        if mode is None:
-            raise UsageError("tracelab requires --mode")
-        _check_tracelab(params)
-        _check_output_dir(params["output"])
-        run_tracelab(mode, params)
-        print(f"wrote {params['output']}")
+        command, config = parse_config(argv)
+        _check_output_dir(config.output)
+        run = run_study if command == "study" else run_tracelab
+        run(config)
+        print(f"wrote {config.output}")
         return 0
     except UsageError as exc:
         print(f"bilap-dpg: error: {exc}", file=sys.stderr)

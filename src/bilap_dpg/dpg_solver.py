@@ -362,20 +362,13 @@ def adaptive_loop(mesh, formulation, problem, theta, max_dofs):
     Every level is solved from scratch: no field and no element kernel
     is carried from one level to the next.  Returns one StudyRecord per
     level; the loop stops after the first level whose free dof count
-    exceeds `max_dofs`.
+    exceeds `max_dofs`.  A `max_dofs` that level 0 already reaches
+    raises SolverError.
     """
     if not 0.0 < theta <= 1.0:
         raise SolverError(f"theta must be in (0, 1], got {theta}")
     records = []
     level = 0
-    fixed, _ = _constraints(
-        mesh, formulation, _trace_spaces(mesh, problem), formulation.scheme == 2
-    )
-    initial_dofs = int(np.count_nonzero(~fixed))
-    if max_dofs <= initial_dofs:
-        raise SolverError(
-            f"max_dofs={max_dofs} does not exceed the initial dof count {initial_dofs}"
-        )
     while True:
         try:
             record, solution, indicators = solve_and_record(mesh, formulation, problem, level)
@@ -384,6 +377,10 @@ def adaptive_loop(mesh, formulation, problem, theta, max_dofs):
         # its W blocks must not live through the next level's local
         # systems and solve, which set the peak memory
         del solution
+        if level == 0 and max_dofs <= record.ndof_total:
+            raise SolverError(
+                f"max_dofs={max_dofs} does not exceed the initial dof count {record.ndof_total}"
+            )
         records.append(record)
         if record.ndof_total > max_dofs:
             return records

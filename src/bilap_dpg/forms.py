@@ -100,11 +100,6 @@ class Formulation:
         return shape.basis_dimension(self.test_degree)
 
 
-def _barycentric(rule):
-    """Barycentric coordinates of a reference triangle rule, (nq, 3)."""
-    return np.column_stack([1 - rule.points[:, 0] - rule.points[:, 1], rule.points])
-
-
 def _maps(coords, labels):
     """`shape.affine_maps` of a batch with |det J|; raises FormsError
     naming the first element whose |det J| is below 2 MIN_ELEMENT_AREA."""
@@ -288,7 +283,7 @@ def _load(tab, coords, det, f):
     """Loads (f, test_i) of a batch of elements, (n, k): the reference
     operator |det J|^(1/2) (w_ref V_ref)^T applied to f at the mapped
     quadrature points."""
-    pts = _barycentric(tab.quad) @ coords
+    pts, _ = shape.map_to_triangle(tab.quad, coords)
     fv = np.broadcast_to(np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float), pts.shape[:2])
     return np.sqrt(det)[:, None] * (fv @ (tab.quad.weights[:, None] * tab.tri.val))
 

@@ -137,8 +137,8 @@ def singular_problem():
 def _graded_subtriangles(pts, corner, levels):
     """Split a triangle with one vertex at `corner` geometrically.
 
-    Returns a list of vertex triples: `levels` dyadic annuli (two
-    triangles each) plus the innermost corner triangle.
+    Returns the vertices (2 levels + 1, 3, 2) of `levels` dyadic annuli
+    (two triangles each) plus the innermost corner triangle.
     """
     k = int(np.argmin(np.hypot(*(pts - corner).T)))
     o = pts[k]
@@ -152,7 +152,7 @@ def _graded_subtriangles(pts, corner, levels):
         tris.append((bo, bi, ai))
     s = 0.5**levels
     tris.append((o, o + s * (a - o), o + s * (b - o)))
-    return tris
+    return np.array(tris)
 
 
 def element_quadrature(mesh, exactness, singular_corner=None, levels=4):
@@ -169,11 +169,7 @@ def element_quadrature(mesh, exactness, singular_corner=None, levels=4):
     """
     rule = shape.triangle_quadrature(exactness)
     coords = mesh.triangle_coords()
-    bary = np.column_stack(
-        [1 - rule.points[:, 0] - rule.points[:, 1], rule.points[:, 0], rule.points[:, 1]]
-    )
-    base_pts = bary @ coords
-    base_w = np.outer(2.0 * mesh.areas, rule.weights)
+    base_pts, base_w = shape.map_to_triangle(rule, coords)
     graded = {}
     if singular_corner is None:
         return base_pts, base_w, graded
@@ -183,12 +179,8 @@ def element_quadrature(mesh, exactness, singular_corner=None, levels=4):
         (np.hypot(*(coords - corner).transpose(2, 0, 1)) < 1e-12).any(axis=1)
     )[0]
     for t in touching:
-        sub_p, sub_w = [], []
-        for tri in _graded_subtriangles(coords[t], corner, levels):
-            p, w = shape.map_to_triangle(rule, np.asarray(tri))
-            sub_p.append(p)
-            sub_w.append(w)
-        graded[int(t)] = (np.vstack(sub_p), np.concatenate(sub_w))
+        p, w = shape.map_to_triangle(rule, _graded_subtriangles(coords[t], corner, levels))
+        graded[int(t)] = (p.reshape(-1, 2), w.ravel())
     return base_pts, base_w, graded
 
 

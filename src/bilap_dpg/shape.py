@@ -147,17 +147,20 @@ def edge_quadrature(exactness):
     return QuadRule(t, w)
 
 
-def map_to_triangle(rule, vertices):
-    """Map a reference-triangle rule to a physical triangle.
+def map_to_triangle(rule, coords):
+    """Map a reference-triangle rule to triangles (..., 3, 2).
 
-    Returns (points (nq, 2), weights (nq,)); weights absorb the affine
-    Jacobian so that `weights @ f(points)` approximates the integral.
+    Returns (points (..., nq, 2), weights (..., nq)): the points are the
+    rule's barycentric coordinates times the vertices, and the weights
+    absorb |det J| so that `weights @ f(points)` approximates the
+    integral over each triangle.
     """
-    v = np.asarray(vertices, dtype=float)
-    d1, d2 = v[1] - v[0], v[2] - v[0]
-    jac = d1[0] * d2[1] - d1[1] * d2[0]
-    pts = v[0] + np.outer(rule.points[:, 0], d1) + np.outer(rule.points[:, 1], d2)
-    return pts, rule.weights * jac
+    coords = np.asarray(coords, dtype=float)
+    d1 = coords[..., 1, :] - coords[..., 0, :]
+    d2 = coords[..., 2, :] - coords[..., 0, :]
+    det = np.abs(d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
+    bary = np.column_stack([1 - rule.points[:, 0] - rule.points[:, 1], rule.points])
+    return bary @ coords, det[..., None] * rule.weights
 
 
 @lru_cache(maxsize=None)

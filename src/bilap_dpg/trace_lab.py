@@ -19,8 +19,19 @@ from functools import lru_cache
 import numpy as np
 
 from bilap_dpg import forms, shape
+from bilap_dpg.problems import _graded_subtriangles
 
 REFERENCE_TRIANGLE = shape.REFERENCE_VERTICES
+
+#: composite Gauss rule of the Dirac pairings on [0, eps]
+PANELS = 96
+POINTS_PER_PANEL = 8
+
+#: graded fan of the unboundedness demo: sectors of the half disk,
+#: dyadic annuli per sector, and the exactness of the rule on each piece
+HALF_DISK_SECTORS = 24
+HALF_DISK_LEVELS = 26
+HALF_DISK_EXACTNESS = 8
 
 
 class Poly2:
@@ -51,13 +62,12 @@ class Poly2:
     def dy(self):
         return Poly2(np.polynomial.polynomial.polyder(self.c, axis=1))
 
-    def norm_h2(self, rule_exactness=None):
+    def norm_h2(self):
         """Full second-order norm on the reference triangle.
 
         ||z||^2 = ||z||^2 + ||Hess z||^2 (Frobenius), by quadrature.
         """
-        deg = self.degree
-        rule = shape.triangle_quadrature(rule_exactness or max(2 * deg, 2))
+        rule = shape.triangle_quadrature(max(2 * self.degree, 2))
         x, y = rule.points[:, 0], rule.points[:, 1]
         w = rule.weights
         zxx = self.dx().dx()(x, y)
@@ -110,10 +120,10 @@ def mollifier(t, eps):
     return np.where(inside, val, 0.0)
 
 
-def _panel_gauss(eps, panels=96, points_per_panel=8):
+def _panel_gauss(eps):
     """Composite Gauss nodes/weights on [0, eps]."""
-    t, w = np.polynomial.legendre.leggauss(points_per_panel)
-    edges = np.linspace(0.0, eps, panels + 1)
+    t, w = np.polynomial.legendre.leggauss(POINTS_PER_PANEL)
+    edges = np.linspace(0.0, eps, PANELS + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
     nodes = (mid[:, None] + half[:, None] * t[None, :]).ravel()
@@ -121,7 +131,7 @@ def _panel_gauss(eps, panels=96, points_per_panel=8):
     return nodes, weights
 
 
-def pair_trace_veps(z, eps, panels=96):
+def pair_trace_veps(z, eps):
     """Duality of the mollifier corner function with a test polynomial.
 
     Evaluates   <dn(v_eps), z>_dT - <v_eps, dn(z)>_dT   on the reference
@@ -132,16 +142,14 @@ def pair_trace_veps(z, eps, panels=96):
 
     Parameters
     ----------
-    z : Poly2 or coefficient matrix, degree <= 6
+    z : Poly2, degree <= 6
     eps : float in (0, 1/2)
     """
-    if not isinstance(z, Poly2):
-        z = Poly2(z)
     if z.degree > 6:
         raise ValueError(f"test polynomial degree {z.degree} exceeds 6")
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
-    t, w = _panel_gauss(eps, panels=max(64, panels))
+    t, w = _panel_gauss(eps)
     phi = mollifier(t, eps)
     zero = np.zeros_like(t)
     # bottom edge y = 0 (outward normal (0,-1)) and left edge x = 0
@@ -158,12 +166,8 @@ class DiracStudy:
     slope: float
 
 
-def default_z_list(max_degree=4):
-    return [
-        Poly2.monomial(i, j)
-        for q in range(max_degree + 1)
-        for i, j in ((q - jj, jj) for jj in range(q + 1))
-    ]
+def default_z_list(max_degree):
+    return [Poly2.monomial(i, j) for i, j in shape.monomial_exponents(max_degree)]
 
 
 def dirac_convergence_study(eps_list=None, z_list=None):
@@ -192,31 +196,27 @@ def dirac_convergence_study(eps_list=None, z_list=None):
     return DiracStudy(eps_arr, errors, slope)
 
 
-def _half_disk_quadrature(n_angular=24, levels=26, exactness=8):
+def _half_disk_quadrature():
     """Graded quadrature on the upper unit half disk (polygonal fan).
 
     The fan is centered at the origin (the point the potentials
     concentrate near) with geometric radial grading.
     """
-    rule = shape.triangle_quadrature(exactness)
-    angles = np.linspace(0.0, np.pi, n_angular + 1)
-    pts_all, w_all = [], []
+    angles = np.linspace(0.0, np.pi, HALF_DISK_SECTORS + 1)
     origin = np.zeros(2)
-    for a0, a1 in zip(angles[:-1], angles[1:]):
-        p0 = np.array([np.cos(a0), np.sin(a0)])
-        p1 = np.array([np.cos(a1), np.sin(a1)])
-        from bilap_dpg.problems import _graded_subtriangles
-
-        for tri in _graded_subtriangles(
-            np.vstack([origin, p0, p1]), origin, levels
-        ):
-            p, w = shape.map_to_triangle(rule, np.asarray(tri))
-            pts_all.append(p)
-            w_all.append(w)
-    return np.vstack(pts_all), np.concatenate(w_all)
+    tris = np.concatenate([
+        _graded_subtriangles(
+            np.array([origin, [np.cos(a0), np.sin(a0)], [np.cos(a1), np.sin(a1)]]),
+            origin,
+            HALF_DISK_LEVELS,
+        )
+        for a0, a1 in zip(angles[:-1], angles[1:])
+    ])
+    pts, w = shape.map_to_triangle(shape.triangle_quadrature(HALF_DISK_EXACTNESS), tris)
+    return pts.reshape(-1, 2), w.ravel()
 
 
-def unboundedness_demo(n_list, quadrature=None):
+def unboundedness_demo(n_list):
     """Point values vs L2 norms of the shifted log potentials.
 
     v_n = log|x_n - .| with x_n = (0, -1/n) just below the half disk;
@@ -225,9 +225,7 @@ def unboundedness_demo(n_list, quadrature=None):
 
     Returns a list of (n, corner_value, l2_norm) tuples.
     """
-    if quadrature is None:
-        quadrature = _half_disk_quadrature()
-    pts, w = quadrature
+    pts, w = _half_disk_quadrature()
     rows = []
     for n in n_list:
         if n <= 0:
@@ -288,11 +286,9 @@ def norm_identity_check(vertices, z, dual_degree, extension_degree):
     Parameters
     ----------
     vertices : (3, 2) element
-    z : Poly2 or coefficient matrix, degree <= 4
+    z : Poly2, degree <= 4
     dual_degree, extension_degree : int >= 4
     """
-    if not isinstance(z, Poly2):
-        z = Poly2(z)
     if z.degree > 4:
         raise ValueError("z must have degree <= 4")
     if dual_degree < 4 or extension_degree < 4:
@@ -306,7 +302,7 @@ def norm_identity_check(vertices, z, dual_degree, extension_degree):
     lap_c[: cyy.shape[0], : cyy.shape[1]] += cyy
     z_lap = Poly2(lap_c)
 
-    jac, det, jinv = (x[0] for x in shape.affine_maps(vertices[None]))
+    _, det, jinv = (x[0] for x in shape.affine_maps(vertices[None]))
 
     def graph_table_and_pairing(degree):
         # the element's orthonormal P_degree basis from the reference
@@ -314,8 +310,7 @@ def norm_identity_check(vertices, z, dual_degree, extension_degree):
         # S^T S for the stacked table S = [sqrt(w) val; sqrt(w) lap]
         tab = shape.reference_tables(degree)
         basis = shape.map_jet(tab.tri, jinv, det)
-        w = abs(det) * tab.quad.weights
-        pts = vertices[0] + tab.quad.points @ jac.T
+        pts, w = shape.map_to_triangle(tab.quad, vertices)
         val = basis.val
         lap = basis.hess[..., 0] + basis.hess[..., 2]
         root_w = np.sqrt(w)[:, None]

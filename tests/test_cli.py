@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,10 @@ from bilap_dpg import cli
 from bilap_dpg.cli import (
     STUDY_HEADER,
     StudyConfig,
+    TracelabConfig,
     UsageError,
     main,
+    parse_config,
     read_config_file,
     run_study,
     run_tracelab,
@@ -138,22 +141,28 @@ def test_config_file_parsing_errors(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "content, key",
+    "content, flags, key",
     [
-        (b"levels = abc\n", "levels"),
-        (b"scheme = 2  # \xce\xb8\n", ":1: non-ASCII"),
-        (None, "cannot read config file"),
+        (b"levels = abc\n", [], "levels"),
+        (b"scheme = 2  # \xce\xb8\n", [], ":1: non-ASCII"),
+        (None, [], "cannot read config file"),
+        (b"scheme = 1\n", ["--scheme", "3"], "--scheme: invalid scheme value '3' (allowed: 1, 2)"),
+        (b"", ["--problem", "poisson"],
+         "--problem: invalid problem value 'poisson' (allowed: smooth, singular)"),
     ],
-    ids=["unparsable-value", "non-ascii-byte", "missing-file"],
+    ids=["unparsable-value", "non-ascii-byte", "missing-file", "scheme-flag-not-allowed",
+         "problem-flag-not-allowed"],
 )
-def test_study_config_file_errors_exit_one(tmp_path, capsys, content, key):
+def test_study_config_file_errors_exit_one(tmp_path, capsys, content, flags, key):
     cfg = tmp_path / "study.cfg"
     if content is not None:
         cfg.write_bytes(content)
-    assert main(["study", "--config", str(cfg)]) == 1
+    assert main(["study", "--config", str(cfg), *flags]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert str(cfg) in err and key in err
+    assert key in err
+    if not flags:
+        assert str(cfg) in err
 
 
 @pytest.mark.parametrize(
@@ -168,9 +177,12 @@ def test_study_config_file_errors_exit_one(tmp_path, capsys, content, key):
         (["--mode", "norm-identity", "--degrees", "6:5"], None, "--degrees"),
         (["--mode", "dirac", "--eps-min-pow", "5", "--eps-max-pow", "3"], None, "--eps-min-pow"),
         (["--mode", "dirac", "--eps-min-pow", "12"], None, "--eps-max-pow"),
+        ([], "mode = bogus\n",
+         "invalid mode value 'bogus' (allowed: dirac, unbounded, norm-identity)"),
     ],
     ids=["degrees", "n-list", "config-value", "unknown-config-key", "n-below-1",
-         "degrees-below-4", "degrees-reversed", "eps-reversed", "eps-above-default-max"],
+         "degrees-below-4", "degrees-reversed", "eps-reversed", "eps-above-default-max",
+         "mode-not-allowed"],
 )
 def test_tracelab_option_errors_exit_one(tmp_path, capsys, flags, config, option):
     out = tmp_path / "t.csv"
@@ -181,6 +193,7 @@ def test_tracelab_option_errors_exit_one(tmp_path, capsys, flags, config, option
         argv += ["--config", str(cfg)]
     assert main(argv) == 1
     err = capsys.readouterr().err
+    assert err.count("\n") == 1
     assert option in err and "numerical failure" not in err
     if config is not None:
         assert str(tmp_path / "lab.cfg") in err
@@ -288,8 +301,37 @@ def test_run_study_returns_records(tmp_path):
 
 
 def test_run_tracelab_rejects_unknown_mode(tmp_path):
-    with pytest.raises(UsageError):
-        run_tracelab("bogus", {"output": str(tmp_path / "x.csv")})
+    with pytest.raises(UsageError, match="allowed: dirac, unbounded, norm-identity"):
+        TracelabConfig(mode="bogus", output=str(tmp_path / "x.csv"))
+
+
+# a valid value other than the default for every config field
+_FIELD_VALUES = {
+    "study": dict(problem="singular", scheme="1", refine="adaptive", theta="0.25",
+                  levels="3", max_dofs="500", field_degree="1", test_degree="5",
+                  output="s.csv"),
+    "tracelab": dict(mode="unbounded", eps_min_pow="3", eps_max_pow="7", n_list="1,10",
+                     degrees="4:6", output="t.csv"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [(command, name) for command, values in _FIELD_VALUES.items() for name in values],
+)
+def test_flag_and_config_key_build_the_same_config(tmp_path, command, name):
+    cls = {"study": StudyConfig, "tracelab": TracelabConfig}[command]
+    defaults = {f.name: f.default for f in fields(cls)}
+    assert set(_FIELD_VALUES[command]) == set(defaults)
+    value = _FIELD_VALUES[command][name]
+    base = ["--mode", "dirac"] if command == "tracelab" and name != "mode" else []
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{name} = {value}\n")
+    flag = "--" + name.replace("_", "-")
+    by_flag = parse_config([command, *base, flag, value])
+    by_file = parse_config([command, *base, "--config", str(cfg)])
+    assert by_flag == by_file == (command, by_flag[1])
+    assert getattr(by_flag[1], name) != defaults[name]
 
 
 _IMPORT_GUARD = """

@@ -7,10 +7,10 @@ its own definition: as a name, an attribute or an imported name, and in
 field counts as read where an attribute of its name is read, or its
 name is a string in `perfbench/` (as in `getattr`); passing it to a
 constructor or naming it in src's own setattr tables does not count.  Only dunders
-are exempt.  Neither tests nor the re-exports of `bilap_dpg/__init__.py`
-(its imports and `__all__`) count, so a public name needs a production
+are exempt.  Tests do not count, so a public name needs a production
 caller too, and a helper that only tests reach belongs in
-`tests/oracles.py`.
+`tests/oracles.py`.  `bilap_dpg/__init__.py` holds only the package
+docstring: callers import the submodules.
 """
 
 import ast
@@ -48,14 +48,9 @@ def _definitions(tree):
 
 
 def _production_trees():
-    """Parsed src and perfbench modules, but not `__init__.py`: it only
-    re-exports, and a re-export is not a use."""
+    """Parsed src and perfbench modules."""
     files = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    return {
-        path: ast.parse(path.read_text(), str(path))
-        for path in files
-        if path.name != "__init__.py"
-    }
+    return {path: ast.parse(path.read_text(), str(path)) for path in files}
 
 
 def test_every_src_definition_is_referenced_by_production_code():
