@@ -27,7 +27,9 @@ precedence over the defaults.  Exit codes: 0 success, 1 usage error
 (including a missing or malformed config file, an unknown option, a
 value that does not parse, is not among the allowed values, which the
 message lists, or is out of range, and an output file in a missing
-directory; all found before any work), 2 numerical failure.
+directory; all found before any work), 2 numerical failure.  A usage
+error names where each value at fault came from: FILE:LINE of the
+config file, or the flag.
 """
 
 from __future__ import annotations
@@ -47,7 +49,11 @@ STUDY_HEADER = "level,ndof_total,ndof_field,h_max,eta,err_u,err_sigma,solve_seco
 
 
 class UsageError(Exception):
-    """Invalid configuration."""
+    """Invalid configuration; `names` are the config fields at fault."""
+
+    def __init__(self, message, *names):
+        super().__init__(message)
+        self.names = names
 
 
 def _int_list(text):
@@ -83,7 +89,7 @@ def _check_choices(config):
     for f in fields(config):
         value = getattr(config, f.name)
         if f.metadata.get("choices") and value not in f.metadata["choices"]:
-            raise UsageError(f"invalid {f.name} value {value!r}{_allowed(f)}")
+            raise UsageError(f"invalid {f.name} value {value!r}{_allowed(f)}", f.name)
 
 
 @dataclass(frozen=True)
@@ -101,15 +107,17 @@ class StudyConfig:
     def __post_init__(self):
         _check_choices(self)
         if not 0.0 < self.theta <= 1.0:
-            raise UsageError(f"theta must be in (0, 1], got {self.theta}")
+            raise UsageError(f"theta must be in (0, 1], got {self.theta}", "theta")
         if self.levels < 1:
-            raise UsageError("levels must be positive")
+            raise UsageError("levels must be positive", "levels")
         if self.max_dofs < 1:
-            raise UsageError("max_dofs must be positive")
+            raise UsageError("max_dofs must be positive", "max_dofs")
         if self.field_degree < 0:
-            raise UsageError("field degree must be nonnegative")
+            raise UsageError("field degree must be nonnegative", "field_degree")
         if self.test_degree < self.field_degree + 2:
-            raise UsageError("test degree must be at least field degree + 2")
+            raise UsageError(
+                "test degree must be at least field degree + 2", "field_degree", "test_degree"
+            )
 
 
 @dataclass(frozen=True)
@@ -127,15 +135,17 @@ class TracelabConfig:
         _check_choices(self)
         if min(self.n_list) < 1:
             raise UsageError(
-                f"--n-list values must be at least 1, got {','.join(map(str, self.n_list))}"
+                f"n_list values must be at least 1, got {','.join(map(str, self.n_list))}",
+                "n_list",
             )
         lo, hi = self.degrees
         if not 4 <= lo <= hi:
-            raise UsageError(f"--degrees must be lo:hi with 4 <= lo <= hi, got {lo}:{hi}")
+            raise UsageError(f"degrees must be lo:hi with 4 <= lo <= hi, got {lo}:{hi}", "degrees")
         lo, hi = self.eps_min_pow, self.eps_max_pow
         if not 2 <= lo <= hi:
             raise UsageError(
-                f"--eps-min-pow and --eps-max-pow must satisfy 2 <= min <= max, got {lo}, {hi}"
+                f"eps_min_pow and eps_max_pow must satisfy 2 <= min <= max, got {lo}, {hi}",
+                "eps_min_pow", "eps_max_pow",
             )
 
 
@@ -237,7 +247,8 @@ def run_tracelab(config):
 
 
 def read_config_file(path):
-    """Plain ASCII key=value option file; '#' starts a comment."""
+    """Plain ASCII key=value option file; '#' starts a comment.  Returns
+    {key: (value, line number)}."""
     options = {}
     try:
         with open(path, "rb") as fh:
@@ -255,7 +266,7 @@ def read_config_file(path):
         if "=" not in text:
             raise UsageError(f"{path}:{lineno}: expected key=value")
         key, value = (part.strip() for part in text.split("=", 1))
-        options[key.replace("-", "_")] = value
+        options[key.replace("-", "_")] = (value, lineno)
     return options
 
 
@@ -286,15 +297,15 @@ def parse_config(argv=None):
     """The command and its config: the --config file's values, then the
     flags over them, each read as its field's `_option` says.
 
-    A usage error names where the offending value came from: the config
-    file or the flag.
+    A usage error names where each offending value came from: the
+    config file's FILE:LINE or the flag.
     """
     args = build_parser().parse_args(argv)
     cls = _COMMANDS[args.command][0]
     options = {}
     if args.config:
-        for key, text in read_config_file(args.config).items():
-            options[key] = (text, args.config)
+        for key, (text, lineno) in read_config_file(args.config).items():
+            options[key] = (text, f"{args.config}:{lineno}")
     known = {f.name: f for f in fields(cls)}
     for name in known:
         if getattr(args, name) is not None:
@@ -309,7 +320,13 @@ def parse_config(argv=None):
             raise UsageError(
                 f"{origin}: invalid {key} value {text!r}{_allowed(known[key])}"
             ) from None
-    return args.command, cls(**values)
+    try:
+        return args.command, cls(**values)
+    except UsageError as exc:
+        origins = [options[name][1] for name in exc.names if name in options]
+        if not origins:
+            raise
+        raise UsageError(f"{', '.join(origins)}: {exc}") from None
 
 
 def _check_output_dir(path):

@@ -2,8 +2,10 @@
 
 The solution minimizes the whitened residual |load - W x|.  Its
 normal-equation matrix A = W^T W is SPD in exact arithmetic, so
-asymmetric or indefinite input raises.  A is factored once, shifted,
-and the factor preconditions conjugate gradients on W itself (CGLS).
+asymmetric or indefinite input raises.  A + SHIFT diag(A) is factored
+once, and the factor preconditions conjugate gradients on W (CGLS).
+Forced diagonal pivots never compare magnitudes, so factoring the
+Jacobi-scaled D^-1/2 A D^-1/2 + SHIFT I would only change rounding.
 The `bilap_dpg.linsolve` logger gets a warning when CGLS stops at its
 iteration cap and one debug record per solve; no handler is installed.
 """
@@ -17,9 +19,9 @@ import scipy.sparse.linalg
 
 log = logging.getLogger(__name__)
 
-# added to the unit diagonal of the scaled A: on strongly graded meshes
-# A has near-null directions below roundoff, where the unshifted factor
-# meets nonpositive pivots; CGLS takes the shift back out of the answer
+# relative to A's diagonal: on strongly graded meshes A has near-null
+# directions below roundoff, where the unshifted factor meets nonpositive
+# pivots; CGLS takes the shift back out of the answer
 SHIFT = 1e-15
 # CGLS stops at g^T M^-1 g <= RTOL^2 of its start, g = W^T r (1e-10
 # leaves normal-equation residuals above 1e-12 on graded meshes)
@@ -47,8 +49,8 @@ class NotPositiveDefiniteError(LinearSolveError):
 def sparse_spd_solve(a, b, w, load):
     """Minimize |load - W x|, given A = W^T W and b = W^T load.
 
-    A is factored once by symmetric-mode LU, ordered by minimum degree
-    on A + A^T, and the factor preconditions CGLS on W.
+    A + SHIFT diag(A) is factored once by symmetric-mode LU, ordered
+    by minimum degree on A + A^T, and preconditions CGLS on W.
 
     Parameters
     ----------
@@ -71,29 +73,24 @@ def sparse_spd_solve(a, b, w, load):
     defect = abs(a - a.T).max() if a.nnz else 0.0
     if defect > 1e-12 * max(scale, 1e-300):
         raise LinearSolveError("matrix is not symmetric")
-    # symmetric Jacobi equilibration first: column scalings vary over
-    # many orders of magnitude on strongly graded meshes
-    diag = a.diagonal()
+    # a zero diagonal entry would make SuperLU pivot off the diagonal
+    shifted = scipy.sparse.csc_matrix(a, dtype=float, copy=True)
+    diag = shifted.diagonal()
     bad = np.nonzero(diag <= 0)[0]
     if bad.size:
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite (pivot {bad[0]})", pivot=int(bad[0])
         )
-    s = 1.0 / np.sqrt(diag)
-    # diag(s) A diag(s) + SHIFT I: scaling the stored entries, unlike a
-    # sparse product, keeps entries that are zero by cancellation, so the
-    # ordering and the fill follow the assembled pattern, not rounding
-    scaled = scipy.sparse.csc_matrix(a, dtype=float, copy=True)
-    scaled.data *= s[scaled.indices]
-    scaled.data *= np.repeat(s, np.diff(scaled.indptr))
-    scaled.setdiag(scaled.diagonal() + SHIFT)
+    # every diagonal entry is stored, so only values change: the ordering
+    # and the fill follow the assembled pattern, explicit zeros included
+    shifted.setdiag(diag * (1 + SHIFT))
     # diagonal pivoting in symmetric mode makes LU act as LDL^T, so the
     # U diagonal carries the inertia and certifies positive definiteness;
     # the pattern is symmetric, so the fill-reducing ordering is minimum
     # degree on A + A^T rather than COLAMD's ordering of A^T A
     try:
         lu = scipy.sparse.linalg.splu(
-            scaled,
+            shifted,
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             options=dict(SymmetricMode=True),
@@ -104,7 +101,7 @@ def sparse_spd_solve(a, b, w, load):
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite: exactly singular factor ({exc}) factoring n={n}"
         ) from None
-    del scaled  # SuperLU holds its own copy; the pivot read comes next
+    del shifted  # SuperLU holds its own copy; the pivot read comes next
     pivots = lu.U.diagonal()
     bad = np.nonzero(pivots <= 0)[0]
     if bad.size:
@@ -114,11 +111,13 @@ def sparse_spd_solve(a, b, w, load):
             f"({pivots[pivot]:.3e}) factoring n={n}", pivot=pivot,
         )
 
-    x, iterations = _cgls(w, load, lambda g: s * lu.solve(s * g))
+    x, iterations = _cgls(w, load, lu.solve)
     residual = np.linalg.norm(a @ x - b)
+    # the shift's margin: A's column j is eliminated at step perm_c[j]
     log.debug(
-        "sparse SPD solve: n=%d nnz(A)=%d nnz(L+U)=%d shift=%g cgls_iterations=%d "
-        "relative_residual=%.3e", n, a.nnz, lu.nnz, SHIFT, iterations,
+        "sparse SPD solve: n=%d nnz(A)=%d nnz(L+U)=%d shift=%g min_pivot_ratio=%.3e "
+        "cgls_iterations=%d relative_residual=%.3e", n, a.nnz, lu.nnz, SHIFT,
+        np.min(pivots[lu.perm_c] / diag, initial=np.inf), iterations,
         residual / max(np.linalg.norm(b), 1e-300),
     )
     tol = 1e-10 * max(np.linalg.norm(b), scale * np.linalg.norm(x), 1e-300)

@@ -88,10 +88,12 @@ def singular_problem():
     """
     a, c = SINGULAR_ALPHA, SINGULAR_C
 
+    # np.power, not **: a numpy scalar's ** rounds differently from the
+    # array loop in the last bit, and scalar and array calls must agree
     def u(x, y):
         r = np.hypot(x, y)
         phi = np.arctan2(y, x)
-        return r ** (1 + a) * (np.cos((a + 1) * phi) + c * np.cos((a - 1) * phi))
+        return np.power(r, 1 + a) * (np.cos((a + 1) * phi) + c * np.cos((a - 1) * phi))
 
     def grad_u(x, y):
         x = np.asarray(x, dtype=float)

@@ -133,6 +133,12 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert len(rows) == 2  # flag wins over the file's 4
 
 
+def test_config_file_keeps_each_keys_line(tmp_path):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("# header\nscheme = 1\n\nmax-dofs = 500  # budget\nscheme = 2\n")
+    assert read_config_file(cfg) == {"scheme": ("2", 5), "max_dofs": ("500", 4)}
+
+
 def test_config_file_parsing_errors(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("this is not a key value pair\n")
@@ -149,9 +155,12 @@ def test_config_file_parsing_errors(tmp_path):
         (b"scheme = 1\n", ["--scheme", "3"], "--scheme: invalid scheme value '3' (allowed: 1, 2)"),
         (b"", ["--problem", "poisson"],
          "--problem: invalid problem value 'poisson' (allowed: smooth, singular)"),
+        (b"levels = 2\ntheta = 1.5\n", [], "study.cfg:2: theta must be in (0, 1], got 1.5"),
+        (b"# degrees\nfield_degree = 3\n", ["--test-degree", "4"],
+         "study.cfg:2, --test-degree: test degree must be at least field degree + 2"),
     ],
     ids=["unparsable-value", "non-ascii-byte", "missing-file", "scheme-flag-not-allowed",
-         "problem-flag-not-allowed"],
+         "problem-flag-not-allowed", "theta-line", "degrees-file-and-flag"],
 )
 def test_study_config_file_errors_exit_one(tmp_path, capsys, content, flags, key):
     cfg = tmp_path / "study.cfg"
@@ -176,13 +185,20 @@ def test_study_config_file_errors_exit_one(tmp_path, capsys, content, flags, key
         (["--mode", "norm-identity", "--degrees", "0:1"], None, "--degrees"),
         (["--mode", "norm-identity", "--degrees", "6:5"], None, "--degrees"),
         (["--mode", "dirac", "--eps-min-pow", "5", "--eps-max-pow", "3"], None, "--eps-min-pow"),
-        (["--mode", "dirac", "--eps-min-pow", "12"], None, "--eps-max-pow"),
+        (["--mode", "dirac", "--eps-min-pow", "12"], None,
+         "--eps-min-pow: eps_min_pow and eps_max_pow must satisfy"),
         ([], "mode = bogus\n",
          "invalid mode value 'bogus' (allowed: dirac, unbounded, norm-identity)"),
+        ([], "mode = dirac\neps_min_pow = 12\n",
+         "lab.cfg:2: eps_min_pow and eps_max_pow must satisfy 2 <= min <= max, got 12, 10"),
+        (["--eps-max-pow", "3"], "mode = dirac\n\neps_min_pow = 5\n",
+         "lab.cfg:3, --eps-max-pow: eps_min_pow and eps_max_pow must satisfy"),
+        ([], "# lab\nmode = bogus\n", "lab.cfg:2: invalid mode value 'bogus'"),
+        ([], "mode = unbounded\nn_list = 0,5\n", "lab.cfg:2: n_list values must be at least 1"),
     ],
     ids=["degrees", "n-list", "config-value", "unknown-config-key", "n-below-1",
          "degrees-below-4", "degrees-reversed", "eps-reversed", "eps-above-default-max",
-         "mode-not-allowed"],
+         "mode-not-allowed", "eps-line", "eps-file-and-flag", "mode-line", "n-list-line"],
 )
 def test_tracelab_option_errors_exit_one(tmp_path, capsys, flags, config, option):
     out = tmp_path / "t.csv"

@@ -18,8 +18,8 @@ from bilap_dpg.linsolve import (
     _cgls,
     sparse_spd_solve,
 )
-from bilap_dpg.mesh import Mesh, make_unit_square
-from bilap_dpg.problems import smooth_problem
+from bilap_dpg.mesh import Mesh, make_sector_domain, make_unit_square, refine_nvb
+from bilap_dpg.problems import singular_problem, smooth_problem
 
 
 def lstsq_solve(w, load):
@@ -132,7 +132,8 @@ def test_rank_deficient_w_gives_a_least_squares_minimizer(w):
 def test_one_factorization_per_solve(monkeypatch):
     # the rank-2 Gram matrix of the columns of [[1, 2, 3], [4, 5, 6]],
     # whose unshifted factor ends on a roundoff-negative pivot: one
-    # factorization of D^-1/2 A D^-1/2 + SHIFT I, and CGLS on W
+    # factorization of A as assembled with its diagonal times 1 + SHIFT,
+    # and CGLS on W
     w = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     splu = scipy.sparse.linalg.splu
     inputs = []
@@ -147,8 +148,51 @@ def test_one_factorization_per_solve(monkeypatch):
     assert np.linalg.norm(load - w @ x) <= 1e-12
     [factored] = inputs
     dense = w.T @ w
-    s = 1.0 / np.sqrt(np.diag(dense))
-    assert np.array_equal(factored, s[:, None] * dense * s[None, :] + linsolve.SHIFT * np.eye(3))
+    np.fill_diagonal(dense, np.diag(dense) * (1 + linsolve.SHIFT))
+    assert np.array_equal(factored, dense)
+
+
+def test_preconditioner_matches_the_jacobi_scaled_factor(monkeypatch):
+    # the scheme-2 system of the sector with its corner elements bisected
+    # twice: applying the factor of A + SHIFT diag(A) must agree with the
+    # factor of the Jacobi-scaled D^-1/2 A D^-1/2 + SHIFT I, applied as
+    # D^-1/2 (.) D^-1/2, since forced diagonal pivots never compare
+    # magnitudes.  Both are accurate only to roundoff over the smallest
+    # pivot ratio, so six such bisections (h_min = 2^-5) part them by 1e-7
+    mesh = make_sector_domain()
+    for _ in range(2):
+        corner = np.abs(mesh.triangle_coords()).sum(axis=2).min(axis=1) == 0
+        mesh = refine_nvb(mesh, np.flatnonzero(corner))
+    captured = []
+
+    def capture(w, load, precond):
+        captured.append(precond)
+        return _cgls(w, load, precond)
+
+    solve = dpg_solver.sparse_spd_solve
+
+    def capture_a(a, *args):
+        captured.append(a)
+        return solve(a, *args)
+
+    monkeypatch.setattr(linsolve, "_cgls", capture)
+    monkeypatch.setattr(dpg_solver, "sparse_spd_solve", capture_a)
+    dpg_solver.assemble_and_solve(mesh, Formulation(scheme=2), singular_problem())
+    [a, precond] = captured
+    s = 1.0 / np.sqrt(a.diagonal())
+    scaled = a.tocsc()
+    scaled.data = s[scaled.indices] * scaled.data * np.repeat(s, np.diff(scaled.indptr))
+    scaled.setdiag(scaled.diagonal() + linsolve.SHIFT)
+    lu_j = scipy.sparse.linalg.splu(
+        scaled,
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
+    )
+    rng = np.random.default_rng(3)
+    for g in rng.standard_normal((5, a.shape[0])):
+        expected = s * lu_j.solve(s * g)
+        assert np.linalg.norm(precond(g) - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
 def test_iteration_cap_is_logged(monkeypatch, caplog):
@@ -185,7 +229,7 @@ def test_solve_holds_at_most_one_extra_copy_of_a(monkeypatch):
     # the scheme-2, p = 0 system on the 16x16 square (3,877 dofs): the
     # solve's traced peak may exceed that of its factorization and pivot
     # read alone by at most one copy of A (keeping A in a second format,
-    # a scaled copy and |A| alive together measured 3.1 copies)
+    # a shifted copy and |A| alive together measured 3.1 copies)
     captured = []
 
     def capture(a, b, *args):
@@ -196,13 +240,12 @@ def test_solve_holds_at_most_one_extra_copy_of_a(monkeypatch):
     dpg_solver.assemble_and_solve(make_unit_square(16), Formulation(scheme=2), smooth_problem())
     [(a, b, w, load)] = captured
     copy = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
-    s = 1.0 / np.sqrt(a.diagonal())
-    scaled = a.tocsc()
-    scaled.data = s[scaled.indices] * scaled.data * np.repeat(s, np.diff(scaled.indptr))
+    shifted = a.tocsc()
+    shifted.setdiag(shifted.diagonal() * (1 + linsolve.SHIFT))
 
     def factor_alone():
         lu = scipy.sparse.linalg.splu(
-            scaled,
+            shifted,
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             options=dict(SymmetricMode=True),
@@ -214,21 +257,34 @@ def test_solve_holds_at_most_one_extra_copy_of_a(monkeypatch):
 
 
 def test_solve_logs_one_debug_record(caplog):
-    d = np.array([1.0, 2.0, 4.0])
-    with caplog.at_level(logging.DEBUG, logger="bilap_dpg.linsolve"):
-        lstsq_solve(np.diag(np.sqrt(d)), np.ones(3))
-    [record] = caplog.records
-    assert record.levelno == logging.DEBUG
-    message = record.getMessage()
-    for field in ("n=3", "nnz(A)=3", "nnz(L+U)=", "cgls_iterations=1"):
-        assert field in message
+    cases = [
+        (np.diag(np.sqrt([1.0, 2.0, 4.0])),
+         ("n=3", "nnz(A)=3", "nnz(L+U)=", "min_pivot_ratio=1.000e+00", "cgls_iterations=1")),
+        # A = [[2, 1], [1, 2]]: the second pivot is 2 - 1/2, 0.75 of its diagonal
+        (np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]),
+         ("n=2", "nnz(A)=4", "min_pivot_ratio=7.500e-01")),
+        # A = [[4, 1, 1], [1, 1, 0], [1, 0, 1]]: minimum degree eliminates the
+        # two leaves first, so column 0's pivot is 4 - 1 - 1, half its
+        # diagonal (pivots and diagonal paired in column order give 0.25)
+        (np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+         ("n=3", "nnz(A)=7", "min_pivot_ratio=5.000e-01")),
+    ]
+    for w, fields in cases:
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="bilap_dpg.linsolve"):
+            lstsq_solve(w, np.ones(w.shape[0]))
+        [record] = caplog.records
+        assert record.levelno == logging.DEBUG
+        message = record.getMessage()
+        for field in fields:
+            assert field in message
 
 
 def test_ordering_reduces_fill_on_dpg_system(caplog):
     # the uncondensed scheme-2, p = 0 system on the 8x8 square, u
     # included, built from the oracle's element blocks with every block
     # coupling stored as the solver's assembly stores them: minimum
-    # degree on A + A^T must beat COLAMD's fill on the same equilibrated
+    # degree on A + A^T must beat COLAMD's fill on the same shifted
     # matrix, explicit zeros included.  (On the system the solver gets
     # now, with u condensed out, MMD gives 85,318 and COLAMD 83,120.)
     mesh, prob, form = make_unit_square(8), smooth_problem(), Formulation(scheme=2)
@@ -246,11 +302,10 @@ def test_ordering_reduces_fill_on_dpg_system(caplog):
     fill = int(re.search(r"nnz\(L\+U\)=(\d+)", record.getMessage()).group(1))
     assert fill == 68_320  # as when the solver assembled this system itself
 
-    s = 1.0 / np.sqrt(a.diagonal())
-    scaled = a.tocsc()
-    scaled.data = s[scaled.indices] * scaled.data * np.repeat(s, np.diff(scaled.indptr))
+    shifted = a.tocsc()
+    shifted.setdiag(shifted.diagonal() * (1 + linsolve.SHIFT))
     colamd = scipy.sparse.linalg.splu(
-        scaled,
+        shifted,
         permc_spec="COLAMD",
         diag_pivot_thresh=0.0,
         options=dict(SymmetricMode=True),

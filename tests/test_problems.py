@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from oracles import estimate_rate, zero_problem
 
-from bilap_dpg.mesh import make_sector_domain, make_unit_square
+from bilap_dpg.mesh import make_sector_domain, make_unit_square, refine_nvb
 from bilap_dpg.problems import (
     SINGULAR_ALPHA,
     SINGULAR_C,
@@ -26,6 +26,21 @@ def test_singular_parameters_and_point_value():
     assert SINGULAR_C == 1.234587795273723
     assert p.u_exact(1.0, 0.0) == pytest.approx(1 + SINGULAR_C, abs=1e-13)
     assert p.f(0.3, -0.2) == 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_singular_scalar_and_array_calls_agree_bit_for_bit(seed):
+    # the boundary vertices of random newest-vertex refinements of the
+    # sector: at some of them numpy's scalar ** and its array loop differ
+    # in the last bit (seed 0)
+    rng = np.random.default_rng(seed)
+    mesh = make_sector_domain()
+    for _ in range(8):
+        nt = mesh.num_triangles
+        mesh = refine_nvb(mesh, rng.choice(nt, size=max(1, nt // 3), replace=False))
+    x, y = mesh.vertices[mesh.is_boundary_vertex].T
+    u = singular_problem().u_exact
+    assert np.array_equal([u(float(xi), float(yi)) for xi, yi in zip(x, y)], u(x, y))
 
 
 def test_singular_gradient_limit_at_corner():
