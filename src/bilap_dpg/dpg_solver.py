@@ -14,10 +14,14 @@ element before assembly: the tau block is stored projected off the u
 columns, which adds no entry outside the pattern that sigma and uhat
 already have, and after the solve each element recovers u = -G x_tau
 (static condensation in the sense of Carstensen, Demkowicz and
-Gopalakrishnan).  The dof counts still include u.  Constrained trace
-dofs enter by elimination, never by penalty, so the minimum-residual
-structure is preserved exactly.  Element processing is batched in a
-fixed order, which makes repeated runs bit-identical.
+Gopalakrishnan).  This module alone numbers the global unknowns
+(`_global_columns`): the assembled ones, [sigma | uhat | sigma_hat |
+scheme 2's corner coefficients (`_corner_ids`)], get free ids and u
+none; the dof counts add u's nt dim_p to them.  Constrained trace dofs
+and each vertex's gauge corner enter by elimination, never by penalty,
+so the minimum-residual structure is preserved exactly.  Element
+processing is batched in a fixed order, which makes repeated runs
+bit-identical.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ class SolverError(Exception):
 class BrokenField:
     """Element-wise polynomial field in the per-element trial basis."""
 
-    mesh: object
     degree: int
     coeffs: np.ndarray  # (nt, dim_p)
     centroid: np.ndarray
@@ -124,69 +127,62 @@ def _trace_spaces(mesh, problem):
     return uhat_space
 
 
-def _corner_gauge_dofs(mesh):
-    """One corner coefficient per vertex is a pure gauge; pick the
-    lowest-numbered incident edge-endpoint dof of each vertex."""
-    gauge = np.full(mesh.num_vertices, np.iinfo(np.int64).max, dtype=np.int64)
-    endpoint_dofs = 2 * np.arange(mesh.num_edges)
-    np.minimum.at(gauge, mesh.edges[:, 0], endpoint_dofs)
-    np.minimum.at(gauge, mesh.edges[:, 1], endpoint_dofs + 1)
-    return gauge
+def _corner_ids(mesh):
+    """Corner-coefficient ids of every element (nt, 6), in the column
+    order of `forms._corner_b`, and the gauge id of every vertex (nv,).
 
-
-def _constraints(mesh, formulation, uhat_space, with_corners):
-    """Fixed-dof mask and eliminated values over all dofs, in the
-    ordering of `_global_columns`."""
-    n_field = 2 * mesh.num_triangles * formulation.field_dim
-    n_trace = DOFS_PER_VERTEX * mesh.num_vertices
-    n_all = n_field + 2 * n_trace
-    if with_corners:
-        n_all += 2 * mesh.num_edges
-    fixed = np.zeros(n_all, dtype=bool)
-    fixed_values = np.zeros(n_all)
-    fixed[n_field : n_field + n_trace] = uhat_space.constrained
-    fixed_values[n_field : n_field + n_trace] = uhat_space.values
-    if with_corners:
-        fixed[n_field + 2 * n_trace + _corner_gauge_dofs(mesh)] = True
-    return fixed, fixed_values
-
-
-def _global_columns(mesh, formulation, uhat_space, corner_cols=None):
-    """Global dof layout per element column, plus the constraint data.
-
-    Unknown ordering: [u fields | sigma fields | free uhat | sigma_hat
-    | corner coefficients (scheme 2)].  Returns (full_cols,
-    fixed_values, free_map, n_free) where `full_cols` maps element
-    columns to an enumeration of all dofs, `fixed_values` carries the
-    eliminated values, and `free_map` sends every dof to its free index
-    or -1.
+    Each edge endpoint carries one jump coefficient: edge e stores its
+    lo endpoint's at 2e and its hi endpoint's at 2e + 1.  Element corner
+    c names two of them: the endpoint at vertex c of edge slot c (which
+    starts there) and of slot c - 1 (which ends there).  One coefficient
+    per vertex is a pure gauge, the lowest id at the vertex.
     """
-    nt, nv = mesh.num_triangles, mesh.num_vertices
-    dim_p = formulation.field_dim
-    n_field = 2 * nt * dim_p
-    n_trace = DOFS_PER_VERTEX * nv
+    e = mesh.tri_edges
+    lo_first = (mesh.triangles == mesh.edges[e, 0]).astype(np.int64)
+    prev = [2, 0, 1]
+    ids = np.stack([2 * e + 1 - lo_first, 2 * e[:, prev] + lo_first[:, prev]], axis=2)
+    gauge = np.full(mesh.num_vertices, np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(gauge, np.repeat(mesh.triangles.ravel(), 2), ids.ravel())
+    return ids.reshape(-1, forms.CORNER_COLS), gauge
 
-    tri_ids = np.arange(nt)[:, None]
-    u_cols = tri_ids * dim_p + np.arange(dim_p)[None, :]
-    s_cols = nt * dim_p + u_cols
-    vert_dofs = (
-        DOFS_PER_VERTEX * mesh.triangles[:, :, None]
-        + np.arange(DOFS_PER_VERTEX)[None, None, :]
-    ).reshape(nt, 9)
-    uhat_cols = n_field + vert_dofs
-    shat_cols = n_field + n_trace + vert_dofs
-    blocks = [u_cols, s_cols, uhat_cols, shat_cols]
-    if corner_cols is not None:
-        blocks.append(n_field + 2 * n_trace + corner_cols)
-    full_cols = np.concatenate(blocks, axis=1)
 
-    fixed, fixed_values = _constraints(
-        mesh, formulation, uhat_space, corner_cols is not None
-    )
-    free_map = np.full(len(fixed), -1, dtype=np.int64)
-    free_ids = np.nonzero(~fixed)[0]
-    free_map[free_ids] = np.arange(len(free_ids))
-    return full_cols, fixed_values, free_map, len(free_ids)
+def _global_columns(mesh, formulation, uhat_space):
+    """Free id and fixed value of every column of the element layout
+    [u | sigma | uhat | sigma_hat | corners (scheme 2)].
+
+    The assembled unknowns are [sigma | uhat | sigma_hat | corner
+    coefficients], numbered in that order with the fixed ones left out:
+    the constrained uhat dofs and each vertex's gauge corner.  u is
+    condensed out element by element and has no id.  Returns (cols,
+    values, n): `cols` (nt, ncol) holds each column's free id, or n on
+    u and fixed columns, and `values` (nt, ncol) the fixed columns'
+    values, zero elsewhere.
+    """
+    nt, dim_p = mesh.num_triangles, formulation.field_dim
+    n_trace = DOFS_PER_VERTEX * mesh.num_vertices
+    vertex_dofs = (
+        DOFS_PER_VERTEX * mesh.triangles[:, :, None] + np.arange(DOFS_PER_VERTEX)
+    ).reshape(nt, forms.TRACE_COLS)
+    # every assembled unknown, the fixed ones included, then the free ids
+    dofs = [
+        np.arange(nt * dim_p).reshape(nt, dim_p),
+        nt * dim_p + vertex_dofs,
+        nt * dim_p + n_trace + vertex_dofs,
+    ]
+    fixed = [
+        np.zeros(nt * dim_p, dtype=bool), uhat_space.constrained, np.zeros(n_trace, dtype=bool)
+    ]
+    if formulation.scheme == 2:
+        corners, gauge = _corner_ids(mesh)
+        dofs.append(nt * dim_p + 2 * n_trace + corners)
+        fixed.append(np.isin(np.arange(2 * mesh.num_edges), gauge))
+    fixed = np.concatenate(fixed)
+    n = int(np.count_nonzero(~fixed))
+    free = np.where(fixed, n, np.cumsum(~fixed) - 1)
+    cols = np.concatenate([np.full((nt, dim_p), n)] + [free[d] for d in dofs], axis=1)
+    values = np.zeros(cols.shape)
+    values[:, 2 * dim_p : 2 * dim_p + forms.TRACE_COLS] = uhat_space.values[vertex_dofs]
+    return cols, values, n
 
 
 def assemble_and_solve(mesh, formulation, problem):
@@ -204,31 +200,23 @@ def assemble_and_solve(mesh, formulation, problem):
     """
     uhat_space = _trace_spaces(mesh, problem)
     local = forms.build_local_systems(mesh, formulation, problem.f)
-    full_cols, fixed_values, free_map, n_free = _global_columns(
-        mesh, formulation, uhat_space, local.corner_cols
-    )
+    # x_local holds the fixed values until the solve gives the free ones
+    cols, x_local, n = _global_columns(mesh, formulation, uhat_space)
 
-    dim_p = formulation.field_dim
-    n_field = mesh.num_triangles * dim_p
-    # u is condensed out element by element (`forms.LocalSystems`); its
-    # dofs lead the ordering and are never fixed, so the others are
-    # numbered from n_field on, with n_rest on fixed columns and on u's
-    n_rest = n_free - n_field
-    cols = free_map[full_cols] - n_field
-    cols[cols < 0] = n_rest
-    # the fixed dofs move to the right: wl - W x_fixed, per test block
+    # the fixed columns move to the right: wl - W x_fixed, per test block
     blocks = [(w, cols[:, ids]) for w, _, ids in local.blocks()]
+    # each block keeps the ids of its own columns: the whole map does not
+    # stay alive through the factorization
+    del cols
     load = np.concatenate([
-        (wl - forms.products(w, local.cls, fixed_values[full_cols[:, ids]])).ravel()
+        (wl - forms.products(w, local.cls, x_local[:, ids])).ravel()
         for w, wl, ids in local.blocks()
     ])
-    a = scipy.sparse.csr_matrix(_triplets(blocks, local.cls, n_rest), shape=(n_rest, n_rest))
-    # the column map does not stay alive through the factorization, and
+    a = scipy.sparse.csr_matrix(_triplets(blocks, local.cls, n), shape=(n, n))
     # the conversion leaves the summed entries at the front of
     # triplet-sized buffers: the solver gets exactly nnz(A)
-    del cols
     a.data, a.indices = a.data.copy(), a.indices.copy()
-    w_free = _free_operator(blocks, local.cls, n_rest)
+    w_free = _free_operator(blocks, local.cls, n)
 
     try:
         x_free = sparse_spd_solve(a, w_free.rmatvec(load), w_free, load)
@@ -237,20 +225,16 @@ def assemble_and_solve(mesh, formulation, problem):
             f"global solve failed on mesh with {mesh.num_triangles} triangles: {exc}"
         ) from exc
 
-    x_all = fixed_values.copy()
-    x_all[free_map >= n_field] = x_free
-    x_local = x_all[full_cols]
+    x_free = np.append(x_free, 0.0)  # at id n, which the fixed columns read and drop
+    for (_, c), (_, _, ids) in zip(blocks, local.blocks()):
+        x_local[:, ids] = np.where(c < n, x_free[c], x_local[:, ids])
+    dim_p = formulation.field_dim
     # the tau block has no load, so the condensed u is -G x_tau
     x_local[:, :dim_p] = -forms.products(local.u_recovery, local.cls, x_local[:, local.tau_cols])
 
     def make_field(coeffs):
         return BrokenField(
-            mesh,
-            formulation.field_degree,
-            coeffs,
-            local.centroid,
-            local.h,
-            local.trial_chol,
+            formulation.field_degree, coeffs, local.centroid, local.h, local.trial_chol
         )
 
     return Solution(
@@ -260,8 +244,8 @@ def assemble_and_solve(mesh, formulation, problem):
         sigma=make_field(x_local[:, dim_p : 2 * dim_p]),
         local=local,
         x_local=x_local,
-        ndof_total=n_free,
-        ndof_field=2 * n_field,
+        ndof_total=n + mesh.num_triangles * dim_p,
+        ndof_field=2 * mesh.num_triangles * dim_p,
     )
 
 

@@ -22,7 +22,9 @@ Every kernel is written in the element's own frame: each edge slot
 runs from the slot's first vertex to its second, along the element's
 counterclockwise traversal, with the element's outward normal, and the
 vertex dofs are Cartesian.  Nothing in a kernel depends on how the mesh
-numbers its vertices or orders its elements.
+numbers its vertices or orders its elements.  There are no global ids
+here: the local systems index the element's own columns, and
+`dpg_solver` alone numbers the global unknowns.
 
 `build_local_systems` is the module's one entry point; a single
 element's system is that of a one-element `Mesh`.  It runs the dense
@@ -54,7 +56,7 @@ from bilap_dpg import trace_space as ts
 from bilap_dpg.linsolve import NotPositiveDefiniteError
 from bilap_dpg.mesh import triangle_diameters
 
-TRACE_COLS = 9  # 3 vertices x (value, d/dx, d/dy) per trace unknown
+TRACE_COLS = 3 * ts.DOFS_PER_VERTEX  # 3 vertices x (value, d/dx, d/dy) per trace unknown
 CORNER_COLS = 6  # 3 corners x (outgoing, incoming) jump coefficients
 CORNER_SIGNS = np.tile([1.0, -1.0], 3)  # outgoing +, incoming -
 MIN_ELEMENT_AREA = 1e-14
@@ -249,7 +251,7 @@ def _skeleton_b(coords, tab, scale, jinv):
 
 def _corner_b(corner_vals):
     """Corner-functional columns (n, k, 6) of the second trace unknown
-    (scheme 2), ordered as the ids of `_corner_cols`.
+    (scheme 2), ordered as the ids of `dpg_solver._corner_ids`.
 
     The scheme-2 trace space contains point functionals at mesh
     vertices (the tensor-trace pairing carries corner jump terms), so
@@ -265,26 +267,18 @@ def _corner_b(corner_vals):
     return np.repeat(np.swapaxes(corner_vals, 1, 2), 2, axis=2) * CORNER_SIGNS
 
 
-def _corner_cols(mesh):
-    """Global corner-coefficient ids of every element, shape (nt, 6).
-
-    Corner c owns two ids: the endpoint at vertex c of edge slot c
-    (which starts there) and of slot c - 1 (which ends there).  Edge e
-    stores its lo-endpoint coefficient at 2e and its hi one at 2e + 1.
-    """
-    e = mesh.tri_edges
-    lo_first = (mesh.triangles == mesh.edges[e, 0]).astype(np.int64)
-    prev = [2, 0, 1]
-    ids = np.stack([2 * e + 1 - lo_first, 2 * e[:, prev] + lo_first[:, prev]], axis=2)
-    return ids.reshape(-1, CORNER_COLS)
-
-
 def _load(tab, coords, det, f):
     """Loads (f, test_i) of a batch of elements, (n, k): the reference
     operator |det J|^(1/2) (w_ref V_ref)^T applied to f at the mapped
-    quadrature points."""
+    quadrature points.  Non-finite f values raise FormsError, naming
+    the first element where they occur."""
     pts, _ = shape.map_to_triangle(tab.quad, coords)
     fv = np.broadcast_to(np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float), pts.shape[:2])
+    bad = ~np.isfinite(fv)
+    if np.any(bad):
+        e, q = np.unravel_index(np.argmax(bad), bad.shape)
+        x, y = pts[e, q]
+        raise FormsError(f"load evaluation failed on element {e} at ({x}, {y})")
     return np.sqrt(det)[:, None] * (fv @ (tab.quad.weights[:, None] * tab.tri.val))
 
 
@@ -296,11 +290,12 @@ class LocalSystems:
     Each trial unknown is tested by one test component only: u and uhat
     meet tau, sigma_hat and the corner functionals meet v, and sigma
     meets both.  So W = chol(G)^-1 B is zero outside two blocks, and
-    only those are stored.  The ids index the element layout
-    [u | sigma | uhat | sigma_hat | corners].  The kernels `w_v`,
-    `w_tau` and `u_recovery` are per class, and `cls` (nt,) is the class
-    of each element (`products` applies them); `wl_v`, `trial_chol`,
-    `centroid`, `h` and `corner_cols` are per element.  `w_v`
+    only those are stored.  The column ids index the element layout
+    [u | sigma | uhat | sigma_hat | corners]; no field holds a global
+    id, so every field depends on the element coordinates alone.  The
+    kernels `w_v`, `w_tau` and `u_recovery` are per class, and `cls`
+    (nt,) is the class of each element (`products` applies them);
+    `wl_v`, `trial_chol`, `centroid` and `h` are per element.  `w_v`
     (n_classes, k, n_v) is the v block over `v_cols` [sigma | sigma_hat
     | corners], and `wl_v` (nt, k) = chol(G_v)^-1 l its load.  The load
     does not meet tau, so u is eliminated element by element (static
@@ -314,12 +309,8 @@ class LocalSystems:
     at u = -G x_tau the condensed tau residual is the full one.
     Per-element trial-basis data (centroid, scale, Cholesky of the
     field moment matrix) supports evaluating the broken field variables.
-    For scheme 2, `corner_cols` maps the six corner-functional columns
-    of each element to global edge-endpoint coefficient ids (2 per
-    edge).
     """
 
-    formulation: Formulation
     w_v: np.ndarray
     wl_v: np.ndarray
     w_tau: np.ndarray
@@ -330,7 +321,6 @@ class LocalSystems:
     centroid: np.ndarray
     h: np.ndarray
     trial_chol: np.ndarray
-    corner_cols: np.ndarray | None = None
 
     def blocks(self):
         """(class kernels, per-element load, local column ids) of the v
@@ -450,7 +440,6 @@ def build_local_systems(mesh, formulation, f):
         w_tau[c], u_recovery[c] = _condense_u(linv_tau @ b_tau, dim_p)
 
     return LocalSystems(
-        formulation,
         w_v,
         products(linv_v, cls, _load(tab, coords, det[cls], f)),
         w_tau,
@@ -461,7 +450,6 @@ def build_local_systems(mesh, formulation, f):
         coords.mean(axis=1),
         mesh.diameters,
         chol[cls],
-        _corner_cols(mesh) if with_corners else None,
     )
 
 

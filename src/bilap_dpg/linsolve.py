@@ -121,7 +121,7 @@ def sparse_spd_solve(a, b, w, load):
         residual / max(np.linalg.norm(b), 1e-300),
     )
     tol = 1e-10 * max(np.linalg.norm(b), scale * np.linalg.norm(x), 1e-300)
-    if residual > tol:
+    if not residual <= tol:  # a NaN residual fails too
         raise LinearSolveError(f"normal-equation residual {residual:.3e} above tolerance")
     return x
 

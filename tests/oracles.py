@@ -69,22 +69,38 @@ def interpolate_function(mesh, u, grad_u):
 def fix_trace(monkeypatch, which, value, grad):
     """Fix one trace unknown at every vertex to the vertex-Hermite dofs
     (value, grad) of a smooth function, by patching
-    `dpg_solver._constraints`: `which` is 0 for uhat and 1 for
-    sigma_hat.  The other constraints stay as the solver makes them."""
+    `dpg_solver._global_columns`: `which` is 0 for uhat and 1 for
+    sigma_hat.  The other columns stay as the solver makes them, and
+    the free unknowns left keep their order."""
     from bilap_dpg import dpg_solver
     from bilap_dpg.trace_space import DOFS_PER_VERTEX
 
-    constraints = dpg_solver._constraints
+    global_columns = dpg_solver._global_columns
 
-    def fixed_trace(mesh, formulation, uhat_space, with_corners):
-        fixed, fixed_values = constraints(mesh, formulation, uhat_space, with_corners)
-        n_trace = DOFS_PER_VERTEX * mesh.num_vertices
-        start = 2 * mesh.num_triangles * formulation.field_dim + which * n_trace
-        fixed[start : start + n_trace] = True
-        fixed_values[start : start + n_trace] = interpolate_function(mesh, value, grad)
-        return fixed, fixed_values
+    def fixed_trace(mesh, formulation, uhat_space):
+        cols, values, n = global_columns(mesh, formulation, uhat_space)
+        dofs = DOFS_PER_VERTEX * mesh.triangles[:, :, None] + np.arange(DOFS_PER_VERTEX)
+        dofs = dofs.reshape(len(cols), -1)
+        start = 2 * formulation.field_dim + which * dofs.shape[1]
+        trace = slice(start, start + dofs.shape[1])
+        cols[:, trace] = n
+        values[:, trace] = interpolate_function(mesh, value, grad)[dofs]
+        kept, cols = np.unique(cols, return_inverse=True)  # n stays the largest
+        return cols.reshape(values.shape), values, len(kept) - 1
 
-    monkeypatch.setattr(dpg_solver, "_constraints", fixed_trace)
+    monkeypatch.setattr(dpg_solver, "_global_columns", fixed_trace)
+
+
+def uncondensed_ids(cols, n, dim_p):
+    """The id of each element column in the system with u not condensed
+    out, from the solver's column map (`dpg_solver._global_columns`:
+    free ids, n on u and fixed columns): u numbered in front, element by
+    element, then the solver's free unknowns in its order; -1 where
+    fixed."""
+    n_u = len(cols) * dim_p
+    ids = np.where(cols < n, cols + n_u, -1)
+    ids[:, :dim_p] = np.arange(n_u).reshape(-1, dim_p)
+    return ids
 
 
 def mesh_topology(vertices, triangles):
@@ -317,33 +333,33 @@ def monomial_local_systems(mesh, scheme, field_degree, test_degree, f):
     return np.array(out_w), np.array(out_wl)
 
 
-def sparse_normal_matrix(w, cols, free_map, block_cols):
+def sparse_normal_matrix(w, ids, block_cols):
     """Sparse DPG matrix over the free dofs that stores every free x free
     coupling of each test block, zeros included, and the sparse W over
     the free dofs that it is W^T W of.
 
     `w` (nt, 2k, ncol) holds the v block's rows first, and `block_cols`
-    the local columns of the v and of the tau block; `cols[T]` holds the
-    global ids of element T's columns and `free_map` the free index of
-    each global id, or -1.  Shared dofs sum their element parts and
-    entries that cancel stay stored, so the pattern is that of the
-    element couplings, not of rounding.  Returns (A, W).
+    the local columns of the v and of the tau block; `ids[T]` holds the
+    free id of each of element T's columns, or -1.  Shared dofs sum
+    their element parts and entries that cancel stay stored, so the
+    pattern is that of the element couplings, not of rounding.  Returns
+    (A, W).
     """
     k = w.shape[1] // 2
     rows, columns, values = [], [], []
     w_rows, w_columns, w_values = [], [], []
-    for w_t, c in zip(w, cols):
+    for w_t, c in zip(w, ids):
         for block, local in zip((w_t[:k], w_t[k:]), block_cols):
-            ids = free_map[c[local]]
-            keep = ids >= 0
+            free = c[local]
+            keep = free >= 0
             a = block[:, local].T @ block[:, local]
-            rows.append(np.repeat(ids[keep], keep.sum()))
-            columns.append(np.tile(ids[keep], keep.sum()))
+            rows.append(np.repeat(free[keep], keep.sum()))
+            columns.append(np.tile(free[keep], keep.sum()))
             values.append(a[np.ix_(keep, keep)].ravel())
             w_rows.append(np.repeat(k * len(w_rows) + np.arange(k), keep.sum()))
-            w_columns.append(np.tile(ids[keep], k))
+            w_columns.append(np.tile(free[keep], k))
             w_values.append(block[:, local][:, keep].ravel())
-    n = int(free_map.max()) + 1
+    n = int(ids.max()) + 1
     a = scipy.sparse.csr_matrix(
         (np.concatenate(values), (np.concatenate(rows), np.concatenate(columns))),
         shape=(n, n),
@@ -355,22 +371,23 @@ def sparse_normal_matrix(w, cols, free_map, block_cols):
     return a, w_free
 
 
-def dense_normal_equations(w, wl, cols, fixed_values, fixed):
+def dense_normal_equations(w, wl, ids, values):
     """Dense DPG normal equations over the free dofs.
 
     Sums P_T^T (W_T^T W_T) P_T and P_T^T W_T^T wl_T element by element
-    into dense arrays over all dofs (`cols[T]` holds the global ids of
-    element T's columns), then eliminates the `fixed` dofs at their
-    values: A = K_ff and rhs = F_f - K_fc x_c, free dofs ascending.
+    into dense arrays over the free dofs (`ids[T]` holds the free id of
+    each of element T's columns, or -1 where fixed), eliminating each
+    element's fixed columns at their `values[T]`: A = K_ff and rhs =
+    F_f - K_fc x_c, summed over the elements.
     """
-    n = len(fixed)
+    n = int(ids.max()) + 1
     k, f = np.zeros((n, n)), np.zeros(n)
-    for w_t, wl_t, c in zip(w, wl, cols):
-        k[np.ix_(c, c)] += w_t.T @ w_t
-        f[c] += w_t.T @ wl_t
-    free = ~fixed
-    rhs = f[free] - k[np.ix_(free, fixed)] @ fixed_values[fixed]
-    return k[np.ix_(free, free)], rhs
+    for w_t, wl_t, c, x in zip(w, wl, ids, values):
+        free = c >= 0
+        k_t = w_t.T @ w_t
+        k[np.ix_(c[free], c[free])] += k_t[np.ix_(free, free)]
+        f[c[free]] += (w_t.T @ wl_t)[free] - k_t[np.ix_(free, ~free)] @ x[~free]
+    return k, f
 
 
 _RECORD_X = {"h": "h_max", "ndof": "ndof_total"}

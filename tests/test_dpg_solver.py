@@ -1,5 +1,7 @@
 import dataclasses
 import gc
+import logging
+import re
 import weakref
 
 import numpy as np
@@ -10,6 +12,7 @@ from oracles import (
     Poly2d,
     dense_normal_equations,
     monomial_local_systems,
+    uncondensed_ids,
     zero_problem,
 )
 from test_mesh import nvb_refinements
@@ -32,6 +35,7 @@ from bilap_dpg.problems import (
 )
 from bilap_dpg.dpg_solver import (
     SolverError,
+    _corner_ids,
     _global_columns,
     _trace_spaces,
     adaptive_loop,
@@ -159,18 +163,18 @@ def test_minimum_residual_optimality(form, monkeypatch):
 
 
 def free_cols(sol, prob):
-    """The free global id of each local trial column, -1 where fixed,
-    from the solver's own column map; u counts as free."""
-    full_cols, _, free_map, _ = _global_columns(
-        sol.mesh, sol.formulation, _trace_spaces(sol.mesh, prob), sol.local.corner_cols
-    )
-    return free_map[full_cols]
+    """The free id of each local trial column in the uncondensed system,
+    u numbered in front, -1 where fixed, from the solver's own column
+    map."""
+    cols, _, n = _global_columns(sol.mesh, sol.formulation, _trace_spaces(sol.mesh, prob))
+    return uncondensed_ids(cols, n, sol.formulation.field_dim)
 
 
 def condensed_cols(sol, prob):
     """The id of each local trial column in the system that the sparse
-    solver is given, negative on u and where fixed."""
-    return free_cols(sol, prob) - sol.mesh.num_triangles * sol.formulation.field_dim
+    solver is given, -1 on u and where fixed."""
+    cols, _, n = _global_columns(sol.mesh, sol.formulation, _trace_spaces(sol.mesh, prob))
+    return np.where(cols < n, cols, -1)
 
 
 def residual_norm(w, wl, x):
@@ -434,6 +438,71 @@ def test_sector_study_err_sigma_decreases_past_the_benchmark():
     assert all(b < a for a, b in zip(err_sigma, err_sigma[1:])), err_sigma
 
 
+@pytest.mark.parametrize("scheme,sizes", [(1, (518, 11_270, 39_592)), (2, (853, 22_811, 85_318))])
+def test_condensed_system_sizes_on_the_8x8_square(scheme, sizes, caplog):
+    # the system the solver factors (smooth problem, p = 0): n, nnz(A)
+    # and the fill of the factor, which minimum degree takes from the
+    # numbering it starts from
+    with caplog.at_level(logging.DEBUG, logger="bilap_dpg.linsolve"):
+        assemble_and_solve(make_unit_square(8), Formulation(scheme=scheme), smooth_problem())
+    [record] = [r for r in caplog.records if r.levelno == logging.DEBUG]
+    found = re.search(r"n=(\d+) nnz\(A\)=(\d+) nnz\(L\+U\)=(\d+)", record.getMessage())
+    assert tuple(map(int, found.groups())) == sizes
+
+
+CORNER_MESHES = {
+    "square": lambda: make_unit_square(3),
+    "sector-nvb": lambda: refine_nvb(make_sector_domain(), [0, 3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORNER_MESHES))
+def test_corner_ids_pair_up_at_every_interior_edge(name):
+    # corner c of an element names the coefficient of edge slot c's
+    # start (outgoing) and of slot c - 1's end (incoming); the two
+    # elements at an interior edge traverse it in opposite directions,
+    # so they name the same two coefficients, each once as outgoing and
+    # once as incoming.  The ids are the 2 per edge, and follow the
+    # topology alone
+    mesh = CORNER_MESHES[name]()
+    ids, _ = _corner_ids(mesh)
+    assert ids.shape == (mesh.num_triangles, 6)
+    assert np.array_equal(np.unique(ids), np.arange(2 * mesh.num_edges))
+    shifted = Mesh(mesh.vertices + np.array([0.1, 0.3]), mesh.triangles)
+    assert np.array_equal(_corner_ids(shifted)[0], ids)
+    ids = ids.reshape(-1, 3, 2)
+    sides = {}
+    for t, tri in enumerate(mesh.triangles):
+        for s in range(3):
+            start, end = tri[s], tri[(s + 1) % 3]
+            sides.setdefault(frozenset((start, end)), []).append(
+                (start, ids[t, s, 0], ids[t, (s + 1) % 3, 1])
+            )
+    assert len(sides) == mesh.num_edges
+    interior = [pair for pair in sides.values() if len(pair) == 2]
+    assert interior
+    for (start_1, out_1, in_1), (start_2, out_2, in_2) in interior:
+        assert start_1 != start_2 and out_1 == in_2 and in_1 == out_2 and out_1 != in_1
+
+
+@pytest.mark.parametrize("name", sorted(CORNER_MESHES))
+def test_each_vertex_fixes_one_of_its_own_corner_coefficients(name):
+    # one coefficient per vertex is a pure gauge: each vertex's gauge id
+    # is one of the coefficients that its corners name, and the column
+    # map fixes, at zero, that one coefficient there and no other
+    mesh = CORNER_MESHES[name]()
+    ids, gauge = _corner_ids(mesh)
+    cols, values, n = _global_columns(mesh, VF2, _trace_spaces(mesh, zero_problem()))
+    fixed = cols[:, -6:] == n
+    vertex = np.repeat(mesh.triangles, 2, axis=1)
+    assert gauge.shape == (mesh.num_vertices,)
+    for v in range(mesh.num_vertices):
+        at_v = vertex == v
+        assert gauge[v] in ids[at_v]
+        assert np.array_equal(np.unique(ids[at_v & fixed]), [gauge[v]])
+    assert np.all(values[:, -6:] == 0.0)
+
+
 def test_global_matrix_symmetric_and_spd(monkeypatch):
     _, args = solve_capturing_arguments(
         monkeypatch, make_unit_square(2), VF2, smooth_problem()
@@ -464,12 +533,10 @@ def test_assembly_matches_dense_oracle(domain, form, monkeypatch):
     for degree in (0, 1):
         form_p = Formulation(form.scheme, degree)
         sol, a, rhs, w, wl = solve_capturing_full_system(monkeypatch, mesh, form_p, prob)
-        full_cols, fixed_values, free_map, _ = _global_columns(
-            mesh, form_p, _trace_spaces(mesh, prob), sol.local.corner_cols
-        )
-        fixed = free_map < 0
-        k_full, rhs_full = dense_normal_equations(w, wl, full_cols, fixed_values, fixed)
-        u = slice(0, mesh.num_triangles * form_p.field_dim)  # u leads the free dofs
+        _, values, _ = _global_columns(mesh, form_p, _trace_spaces(mesh, prob))
+        ids = free_cols(sol, prob)
+        k_full, rhs_full = dense_normal_equations(w, wl, ids, values)
+        u = slice(0, mesh.num_triangles * form_p.field_dim)  # `free_cols` numbers u in front
         r = slice(u.stop, None)
         coupling = np.linalg.solve(k_full[u, u], k_full[u, r])
         a_ref = k_full[r, r] - k_full[r, u] @ coupling
@@ -482,7 +549,7 @@ def test_assembly_matches_dense_oracle(domain, form, monkeypatch):
         blocks = np.zeros_like(w)
         blocks[:, :n_k, sol.local.v_cols] = 1.0
         blocks[:, n_k:, : sol.local.tau_cols[-1] + 1] = 1.0
-        pattern = dense_normal_equations(blocks, wl, full_cols, fixed_values, fixed)[0][r, r]
+        pattern = dense_normal_equations(blocks, wl, ids, values)[0][r, r]
         stored = np.zeros(a.shape, dtype=bool)
         coo = a.tocoo()
         stored[coo.row, coo.col] = True
@@ -492,9 +559,9 @@ def test_assembly_matches_dense_oracle(domain, form, monkeypatch):
         # equations.  Against a dense solve (equilibrated, since plain
         # and equilibrated dense solves differ by up to 1e-7 in the trace
         # unknowns of scheme 2, its conditioning) u agrees to 1e-10
-        x = np.zeros(len(fixed))
-        x[full_cols] = sol.x_local
-        x = x[~fixed]
+        free = ids >= 0
+        x = np.zeros(len(k_full))
+        x[ids[free]] = sol.x_local[free]
         assert np.abs(k_full @ x - rhs_full).max() <= 1e-12 * np.abs(rhs_full).max()
         s = 1.0 / np.sqrt(np.diag(k_full))
         x_ref = s * np.linalg.solve(s[:, None] * k_full * s, s * rhs_full)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -10,7 +11,7 @@ from oracles import (
 )
 
 from bilap_dpg import forms, shape
-from bilap_dpg.dpg_solver import assemble_and_solve, error_indicators
+from bilap_dpg.dpg_solver import assemble_and_solve, error_indicators, solve_and_record
 from bilap_dpg.forms import (
     Formulation,
     FormsError,
@@ -25,7 +26,7 @@ from bilap_dpg.mesh import (
     make_unit_square,
     refine_nvb,
 )
-from bilap_dpg.problems import singular_problem
+from bilap_dpg.problems import singular_problem, smooth_problem
 from bilap_dpg.shape import monomial_exponents
 
 VF1 = Formulation(scheme=1)
@@ -120,6 +121,19 @@ def test_load_examples():
             assert wl.shape == (1, form.test_dim)
             assert wl[0] @ wl[0] == pytest.approx(75.0, rel=1e-14)
             assert np.all(build_local_systems(mesh, form, _const(0.0)).wl_v == 0.0)
+
+
+def test_non_finite_load_names_its_first_element():
+    # f is NaN on the square's lower right cell, elements 6 and 7 of the
+    # 4x4 mesh: the solve must stop there, not run CGLS to its cap and
+    # report NaN errors
+    def f(x, y):
+        return np.where((x > 0.75) & (y < 0.25), np.nan, 1.0)
+
+    problem = dataclasses.replace(smooth_problem(), f=f)
+    for form in (VF1, VF2):
+        with pytest.raises(FormsError, match=r"load evaluation failed on element 6 at \("):
+            solve_and_record(make_unit_square(4), form, problem, 0)
 
 
 def test_vf1_vf2_b_matrices_coincide():
@@ -253,14 +267,11 @@ def test_build_local_systems_shapes():
     assert loc1.w_v[loc1.cls].shape == (nt, k, p + 9)
     assert loc1.w_tau[loc1.cls].shape == (nt, k, p + 9)
     assert loc1.u_recovery[loc1.cls].shape == (nt, p, p + 9)
-    assert loc1.corner_cols is None
     loc2 = build_local_systems(mesh, VF2, f)
     # scheme 2 appends six corner-functional columns to the v block
     assert loc2.w_v[loc2.cls].shape == (nt, k, p + 15)
     assert loc2.w_tau[loc2.cls].shape == (nt, k, p + 9)
     assert loc2.u_recovery[loc2.cls].shape == (nt, p, p + 9)
-    assert loc2.corner_cols.shape == (nt, 6)
-    assert loc2.corner_cols.max() < 2 * mesh.num_edges
     assert loc2.wl_v.shape == (nt, k)
     assert loc2.trial_chol.shape == (nt, 1, 1)
     # together the blocks cover every column but u's, and only sigma is
@@ -402,10 +413,6 @@ def test_class_cache_matches_shifted_mesh(name, scheme, degree, monkeypatch):
         x, y = _per_element(a, field), _per_element(b, field)
         assert np.abs(x - y).max() <= 1e-8 * np.abs(x).max(), field
     assert np.allclose(b.centroid, a.centroid + offset, rtol=0, atol=1e-14)
-    if scheme == 2:
-        assert np.array_equal(a.corner_cols, b.corner_cols)
-    else:
-        assert a.corner_cols is None and b.corner_cols is None
 
 
 @pytest.mark.parametrize("scheme", [1, 2])
@@ -413,8 +420,9 @@ def test_class_cache_matches_shifted_mesh(name, scheme, degree, monkeypatch):
 def test_local_systems_do_not_depend_on_the_mesh_numbering(scheme, degree):
     # the same graded mesh with its vertex numbers and its triangle
     # order reversed, each triangle keeping its local vertex order: every
-    # global edge changes its lo/hi direction and its owner, but no
-    # element's kernel may change in a single bit
+    # global edge changes its lo/hi direction and its owner, but no field
+    # of an element's local system may change in a single bit, nor the
+    # column layout
     mesh = _oracle_mesh("graded-sector")
     nv = mesh.num_vertices
     renumbered = Mesh(mesh.vertices[::-1], (nv - 1 - mesh.triangles)[::-1])
@@ -422,8 +430,11 @@ def test_local_systems_do_not_depend_on_the_mesh_numbering(scheme, degree):
     f = lambda x, y: np.sin(3 * x + 1) * np.cos(2 * y) + x * y
     a = build_local_systems(mesh, form, f)
     b = build_local_systems(renumbered, form, f)
-    for field in ("w_v", "wl_v", "w_tau", "u_recovery", "trial_chol"):
-        assert np.array_equal(_per_element(a, field), _per_element(b, field)[::-1]), field
+    for field in dataclasses.fields(forms.LocalSystems):
+        x, y = _per_element(a, field.name), _per_element(b, field.name)
+        if not field.name.endswith("_cols"):
+            y = y[::-1]
+        assert np.array_equal(x, y), field.name
 
 
 def _doerfler_sector(steps):

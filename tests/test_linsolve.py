@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from oracles import monomial_local_systems, sparse_normal_matrix
+from oracles import monomial_local_systems, sparse_normal_matrix, uncondensed_ids
 
 from bilap_dpg import dpg_solver, linsolve
 from bilap_dpg.dpg_solver import _global_columns, _trace_spaces
@@ -114,6 +114,14 @@ def test_sparse_random_spd_matches_dense():
     reference = np.linalg.lstsq(w, load, rcond=None)[0]
     assert np.linalg.norm(w.T @ (load - w @ x)) <= 1e-10 * np.linalg.norm(w.T @ load)
     assert np.allclose(x, reference, atol=1e-8)
+
+
+def test_non_finite_load_is_rejected():
+    # a NaN load makes every CGLS iterate and the residual NaN, which no
+    # tolerance comparison may pass
+    w = np.vstack([np.eye(3), np.eye(3)])
+    with pytest.raises(LinearSolveError, match="residual nan above tolerance"):
+        lstsq_solve(w, np.array([1.0, np.nan, 2.0, 0.0, 1.0, 1.0]))
 
 
 @pytest.mark.parametrize(
@@ -282,19 +290,18 @@ def test_solve_logs_one_debug_record(caplog):
 
 def test_ordering_reduces_fill_on_dpg_system(caplog):
     # the uncondensed scheme-2, p = 0 system on the 8x8 square, u
-    # included, built from the oracle's element blocks with every block
+    # included and numbered in front of the solver's free unknowns,
+    # built from the oracle's element blocks with every block
     # coupling stored as the solver's assembly stores them: minimum
     # degree on A + A^T must beat COLAMD's fill on the same shifted
     # matrix, explicit zeros included.  (On the system the solver gets
     # now, with u condensed out, MMD gives 85,318 and COLAMD 83,120.)
     mesh, prob, form = make_unit_square(8), smooth_problem(), Formulation(scheme=2)
     loc = build_local_systems(mesh, form, prob.f)
-    full_cols, _, free_map, _ = _global_columns(
-        mesh, form, _trace_spaces(mesh, prob), loc.corner_cols
-    )
+    cols, _, n = _global_columns(mesh, form, _trace_spaces(mesh, prob))
     w, _ = monomial_local_systems(mesh, 2, 0, form.test_degree, prob.f)
     block_cols = (loc.v_cols, np.arange(loc.tau_cols[-1] + 1))
-    a, w_free = sparse_normal_matrix(w, full_cols, free_map, block_cols)
+    a, w_free = sparse_normal_matrix(w, uncondensed_ids(cols, n, form.field_dim), block_cols)
     load = w_free @ np.ones(a.shape[0])
     with caplog.at_level(logging.DEBUG, logger="bilap_dpg.linsolve"):
         sparse_spd_solve(a, w_free.T @ load, scipy.sparse.linalg.aslinearoperator(w_free), load)
