@@ -239,7 +239,6 @@ def run_tracelab(config):
                 trace_lab.REFERENCE_TRIANGLE,
                 trace_lab.Poly2.monomial(2, 1),
                 degree,
-                degree,
             )
             gap = (extension - duality) / extension if extension > 0 else 0.0
             rows.append((degree, duality, extension, gap))

@@ -53,7 +53,6 @@ import numpy as np
 
 from bilap_dpg import shape
 from bilap_dpg import trace_space as ts
-from bilap_dpg.linsolve import NotPositiveDefiniteError
 from bilap_dpg.mesh import triangle_diameters
 
 TRACE_COLS = 3 * ts.DOFS_PER_VERTEX  # 3 vertices x (value, d/dx, d/dy) per trace unknown
@@ -66,7 +65,8 @@ GATHER = 256  # elements per slice of gathered class kernels (`class_chunks`)
 
 
 class FormsError(Exception):
-    """Invalid element or inconsistent space layout."""
+    """Invalid element, singular element factor or inconsistent space
+    layout."""
 
 
 @dataclass(frozen=True)
@@ -116,12 +116,12 @@ def _maps(coords, labels):
 
 def _diagonal_signs(r, labels, what):
     """Signs of the diagonals of a batch of R factors; a zero or
-    non-finite diagonal entry raises NotPositiveDefiniteError."""
+    non-finite diagonal entry raises FormsError."""
     diag = np.einsum("eii->ei", r)
     bad = (diag == 0) | ~np.isfinite(diag)
     if np.any(bad):
         element = labels[np.nonzero(bad.any(axis=1))[0][0]]
-        raise NotPositiveDefiniteError(f"{what} is singular (element {element})")
+        raise FormsError(f"{what} is singular (element {element})")
     return np.sign(diag)
 
 

@@ -36,14 +36,7 @@ class LinearSolveError(Exception):
 
 
 class NotPositiveDefiniteError(LinearSolveError):
-    """Matrix failed a positive-definiteness test.
-
-    `pivot` is the 0-based index of the first offending pivot when known.
-    """
-
-    def __init__(self, message, pivot=None):
-        super().__init__(message)
-        self.pivot = pivot
+    """Matrix failed a positive-definiteness test."""
 
 
 def sparse_spd_solve(a, b, w, load):
@@ -55,7 +48,7 @@ def sparse_spd_solve(a, b, w, load):
     Parameters
     ----------
     a : scipy.sparse matrix (symmetric positive definite)
-    b : (n,) right-hand side
+    b : (n,) right-hand side W^T load, which CGLS starts from
     w : scipy.sparse.linalg.LinearOperator, (m, n)
     load : (m,) vector
 
@@ -78,9 +71,7 @@ def sparse_spd_solve(a, b, w, load):
     diag = shifted.diagonal()
     bad = np.nonzero(diag <= 0)[0]
     if bad.size:
-        raise NotPositiveDefiniteError(
-            f"matrix is not positive definite (pivot {bad[0]})", pivot=int(bad[0])
-        )
+        raise NotPositiveDefiniteError(f"matrix is not positive definite (pivot {bad[0]})")
     # every diagonal entry is stored, so only values change: the ordering
     # and the fill follow the assembled pattern, explicit zeros included
     shifted.setdiag(diag * (1 + SHIFT))
@@ -108,10 +99,10 @@ def sparse_spd_solve(a, b, w, load):
         pivot = int(bad[0])
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite: nonpositive pivot {pivot} "
-            f"({pivots[pivot]:.3e}) factoring n={n}", pivot=pivot,
+            f"({pivots[pivot]:.3e}) factoring n={n}"
         )
 
-    x, iterations = _cgls(w, load, lu.solve)
+    x, iterations = _cgls(w, load, b, lu.solve)
     residual = np.linalg.norm(a @ x - b)
     # the shift's margin: A's column j is eliminated at step perm_c[j]
     log.debug(
@@ -126,16 +117,17 @@ def sparse_spd_solve(a, b, w, load):
     return x
 
 
-def _cgls(w, load, precond):
+def _cgls(w, load, b, precond):
     """Preconditioned CGLS on min |load - W x| from zero: CG on the
     normal equations that updates r = load - W x and forms g = W^T r
     from it at every step (Bjorck 1996); `precond` applies M^-1 to g.
-    Returns (x, iterations).  Past MAXITER steps it warns and returns
-    the last iterate, whose energy-norm error is the smallest.
+    b must be W^T load, the first g.  Returns (x, iterations).  A NaN
+    g^T M^-1 g ends it at that step; past MAXITER steps it warns and
+    returns the last iterate, whose energy-norm error is the smallest.
     """
     r = np.array(load, dtype=float)
     x = np.zeros(w.shape[1])
-    g = w.rmatvec(r)
+    g = b
     z = precond(g)
     gamma = gamma_0 = g @ z
     if gamma == 0:
@@ -155,7 +147,7 @@ def _cgls(w, load, precond):
         z = precond(g)
         gamma, gamma_old = g @ z, gamma
         del g
-        if gamma <= RTOL**2 * gamma_0:
+        if not gamma > RTOL**2 * gamma_0:  # NaN stops too
             return x, it
         p *= gamma / gamma_old
         p += z

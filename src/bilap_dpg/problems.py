@@ -13,6 +13,9 @@ from bilap_dpg.mesh import make_sector_domain, make_unit_square
 #: reentrant-corner exponent and matching constant of the sector solution
 SINGULAR_ALPHA = 0.673583432147380
 SINGULAR_C = 1.234587795273723
+#: rounds of geometric sub-triangulation of the elements at the singular
+#: corner in `element_quadrature`
+GRADED_LEVELS = 4
 
 
 @dataclass(frozen=True)
@@ -157,12 +160,12 @@ def _graded_subtriangles(pts, corner, levels):
     return np.array(tris)
 
 
-def element_quadrature(mesh, exactness, singular_corner=None, levels=4):
+def element_quadrature(mesh, exactness, singular_corner=None):
     """Physical quadrature points/weights per element.
 
-    Elements touching `singular_corner` get `levels` rounds of geometric
-    sub-triangulation towards the corner so that mildly singular
-    integrands are resolved.
+    Elements touching `singular_corner` get GRADED_LEVELS rounds of
+    geometric sub-triangulation towards the corner so that mildly
+    singular integrands are resolved.
 
     Returns (points, weights, graded): the plain rule on every element,
     shapes (nt, nq, 2) and (nt, nq), and a dict mapping each element
@@ -181,7 +184,7 @@ def element_quadrature(mesh, exactness, singular_corner=None, levels=4):
         (np.hypot(*(coords - corner).transpose(2, 0, 1)) < 1e-12).any(axis=1)
     )[0]
     for t in touching:
-        p, w = shape.map_to_triangle(rule, _graded_subtriangles(coords[t], corner, levels))
+        p, w = shape.map_to_triangle(rule, _graded_subtriangles(coords[t], corner, GRADED_LEVELS))
         graded[int(t)] = (p.reshape(-1, 2), w.ravel())
     return base_pts, base_w, graded
 

@@ -8,7 +8,11 @@ Three experiments accompany the solver:
 * a sequence of shifted logarithmic potentials whose point values at a
   boundary point diverge while their L2 norms stay bounded;
 * a two-sided (duality from below, extension from above) approximation
-  of the trace norm of a smooth function on a single element.
+  of the trace norm of a smooth function on a single element, both
+  sides over the polynomials of one degree d.  The extensions of the
+  trace pair (value, normal derivative) of z among them are z + b^2 q,
+  q of degree d - 6, with b = l0 l1 l2 the cubic bubble: each edge line
+  divides a polynomial with vanishing trace pair twice.
 """
 
 from __future__ import annotations
@@ -83,23 +87,11 @@ class Poly2:
 def mollifier_constant():
     """Normalization making every mollifier integrate to one half.
 
-    C = 1 / (2 int_0^1 exp(-1/(1-s^2)) ds), by adaptive quadrature.
+    C = 1 / (2 int_0^1 exp(-1/(1-s^2)) ds), by the composite Gauss rule
+    of the Dirac pairings (`_panel_gauss`), whose nodes lie inside (0, 1).
     """
-    # imported here, not at module level: scipy.integrate also loads
-    # scipy.optimize and scipy.special (about 0.3 s), which every CLI
-    # start would pay and only the Dirac experiment needs
-    from scipy.integrate import quad
-
-    integral, err = quad(
-        lambda s: np.exp(-1.0 / (1.0 - s * s)) if s < 1.0 else 0.0,
-        0.0,
-        1.0,
-        epsabs=1e-13,
-        epsrel=1e-13,
-    )
-    if err > 1e-10:
-        raise RuntimeError(f"normalization quadrature error {err:.2e} too large")
-    return 1.0 / (2.0 * integral)
+    s, w = _panel_gauss(1.0)
+    return 1.0 / (2.0 * (w @ np.exp(-1.0 / (1.0 - s * s))))
 
 
 def mollifier(t, eps):
@@ -237,118 +229,82 @@ def unboundedness_demo(n_list):
     return rows
 
 
-def _edge_constraint_rows(vertices, tab, jinv, det, z, n_moments_val, n_moments_nder):
-    """Trace-matching moments on the three element edges.
+def _zero_trace_columns(tab, val, w):
+    """The polynomials of degree d = `tab.degree` whose trace pair
+    (value, normal derivative) vanishes on the element's boundary.
 
-    Returns (C, d): C maps coefficients in the element's orthonormal
-    basis (`tab` mapped by `jinv`, `det`) to edge moments of the trace
-    pair, d holds the same moments of z.  Legendre moments up to the
-    given orders force exact polynomial equality edgewise.
+    Each edge line divides such a polynomial twice, so they are b^2 q
+    for q in P_(d-6), with b = l0 l1 l2 the cubic bubble; for d < 6 there
+    are none.  Returns their coefficients (dim, dim P_(d-6)) in the
+    element's orthonormal basis `val` at the points of `tab.quad`
+    (weights `w`), whose quadrature projects them exactly.
     """
-    t = tab.edge_rule.points
-    weights = tab.edge_rule.weights
-    legendre = np.polynomial.legendre.legvander(2.0 * t - 1.0, max(n_moments_val, n_moments_nder))
-    rows_c, rows_d = [], []
-    for k in range(3):
-        a, b = vertices[k], vertices[(k + 1) % 3]
-        d_vec = b - a
-        length = np.hypot(*d_vec)
-        nrm = np.array([d_vec[1], -d_vec[0]]) / length
-        pts = a[None, :] + t[:, None] * d_vec[None, :]
-        # edge slot k runs from vertex k to vertex k + 1
-        edge = shape.map_jet(shape.Jet(*(x[k] for x in tab.edge)), jinv, det)
-        val, dn = edge.val, edge.grad @ nrm
-        z_val = z(pts[:, 0], pts[:, 1])
-        z_dn = z.dx()(pts[:, 0], pts[:, 1]) * nrm[0] + z.dy()(pts[:, 0], pts[:, 1]) * nrm[1]
-        for m in range(n_moments_val + 1):
-            q = legendre[:, m] * weights * length
-            rows_c.append(q @ val)
-            rows_d.append(q @ z_val)
-        for m in range(n_moments_nder + 1):
-            q = legendre[:, m] * weights * length
-            rows_c.append(q @ dn)
-            rows_d.append(q @ z_dn)
-    return np.array(rows_c), np.array(rows_d)
+    m = shape.basis_dimension(tab.degree - 6) if tab.degree >= 6 else 0
+    # barycentric coordinates are invariant under the affine map, so b
+    # and the q (the first dim P_(d-6) reference members) are read on
+    # the reference points
+    x, y = tab.quad.points.T
+    bubble = (1.0 - x - y) * x * y
+    return val.T @ ((w * bubble**2)[:, None] * tab.tri.val[:, :m])
 
 
-def norm_identity_check(vertices, z, dual_degree, extension_degree):
+def norm_identity_check(vertices, z, degree):
     """Two-sided approximation of the broken-graph trace norm of z.
 
-    duality_norm maximizes <tr(z), w>_dT / ||w||_{Delta,T} over
-    polynomials w of degree `dual_degree`, where the pairing is the
-    volume form (Delta w, z)_T - (w, Delta z)_T.  extension_norm
-    minimizes ||y||_{Delta,T} over polynomials y of degree
-    `extension_degree` whose trace pair matches tr(z) exactly (imposed
-    through edgewise moments).  The sandwich
+    Both sides work in the polynomials of one `degree` on the element.
+    duality_norm maximizes <tr(z), w>_dT / ||w||_{Delta,T} over them,
+    where the pairing is the volume form (Delta w, z)_T - (w, Delta z)_T.
+    extension_norm minimizes ||y||_{Delta,T} over those whose trace pair
+    matches tr(z): y = z + b^2 q with b the cubic bubble and q of degree
+    `degree` - 6 (`_zero_trace_columns`).  The sandwich
     duality_norm <= trace norm <= extension_norm holds by construction
-    and the gap closes as the degrees grow.
+    and the gap closes as the degree grows.
 
     Parameters
     ----------
     vertices : (3, 2) element
     z : Poly2, degree <= 4
-    dual_degree, extension_degree : int >= 4
+    degree : int >= 4
     """
     if z.degree > 4:
         raise ValueError("z must have degree <= 4")
-    if dual_degree < 4 or extension_degree < 4:
-        raise ValueError("degrees must be at least 4")
+    if degree < 4:
+        raise ValueError("degree must be at least 4")
     vertices = np.asarray(vertices, dtype=float)
 
-    cxx = np.polynomial.polynomial.polyder(z.c, m=2, axis=0)
-    cyy = np.polynomial.polynomial.polyder(z.c, m=2, axis=1)
-    lap_c = np.zeros((max(cxx.shape[0], cyy.shape[0], 1), max(cxx.shape[1], cyy.shape[1], 1)))
-    lap_c[: cxx.shape[0], : cxx.shape[1]] += cxx
-    lap_c[: cyy.shape[0], : cyy.shape[1]] += cyy
-    z_lap = Poly2(lap_c)
-
+    # the element's orthonormal P_degree basis from the reference tables
+    # the element kernels use; the graph-norm Gram matrix is S^T S for
+    # the stacked table S = [sqrt(w) val; sqrt(w) lap]
     _, det, jinv = (x[0] for x in shape.affine_maps(vertices[None]))
-
-    def graph_table_and_pairing(degree):
-        # the element's orthonormal P_degree basis from the reference
-        # tables the element kernels use; the graph-norm Gram matrix is
-        # S^T S for the stacked table S = [sqrt(w) val; sqrt(w) lap]
-        tab = shape.reference_tables(degree)
-        basis = shape.map_jet(tab.tri, jinv, det)
-        pts, w = shape.map_to_triangle(tab.quad, vertices)
-        val = basis.val
-        lap = basis.hess[..., 0] + basis.hess[..., 2]
-        root_w = np.sqrt(w)[:, None]
-        table = np.vstack([root_w * val, root_w * lap])
-        z_w = w * z(pts[:, 0], pts[:, 1])
-        pairing = lap.T @ z_w - val.T @ (w * z_lap(pts[:, 0], pts[:, 1]))
-        return table, pairing, val.T @ z_w
+    tab = shape.reference_tables(degree)
+    basis = shape.map_jet(tab.tri, jinv, det)
+    pts, w = shape.map_to_triangle(tab.quad, vertices)
+    val = basis.val
+    lap = basis.hess[..., 0] + basis.hess[..., 2]
+    root_w = np.sqrt(w)[:, None]
+    table = np.vstack([root_w * val, root_w * lap])
+    z_w = w * z(*pts.T)
 
     def inverse_factor(table):
         # L^-1 for G = S^T S = L L^T, by the QR the element kernels use
         return forms._inverse_factor(table[None], [0])[0]
 
-    # duality side: sup <tr z, w> / ||w||_Delta = |b|_{G^-1} = |L^-1 b|
-    table_d, b, _ = graph_table_and_pairing(dual_degree)
-    duality = float(np.linalg.norm(inverse_factor(table_d) @ b))
+    # duality side: sup <tr z, w> / ||w||_Delta = |p|_{G^-1} = |L^-1 p|
+    # for the pairing vector p
+    lap_z = z.dx().dx()(*pts.T) + z.dy().dy()(*pts.T)
+    pairing = lap.T @ z_w - val.T @ (w * lap_z)
+    duality = float(np.linalg.norm(inverse_factor(table) @ pairing))
 
-    # extension side: min ||y||_Delta with tr(y) = tr(z) matched exactly
-    table_e, _, y0 = graph_table_and_pairing(extension_degree)
-    n_mom = max(extension_degree, z.degree)
-    c_mat, d_vec = _edge_constraint_rows(
-        vertices, shape.reference_tables(extension_degree), jinv, det, z, n_mom, n_mom - 1
-    )
-
-    # feasible point: z in the element basis (z has degree <= 4 <=
-    # extension_degree, so its L2 coefficients y0 represent it exactly)
-    feas = np.linalg.norm(c_mat @ y0 - d_vec)
-    if feas > 1e-8 * max(1.0, np.linalg.norm(d_vec)):
-        raise RuntimeError(f"constraint system inconsistent (defect {feas:.2e})")
-
-    u_svd, s_svd, vt = np.linalg.svd(c_mat, full_matrices=True)
-    rank = int(np.sum(s_svd > 1e-11 * s_svd[0]))
-    null = vt[rank:].T  # (dim, n_null)
+    # extension side: z has degree <= 4 <= degree, so its L2
+    # coefficients y0 represent it exactly and match its trace pair
+    y0 = val.T @ z_w
+    null = _zero_trace_columns(tab, val, w)
     y = y0
     if null.shape[1]:
         # min |S (y0 + N c)| over c: with (S N)^T (S N) = L L^T, the
         # normal equations give c = -L^-T L^-1 (S N)^T S y0
-        table_n = table_e @ null
+        table_n = table @ null
         linv = inverse_factor(table_n)
-        y = y0 - null @ (linv.T @ (linv @ (table_n.T @ (table_e @ y0))))
-    extension = float(np.linalg.norm(table_e @ y))
+        y = y0 - null @ (linv.T @ (linv @ (table_n.T @ (table @ y0))))
+    extension = float(np.linalg.norm(table @ y))
     return duality, extension

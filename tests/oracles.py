@@ -416,3 +416,32 @@ def estimate_rate(records, key, x="h", window=4):
         raise ValueError("rate estimation requires positive values")
     slope = np.polyfit(np.log(xs), np.log(ys), 1)[0]
     return float(slope) if x == "h" else float(-slope)
+
+
+def edge_trace_moments(vertices, degree):
+    """Legendre moments of the trace pair (value, outward normal
+    derivative) on the three edges of an element, (rows, dim P_degree),
+    of each member of its orthonormal P_degree basis.
+
+    Moments up to degree `degree` of the value and `degree` - 1 of the
+    normal derivative determine both traces of a polynomial of that
+    degree, so the null space of the rows is the polynomials whose
+    trace pair vanishes.
+    """
+    from bilap_dpg import shape
+
+    vertices = np.asarray(vertices, dtype=float)
+    _, det, jinv = (x[0] for x in shape.affine_maps(vertices[None]))
+    tab = shape.reference_tables(degree)
+    t, weights = tab.edge_rule.points, tab.edge_rule.weights
+    legendre = np.polynomial.legendre.legvander(2.0 * t - 1.0, degree)
+    rows = []
+    for k in range(3):
+        d_vec = vertices[(k + 1) % 3] - vertices[k]
+        length = np.hypot(*d_vec)
+        normal = np.array([d_vec[1], -d_vec[0]]) / length
+        # edge slot k runs from vertex k to vertex k + 1
+        edge = shape.map_jet(shape.Jet(*(x[k] for x in tab.edge)), jinv, det)
+        moments = (legendre * (weights * length)[:, None]).T
+        rows += [moments @ edge.val, moments[:degree] @ (edge.grad @ normal)]
+    return np.vstack(rows)

@@ -290,7 +290,7 @@ def test_criterion_9_norm_identity_sandwich():
     gaps = {}
     sandwich_ok = True
     for deg in (4, 6, 8):
-        duality, extension = norm_identity_check(REFERENCE_TRIANGLE, z, deg, deg)
+        duality, extension = norm_identity_check(REFERENCE_TRIANGLE, z, deg)
         if duality > extension + 1e-9:
             sandwich_ok = False
         gaps[deg] = (extension - duality) / extension
@@ -299,6 +299,6 @@ def test_criterion_9_norm_identity_sandwich():
         9,
         ok,
         f"duality <= extension at degrees 4,6,8: {sandwich_ok}; relative gap "
-        f"{gaps[4]:.4f} (4,4) -> {gaps[8]:.4f} (8,8)",
+        f"{gaps[4]:.4f} (degree 4) -> {gaps[8]:.4f} (degree 8)",
     )
     assert ok

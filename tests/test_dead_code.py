@@ -4,7 +4,8 @@ production code.
 A name counts as used when `src/` or `perfbench/` refers to it outside
 its own definition: as a name, an attribute or an imported name, and in
 `perfbench/` also as a string (it patches functions by their names).  A
-field counts as read where an attribute of its name is read, or its
+field, annotated in a class body or assigned as `self.name` in its
+methods, counts as read where an attribute of its name is read, or its
 name is a string in `perfbench/` (as in `getattr`); passing it to a
 constructor or naming it in src's own setattr tables does not count.  Only dunders
 are exempt.  Tests do not count, so a public name needs a production
@@ -85,19 +86,30 @@ def _reads(tree, strings):
             yield node.value
 
 
+def _fields(cls):
+    """(line, name) of a class's annotated fields and of the attributes
+    its methods assign on `self`."""
+    for stmt in cls.body:
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            yield stmt.lineno, stmt.target.id
+    for node in ast.walk(cls):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            yield node.lineno, node.attr
+
+
 def test_every_src_class_field_is_read_by_production_code():
     trees = _production_trees()
     reads = {
         name for path, tree in trees.items() for name in _reads(tree, path.parent != SRC)
     }
     unread = [
-        f"{path.name}:{stmt.lineno} {cls.name}.{stmt.target.id}"
+        f"{path.name}:{line} {cls.name}.{name}"
         for path in sorted(trees)
         if path.parent == SRC
         for cls in ast.walk(trees[path])
         if isinstance(cls, ast.ClassDef)
-        for stmt in cls.body
-        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-        and stmt.target.id not in reads
+        for line, name in _fields(cls)
+        if name not in reads
     ]
     assert not unread, "class fields that src and perfbench never read: " + ", ".join(unread)

@@ -76,9 +76,8 @@ def test_sparse_indefinite_rejected():
 def test_indefinite_factor_raises_with_its_pivot():
     # a positive diagonal, but the second pivot is 1 - 4 = -3
     a = scipy.sparse.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    with pytest.raises(NotPositiveDefiniteError, match=r"pivot 1 \(-3.000e\+00\).*n=2") as info:
+    with pytest.raises(NotPositiveDefiniteError, match=r"pivot 1 \(-3.000e\+00\).*n=2"):
         sparse_spd_solve(a, np.ones(2), *any_w(a))
-    assert info.value.pivot == 1
 
 
 def test_exactly_singular_factor_raises(monkeypatch):
@@ -116,12 +115,15 @@ def test_sparse_random_spd_matches_dense():
     assert np.allclose(x, reference, atol=1e-8)
 
 
-def test_non_finite_load_is_rejected():
-    # a NaN load makes every CGLS iterate and the residual NaN, which no
-    # tolerance comparison may pass
+def test_non_finite_load_is_rejected(caplog):
+    # a NaN load makes the CGLS iterate and the residual NaN, which no
+    # tolerance comparison may pass; CGLS stops at its first NaN step
+    # rather than running to its cap
     w = np.vstack([np.eye(3), np.eye(3)])
-    with pytest.raises(LinearSolveError, match="residual nan above tolerance"):
-        lstsq_solve(w, np.array([1.0, np.nan, 2.0, 0.0, 1.0, 1.0]))
+    with caplog.at_level(logging.WARNING, logger="bilap_dpg.linsolve"):
+        with pytest.raises(LinearSolveError, match="residual nan above tolerance"):
+            lstsq_solve(w, np.array([1.0, np.nan, 2.0, 0.0, 1.0, 1.0]))
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 @pytest.mark.parametrize(
@@ -173,9 +175,9 @@ def test_preconditioner_matches_the_jacobi_scaled_factor(monkeypatch):
         mesh = refine_nvb(mesh, np.flatnonzero(corner))
     captured = []
 
-    def capture(w, load, precond):
+    def capture(w, load, b, precond):
         captured.append(precond)
-        return _cgls(w, load, precond)
+        return _cgls(w, load, b, precond)
 
     solve = dpg_solver.sparse_spd_solve
 
@@ -210,7 +212,7 @@ def test_iteration_cap_is_logged(monkeypatch, caplog):
     load = -np.arange(n + 1.0)
     monkeypatch.setattr(linsolve, "MAXITER", 2)
     with caplog.at_level(logging.WARNING, logger="bilap_dpg.linsolve"):
-        x, iterations = _cgls(w, load, lambda g: g)
+        x, iterations = _cgls(w, load, w.rmatvec(load), lambda g: g)
     assert iterations == 2
     g, g_0 = w.rmatvec(load - w.matvec(x)), w.rmatvec(load)
     relative = np.linalg.norm(g) / np.linalg.norm(g_0)
