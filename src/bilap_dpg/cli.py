@@ -39,13 +39,20 @@ import os
 import sys
 from dataclasses import dataclass, field, fields
 
-from bilap_dpg import problems, trace_lab
+import numpy as np
+
+from bilap_dpg import problems, shape, trace_lab
 from bilap_dpg.forms import Formulation, FormsError
 from bilap_dpg.linsolve import LinearSolveError
 from bilap_dpg.mesh import MeshError, make_unit_square, refine_nvb
 from bilap_dpg.dpg_solver import SolverError, adaptive_loop, solve_and_record
 
 STUDY_HEADER = "level,ndof_total,ndof_field,h_max,eta,err_u,err_sigma,solve_seconds"
+
+#: eps = 2^-k: the mollifier forms eps^2, a normal float64 up to k = 511
+MAX_EPS_POW = int(-np.log2(np.finfo(float).tiny)) // 2
+#: the unboundedness demo hands each n to numpy, which reads it as an int64
+MAX_N = int(np.iinfo(np.int64).max)
 
 
 class UsageError(Exception):
@@ -118,6 +125,11 @@ class StudyConfig:
             raise UsageError(
                 "test degree must be at least field degree + 2", "field_degree", "test_degree"
             )
+        if self.test_degree > shape.MAX_TABLE_DEGREE:
+            raise UsageError(
+                f"test degree must be at most {shape.MAX_TABLE_DEGREE}, got {self.test_degree}",
+                "test_degree",
+            )
 
 
 @dataclass(frozen=True)
@@ -138,15 +150,25 @@ class TracelabConfig:
                 f"n_list values must be at least 1, got {','.join(map(str, self.n_list))}",
                 "n_list",
             )
+        if max(self.n_list) > MAX_N:
+            raise UsageError(f"n_list values must be at most {MAX_N}, got {max(self.n_list)}",
+                             "n_list")
         lo, hi = self.degrees
-        if not 4 <= lo <= hi:
-            raise UsageError(f"degrees must be lo:hi with 4 <= lo <= hi, got {lo}:{hi}", "degrees")
+        if not 4 <= lo <= hi <= shape.MAX_TABLE_DEGREE:
+            raise UsageError(
+                f"degrees must be lo:hi with 4 <= lo <= hi <= {shape.MAX_TABLE_DEGREE}, "
+                f"got {lo}:{hi}",
+                "degrees",
+            )
         lo, hi = self.eps_min_pow, self.eps_max_pow
         if not 2 <= lo <= hi:
             raise UsageError(
                 f"eps_min_pow and eps_max_pow must satisfy 2 <= min <= max, got {lo}, {hi}",
                 "eps_min_pow", "eps_max_pow",
             )
+        if hi > MAX_EPS_POW:
+            raise UsageError(f"eps_max_pow must be at most {MAX_EPS_POW}, got {hi}",
+                             "eps_max_pow")
 
 
 _COMMANDS = {

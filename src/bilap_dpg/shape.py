@@ -19,6 +19,8 @@ import numpy as np
 REFERENCE_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 _MAX_TENSOR_EXACTNESS = 60
+#: the largest degree of `reference_tables`, whose rule is exact for 2d + 2
+MAX_TABLE_DEGREE = (_MAX_TENSOR_EXACTNESS - 2) // 2
 
 
 class QuadratureError(Exception):
@@ -59,25 +61,6 @@ class Jet(NamedTuple):
     hess: np.ndarray
 
 
-def _monomial_jet(degree, points):
-    """Graded monomials of s = 3x - 1, t = 3y - 1 (centred at the
-    reference centroid) at points (..., 2), with their x/y derivatives."""
-    ex = monomial_exponents(degree)
-    i, j = ex[:, 0], ex[:, 1]
-    s, t = 3.0 * points[..., 0, None] - 1.0, 3.0 * points[..., 1, None] - 1.0
-
-    def power(base, n):  # base**n with n < 0 read as zero
-        return np.where(n >= 0, base ** np.maximum(n, 0), 0.0)
-
-    val = power(s, i) * power(t, j)
-    grad = np.stack([3 * i * power(s, i - 1) * power(t, j),
-                     3 * j * power(s, i) * power(t, j - 1)], axis=-1)
-    hess = np.stack([9 * i * (i - 1) * power(s, i - 2) * power(t, j),
-                     9 * i * j * power(s, i - 1) * power(t, j - 1),
-                     9 * j * (j - 1) * power(s, i) * power(t, j - 2)], axis=-1)
-    return Jet(val, grad, hess)
-
-
 def _check_reference_points(pts):
     x, y = pts[..., 0], pts[..., 1]
     tol = 1e-12
@@ -98,33 +81,17 @@ def _gauss01(n):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-# hand-checkable symmetric rules; everything else tensorizes
-_TRI_TABLE = {
-    1: (np.array([[1 / 3, 1 / 3]]), np.array([0.5])),
-    2: (
-        np.array([[1 / 6, 1 / 6], [2 / 3, 1 / 6], [1 / 6, 2 / 3]]),
-        np.array([1 / 6, 1 / 6, 1 / 6]),
-    ),
-}
-
-
 def triangle_quadrature(exactness):
     """Rule on the reference triangle, exact for total degree `exactness`.
 
-    Low degrees come from a symmetric table; higher degrees use a
-    collapsed (Duffy) tensor-product Gauss rule, whose weights are
-    always positive.
+    One collapsed (Duffy) tensor-product Gauss rule serves every
+    exactness; its weights are always positive.
     """
     if exactness < 0:
         raise QuadratureError("exactness must be nonnegative")
     exactness = int(exactness)
-    if exactness in _TRI_TABLE:
-        pts, w = _TRI_TABLE[exactness]
-        return QuadRule(pts.copy(), w.copy())
     if exactness > _MAX_TENSOR_EXACTNESS:
-        raise QuadratureError(
-            f"exactness {exactness} above table and tensor-rule limit"
-        )
+        raise QuadratureError(f"exactness {exactness} above tensor-rule limit")
     # x = xi*(1 - eta), y = eta, Jacobian (1 - eta): xi-degree <= k,
     # eta-degree <= k + 1
     nx = exactness // 2 + 1
@@ -163,40 +130,70 @@ def map_to_triangle(rule, coords):
     return bary @ coords, det[..., None] * rule.weights
 
 
-@lru_cache(maxsize=None)
-def _orthonormal_coefficients(degree):
-    """Upper-triangular C with the centred monomials times C orthonormal.
+def _jet(*components):
+    """A jet stacked as (val, x, y, xx, xy, yy) on axis 0, its components
+    broadcast together."""
+    return np.stack(np.broadcast_arrays(*components))
 
-    C = R^-1 for the R factor (positive diagonal) of the weighted
-    monomial table's QR on a rule exact for degree 2d; triangularity
-    keeps the basis degree-graded."""
-    rule = triangle_quadrature(2 * degree)
-    val = _monomial_jet(degree, rule.points).val
-    r = np.linalg.qr(np.sqrt(rule.weights)[:, None] * val, mode="r")
-    r *= np.sign(np.diag(r))[:, None]
-    c = np.linalg.inv(r)
-    c.setflags(write=False)  # cached: shared by every caller
-    return c
+
+def _times(a, b):
+    """The product of two stacked jets, by the product rule."""
+    v, x, y, xx, xy, yy = a
+    bv, bx, by, bxx, bxy, byy = b
+    return np.stack([
+        v * bv, x * bv + v * bx, y * bv + v * by,
+        xx * bv + 2 * x * bx + v * bxx,
+        xy * bv + x * by + y * bx + v * bxy,
+        yy * bv + 2 * y * by + v * byy,
+    ])
 
 
 def orthonormal_basis(degree, points):
     """The L2-orthonormal, degree-graded P_degree basis on the reference
     triangle at reference points (..., 2), as a `Jet`.
 
-    The constant member is sqrt(2); members of degree <= 1 have
-    vanishing Hessians.
+    Its members are the Dubiner-Koornwinder polynomials psi_pq, ordered
+    as `monomial_exponents` (psi_pq in the place of x^p y^q) and scaled
+    to unit norm by sqrt((2p + 1)(2p + 2q + 2)): the constant member is
+    sqrt(2) and members of degree <= 1 have vanishing Hessians.  Values
+    and derivatives run together through the three-term recurrences in
+    x and y that have no singularity at the top vertex (Kirby 2010),
+        psi_(p+1,0) = (2p+1)/(p+1) (2x + y - 1) psi_p0
+                      - p/(p+1) (1 - y)^2 psi_(p-1,0),
+        psi_(p,q+1) = (a (2y - 1) + b) psi_pq - c psi_(p,q-1),
+    with (a, b, c) the recurrence coefficients of the Jacobi polynomials
+    P_q^(2p+1, 0), from psi_00 = 1.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     points = np.asarray(points, dtype=float)
     _check_reference_points(points)
-    mono = _monomial_jet(degree, points)
-    c = _orthonormal_coefficients(degree)
-    return Jet(
-        mono.val @ c,
-        np.einsum("...md,mk->...kd", mono.grad, c),
-        np.einsum("...mc,mk->...kc", mono.hess, c),
-    )
+    x, y = points[..., 0, None], points[..., 1, None]
+    linear = _jet(2 * x + y - 1, 2.0, 1.0, 0.0, 0.0, 0.0)
+    square = _jet((1 - y) ** 2, 0.0, 2 * y - 2, 0.0, 0.0, 2.0)
+    psi = [_jet(np.ones_like(x), 0.0, 0.0, 0.0, 0.0, 0.0)]
+    for p in range(degree):
+        nxt = (2 * p + 1) / (p + 1) * _times(linear, psi[p])
+        if p:
+            nxt -= p / (p + 1) * _times(square, psi[p - 1])
+        psi.append(nxt)
+    # column q holds psi_pq for p <= degree - q: the y-recurrence runs
+    # for every p at once
+    cols = [np.concatenate(psi, axis=-1)]
+    for q in range(degree):
+        alpha = 2.0 * np.arange(degree - q) + 1
+        s = 2 * q + alpha
+        a = (s + 1) * (s + 2) / (2 * (q + 1) * (q + alpha + 1))
+        b = alpha**2 * (s + 1) / (2 * (q + 1) * (q + alpha + 1) * s)
+        c = q * (q + alpha) * (s + 2) / ((q + 1) * (q + alpha + 1) * s)
+        nxt = _times(_jet(a * (2 * y - 1) + b, 0.0, 2 * a, 0.0, 0.0, 0.0), cols[q][..., :-1])
+        if q:
+            nxt -= c * cols[q - 1][..., :-2]
+        cols.append(nxt)
+    pq = monomial_exponents(degree)
+    jet = np.stack([cols[q][..., p] for p, q in pq], axis=-1)
+    jet *= np.sqrt((2 * pq[:, 0] + 1) * (2 * pq.sum(axis=1) + 2))
+    return Jet(jet[0], np.stack(jet[1:3], axis=-1), np.stack(jet[3:], axis=-1))
 
 
 @dataclass(frozen=True)

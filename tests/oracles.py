@@ -1,5 +1,9 @@
 """Independent test oracles shared across test modules."""
 
+from fractions import Fraction
+from math import factorial
+
+import mpmath
 import numpy as np
 import scipy.sparse
 
@@ -445,3 +449,94 @@ def edge_trace_moments(vertices, degree):
         moments = (legendre * (weights * length)[:, None]).T
         rows += [moments @ edge.val, moments[:degree] @ (edge.grad @ normal)]
     return np.vstack(rows)
+
+
+def _poly_mul(p, q):
+    """Product of two polynomials held as {(i, j): coefficient of x^i y^j}."""
+    out = {}
+    for (a, b), c in p.items():
+        for (d, e), f in q.items():
+            out[a + d, b + e] = out.get((a + d, b + e), 0) + c * f
+    return out
+
+
+def exact_trace_norms(vertices, exponents, degree, dps=60):
+    """(duality, extension) of `trace_lab.norm_identity_check` for the
+    monomial z = x^i y^j, `exponents` = (i, j), on the element
+    `vertices`, in P_degree, without the package's basis or quadrature.
+
+    Everything is written in the reference coordinates s of x = v0 + J s,
+    where the physical Laplacian is sum_kl C_kl d_k d_l with
+    C = J^-1 J^-T and int_T s^a t^b = |det J| a! b! / (a + b + 2)!.  The
+    graph inner product <p, q> = (p, q) + (Lap p, Lap q) of polynomials
+    is exact in rationals (from the binary values of the vertices), and
+    the two Gram systems are solved by Cholesky in mpmath at `dps`
+    digits:
+        duality^2   = p^T G^-1 p, with G the Gram matrix of the monomials
+                      of P_degree and p_m = (Lap m, z) - (m, Lap z);
+        extension^2 = <z, z> - r^T H^-1 r, the minimum of <y, y> over
+                      y = z + b^2 q, q in P_(degree-6), with H the Gram
+                      matrix of the b^2 m, r_m = <b^2 m, z> and b the
+                      cubic bubble s t (1 - s - t).
+    """
+    (x0, y0), (x1, y1), (x2, y2) = [[Fraction(float(c)) for c in v] for v in vertices]
+    jac = [[x1 - x0, x2 - x0], [y1 - y0, y2 - y0]]
+    det = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
+    inv = [[jac[1][1] / det, -jac[0][1] / det], [-jac[1][0] / det, jac[0][0] / det]]
+    c = [[sum(inv[r][m] * inv[s][m] for m in range(2)) for s in range(2)] for r in range(2)]
+    n = 2 * degree + 1
+    moment = {
+        (a, b): abs(det) * Fraction(factorial(a) * factorial(b), factorial(a + b + 2))
+        for a in range(n)
+        for b in range(n - a)
+    }
+
+    def laplacian(p):
+        out = {}
+        for (a, b), v in p.items():
+            for (da, db), k in (((2, 0), c[0][0] * a * (a - 1)), ((1, 1), 2 * c[0][1] * a * b),
+                                ((0, 2), c[1][1] * b * (b - 1))):
+                if k:
+                    out[a - da, b - db] = out.get((a - da, b - db), 0) + k * v
+        return out
+
+    def integral(p, q):  # int_T p q
+        return sum(v * w * moment[a + d, b + e]
+                   for (a, b), v in p.items() for (d, e), w in q.items())
+
+    z = {(0, 0): Fraction(1)}
+    for factor, power in zip(({(0, 0): x0, (1, 0): jac[0][0], (0, 1): jac[0][1]},
+                              {(0, 0): y0, (1, 0): jac[1][0], (0, 1): jac[1][1]}), exponents):
+        for _ in range(power):
+            z = _poly_mul(z, factor)
+    # each function as (p, Lap p)
+    z = (z, laplacian(z))
+    mono = [{(q - b, b): Fraction(1)} for q in range(degree + 1) for b in range(q + 1)]
+    bubble = {(1, 1): Fraction(1), (2, 1): Fraction(-1), (1, 2): Fraction(-1)}
+    bubble2 = _poly_mul(bubble, bubble)
+    ext = [_poly_mul(bubble2, m) for m in mono[: (degree - 5) * (degree - 4) // 2]]
+    mono, ext = ([(p, laplacian(p)) for p in ps] for ps in (mono, ext))
+
+    def inner(u, v):
+        return integral(u[0], v[0]) + integral(u[1], v[1])
+
+    with mpmath.workdps(dps):
+        def mpf(v):
+            return mpmath.mpf(v.numerator) / v.denominator
+
+        def quad_form(vectors, rhs):
+            # rhs^T G^-1 rhs for the Gram matrix G of `vectors`
+            if not vectors:
+                return mpmath.mpf(0)
+            g = mpmath.matrix(len(vectors))
+            for i, u in enumerate(vectors):
+                for j, v in enumerate(vectors[: i + 1]):
+                    g[i, j] = g[j, i] = mpf(inner(u, v))
+            r = mpmath.matrix([mpf(v) for v in rhs])
+            return (r.T * mpmath.cholesky_solve(g, r))[0]
+
+        pairing = [integral(m[1], z[0]) - integral(m[0], z[1]) for m in mono]
+        duality = mpmath.sqrt(quad_form(mono, pairing))
+        extension = mpmath.sqrt(mpf(inner(z, z))
+                                - quad_form(ext, [inner(e, z) for e in ext]))
+        return float(duality), float(extension)

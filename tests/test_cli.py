@@ -231,6 +231,46 @@ def test_study_output_in_missing_directory_exits_one_before_the_study(
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, flag, rejected, accepted",
+    [
+        (["study"], "--test-degree", "30", "29"),
+        (["tracelab", "--mode", "norm-identity"], "--degrees", "4:30", "4:29"),
+        (["tracelab", "--mode", "dirac"], "--eps-max-pow", "512", "511"),
+        (["tracelab", "--mode", "unbounded"], "--n-list", f"1,{2**63}", f"1,{2**63 - 1}"),
+    ],
+    ids=["test-degree", "degrees", "eps-max-pow", "n-list"],
+)
+def test_values_above_the_upper_bounds_exit_one_before_any_work(
+    tmp_path, capsys, monkeypatch, argv, flag, rejected, accepted
+):
+    # test degrees up to 29, where reference_tables asks the triangle
+    # rule for exactness 60; eps = 2^-k up to k = 511, where eps^2 is
+    # still a normal float64; n up to the largest int64
+    monkeypatch.setattr(cli, "run_study", _no_work)
+    monkeypatch.setattr(cli, "run_tracelab", _no_work)
+    out = tmp_path / "x.csv"
+    assert main([*argv, flag, rejected, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"bilap-dpg: error: {flag}: ")
+    assert err.endswith(f"got {rejected.split(',')[-1]}\n")
+    parse_config([*argv, flag, accepted])
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--mode", "dirac", "--eps-min-pow", "510", "--eps-max-pow", "511"],
+     ["--mode", "unbounded", "--n-list", str(2**63 - 1)]],
+    ids=["eps-max-pow", "n-list"],
+)
+def test_tracelab_at_the_largest_accepted_values_writes_finite_rows(tmp_path, flags):
+    out = tmp_path / "t.csv"
+    assert main(["tracelab", *flags, "--output", str(out)]) == 0
+    _, rows = _read_rows(out)
+    assert np.all(np.isfinite(np.array(rows, dtype=float)))
+
+
 def test_tracelab_output_in_missing_directory_exits_one(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_tracelab", _no_work)
     out = tmp_path / "missing" / "t.csv"

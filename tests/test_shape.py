@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import Poly2d, random_triangle
+from scipy.special import eval_jacobi, eval_legendre
 
 from bilap_dpg.shape import (
+    MAX_TABLE_DEGREE,
     QuadratureError,
     affine_maps,
     basis_dimension,
@@ -114,8 +116,16 @@ def test_triangle_quadrature_spec_values():
 def test_triangle_quadrature_rejects_unsupported():
     with pytest.raises(QuadratureError):
         triangle_quadrature(-1)
-    with pytest.raises(QuadratureError):
+    with pytest.raises(QuadratureError, match="^exactness 10000 above tensor-rule limit$"):
         triangle_quadrature(10_000)
+
+
+def test_max_table_degree_is_the_quadrature_limit():
+    # reference_tables(d) asks for a triangle rule of exactness 2d + 2
+    assert MAX_TABLE_DEGREE == 29
+    triangle_quadrature(2 * MAX_TABLE_DEGREE + 2)
+    with pytest.raises(QuadratureError):
+        triangle_quadrature(2 * MAX_TABLE_DEGREE + 3)
 
 
 def test_edge_quadrature():
@@ -245,6 +255,32 @@ def test_orthonormal_basis_is_graded():
     assert np.allclose(tab.tri.val[:, 0], np.sqrt(2.0), rtol=1e-14)
     # P_2 members have constant Hessians
     assert np.allclose(tab.tri.hess[:, 3:6], tab.tri.hess[:1, 3:6], atol=1e-12)
+
+
+@pytest.mark.parametrize("degree", range(2, 13))
+def test_reference_tables_are_orthonormal(degree):
+    tab = reference_tables(degree)
+    gram = tab.tri.val.T @ (tab.quad.weights[:, None] * tab.tri.val)
+    assert np.abs(gram - np.eye(tab.dim)).max() <= 1e-14
+
+
+def test_orthonormal_basis_is_the_dubiner_basis_in_collapsed_coordinates():
+    # oracle: psi_pq = P_p(2x / (1 - y) - 1) (1 - y)^p P_q^(2p+1, 0)(2y - 1),
+    # scaled by sqrt((2p + 1)(2p + 2q + 2)), from scipy's Legendre and
+    # Jacobi polynomials at interior points (y < 1)
+    degree = 12
+    rng = np.random.default_rng(3)
+    pts = rng.dirichlet([1, 1, 1], size=50)[:, :2]
+    x, y = pts[:, 0, None], pts[:, 1, None]
+    p, q = monomial_exponents(degree).T
+    expect = (
+        np.sqrt((2 * p + 1) * (2 * p + 2 * q + 2))
+        * eval_legendre(p, 2 * x / (1 - y) - 1)
+        * (1 - y) ** p
+        * eval_jacobi(q, 2 * p + 1, 0, 2 * y - 1)
+    )
+    got = orthonormal_basis(degree, pts).val
+    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
 @pytest.mark.parametrize("degree", range(5))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import edge_trace_moments
+from oracles import edge_trace_moments, exact_trace_norms
 
 from bilap_dpg.shape import (
     REFERENCE_VERTICES,
@@ -240,31 +240,31 @@ def test_zero_trace_columns_span_the_edge_moment_null_space(name):
         assert np.all(defect <= 1e-11 * s[0])
 
 
-#: (duality, extension) of x^2 y by the edge-moment search this closed
-#: form replaced, per (triangle, degree)
-SEARCHED_NORMS = {
-    ("ref", 4): (0.5783378232955013, 0.5783803329330962),
-    ("ref", 5): (0.57838030600561, 0.5783803329331488),
-    ("ref", 6): (0.5783803069794962, 0.5783803093093854),
-    ("ref", 7): (0.5783803070345206, 0.5783803077781717),
-    ("ref", 8): (0.578380307057211, 0.578380307137147),
-    ("ref", 9): (0.5783803070595334, 0.5783803070720112),
-    ("ref", 10): (0.5783803070600654, 0.5783803070789002),
-    ("other", 4): (1.5954668128836682, 1.5955099284284766),
-    ("other", 5): (1.595504819179893, 1.5955099284290262),
-    ("other", 6): (1.595504835145158, 1.5955054147718508),
-    ("other", 7): (1.5955048461828414, 1.5955049248209618),
-    ("other", 8): (1.595504847784887, 1.5955048528581732),
-    ("other", 9): (1.5955048483116474, 1.5955048492028352),
-    ("other", 10): (1.595504848349314, 1.5955048487706074),
-}
-
-
-@pytest.mark.parametrize("key", sorted(SEARCHED_NORMS), ids=lambda k: f"{k[0]}-{k[1]}")
+@pytest.mark.parametrize(
+    "key", [(name, degree) for name in sorted(TRIANGLES) for degree in range(4, 11)],
+    ids=lambda k: f"{k[0]}-{k[1]}",
+)
 def test_norm_identity_matches_the_edge_moment_search(key):
+    # oracle: both sides of x^2 y from monomial Gram matrices, exact in
+    # rationals and solved at 60 digits (`exact_trace_norms`); the test
+    # keeps the name of the pinned edge-moment-search values it replaced
     name, degree = key
     got = norm_identity_check(TRIANGLES[name], Poly2.monomial(2, 1), degree)
-    assert got == pytest.approx(SEARCHED_NORMS[key], rel=1e-12, abs=0)
+    expect = exact_trace_norms(TRIANGLES[name], (2, 1), degree)
+    assert got == pytest.approx(expect, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("name", sorted(TRIANGLES))
+def test_extension_norm_does_not_rise_with_the_degree(name):
+    # the extension spaces z + b^2 P_(d-6) are nested, so the minimum
+    # cannot rise; degrees 4 and 5 have no zero-trace columns and
+    # differ by rounding only
+    ext = [
+        norm_identity_check(TRIANGLES[name], Poly2.monomial(2, 1), degree)[1]
+        for degree in range(4, 13)
+    ]
+    rise = np.diff(ext) / ext[:-1]
+    assert rise.max() <= 1e-13
 
 
 def test_default_z_list_spans_degree_4():
