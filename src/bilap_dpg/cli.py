@@ -37,7 +37,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -45,9 +45,9 @@ from bilap_dpg import problems, shape, trace_lab
 from bilap_dpg.forms import Formulation, FormsError
 from bilap_dpg.linsolve import LinearSolveError
 from bilap_dpg.mesh import MeshError, make_unit_square, refine_nvb
-from bilap_dpg.dpg_solver import SolverError, adaptive_loop, solve_and_record
+from bilap_dpg.dpg_solver import SolverError, StudyRecord, adaptive_loop, solve_and_record
 
-STUDY_HEADER = "level,ndof_total,ndof_field,h_max,eta,err_u,err_sigma,solve_seconds"
+STUDY_HEADER = ",".join(f.name for f in fields(StudyRecord))
 
 #: eps = 2^-k: the mollifier forms eps^2, a normal float64 up to k = 511
 MAX_EPS_POW = int(-np.log2(np.finfo(float).tiny)) // 2
@@ -223,20 +223,7 @@ def run_study(config):
             records.append(record)
             mesh = refine_nvb(mesh, range(mesh.num_triangles))
 
-    rows = [
-        (
-            r.level,
-            r.ndof_total,
-            r.ndof_field,
-            r.h_max,
-            r.eta,
-            r.err_u,
-            r.err_sigma,
-            r.solve_seconds,
-        )
-        for r in records
-    ]
-    write_csv(config.output, STUDY_HEADER, rows)
+    write_csv(config.output, STUDY_HEADER, [astuple(r) for r in records])
     return records
 
 

@@ -30,7 +30,6 @@ class Problem:
     sigma is unbounded so that error quadrature is graded towards it.
     """
 
-    name: str
     u_exact: Callable
     grad_u_exact: Callable
     sigma_exact: Callable
@@ -69,7 +68,6 @@ def smooth_problem():
         return 24.0 * _g(y) + 2.0 * _g2(x) * _g2(y) + 24.0 * _g(x)
 
     return Problem(
-        name="smooth",
         u_exact=u,
         grad_u_exact=grad_u,
         sigma_exact=sigma,
@@ -128,7 +126,6 @@ def singular_problem():
         return np.zeros_like(np.asarray(x, dtype=float))
 
     return Problem(
-        name="singular",
         u_exact=u,
         grad_u_exact=grad_u,
         sigma_exact=sigma,

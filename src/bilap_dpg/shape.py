@@ -269,14 +269,3 @@ def hessian_map(jinv):
     ]
     return np.array(rows).transpose(2, 0, 1)
 
-
-def map_jet(jet, jinv, det):
-    """A reference `Jet` mapped to one element (jinv (2, 2), det): values
-    scale by |det J|^(-1/2), which keeps an orthonormal basis orthonormal,
-    gradients map by J^-T and Hessians by J^-T H J^-1."""
-    scale = abs(det) ** -0.5
-    return Jet(
-        scale * jet.val,
-        scale * jet.grad @ jinv,
-        scale * jet.hess @ hessian_map(jinv[None])[0].T,
-    )

@@ -9,10 +9,10 @@ Three experiments accompany the solver:
   boundary point diverge while their L2 norms stay bounded;
 * a two-sided (duality from below, extension from above) approximation
   of the trace norm of a smooth function on a single element, both
-  sides over the polynomials of one degree d.  The extensions of the
-  trace pair (value, normal derivative) of z among them are z + b^2 q,
-  q of degree d - 6, with b = l0 l1 l2 the cubic bubble: each edge line
-  divides a polynomial with vanishing trace pair twice.
+  sides over the polynomials of one degree d.
+
+Every norm of a polynomial is a test norm of `forms`, taken with its
+element kernels in the coefficients of the element's orthonormal basis.
 """
 
 from __future__ import annotations
@@ -65,22 +65,6 @@ class Poly2:
 
     def dy(self):
         return Poly2(np.polynomial.polynomial.polyder(self.c, axis=1))
-
-    def norm_h2(self):
-        """Full second-order norm on the reference triangle.
-
-        ||z||^2 = ||z||^2 + ||Hess z||^2 (Frobenius), by quadrature.
-        """
-        rule = shape.triangle_quadrature(max(2 * self.degree, 2))
-        x, y = rule.points[:, 0], rule.points[:, 1]
-        w = rule.weights
-        zxx = self.dx().dx()(x, y)
-        zxy = self.dx().dy()(x, y)
-        zyy = self.dy().dy()(x, y)
-        val = self(x, y)
-        return float(
-            np.sqrt(w @ (val**2 + zxx**2 + 2 * zxy**2 + zyy**2))
-        )
 
 
 @lru_cache(maxsize=1)
@@ -166,7 +150,8 @@ def dirac_convergence_study(eps_list=None, z_list=None):
     """Worst-case duality error against the Dirac limit, with its rate.
 
     e(eps) = max over the test list of
-    |pair_trace_veps(z, eps) - z(0,0)| / ||z||_{2,T}; the returned slope
+    |pair_trace_veps(z, eps) - z(0,0)| / ||z||_{2,T}, with ||z||_{2,T}
+    from scheme 2's test-norm stack (`_norm_stack`); the returned slope
     is the log-log fit of e against eps.
     """
     if eps_list is None:
@@ -174,7 +159,10 @@ def dirac_convergence_study(eps_list=None, z_list=None):
     if z_list is None:
         z_list = default_z_list(4)
     eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=float)
-    norms = [z.norm_h2() for z in z_list]
+    norms = []
+    for z in z_list:
+        stack, y = _norm_stack(REFERENCE_TRIANGLE, z, z.degree, scheme=2)
+        norms.append(float(np.linalg.norm(stack @ y)))
     errors = np.empty_like(eps_arr)
     for i, eps in enumerate(eps_arr):
         errors[i] = max(
@@ -229,31 +217,50 @@ def unboundedness_demo(n_list):
     return rows
 
 
-def _zero_trace_columns(tab, val, w):
+def _norm_stack(vertices, z, degree, scheme):
+    """The stack S of `scheme`'s first test norm on the element
+    `vertices` in P_degree (`forms._gram_stacks`) and the coefficients y
+    of z in the element's orthonormal basis, so that |S y| is z's graph
+    norm (scheme 1) or full second-order norm (scheme 2).
+
+    The basis is degree-graded, so the coefficients past dim P_(z.degree)
+    are exact zeros, not quadrature rounding that the second-order rows
+    (growing like degree^4) would amplify.
+    """
+    tab = shape.reference_tables(degree)
+    _, det, jinv = forms._maps([vertices], [0])
+    stack = forms._gram_stacks(forms._hessians(tab, jinv), scheme)[0][0]
+    pts, _ = shape.map_to_triangle(tab.quad, vertices)
+    n = shape.basis_dimension(z.degree)
+    y = np.zeros(tab.dim)
+    y[:n] = np.sqrt(det[0]) * (tab.quad.weights * z(*pts.T)) @ tab.tri.val[:, :n]
+    return stack, y
+
+
+def _zero_trace_columns(tab):
     """The polynomials of degree d = `tab.degree` whose trace pair
     (value, normal derivative) vanishes on the element's boundary.
 
     Each edge line divides such a polynomial twice, so they are b^2 q
     for q in P_(d-6), with b = l0 l1 l2 the cubic bubble; for d < 6 there
-    are none.  Returns their coefficients (dim, dim P_(d-6)) in the
-    element's orthonormal basis `val` at the points of `tab.quad`
-    (weights `w`), whose quadrature projects them exactly.
+    are none.  b and q are read on the reference triangle: barycentric
+    coordinates are affine invariants, so their coefficients (dim,
+    dim P_(d-6)) in the orthonormal basis are those of any element up to
+    the factor |det J|^(1/2), which leaves their span alone.
     """
     m = shape.basis_dimension(tab.degree - 6) if tab.degree >= 6 else 0
-    # barycentric coordinates are invariant under the affine map, so b
-    # and the q (the first dim P_(d-6) reference members) are read on
-    # the reference points
     x, y = tab.quad.points.T
     bubble = (1.0 - x - y) * x * y
-    return val.T @ ((w * bubble**2)[:, None] * tab.tri.val[:, :m])
+    return tab.tri.val.T @ ((tab.quad.weights * bubble**2)[:, None] * tab.tri.val[:, :m])
 
 
 def norm_identity_check(vertices, z, degree):
     """Two-sided approximation of the broken-graph trace norm of z.
 
-    Both sides work in the polynomials of one `degree` on the element.
-    duality_norm maximizes <tr(z), w>_dT / ||w||_{Delta,T} over them,
-    where the pairing is the volume form (Delta w, z)_T - (w, Delta z)_T.
+    Both sides work in the polynomials of one `degree` on the element,
+    in scheme 1's test norm (`_norm_stack`).  duality_norm maximizes
+    <tr(z), w>_dT / ||w||_{Delta,T} over them, where the pairing is the
+    volume form (Delta w, z)_T - (w, Delta z)_T.
     extension_norm minimizes ||y||_{Delta,T} over those whose trace pair
     matches tr(z): y = z + b^2 q with b the cubic bubble and q of degree
     `degree` - 6 (`_zero_trace_columns`).  The sandwich
@@ -270,41 +277,19 @@ def norm_identity_check(vertices, z, degree):
         raise ValueError("z must have degree <= 4")
     if degree < 4:
         raise ValueError("degree must be at least 4")
-    vertices = np.asarray(vertices, dtype=float)
+    stack, y = _norm_stack(vertices, z, degree, scheme=1)
 
-    # the element's orthonormal P_degree basis from the reference tables
-    # the element kernels use; the graph-norm Gram matrix is S^T S for
-    # the stacked table S = [sqrt(w) val; sqrt(w) lap]
-    _, det, jinv = (x[0] for x in shape.affine_maps(vertices[None]))
-    tab = shape.reference_tables(degree)
-    basis = shape.map_jet(tab.tri, jinv, det)
-    pts, w = shape.map_to_triangle(tab.quad, vertices)
-    val = basis.val
-    lap = basis.hess[..., 0] + basis.hess[..., 2]
-    root_w = np.sqrt(w)[:, None]
-    table = np.vstack([root_w * val, root_w * lap])
-    z_w = w * z(*pts.T)
+    # duality side: sup <tr z, w> / ||w||_Delta = |L^-1 p| with L L^T =
+    # S^T S and p_i = (Delta w_i, z) - (w_i, Delta z), where the rows of S
+    # below the identity expand each Laplacian in the first m members
+    lap = stack[len(y):]
+    m = len(lap)
+    pairing = lap.T @ y[:m]
+    pairing[:m] -= lap @ y
+    duality = float(np.linalg.norm(forms._inverse_factor(stack[None], [0])[0] @ pairing))
 
-    def inverse_factor(table):
-        # L^-1 for G = S^T S = L L^T, by the QR the element kernels use
-        return forms._inverse_factor(table[None], [0])[0]
-
-    # duality side: sup <tr z, w> / ||w||_Delta = |p|_{G^-1} = |L^-1 p|
-    # for the pairing vector p
-    lap_z = z.dx().dx()(*pts.T) + z.dy().dy()(*pts.T)
-    pairing = lap.T @ z_w - val.T @ (w * lap_z)
-    duality = float(np.linalg.norm(inverse_factor(table) @ pairing))
-
-    # extension side: z has degree <= 4 <= degree, so its L2
-    # coefficients y0 represent it exactly and match its trace pair
-    y0 = val.T @ z_w
-    null = _zero_trace_columns(tab, val, w)
-    y = y0
-    if null.shape[1]:
-        # min |S (y0 + N c)| over c: with (S N)^T (S N) = L L^T, the
-        # normal equations give c = -L^-T L^-1 (S N)^T S y0
-        table_n = table @ null
-        linv = inverse_factor(table_n)
-        y = y0 - null @ (linv.T @ (linv @ (table_n.T @ (table @ y0))))
-    extension = float(np.linalg.norm(table @ y))
-    return duality, extension
+    # extension side: min |S (y + N c)| over c is |(I - Q Q^T) S y| for
+    # S N = Q R, as the element kernels condense u
+    table_n = stack @ _zero_trace_columns(shape.reference_tables(degree))
+    residual, _ = forms._condense_u(np.column_stack([table_n, stack @ y])[None], table_n.shape[1])
+    return duality, float(np.linalg.norm(residual))

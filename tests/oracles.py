@@ -52,7 +52,6 @@ def zero_problem():
         return np.zeros_like(np.asarray(x, dtype=float))
 
     return Problem(
-        name="zero",
         u_exact=zero,
         grad_u_exact=lambda x, y: (zero(x, y), zero(x, y)),
         sigma_exact=zero,
@@ -422,6 +421,23 @@ def estimate_rate(records, key, x="h", window=4):
     return float(slope) if x == "h" else float(-slope)
 
 
+def map_jet(jet, jinv, det):
+    """A reference jet (values (..., k), gradients (..., k, 2), Hessian
+    components (..., k, 3) ordered (xx, xy, yy)) mapped to one element
+    (jinv (2, 2), det): values scale by |det J|^(-1/2), which keeps an
+    orthonormal basis orthonormal, gradients map by J^-T and Hessians by
+    J^-T H J^-1, here as 2x2 matrix products."""
+    scale = abs(det) ** -0.5
+    xx, xy, yy = np.moveaxis(jet.hess, -1, 0)
+    hess = np.stack([np.stack([xx, xy], axis=-1), np.stack([xy, yy], axis=-1)], axis=-1)
+    hess = jinv.T @ hess @ jinv
+    return type(jet)(
+        scale * jet.val,
+        scale * jet.grad @ jinv,
+        scale * np.stack([hess[..., 0, 0], hess[..., 0, 1], hess[..., 1, 1]], axis=-1),
+    )
+
+
 def edge_trace_moments(vertices, degree):
     """Legendre moments of the trace pair (value, outward normal
     derivative) on the three edges of an element, (rows, dim P_degree),
@@ -445,7 +461,7 @@ def edge_trace_moments(vertices, degree):
         length = np.hypot(*d_vec)
         normal = np.array([d_vec[1], -d_vec[0]]) / length
         # edge slot k runs from vertex k to vertex k + 1
-        edge = shape.map_jet(shape.Jet(*(x[k] for x in tab.edge)), jinv, det)
+        edge = map_jet(shape.Jet(*(x[k] for x in tab.edge)), jinv, det)
         moments = (legendre * (weights * length)[:, None]).T
         rows += [moments @ edge.val, moments[:degree] @ (edge.grad @ normal)]
     return np.vstack(rows)

@@ -42,6 +42,7 @@ def test_study_smooth_writes_csv(tmp_path):
     assert code == 0
     header, rows = _read_rows(out)
     assert header == STUDY_HEADER
+    assert header == "level,ndof_total,ndof_field,h_max,eta,err_u,err_sigma,solve_seconds"
     assert len(rows) == 3
     eta = [float(r[4]) for r in rows]
     h = [float(r[3]) for r in rows]
@@ -261,8 +262,9 @@ def test_values_above_the_upper_bounds_exit_one_before_any_work(
 @pytest.mark.parametrize(
     "flags",
     [["--mode", "dirac", "--eps-min-pow", "510", "--eps-max-pow", "511"],
-     ["--mode", "unbounded", "--n-list", str(2**63 - 1)]],
-    ids=["eps-max-pow", "n-list"],
+     ["--mode", "unbounded", "--n-list", str(2**63 - 1)],
+     ["--mode", "norm-identity", "--degrees", "29:29"]],
+    ids=["eps-max-pow", "n-list", "degrees"],
 )
 def test_tracelab_at_the_largest_accepted_values_writes_finite_rows(tmp_path, flags):
     out = tmp_path / "t.csv"

@@ -48,12 +48,11 @@ VF1 = Formulation(scheme=1)
 VF2 = Formulation(scheme=2)
 
 
-def _polynomial_problem(name, c):
+def _polynomial_problem(c):
     """u = sum c[i, j] x^i y^j of degree <= 3, so f = 0, with
     interpolated boundary data."""
     u = Poly2d(c)
     return Problem(
-        name=name,
         u_exact=u,
         grad_u_exact=u.grad,
         sigma_exact=u.laplacian(),
@@ -70,15 +69,13 @@ def cubic_problem():
     adds the other diagonals, along which it is quadratic."""
     c = np.zeros((4, 4))
     c[3, 0] = c[0, 3] = 1.0
-    return _polynomial_problem("cubic", c)
+    return _polynomial_problem(c)
 
 
 def quadratic_problem():
     """u = 1/4 + x/2 + x^2 + 3xy - 2y^2: its normal derivative is linear
     along every edge, so all traces interpolate exactly on any mesh."""
-    return _polynomial_problem(
-        "quadratic", [[0.25, 0.0, -2.0], [0.5, 3.0, 0.0], [1.0, 0.0, 0.0]]
-    )
+    return _polynomial_problem([[0.25, 0.0, -2.0], [0.5, 3.0, 0.0], [1.0, 0.0, 0.0]])
 
 
 @pytest.mark.parametrize("form", [VF1, VF2])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import Poly2d, random_triangle
+from oracles import Poly2d, map_jet, random_triangle
 from scipy.special import eval_jacobi, eval_legendre
 
 from bilap_dpg.shape import (
@@ -16,7 +16,6 @@ from bilap_dpg.shape import (
     affine_maps,
     basis_dimension,
     edge_quadrature,
-    map_jet,
     map_to_triangle,
     monomial_exponents,
     monomials,

@@ -5,11 +5,9 @@ from scipy.integrate import quad
 from oracles import edge_trace_moments, exact_trace_norms
 
 from bilap_dpg.shape import (
+    MAX_TABLE_DEGREE,
     REFERENCE_VERTICES,
-    affine_maps,
     basis_dimension,
-    map_jet,
-    map_to_triangle,
     reference_tables,
 )
 from bilap_dpg.trace_lab import (
@@ -226,12 +224,9 @@ def test_zero_trace_columns_span_the_edge_moment_null_space(name):
     # float64 tabulation of the degree-10 basis on the edges rounds at
     # about 1e-11 relative, which sets the floor of the oracle itself)
     vertices = TRIANGLES[name]
-    _, det, jinv = (x[0] for x in affine_maps(vertices[None]))
     for degree in range(6, 11):
         c = edge_trace_moments(vertices, degree)
-        tab = reference_tables(degree)
-        _, w = map_to_triangle(tab.quad, vertices)
-        null = _zero_trace_columns(tab, map_jet(tab.tri, jinv, det).val, w)
+        null = _zero_trace_columns(reference_tables(degree))
         s = np.linalg.svd(c, compute_uv=False)
         rank = int(np.sum(s > 1e-11 * s[0]))
         assert c.shape[1] - rank == null.shape[1] == basis_dimension(degree - 6)
@@ -251,20 +246,24 @@ def test_norm_identity_matches_the_edge_moment_search(key):
     name, degree = key
     got = norm_identity_check(TRIANGLES[name], Poly2.monomial(2, 1), degree)
     expect = exact_trace_norms(TRIANGLES[name], (2, 1), degree)
-    assert got == pytest.approx(expect, rel=1e-12, abs=0)
+    assert got == pytest.approx(expect, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("name", sorted(TRIANGLES))
 def test_extension_norm_does_not_rise_with_the_degree(name):
-    # the extension spaces z + b^2 P_(d-6) are nested, so the minimum
-    # cannot rise; degrees 4 and 5 have no zero-trace columns and
-    # differ by rounding only
-    ext = [
-        norm_identity_check(TRIANGLES[name], Poly2.monomial(2, 1), degree)[1]
-        for degree in range(4, 13)
-    ]
-    rise = np.diff(ext) / ext[:-1]
-    assert rise.max() <= 1e-13
+    # over every degree the tables reach: the extension spaces
+    # z + b^2 P_(d-6) are nested, so the minimum cannot rise, and so are
+    # the duality side's spaces, so the maximum cannot drop (degrees 4
+    # and 5 have no zero-trace columns and differ by rounding only).
+    # The two sides sandwich the trace norm at each degree, and at
+    # degree 29 they meet to rounding
+    duality, extension = np.array([
+        norm_identity_check(TRIANGLES[name], Poly2.monomial(2, 1), degree)
+        for degree in range(4, MAX_TABLE_DEGREE + 1)
+    ]).T
+    assert (np.diff(extension) / extension[:-1]).max() <= 1e-13
+    assert (-np.diff(duality) / duality[:-1]).max() <= 1e-13
+    assert np.all(duality <= extension * (1 + 1e-13))
 
 
 def test_default_z_list_spans_degree_4():
