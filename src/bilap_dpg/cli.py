@@ -245,7 +245,7 @@ def run_tracelab(config):
         lo, hi = config.degrees
         for degree in range(lo, hi + 1):
             duality, extension = trace_lab.norm_identity_check(
-                trace_lab.REFERENCE_TRIANGLE,
+                shape.REFERENCE_VERTICES,
                 trace_lab.Poly2.monomial(2, 1),
                 degree,
             )

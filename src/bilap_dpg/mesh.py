@@ -167,24 +167,6 @@ class Mesh:
         return self.vertices[self.triangles]
 
 
-def _ref_edge_first(tri, vertices):
-    """Rotate a CCW triangle so its longest edge comes first.
-
-    Ties are broken by the lowest local edge index, which makes the
-    initial newest-vertex assignment deterministic.
-    """
-    a, b, c = tri
-    pts = vertices[[a, b, c]]
-    lengths = [
-        np.hypot(*(pts[1] - pts[0])),
-        np.hypot(*(pts[2] - pts[1])),
-        np.hypot(*(pts[0] - pts[2])),
-    ]
-    k = int(np.argmax(lengths))
-    rot = [(a, b, c), (b, c, a), (c, a, b)][k]
-    return rot
-
-
 def make_unit_square(n):
     """Structured triangulation of the unit square.
 
@@ -213,23 +195,20 @@ def make_unit_square(n):
     return Mesh(vertices, tris.reshape(-1, 3))
 
 
-SECTOR_HALF_ANGLE = 5.0 * np.pi / 8.0
-
-
 def make_sector_domain():
     """Polygonal sector of opening 5*pi/4, symmetric about the x-axis.
 
     Seven vertices: the origin plus six unit-circle points at angles
-    -112.5 + 45*k degrees (k = 0..5); five fan triangles from the origin.
-    The two straight edges meeting at the origin lie on the rays
-    phi = +-5*pi/8, where the singular reference solution is clamped.
+    -112.5 + 45*k degrees (k = 0..5); five fan triangles (0, k+1, k+2)
+    from the origin.  Their two unit radii tie as the longest edges (the
+    chord is 2 sin(pi/8) ~ 0.765), and the radius (0, k+1), listed first,
+    is the refinement edge.  The two straight edges meeting at the origin
+    lie on the rays phi = +-5*pi/8, where the singular reference solution
+    is clamped.
     """
     angles = np.deg2rad(-112.5 + 45.0 * np.arange(6))
     vertices = np.vstack([[0.0, 0.0], np.column_stack([np.cos(angles), np.sin(angles)])])
-    tris = []
-    for k in range(5):
-        tris.append(_ref_edge_first((0, k + 1, k + 2), vertices))
-    return Mesh(vertices, np.array(tris, dtype=np.int64))
+    return Mesh(vertices, [(0, k + 1, k + 2) for k in range(5)])
 
 
 def refine_nvb(mesh, marked):

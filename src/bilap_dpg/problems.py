@@ -26,16 +26,18 @@ class Problem:
     the Laplacian of `u_exact`.  `boundary_mode` selects how Dirichlet
     data enters the discrete system: "homogeneous" clamps the trace
     unknown to zero, "interpolated" sets boundary-vertex dofs from
-    (u_exact, grad_u_exact).  `singular_corner` marks a point where
-    sigma is unbounded so that error quadrature is graded towards it.
+    (u_exact, grad_u_exact), which only that mode needs.
+    `make_domain()` returns the initial mesh.  `singular_corner` marks a
+    point where sigma is unbounded so that error quadrature is graded
+    towards it.
     """
 
     u_exact: Callable
-    grad_u_exact: Callable
     sigma_exact: Callable
     f: Callable
     boundary_mode: str
     make_domain: Callable
+    grad_u_exact: Callable | None = None
     singular_corner: tuple | None = None
 
 
@@ -51,15 +53,12 @@ def smooth_problem():
     """Tensor-product polynomial solution on the unit square.
 
     u(x, y) = x^2 (1-x)^2 y^2 (1-y)^2 satisfies the clamped conditions
-    exactly, so the boundary data is homogeneous.
+    exactly, so the boundary data is homogeneous.  The initial mesh is
+    the 2-by-2 square, level 0 of the uniform study.
     """
 
     def u(x, y):
         return _g(x) * _g(y)
-
-    def grad_u(x, y):
-        gp = lambda t: 2.0 * t * (1.0 - t) * (1.0 - 2.0 * t)
-        return gp(x) * _g(y), _g(x) * gp(y)
 
     def sigma(x, y):
         return _g2(x) * _g(y) + _g(x) * _g2(y)
@@ -69,11 +68,10 @@ def smooth_problem():
 
     return Problem(
         u_exact=u,
-        grad_u_exact=grad_u,
         sigma_exact=sigma,
         f=f,
         boundary_mode="homogeneous",
-        make_domain=make_unit_square,
+        make_domain=lambda: make_unit_square(2),
     )
 
 
@@ -97,8 +95,6 @@ def singular_problem():
         return np.power(r, 1 + a) * (np.cos((a + 1) * phi) + c * np.cos((a - 1) * phi))
 
     def grad_u(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
         r = np.hypot(x, y)
         safe = np.where(r > 0, r, 1.0)
         phi = np.arctan2(y, x)
@@ -113,8 +109,6 @@ def singular_problem():
         # gradient is O(r^alpha), so its limit at the corner is zero
         gx = np.where(r > 0, gx, 0.0)
         gy = np.where(r > 0, gy, 0.0)
-        if gx.ndim == 0:
-            return float(gx), float(gy)
         return gx, gy
 
     def sigma(x, y):

@@ -25,8 +25,6 @@ import numpy as np
 from bilap_dpg import forms, shape
 from bilap_dpg.problems import _graded_subtriangles
 
-REFERENCE_TRIANGLE = shape.REFERENCE_VERTICES
-
 #: composite Gauss rule of the Dirac pairings on [0, eps]
 PANELS = 96
 POINTS_PER_PANEL = 8
@@ -146,7 +144,7 @@ def default_z_list(max_degree):
     return [Poly2.monomial(i, j) for i, j in shape.monomial_exponents(max_degree)]
 
 
-def dirac_convergence_study(eps_list=None, z_list=None):
+def dirac_convergence_study(eps_list, z_list=None):
     """Worst-case duality error against the Dirac limit, with its rate.
 
     e(eps) = max over the test list of
@@ -154,14 +152,12 @@ def dirac_convergence_study(eps_list=None, z_list=None):
     from scheme 2's test-norm stack (`_norm_stack`); the returned slope
     is the log-log fit of e against eps.
     """
-    if eps_list is None:
-        eps_list = [2.0**-k for k in range(2, 11)]
     if z_list is None:
         z_list = default_z_list(4)
     eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=float)
     norms = []
     for z in z_list:
-        stack, y = _norm_stack(REFERENCE_TRIANGLE, z, z.degree, scheme=2)
+        stack, y = _norm_stack(shape.REFERENCE_VERTICES, z, z.degree, scheme=2)
         norms.append(float(np.linalg.norm(stack @ y)))
     errors = np.empty_like(eps_arr)
     for i, eps in enumerate(eps_arr):

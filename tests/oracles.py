@@ -43,6 +43,14 @@ class Poly2d:
         return Poly2d(out)
 
 
+def dirac_eps_list():
+    """The eps list of `bilap-dpg tracelab --mode dirac` at its defaults."""
+    from bilap_dpg.cli import TracelabConfig
+
+    config = TracelabConfig(mode="dirac")
+    return [2.0**-k for k in range(config.eps_min_pow, config.eps_max_pow + 1)]
+
+
 def zero_problem():
     """f = 0 with homogeneous clamped data; the exact solution is 0."""
     from bilap_dpg.mesh import make_unit_square

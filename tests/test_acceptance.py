@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import Poly2d, estimate_rate, random_triangle, zero_problem
+from oracles import Poly2d, dirac_eps_list, estimate_rate, random_triangle, zero_problem
 
 from bilap_dpg.forms import Formulation
 from bilap_dpg.mesh import make_sector_domain, make_unit_square, refine_nvb
@@ -20,10 +20,14 @@ from bilap_dpg.dpg_solver import (
     error_indicators,
     solve_and_record,
 )
-from bilap_dpg.shape import edge_quadrature, map_to_triangle, triangle_quadrature
+from bilap_dpg.shape import (
+    REFERENCE_VERTICES,
+    edge_quadrature,
+    map_to_triangle,
+    triangle_quadrature,
+)
 from bilap_dpg.trace_lab import (
     Poly2,
-    REFERENCE_TRIANGLE,
     dirac_convergence_study,
     norm_identity_check,
     pair_trace_veps,
@@ -252,7 +256,7 @@ def test_criterion_6_trace_identities():
 
 def test_criterion_7_dirac_approximation():
     t0 = time.perf_counter()
-    study = dirac_convergence_study()
+    study = dirac_convergence_study(dirac_eps_list())
     const_exact = all(
         abs(pair_trace_veps(Poly2([[1.0]]), eps) - 1.0) <= 1e-10
         for eps in study.eps
@@ -290,7 +294,7 @@ def test_criterion_9_norm_identity_sandwich():
     gaps = {}
     sandwich_ok = True
     for deg in (4, 6, 8):
-        duality, extension = norm_identity_check(REFERENCE_TRIANGLE, z, deg)
+        duality, extension = norm_identity_check(REFERENCE_VERTICES, z, deg)
         if duality > extension + 1e-9:
             sandwich_ok = False
         gaps[deg] = (extension - duality) / extension

@@ -82,6 +82,19 @@ def test_study_adaptive_singular_small(tmp_path):
     assert len(rows) >= 3
 
 
+@pytest.mark.parametrize("scheme", [1, 2])
+def test_study_adaptive_smooth_starts_from_the_uniform_level_0(tmp_path, scheme):
+    out = tmp_path / "smooth.csv"
+    code = main(["study", "--problem", "smooth", "--scheme", str(scheme), "--refine",
+                 "adaptive", "--max-dofs", "2000", "--output", str(out)])
+    assert code == 0
+    _, rows = _read_rows(out)
+    assert len(rows) >= 6
+    if scheme == 2:  # scheme 1's eta is not monotone
+        eta = [float(r[4]) for r in rows]
+        assert all(b < a for a, b in zip(eta, eta[1:])), eta
+
+
 def test_unknown_flag_exits_one(capsys):
     assert main(["study", "--nope", "1"]) == 1
     err = capsys.readouterr().err

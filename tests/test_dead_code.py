@@ -1,15 +1,17 @@
-"""Every function, class, method and class field in src is used by
-production code.
+"""Every function, class, method, module-level name and class field in
+src is used by production code.
 
 A name counts as used when `src/` or `perfbench/` refers to it outside
-its own definition: as a name, an attribute or an imported name, and in
-`perfbench/` also as a string (it patches functions by their names).  A
-field, annotated in a class body or assigned as `self.name` in its
-methods, counts as read where an attribute of its name is read, or its
-name is a string in `perfbench/` (as in `getattr`); passing it to a
-constructor or naming it in src's own setattr tables does not count.
-Every field of a class named in a call `fields(Class)` counts as read:
-the caller reads them all by reflection.  Only dunders
+its own definition or module-level assignment: as a name, an attribute
+or an imported name, and in `perfbench/` also as a string (it patches
+functions by their names).  A field, annotated in a class body or
+assigned as `self.name` in its methods, counts as read where an
+attribute of its name is read, or its name is a string in `perfbench/`
+(as in `getattr`); passing it to a constructor or naming it in src's
+own setattr tables does not count, nor does reading `f.name` of the
+dataclass fields f of a loop `for f in fields(...)`.  Every field of a
+class named in a call `fields(Class)` counts as read: the caller reads
+them all by reflection.  Only dunders
 are exempt.  Tests do not count, so a public name needs a production
 caller too, and a helper that only tests reach belongs in
 `tests/oracles.py`.  `bilap_dpg/__init__.py` holds only the package
@@ -44,10 +46,18 @@ def _references(tree, strings):
 
 
 def _definitions(tree):
-    """(name, first line, last line) of every def and class, nested ones too."""
+    """(name, first line, last line) of every def and class, nested ones
+    too, and of every name a module-level assignment binds."""
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node.lineno, node.end_lineno
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for target in targets:
+                for node in ast.walk(target):
+                    if isinstance(node, ast.Name):
+                        yield node.id, stmt.lineno, stmt.end_lineno
 
 
 def _production_trees():
@@ -78,11 +88,39 @@ def test_every_src_definition_is_referenced_by_production_code():
     )
 
 
-def _reads(tree, strings):
-    """Attribute names a module reads, and its identifier strings if
-    `strings`."""
+def _is_fields_call(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "fields")
+
+
+def _field_loop_reads(tree):
+    """Attribute reads on the target of a `for` loop or comprehension
+    over `fields(...)`: they read dataclass `Field` objects, not fields
+    of a src class."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        if isinstance(node, ast.For):
+            loops, scope = [node], node.body
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            loops, scope = node.generators, [node]
+        else:
+            continue
+        for loop in loops:
+            if _is_fields_call(loop.iter) and isinstance(loop.target, ast.Name):
+                for part in scope:
+                    for read in ast.walk(part):
+                        if (isinstance(read, ast.Attribute)
+                                and isinstance(read.value, ast.Name)
+                                and read.value.id == loop.target.id):
+                            yield read
+
+
+def _reads(tree, strings):
+    """Attribute names a module reads, except on fields-loop targets, and
+    its identifier strings if `strings`."""
+    skipped = set(map(id, _field_loop_reads(tree)))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and id(node) not in skipped):
             yield node.attr
         elif strings and _is_identifier_string(node):
             yield node.value
@@ -91,9 +129,7 @@ def _reads(tree, strings):
 def _reflected(tree):
     """Names of the classes a module passes to `fields` by name."""
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "fields" and node.args
-                and isinstance(node.args[0], ast.Name)):
+        if _is_fields_call(node) and node.args and isinstance(node.args[0], ast.Name):
             yield node.args[0].id
 
 
@@ -109,13 +145,14 @@ def _fields(cls):
             yield node.lineno, node.attr
 
 
-def test_every_src_class_field_is_read_by_production_code():
-    trees = _production_trees()
+def _unread_fields(trees):
+    """'module:line Class.field' of every src class field that no module
+    of `trees` reads."""
     reads = {
         name for path, tree in trees.items() for name in _reads(tree, path.parent != SRC)
     }
     reflected = {name for tree in trees.values() for name in _reflected(tree)}
-    unread = [
+    return [
         f"{path.name}:{line} {cls.name}.{name}"
         for path in sorted(trees)
         if path.parent == SRC
@@ -124,4 +161,29 @@ def test_every_src_class_field_is_read_by_production_code():
         for line, name in _fields(cls)
         if name not in reads
     ]
+
+
+def test_every_src_class_field_is_read_by_production_code():
+    unread = _unread_fields(_production_trees())
     assert not unread, "class fields that src and perfbench never read: " + ", ".join(unread)
+
+
+SYNTHETIC = """
+from dataclasses import dataclass, fields
+
+
+@dataclass
+class Item:
+    name: str
+
+
+def header(item):
+    return [f.name for f in fields(item)]
+"""
+
+
+def test_field_read_only_through_a_fields_loop_is_unread():
+    trees = {SRC / "synthetic.py": ast.parse(SYNTHETIC)}
+    assert _unread_fields(trees) == ["synthetic.py:7 Item.name"]
+    read_too = SYNTHETIC + "\n\ndef label(item):\n    return item.name\n"
+    assert _unread_fields({SRC / "synthetic.py": ast.parse(read_too)}) == []

@@ -56,7 +56,6 @@ def test_oracle_solution_is_the_smooth_problem():
     problem = smooth_problem()
     x, y = np.random.default_rng(0).uniform(size=(2, 20))
     assert np.allclose(U(x, y), problem.u_exact(x, y), rtol=0, atol=1e-15)
-    assert np.allclose(U.grad(x, y), problem.grad_u_exact(x, y), rtol=0, atol=1e-15)
     assert np.allclose(SIGMA(x, y), problem.sigma_exact(x, y), rtol=0, atol=1e-14)
 
 

@@ -80,6 +80,16 @@ def test_indefinite_factor_raises_with_its_pivot():
         sparse_spd_solve(a, np.ones(2), *any_w(a))
 
 
+def test_indefinite_input_that_cgls_solves_exactly_raises():
+    # with W = I and load = b = e1, CGLS returns e1 in one step with r = 0
+    # and a x = b exactly, so only the pivot read rejects this input
+    a = scipy.sparse.csr_matrix(np.array([[1.0, 0, 0], [0, 1, 2], [0, 2, 1]]))
+    e1 = np.array([1.0, 0, 0])
+    w = scipy.sparse.linalg.aslinearoperator(np.eye(3))
+    with pytest.raises(NotPositiveDefiniteError, match=r"nonpositive pivot 2 \(-3.000e\+00\)"):
+        sparse_spd_solve(a, e1, w, e1)
+
+
 def test_exactly_singular_factor_raises(monkeypatch):
     def always_singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")

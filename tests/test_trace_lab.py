@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import edge_trace_moments, exact_trace_norms
+from oracles import dirac_eps_list, edge_trace_moments, exact_trace_norms
 
 from bilap_dpg.shape import (
     MAX_TABLE_DEGREE,
@@ -90,7 +90,7 @@ def test_pair_rejects_bad_inputs():
 
 
 def test_dirac_study_slope():
-    study = dirac_convergence_study()
+    study = dirac_convergence_study(dirac_eps_list())
     assert isinstance(study, DiracStudy)
     assert study.slope >= 0.40
 
@@ -98,7 +98,7 @@ def test_dirac_study_slope():
 def test_dirac_study_flat_test_functions():
     # z vanishing to second order at the corner: one extra order
     z_list = [Poly2.monomial(i, j) for i, j in [(2, 0), (1, 1), (0, 2), (2, 1)]]
-    study = dirac_convergence_study(z_list=z_list)
+    study = dirac_convergence_study(dirac_eps_list(), z_list=z_list)
     assert study.slope >= 0.9
 
 
