@@ -26,10 +26,10 @@ command-line flags take precedence over the file, which takes
 precedence over the defaults.  Exit codes: 0 success, 1 usage error
 (including a missing or malformed config file, an unknown option, a
 value that does not parse, is not among the allowed values, which the
-message lists, or is out of range, and an output file in a missing
-directory; all found before any work), 2 numerical failure.  A usage
-error names where each value at fault came from: FILE:LINE of the
-config file, or the flag.
+message lists, or is out of range, and an output path in a missing
+directory or naming a directory; all found before any work), 2
+numerical failure.  A usage error names where each value at fault came
+from: FILE:LINE of the config file, or the flag.
 """
 
 from __future__ import annotations
@@ -338,10 +338,13 @@ def parse_config(argv=None):
 
 
 def _check_output_dir(path):
-    """A missing output directory is a usage error, found before any work."""
+    """A missing output directory, or an output path that is a directory,
+    is a usage error, found before any work."""
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
         raise UsageError(f"--output {path}: directory {folder} does not exist")
+    if os.path.isdir(path):
+        raise UsageError(f"--output {path}: is a directory")
 
 
 def main(argv=None):

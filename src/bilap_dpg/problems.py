@@ -13,8 +13,8 @@ from bilap_dpg.mesh import make_sector_domain, make_unit_square
 #: reentrant-corner exponent and matching constant of the sector solution
 SINGULAR_ALPHA = 0.673583432147380
 SINGULAR_C = 1.234587795273723
-#: rounds of geometric sub-triangulation of the elements at the singular
-#: corner in `element_quadrature`
+#: dyadic levels of `shape.graded_rule` on the elements at the singular
+#: corner in `l2_errors`
 GRADED_LEVELS = 4
 
 
@@ -28,8 +28,8 @@ class Problem:
     unknown to zero, "interpolated" sets boundary-vertex dofs from
     (u_exact, grad_u_exact), which only that mode needs.
     `make_domain()` returns the initial mesh.  `singular_corner` marks a
-    point where sigma is unbounded so that error quadrature is graded
-    towards it.
+    mesh vertex where sigma is unbounded; `l2_errors` grades its
+    quadrature on the elements there towards it.
     """
 
     u_exact: Callable
@@ -130,63 +130,16 @@ def singular_problem():
     )
 
 
-def _graded_subtriangles(pts, corner, levels):
-    """Split a triangle with one vertex at `corner` geometrically.
-
-    Returns the vertices (2 levels + 1, 3, 2) of `levels` dyadic annuli
-    (two triangles each) plus the innermost corner triangle.
-    """
-    k = int(np.argmin(np.hypot(*(pts - corner).T)))
-    o = pts[k]
-    a, b = pts[(k + 1) % 3], pts[(k + 2) % 3]
-    tris = []
-    for lev in range(levels):
-        s_out, s_in = 0.5**lev, 0.5 ** (lev + 1)
-        ao, bo = o + s_out * (a - o), o + s_out * (b - o)
-        ai, bi = o + s_in * (a - o), o + s_in * (b - o)
-        tris.append((ao, bo, ai))
-        tris.append((bo, bi, ai))
-    s = 0.5**levels
-    tris.append((o, o + s * (a - o), o + s * (b - o)))
-    return np.array(tris)
-
-
-def element_quadrature(mesh, exactness, singular_corner=None):
-    """Physical quadrature points/weights per element.
-
-    Elements touching `singular_corner` get GRADED_LEVELS rounds of
-    geometric sub-triangulation towards the corner so that mildly
-    singular integrands are resolved.
-
-    Returns (points, weights, graded): the plain rule on every element,
-    shapes (nt, nq, 2) and (nt, nq), and a dict mapping each element
-    touching the corner to its graded (points, weights), which replace
-    its plain row.
-    """
-    rule = shape.triangle_quadrature(exactness)
-    coords = mesh.triangle_coords()
-    base_pts, base_w = shape.map_to_triangle(rule, coords)
-    graded = {}
-    if singular_corner is None:
-        return base_pts, base_w, graded
-
-    corner = np.asarray(singular_corner, dtype=float)
-    touching = np.nonzero(
-        (np.hypot(*(coords - corner).transpose(2, 0, 1)) < 1e-12).any(axis=1)
-    )[0]
-    for t in touching:
-        p, w = shape.map_to_triangle(rule, _graded_subtriangles(coords[t], corner, GRADED_LEVELS))
-        graded[int(t)] = (p.reshape(-1, 2), w.ravel())
-    return base_pts, base_w, graded
-
-
 def l2_errors(solution, problem):
     """Element-wise L2 errors of the two field variables.
 
-    All elements are evaluated in one batch with the plain rule of
-    exactness 2 * test_degree + 2; the few elements touching the
-    singular corner are then integrated again with their graded rules,
-    which replace their plain contribution.
+    Two batched passes: the plain rule of exactness
+    2 * test_degree + 2 over every element, and `shape.graded_rule` of
+    the same exactness with GRADED_LEVELS levels over the elements
+    touching `problem.singular_corner`, whose plain weights are zeroed.
+    Each corner element's vertices are rolled cyclically, which keeps
+    its orientation, so that the corner comes first and the rule grades
+    towards it.
 
     Parameters
     ----------
@@ -198,11 +151,8 @@ def l2_errors(solution, problem):
     (err_u, err_sigma)
     """
     mesh = solution.mesh
-    pts, wts, graded = element_quadrature(
-        mesh,
-        2 * solution.formulation.test_degree + 2,
-        singular_corner=problem.singular_corner,
-    )
+    exactness = 2 * solution.formulation.test_degree + 2
+    coords = mesh.triangle_coords()
 
     def squared(tris, p, w):
         x, y = p[..., 0], p[..., 1]
@@ -210,8 +160,15 @@ def l2_errors(solution, problem):
         ds = problem.sigma_exact(x, y) - solution.sigma.eval(tris, p)
         return np.array([np.sum(w * du * du), np.sum(w * ds * ds)])
 
-    wts[list(graded)] = 0.0
-    total = squared(np.arange(mesh.num_triangles), pts, wts)
-    for t, (p, w) in graded.items():
-        total += squared([t], p[None], w[None])
+    pts, wts = shape.map_to_triangle(shape.triangle_quadrature(exactness), coords)
+    total = 0.0
+    if problem.singular_corner is not None:
+        dist = np.hypot(*(coords - problem.singular_corner).transpose(2, 0, 1))
+        touching = np.nonzero(dist.min(axis=1) < 1e-12)[0]
+        wts[touching] = 0.0
+        roll = (np.argmin(dist[touching], axis=1)[:, None] + np.arange(3)) % 3
+        rolled = np.take_along_axis(coords[touching], roll[..., None], axis=1)
+        graded = shape.graded_rule(exactness, GRADED_LEVELS)
+        total = squared(touching, *shape.map_to_triangle(graded, rolled))
+    total = total + squared(np.arange(mesh.num_triangles), pts, wts)
     return float(np.sqrt(total[0])), float(np.sqrt(total[1]))

@@ -5,7 +5,9 @@ The reference triangle has vertices (0,0), (1,0), (0,1).  The element
 kernels use `orthonormal_basis`, an L2-orthonormal, degree-graded basis
 of P_d (its first dim P_q members span P_q for every q <= d), tabulated
 once per degree (`reference_tables`) and mapped to each affine element
-(`affine_maps`, `hessian_map`).
+(`affine_maps`, `hessian_map`).  Every quadrature rule, the one graded
+towards a vertex (`graded_rule`) too, lives on the reference triangle
+and is mapped to elements by `map_to_triangle`.
 """
 
 from __future__ import annotations
@@ -128,6 +130,26 @@ def map_to_triangle(rule, coords):
     det = np.abs(d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
     bary = np.column_stack([1 - rule.points[:, 0] - rule.points[:, 1], rule.points])
     return bary @ coords, det[..., None] * rule.weights
+
+
+def graded_rule(exactness, levels):
+    """Rule on the reference triangle graded towards vertex (0, 0).
+
+    `levels` dyadic annuli of two triangles each and the innermost
+    corner triangle of side 2^-levels, each carrying
+    `triangle_quadrature(exactness)`: mildly singular integrands at the
+    vertex are resolved wherever the rule is mapped with that vertex
+    first.
+    """
+    o, a, b = REFERENCE_VERTICES
+    tris = []
+    for lev in range(levels):
+        s_out, s_in = 0.5**lev, 0.5 ** (lev + 1)
+        tris += [(s_out * a, s_out * b, s_in * a), (s_out * b, s_in * b, s_in * a)]
+    s = 0.5**levels
+    tris.append((o, s * a, s * b))
+    pts, w = map_to_triangle(triangle_quadrature(exactness), np.array(tris))
+    return QuadRule(pts.reshape(-1, 2), w.ravel())
 
 
 def _jet(*components):

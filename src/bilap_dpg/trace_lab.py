@@ -23,7 +23,6 @@ from functools import lru_cache
 import numpy as np
 
 from bilap_dpg import forms, shape
-from bilap_dpg.problems import _graded_subtriangles
 
 #: composite Gauss rule of the Dirac pairings on [0, eps]
 PANELS = 96
@@ -140,20 +139,15 @@ class DiracStudy:
     slope: float
 
 
-def default_z_list(max_degree):
-    return [Poly2.monomial(i, j) for i, j in shape.monomial_exponents(max_degree)]
-
-
-def dirac_convergence_study(eps_list, z_list=None):
+def dirac_convergence_study(eps_list):
     """Worst-case duality error against the Dirac limit, with its rate.
 
-    e(eps) = max over the test list of
+    e(eps) = max over the monomials z of degree <= 4 of
     |pair_trace_veps(z, eps) - z(0,0)| / ||z||_{2,T}, with ||z||_{2,T}
     from scheme 2's test-norm stack (`_norm_stack`); the returned slope
     is the log-log fit of e against eps.
     """
-    if z_list is None:
-        z_list = default_z_list(4)
+    z_list = [Poly2.monomial(i, j) for i, j in shape.monomial_exponents(4)]
     eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=float)
     norms = []
     for z in z_list:
@@ -176,19 +170,14 @@ def _half_disk_quadrature():
     """Graded quadrature on the upper unit half disk (polygonal fan).
 
     The fan is centered at the origin (the point the potentials
-    concentrate near) with geometric radial grading.
+    concentrate near), and `shape.graded_rule` grades each sector
+    towards it.
     """
     angles = np.linspace(0.0, np.pi, HALF_DISK_SECTORS + 1)
-    origin = np.zeros(2)
-    tris = np.concatenate([
-        _graded_subtriangles(
-            np.array([origin, [np.cos(a0), np.sin(a0)], [np.cos(a1), np.sin(a1)]]),
-            origin,
-            HALF_DISK_LEVELS,
-        )
-        for a0, a1 in zip(angles[:-1], angles[1:])
-    ])
-    pts, w = shape.map_to_triangle(shape.triangle_quadrature(HALF_DISK_EXACTNESS), tris)
+    rim = np.column_stack([np.cos(angles), np.sin(angles)])
+    fan = np.stack([np.zeros_like(rim[1:]), rim[:-1], rim[1:]], axis=1)
+    rule = shape.graded_rule(HALF_DISK_EXACTNESS, HALF_DISK_LEVELS)
+    pts, w = shape.map_to_triangle(rule, fan)
     return pts.reshape(-1, 2), w.ravel()
 
 

@@ -65,7 +65,7 @@ def zero_problem():
         sigma_exact=zero,
         f=zero,
         boundary_mode="homogeneous",
-        make_domain=make_unit_square,
+        make_domain=lambda: make_unit_square(2),
     )
 
 

@@ -245,6 +245,15 @@ def test_study_output_in_missing_directory_exits_one_before_the_study(
     assert err.count("\n") == 1
 
 
+def test_study_output_naming_a_directory_exits_one_before_the_study(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(cli, "solve_and_record", _no_work)
+    assert main(["study", "--levels", "2", "--output", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"bilap-dpg: error: --output {tmp_path}: is a directory\n"
+
+
 @pytest.mark.parametrize(
     "argv, flag, rejected, accepted",
     [
@@ -292,6 +301,13 @@ def test_tracelab_output_in_missing_directory_exits_one(tmp_path, capsys, monkey
     assert main(["tracelab", "--mode", "unbounded", "--output", str(out)]) == 1
     err = capsys.readouterr().err
     assert str(out) in err and "does not exist" in err
+
+
+def test_tracelab_output_naming_a_directory_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_tracelab", _no_work)
+    assert main(["tracelab", "--mode", "unbounded", "--output", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"bilap-dpg: error: --output {tmp_path}: is a directory\n"
 
 
 def test_tracelab_mode_flag_wins_over_config(tmp_path):

@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 from oracles import estimate_rate, zero_problem
 
-from bilap_dpg import problems
-from bilap_dpg.mesh import make_sector_domain, make_unit_square, refine_nvb
+from bilap_dpg.mesh import Mesh, make_sector_domain, make_unit_square, refine_nvb
 from bilap_dpg.problems import (
     SINGULAR_ALPHA,
     SINGULAR_C,
-    element_quadrature,
     l2_errors,
     singular_problem,
     smooth_problem,
 )
+from bilap_dpg.shape import graded_rule, map_to_triangle, triangle_quadrature
 
 
 def test_smooth_point_values():
@@ -141,8 +140,6 @@ def test_l2_error_exact_representation_is_zero():
 
 def _projection_error(mesh, problem, degree):
     # oracle: element-wise least-squares polynomial fit via quadrature
-    from bilap_dpg.shape import triangle_quadrature, map_to_triangle
-
     rule = triangle_quadrature(12)
     total = 0.0
     for t in range(mesh.num_triangles):
@@ -166,19 +163,16 @@ def test_projection_error_monotone_in_degree():
     assert e1 <= e0
 
 
-def test_graded_quadrature_integrates_singular_sigma(monkeypatch):
+def test_graded_quadrature_integrates_singular_sigma():
     # oracle: int over the sector of r^(2a-2) cos^2((a-1) phi) in polar form
     from scipy.integrate import quad
 
     p = singular_problem()
     a = SINGULAR_ALPHA
     mesh = make_sector_domain()
-    monkeypatch.setattr(problems, "GRADED_LEVELS", 24)
-    pts, wts, graded = element_quadrature(mesh, 12, singular_corner=(0.0, 0.0))
-    got = 0.0
-    for t in range(mesh.num_triangles):
-        pt, wt = graded.get(t, (pts[t], wts[t]))
-        got += wt @ p.sigma_exact(pt[:, 0], pt[:, 1]) ** 2
+    # every fan triangle has the corner in slot 0
+    pts, wts = map_to_triangle(graded_rule(12, 24), mesh.triangle_coords())
+    got = np.sum(wts * p.sigma_exact(pts[..., 0], pts[..., 1]) ** 2)
     # the polygonal fan underestimates the true sector: integrate the
     # exact density over each fan triangle in polar coordinates
     expect = 0.0
@@ -202,6 +196,25 @@ def test_graded_quadrature_integrates_singular_sigma(monkeypatch):
         val, _ = quad(integrand, phis[0], phis[1], epsabs=1e-13, epsrel=1e-13)
         expect += val
     assert got == pytest.approx(expect, rel=1e-6)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_graded_l2_follows_the_corner_in_any_slot(k):
+    # the same elements with the corner vertex moved to slot k: err_sigma
+    # of a zero field is the graded integral of sigma^2 over the corner
+    # elements, which a rule that always grades slot 0 misses by 3e-5 to 1e-4
+    mesh = make_sector_domain()
+    for _ in range(3):
+        mesh = refine_nvb(mesh, range(mesh.num_triangles))
+    rolled = Mesh(mesh.vertices, np.roll(mesh.triangles, k, axis=1))
+    p = singular_problem()
+
+    def zero(x, y):
+        return 0.0 * x
+
+    _, ref = l2_errors(SolutionStub(mesh, zero, zero), p)
+    _, got = l2_errors(SolutionStub(rolled, zero, zero), p)
+    assert abs(got - ref) < 1e-8 * ref
 
 
 def test_estimate_rate_examples():
@@ -234,3 +247,6 @@ def test_zero_problem():
     p = zero_problem()
     assert p.f(0.3, 0.4) == 0.0
     assert p.boundary_mode == "homogeneous"
+    mesh, square = p.make_domain(), make_unit_square(2)
+    assert np.array_equal(mesh.vertices, square.vertices)
+    assert np.array_equal(mesh.triangles, square.triangles)

@@ -16,6 +16,7 @@ from bilap_dpg.shape import (
     affine_maps,
     basis_dimension,
     edge_quadrature,
+    graded_rule,
     map_to_triangle,
     monomial_exponents,
     monomials,
@@ -100,6 +101,24 @@ def test_triangle_quadrature_exactness(exactness):
         for j in range(exactness + 1 - i):
             got = rule.weights @ (rule.points[:, 0] ** i * rule.points[:, 1] ** j)
             assert got == pytest.approx(tri_monomial_integral(i, j), abs=1e-12)
+
+
+@pytest.mark.parametrize("exactness, levels", [(0, 0), (4, 1), (8, 26)])
+def test_graded_rule_is_exact_and_nests_towards_the_origin(exactness, levels):
+    rule = graded_rule(exactness, levels)
+    # 2 levels + 1 pieces, each carrying the plain rule
+    assert len(rule.weights) == (2 * levels + 1) * len(triangle_quadrature(exactness).weights)
+    assert np.all(rule.weights > 0)
+    assert rule.points.min() > 0 and rule.points.sum(axis=1).max() < 1
+    for i in range(exactness + 1):
+        for j in range(exactness + 1 - i):
+            got = rule.weights @ (rule.points[:, 0] ** i * rule.points[:, 1] ** j)
+            assert got == pytest.approx(tri_monomial_integral(i, j), abs=1e-14)
+    # the innermost piece is the plain rule scaled by 2^-levels
+    plain = triangle_quadrature(exactness)
+    inner = slice(-len(plain.weights), None)
+    assert np.array_equal(rule.points[inner], 0.5**levels * plain.points)
+    assert np.allclose(rule.weights[inner], 0.25**levels * plain.weights, rtol=1e-15, atol=0)
 
 
 def test_triangle_quadrature_spec_values():
@@ -254,6 +273,16 @@ def test_orthonormal_basis_is_graded():
     assert np.allclose(tab.tri.val[:, 0], np.sqrt(2.0), rtol=1e-14)
     # P_2 members have constant Hessians
     assert np.allclose(tab.tri.hess[:, 3:6], tab.tri.hess[:1, 3:6], atol=1e-12)
+
+
+@pytest.mark.parametrize("degree", range(2, MAX_TABLE_DEGREE + 1))
+def test_hess_coeffs_reproduce_the_hessians_at_the_edge_points(degree):
+    # the projection onto the first dim P_(d-2) members is exact for the
+    # Hessians of P_d, so it holds at points it was not built from
+    tab = reference_tables(degree)
+    m = basis_dimension(degree - 2)
+    got = np.einsum("snm,cmk->snkc", tab.edge.val[..., :m], tab.hess_coeffs)
+    assert np.abs(got - tab.edge.hess).max() <= 1e-12 * np.abs(tab.edge.hess).max()
 
 
 @pytest.mark.parametrize("degree", range(2, 13))

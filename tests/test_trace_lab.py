@@ -4,18 +4,20 @@ from scipy.integrate import quad
 
 from oracles import dirac_eps_list, edge_trace_moments, exact_trace_norms
 
+from bilap_dpg import trace_lab
 from bilap_dpg.shape import (
     MAX_TABLE_DEGREE,
     REFERENCE_VERTICES,
     basis_dimension,
+    monomial_exponents,
     reference_tables,
 )
 from bilap_dpg.trace_lab import (
     DiracStudy,
     Poly2,
+    _norm_stack,
     _zero_trace_columns,
     dirac_convergence_study,
-    default_z_list,
     mollifier,
     mollifier_constant,
     norm_identity_check,
@@ -96,15 +98,19 @@ def test_dirac_study_slope():
 
 
 def test_dirac_study_flat_test_functions():
-    # z vanishing to second order at the corner: one extra order
+    # z vanishing to second order at the corner: one extra order in the
+    # study's worst-case error, each z scaled by its norm ||z||_{2,T}
     z_list = [Poly2.monomial(i, j) for i, j in [(2, 0), (1, 1), (0, 2), (2, 1)]]
-    study = dirac_convergence_study(dirac_eps_list(), z_list=z_list)
-    assert study.slope >= 0.9
+    norms = [np.linalg.norm(np.matmul(*_norm_stack(REFERENCE_VERTICES, z, z.degree, 2)))
+             for z in z_list]
+    eps = dirac_eps_list()
+    error = [max(abs(pair_trace_veps(z, e)) / n for z, n in zip(z_list, norms)) for e in eps]
+    assert np.polyfit(np.log(eps), np.log(error), 1)[0] >= 0.9
 
 
 def test_dirac_study_constant_only_is_exact():
-    study = dirac_convergence_study(eps_list=[0.25], z_list=[Poly2([[1.0]])])
-    assert study.error[0] == pytest.approx(0.0, abs=1e-12)
+    # ||1||_{2,T} = 2^(-1/2) on the reference triangle
+    assert pair_trace_veps(Poly2([[1.0]]), 0.25) == pytest.approx(1.0, abs=1e-12 / 2**0.5)
 
 
 def test_weighted_mollifier_norm_decays():
@@ -266,7 +272,15 @@ def test_extension_norm_does_not_rise_with_the_degree(name):
     assert np.all(duality <= extension * (1 + 1e-13))
 
 
-def test_default_z_list_spans_degree_4():
-    zs = default_z_list(4)
-    assert len(zs) == 15
-    assert max(z.degree for z in zs) == 4
+def test_default_z_list_spans_degree_4(monkeypatch):
+    # the study pairs each monomial of degree <= 4 once per eps
+    seen = []
+    pair = trace_lab.pair_trace_veps
+
+    def recording(z, eps):
+        seen.append(tuple(np.argwhere(z.c)[0]))
+        return pair(z, eps)
+
+    monkeypatch.setattr(trace_lab, "pair_trace_veps", recording)
+    dirac_convergence_study([0.25])
+    assert sorted(seen) == sorted(map(tuple, monomial_exponents(4)))
