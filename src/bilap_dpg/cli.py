@@ -219,9 +219,10 @@ def run_study(config):
         mesh = problem.make_domain()
         records = []
         for level in range(config.levels):
+            if level:
+                mesh = refine_nvb(mesh, range(mesh.num_triangles))
             record, _, _ = solve_and_record(mesh, formulation, problem, level)
             records.append(record)
-            mesh = refine_nvb(mesh, range(mesh.num_triangles))
 
     write_csv(config.output, STUDY_HEADER, [astuple(r) for r in records])
     return records

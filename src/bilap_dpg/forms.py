@@ -18,8 +18,9 @@ identity plus a second-order term that depends on J alone.  The trial
 basis is the centred, diameter-scaled monomials of the field degree
 times L^-T, L the Cholesky factor of their moment matrix.
 
-Every kernel is written in the element's own frame: each edge slot
-runs from the slot's first vertex to its second, along the element's
+Every kernel maps reference tables of its test degree by the element's
+affine map alone (`_hessians`, `_skeleton_b`).  Each edge slot runs
+from the slot's first vertex to its second, along the element's
 counterclockwise traversal, with the element's outward normal, and the
 vertex dofs are Cartesian.  Nothing in a kernel depends on how the mesh
 numbers its vertices or orders its elements.  There are no global ids
@@ -48,6 +49,7 @@ slices, `class_chunks`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -196,10 +198,10 @@ def _trial_basis(tab, jac, det, h, degree, labels):
     return np.swapaxes(r * sign[:, :, None], 1, 2), t
 
 
-def _b_blocks(coords, tab, det, jinv, lap, trial, with_corners):
+def _b_blocks(tab, jac, det, jinv, lap, trial, with_corners):
     """The two nonzero blocks (b_v, b_tau) of the trial-to-test matrix
     in the element's orthonormal test basis, each (n, k, columns), for
-    elements with vertex coordinates `coords` (n, 3, 2).
+    elements with affine maps (jac, |det J|, jinv) of `_maps`.
 
     The v block's columns are [sigma | sigma_hat], followed by the six
     corner columns of scheme 2 when `with_corners`; the tau block's are
@@ -208,45 +210,61 @@ def _b_blocks(coords, tab, det, jinv, lap, trial, with_corners):
     """
     m = lap.shape[1]
     du = np.einsum("emi,emj->eij", lap, trial[:, :m])  # (u, Delta tau) = (sigma, Delta v)
-    scale = det**-0.5
-    trace = _skeleton_b(coords, tab, scale, jinv)  # uhat meets tau, sigma_hat meets v
+    trace = _skeleton_b(tab, jac, det, jinv)  # uhat meets tau, sigma_hat meets v
     v_parts = [du, trace]
     if with_corners:
-        v_parts.append(_corner_b(scale[:, None, None] * tab.vertex.val))
+        v_parts.append(_corner_b(det[:, None, None] ** -0.5 * tab.vertex.val))
     return np.concatenate(v_parts, axis=2), np.concatenate([du, -trial, trace], axis=2)
 
 
-def _skeleton_b(coords, tab, scale, jinv):
-    """The trace columns (n, k, 9) of B, shared by both trace unknowns.
+@lru_cache(maxsize=None)
+def _trace_table(degree):
+    """`_skeleton_b`'s columns (3, k, 9) on the reference triangle for K
+    at the unit matrices of (xx, xy, yy), as they are linear in K.
 
-    Edge slot s runs from vertex s to vertex s + 1 of the element, with
-    the element's outward normal n.  Its contribution to a test
-    function t is
-        -int_e ( w dn(t) - w_n t ) ds
-    where (w, w_n) is the reduced-HCT trace pair of the slot's endpoint
-    dofs, the first endpoint's three followed by the second's;
-    `_b_blocks` pairs the columns of the first trace unknown with the
-    tau block and those of the second with the v block.
-    dn(t) = (J^-1 n) . grad_ref.  Per slot, the weighted dof tables
-    meet the mapped test values in two batched matmuls.
+    Slot s runs along e = vertex s + 1 - vertex s; with a = K R e,
+    R e = (e_y, -e_x), and the `ts.edge_dof_tables` columns (w_j, a_j)
+    along e and across a of its endpoint dofs (gradients in reference
+    coordinates), column j meets the reference test function t in
+        -int_0^1 ( w_j (grad t . a) - a_j t ) ds.
     """
+    tab = shape.reference_tables(degree)
     weights = tab.edge_rule.weights[:, None]
-    out = np.zeros((len(coords), tab.dim, TRACE_COLS))
-    for slot in range(3):
-        d = coords[:, (slot + 1) % 3] - coords[:, slot]
-        length = np.hypot(d[:, 0], d[:, 1])
-        tangent = d / length[:, None]
-        normal = np.column_stack([tangent[:, 1], -tangent[:, 0]])  # outward: CCW elements
-        kn = np.einsum("eab,eb->ea", jinv, normal)
-        dn_t = (tab.edge.grad[slot] @ kn[:, None, :, None])[..., 0]
-        val6, nd6 = ts.edge_dof_tables(length, tangent, normal, tab.edge_rule.points)
-        contrib = np.swapaxes(dn_t, 1, 2) @ (weights * val6)
-        contrib -= tab.edge.val[slot].T @ (weights * nd6)
-        contrib *= (-scale * length)[:, None, None]
+    edges = np.roll(shape.REFERENCE_VERTICES, -1, axis=0) - shape.REFERENCE_VERTICES
+    units = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]], float).reshape(3, 2, 2)
+    table = np.zeros((3, tab.dim, TRACE_COLS))
+    for slot, e in enumerate(edges):
+        across = units @ np.array([e[1], -e[0]])
+        val6, nd6 = ts.edge_dof_tables(np.broadcast_to(e, (3, 2)), across, tab.edge_rule.points)
+        dn_t = np.einsum("qka,ca->ckq", tab.edge.grad[slot], across)
+        contrib = tab.edge.val[slot].T @ (weights * nd6) - dn_t @ (weights * val6)
         first, second = 3 * slot, 3 * ((slot + 1) % 3)
-        out[:, :, first : first + 3] += contrib[:, :, :3]
-        out[:, :, second : second + 3] += contrib[:, :, 3:]
-    return out
+        table[:, :, first : first + 3] += contrib[:, :, :3]
+        table[:, :, second : second + 3] += contrib[:, :, 3:]
+    table.setflags(write=False)  # cached: shared by every caller
+    return table
+
+
+def _skeleton_b(tab, jac, det, jinv):
+    """The trace columns (n, k, 9) of B, shared by both trace unknowns;
+    `_b_blocks` pairs those of the first with the tau block and those of
+    the second with the v block.
+
+    Edge slot s of the element, from vertex s to vertex s + 1 with
+    outward normal n, adds -int_e ( w dn(t) - w_n t ) ds for a test
+    function t and the reduced-HCT trace pair (w, w_n) of its endpoint
+    dofs.  Every element is counterclockwise, so for the reference edge
+    vector e of d = J e, |d| J^-1 n = K R e with K = |det J| J^-1 J^-T,
+    and d . grad = e . grad_ref: the columns are |det J|^(-1/2) times
+    `_trace_table` contracted with K's (xx, xy, yy), one GEMM, and each
+    vertex's gradient columns then times J^T, as its dofs are Cartesian.
+    """
+    n = len(det)
+    k_map = np.sqrt(det)[:, None, None] * (jinv @ np.swapaxes(jinv, 1, 2))
+    table = _trace_table(tab.degree)
+    out = (k_map.reshape(n, 4)[:, [0, 1, 3]] @ table.reshape(3, -1)).reshape(n, tab.dim, 3, 3)
+    out[..., 1:] = out[..., 1:] @ np.swapaxes(jac, 1, 2)[:, None]
+    return out.reshape(n, tab.dim, TRACE_COLS)
 
 
 def _corner_b(corner_vals):
@@ -434,7 +452,7 @@ def build_local_systems(mesh, formulation, f):
             tab, jac[c], det[c], triangle_diameters(key_coords[c]), formulation.field_degree, reps
         )
         b_v, b_tau = _b_blocks(
-            key_coords[c], tab, det[c], jinv[c], hess[:, 0] + hess[:, 2], trial, with_corners
+            tab, jac[c], det[c], jinv[c], hess[:, 0] + hess[:, 2], trial, with_corners
         )
         w_v[c] = linv_v[c] @ b_v
         w_tau[c], u_recovery[c] = _condense_u(linv_tau @ b_tau, dim_p)

@@ -87,48 +87,21 @@ def interpolate_boundary_data(space, u_exact, grad_u_exact):
     return replace(space, constrained=constrained, values=values)
 
 
-def hermite_value_weights(t):
-    """Cubic Hermite basis on [0, 1]: (H00, H10, H01, H11).
-
-    `value(t) = H00 w0 + H10 L g0.tau + H01 w1 + H11 L g1.tau` where L
-    is the edge length and tau the unit tangent.
+def edge_dof_tables(along, across, t):
+    """Edge-trace shape functions (val, nder), each (n, n_t, 6), of the
+    six endpoint dofs ``(w_0, gx_0, gy_0, w_1, gx_1, gy_1)`` of edges
+    with edge vectors `along` (n, 2), at parameters `t` running from
+    each edge's first endpoint to its second: the trace value (cubic
+    Hermite in the values and the tangential derivatives along . g) and
+    the linear interpolant of the gradient component across . g for
+    directions `across` (n, 2), the normal derivative for a unit normal.
     """
-    t = np.asarray(t, dtype=float)
+    t = np.asarray(t, dtype=float)[:, None]
     t2, t3 = t * t, t * t * t
-    return (
-        1.0 - 3.0 * t2 + 2.0 * t3,
-        t - 2.0 * t2 + t3,
-        3.0 * t2 - 2.0 * t3,
-        t3 - t2,
-    )
-
-
-def edge_dof_tables(length, tangent, normal, t):
-    """Edge-trace shape functions for the six endpoint dofs.
-
-    For edges of the given lengths (n,), unit tangents (n, 2) and unit
-    normals (n, 2), at the parameters `t` running from each edge's first
-    endpoint to its second, returns the weights that map the endpoint
-    dof values ``(w_0, gx_0, gy_0, w_1, gx_1, gy_1)`` to the trace value
-    and to the normal derivative along `normal`.
-
-    Returns
-    -------
-    val : (n, n_t, 6)
-    nder : (n, n_t, 6)
-    """
-    t = np.asarray(t, dtype=float)
-    h00, h10, h01, h11 = hermite_value_weights(t)
-    along = length[:, None, None] * tangent[:, None, :]
-    nrm = normal[:, None, :]
-
-    val = np.zeros((len(length), len(t), 6))
-    val[:, :, 0] = h00
-    val[:, :, 1:3] = h10[:, None] * along
-    val[:, :, 3] = h01
-    val[:, :, 4:6] = h11[:, None] * along
-
+    along, across = along[:, None], across[:, None]
+    val = np.zeros((len(along), len(t), 6))
+    val[..., :1], val[..., 3:4] = 1.0 - 3.0 * t2 + 2.0 * t3, 3.0 * t2 - 2.0 * t3
+    val[..., 1:3], val[..., 4:6] = (t - 2.0 * t2 + t3) * along, (t3 - t2) * along
     nder = np.zeros_like(val)
-    nder[:, :, 1:3] = (1.0 - t)[:, None] * nrm
-    nder[:, :, 4:6] = t[:, None] * nrm
+    nder[..., 1:3], nder[..., 4:6] = (1.0 - t) * across, t * across
     return val, nder

@@ -446,6 +446,57 @@ def map_jet(jet, jinv, det):
     )
 
 
+def skeleton_b_by_edges(coords, tab, scale, jinv):
+    """The trace columns (n, k, 9) of B built edge by edge in each
+    element's own frame, at mapped edge points with per-element edge
+    lengths, unit tangents and outward normals.
+
+    Edge slot s runs from vertex s to vertex s + 1 of the element, with
+    the element's outward normal n.  Its contribution to a test
+    function t is
+        -int_e ( w dn(t) - w_n t ) ds
+    where (w, w_n) is the reduced-HCT trace pair of the slot's endpoint
+    dofs, the first endpoint's three followed by the second's.
+    dn(t) = (J^-1 n) . grad_ref.  Per slot, the weighted dof tables
+    meet the mapped test values in two batched matmuls.
+    """
+    from bilap_dpg import trace_space as ts
+
+    weights = tab.edge_rule.weights[:, None]
+    out = np.zeros((len(coords), tab.dim, 9))
+    for slot in range(3):
+        d = coords[:, (slot + 1) % 3] - coords[:, slot]
+        length = np.hypot(d[:, 0], d[:, 1])
+        tangent = d / length[:, None]
+        normal = np.column_stack([tangent[:, 1], -tangent[:, 0]])  # outward: CCW elements
+        kn = np.einsum("eab,eb->ea", jinv, normal)
+        dn_t = (tab.edge.grad[slot] @ kn[:, None, :, None])[..., 0]
+        val6, nd6 = ts.edge_dof_tables(length[:, None] * tangent, normal, tab.edge_rule.points)
+        contrib = np.swapaxes(dn_t, 1, 2) @ (weights * val6)
+        contrib -= tab.edge.val[slot].T @ (weights * nd6)
+        contrib *= (-scale * length)[:, None, None]
+        first, second = 3 * slot, 3 * ((slot + 1) % 3)
+        out[:, :, first : first + 3] += contrib[:, :, :3]
+        out[:, :, second : second + 3] += contrib[:, :, 3:]
+    return out
+
+
+def random_ccw_elements(rng, n, h_range=(1e-4, 10.0), min_aspect=1e-3):
+    """n random counterclockwise triangles (n, 3, 2): the edge from v0 to
+    v1 has log-uniform length h in `h_range` and a random direction, and
+    v2 lies left of it at log-uniform height between min_aspect h and h,
+    over a uniform point of the edge; v0 is uniform in [-1, 1]^2."""
+    h = np.exp(rng.uniform(*np.log(h_range), n))
+    aspect = np.exp(rng.uniform(np.log(min_aspect), 0.0, n))
+    angle = rng.uniform(0.0, 2.0 * np.pi, n)
+    tangent = np.column_stack([np.cos(angle), np.sin(angle)])
+    left = np.column_stack([-tangent[:, 1], tangent[:, 0]])
+    v0 = rng.uniform(-1.0, 1.0, (n, 2))
+    v1 = v0 + h[:, None] * tangent
+    v2 = v0 + h[:, None] * (rng.uniform(0.0, 1.0, n)[:, None] * tangent + aspect[:, None] * left)
+    return np.stack([v0, v1, v2], axis=1)
+
+
 def edge_trace_moments(vertices, degree):
     """Legendre moments of the trace pair (value, outward normal
     derivative) on the three edges of an element, (rows, dim P_degree),

@@ -20,6 +20,8 @@ from bilap_dpg.cli import (
     run_study,
     run_tracelab,
 )
+from bilap_dpg.dpg_solver import StudyRecord
+from bilap_dpg.mesh import refine_nvb
 
 
 def _read_rows(path):
@@ -252,6 +254,29 @@ def test_study_output_naming_a_directory_exits_one_before_the_study(
     assert main(["study", "--levels", "2", "--output", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err == f"bilap-dpg: error: --output {tmp_path}: is a directory\n"
+
+
+@pytest.mark.parametrize("levels", [1, 3])
+def test_uniform_sector_study_refines_only_between_levels(tmp_path, monkeypatch, levels):
+    calls = []
+
+    def refine(mesh, marked):
+        calls.append(mesh.num_triangles)
+        return refine_nvb(mesh, marked)
+
+    def record(mesh, formulation, problem, level):
+        return StudyRecord(level, mesh.num_triangles, 0, 0.0, 0.0, 0.0, 0.0, 0.0), None, None
+
+    monkeypatch.setattr(cli, "refine_nvb", refine)
+    monkeypatch.setattr(cli, "solve_and_record", record)
+    out = tmp_path / "sector.csv"
+    argv = ["study", "--problem", "singular", "--refine", "uniform", "--levels", str(levels)]
+    assert main(argv + ["--output", str(out)]) == 0
+    assert len(calls) == levels - 1
+    _, rows = _read_rows(out)
+    sizes = [int(r[1]) for r in rows]  # each level's triangle count, from the stub
+    assert sizes[0] == 5 and sizes[:-1] == calls
+    assert all(a < b for a, b in zip(sizes, sizes[1:]))
 
 
 @pytest.mark.parametrize(

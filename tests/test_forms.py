@@ -8,7 +8,9 @@ from oracles import (
     interpolate_function,
     map_jet,
     monomial_local_systems,
+    random_ccw_elements,
     random_triangle,
+    skeleton_b_by_edges,
 )
 
 from bilap_dpg import forms, shape
@@ -148,6 +150,20 @@ def test_vf1_vf2_b_matrices_coincide():
             assert np.array_equal(loc2.u_recovery, loc1.u_recovery)
             assert np.array_equal(loc2.tau_cols, loc1.tau_cols)
             assert np.array_equal(loc2.v_cols, np.r_[loc1.v_cols, n : n + 6])
+
+
+@pytest.mark.parametrize("degree", [2, 4, 8, 16, 29])
+def test_skeleton_b_matches_the_edge_by_edge_kernel(degree):
+    # the reference table mapped by K = |det J| J^-1 J^-T and J^T gives
+    # the trace columns that the edge loop integrates at mapped points,
+    # from h = 1e-4 to 10 and aspect ratios down to 1e-3
+    coords = random_ccw_elements(np.random.default_rng(30), 500)
+    jac, det, jinv = forms._maps(coords, np.arange(len(coords)))
+    tab = shape.reference_tables(degree)
+    got = forms._skeleton_b(tab, jac, det, jinv)
+    want = skeleton_b_by_edges(coords, tab, det**-0.5, jinv)
+    scale = np.abs(want).max(axis=(1, 2))
+    assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-13 * scale)
 
 
 def test_element_basis_matches_reference_on_unit_triangle():

@@ -30,13 +30,13 @@ def _segment_trace(mesh, coeffs, a, b, t):
     the element kernels' `edge_dof_tables`; returns them with the
     segment's length, the points and the normal."""
     pa, pb = mesh.vertices[a], mesh.vertices[b]
-    length = np.hypot(*(pb - pa))
-    tangent = (pb - pa) / length
-    normal = np.array([tangent[1], -tangent[0]])
+    along = pb - pa
+    length = np.hypot(*along)
+    normal = np.array([along[1], -along[0]]) / length
     t = np.atleast_1d(t)
     dofs = np.asarray(coeffs, dtype=float).reshape(-1, 3)[[a, b]].ravel()
-    val, nder = edge_dof_tables(np.array([length]), tangent[None], normal[None], t)
-    points = pa + t[:, None] * (pb - pa)
+    val, nder = edge_dof_tables(along[None], normal[None], t)
+    points = pa + t[:, None] * along
     return val[0] @ dofs, nder[0] @ dofs, length, points, normal
 
 
