@@ -339,8 +339,10 @@ def parse_config(argv=None):
 
 
 def _check_output_dir(path):
-    """A missing output directory, or an output path that is a directory,
-    is a usage error, found before any work."""
+    """An empty output path, a missing output directory, or an output path
+    that is a directory, is a usage error, found before any work."""
+    if not path:
+        raise UsageError("--output is empty")
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
         raise UsageError(f"--output {path}: directory {folder} does not exist")

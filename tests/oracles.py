@@ -6,6 +6,7 @@ from math import factorial
 import mpmath
 import numpy as np
 import scipy.sparse
+import scipy.sparse.linalg
 
 
 class Poly2d:
@@ -49,6 +50,24 @@ def dirac_eps_list():
 
     config = TracelabConfig(mode="dirac")
     return [2.0**-k for k in range(config.eps_min_pow, config.eps_max_pow + 1)]
+
+
+def shifted_pivots(a):
+    """U's diagonal in the factor of A + SHIFT diag(A) made with the
+    solver's `splu` options: forced diagonal pivots in symmetric mode
+    make LU act as LDL^T, so every pivot is positive if and only if the
+    shifted A is positive definite."""
+    from bilap_dpg.linsolve import SHIFT
+
+    shifted = scipy.sparse.csc_matrix(a, dtype=float, copy=True)
+    shifted.setdiag(shifted.diagonal() * (1 + SHIFT))
+    lu = scipy.sparse.linalg.splu(
+        shifted,
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
+    )
+    return lu.U.diagonal()
 
 
 def zero_problem():

@@ -8,11 +8,17 @@ import time
 
 import numpy as np
 import pytest
-from oracles import Poly2d, dirac_eps_list, estimate_rate, random_triangle, zero_problem
+from oracles import (
+    Poly2d,
+    dirac_eps_list,
+    estimate_rate,
+    random_triangle,
+    shifted_pivots,
+    zero_problem,
+)
 
 from bilap_dpg.forms import Formulation
 from bilap_dpg.mesh import make_sector_domain, make_unit_square, refine_nvb
-from bilap_dpg.linsolve import sparse_spd_solve
 from bilap_dpg.problems import l2_errors, singular_problem, smooth_problem
 from bilap_dpg.dpg_solver import (
     adaptive_loop,
@@ -39,7 +45,6 @@ from test_dpg_solver import (
     free_cols,
     normal_equation_residual,
     residual_norm,
-    solve_capturing_arguments,
     solve_capturing_full_system,
 )
 from test_trace_space import skeleton_pairing
@@ -193,13 +198,7 @@ def test_criterion_5_minimum_residual_optimality(monkeypatch):
         worst_orth = max(worst_orth, normal_equation_residual(sol, prob, a, rhs))
         # symmetry and SPD of the matrix the solver factors
         sym_defect = max(sym_defect, abs(a - a.T).max() / abs(a).max())
-        _, args = solve_capturing_arguments(
-            monkeypatch, make_unit_square(2), Formulation(scheme=scheme), prob
-        )
-        try:
-            sparse_spd_solve(*args)
-        except Exception:
-            spd_ok = False
+        spd_ok = spd_ok and bool(np.all(shifted_pivots(a) > 0))
     ok = never_decreased and worst_orth <= 1e-8 and sym_defect <= 1e-12 and spd_ok
     _report(
         5,

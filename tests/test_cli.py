@@ -256,6 +256,17 @@ def test_study_output_naming_a_directory_exits_one_before_the_study(
     assert err == f"bilap-dpg: error: --output {tmp_path}: is a directory\n"
 
 
+@pytest.mark.parametrize(
+    "command", [["study"], ["tracelab", "--mode", "dirac"]], ids=["study", "tracelab"]
+)
+def test_empty_output_exits_one_before_any_work(command, capsys, monkeypatch):
+    # an empty path used to run the whole job and then fail in write_csv
+    monkeypatch.setattr(cli, "solve_and_record", _no_work)
+    monkeypatch.setattr(cli, "run_tracelab", _no_work)
+    assert main(command + ["--output", ""]) == 1
+    assert capsys.readouterr().err == "bilap-dpg: error: --output is empty\n"
+
+
 @pytest.mark.parametrize("levels", [1, 3])
 def test_uniform_sector_study_refines_only_between_levels(tmp_path, monkeypatch, levels):
     calls = []

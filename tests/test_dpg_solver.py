@@ -12,6 +12,7 @@ from oracles import (
     Poly2d,
     dense_normal_equations,
     monomial_local_systems,
+    shifted_pivots,
     uncondensed_ids,
     zero_problem,
 )
@@ -19,7 +20,6 @@ from test_mesh import nvb_refinements
 
 from bilap_dpg import cli, dpg_solver, forms, linsolve
 from bilap_dpg.forms import Formulation
-from bilap_dpg.linsolve import sparse_spd_solve
 from bilap_dpg.mesh import (
     Mesh,
     doerfler_mark,
@@ -374,6 +374,7 @@ def test_solver_invariants_on_random_nvb_meshes(refinements, scheme, degree):
     (sol, a, rhs), (rerun, a2, rhs2) = runs
     assert not warned
     assert abs(a - a.T).max() <= 1e-12 * abs(a).max()
+    assert np.all(shifted_pivots(a) > 0)
     assert normal_equation_residual(sol, prob, a, rhs) <= 1e-8
     ind = error_indicators(sol)
     assert ind.total == pytest.approx(np.linalg.norm(ind.per_element), rel=1e-14)
@@ -501,12 +502,9 @@ def test_each_vertex_fixes_one_of_its_own_corner_coefficients(name):
 
 
 def test_global_matrix_symmetric_and_spd(monkeypatch):
-    _, args = solve_capturing_arguments(
-        monkeypatch, make_unit_square(2), VF2, smooth_problem()
-    )
-    a = args[0]
+    _, a, _ = solve_capturing_system(monkeypatch, make_unit_square(2), VF2, smooth_problem())
     assert abs(a - a.T).max() <= 1e-12 * abs(a).max()
-    sparse_spd_solve(*args)  # raises if not SPD
+    assert np.all(shifted_pivots(a) > 0)
 
 
 @pytest.mark.parametrize("form", [VF1, VF2])
