@@ -50,13 +50,14 @@ class SolverError(Exception):
 
 @dataclass
 class BrokenField:
-    """Element-wise polynomial field in the per-element trial basis."""
+    """Element-wise polynomial field in the per-element trial basis,
+    the leading dim_p members of the element's orthonormal test basis."""
 
     degree: int
     coeffs: np.ndarray  # (nt, dim_p)
     centroid: np.ndarray
     h: np.ndarray
-    trial_chol: np.ndarray  # (nt, dim_p, dim_p), basis = monomials L^-T
+    trial_chol: np.ndarray  # (nt, dim_p, dim_p) L = (test_l, mono_j)^T: basis = mono L^-T
 
     def eval(self, tris, points):
         """Field values on elements `tris` (m,) at physical points (m, nq, 2).

@@ -14,9 +14,10 @@ matrices).
 The test basis of an element is the L2-orthonormal reference basis of
 `shape.reference_tables` mapped affinely and scaled by |det J|^(-1/2),
 so it is L2-orthonormal on the element: every Gram block is the
-identity plus a second-order term that depends on J alone.  The trial
-basis is the centred, diameter-scaled monomials of the field degree
-times L^-T, L the Cholesky factor of their moment matrix.
+identity plus a second-order term that depends on J alone.  The basis
+is degree-graded, so its leading dim P_p members span P_p: they are
+the trial basis of the fields u and sigma, and (test_i, trial_j) is
+[I; 0].
 
 Every kernel maps reference tables of its test degree by the element's
 affine map alone (`_hessians`, `_skeleton_b`).  Each edge slot runs
@@ -116,17 +117,6 @@ def _maps(coords, labels):
     return jac, det, jinv
 
 
-def _diagonal_signs(r, labels, what):
-    """Signs of the diagonals of a batch of R factors; a zero or
-    non-finite diagonal entry raises FormsError."""
-    diag = np.einsum("eii->ei", r)
-    bad = (diag == 0) | ~np.isfinite(diag)
-    if np.any(bad):
-        element = labels[np.nonzero(bad.any(axis=1))[0][0]]
-        raise FormsError(f"{what} is singular (element {element})")
-    return np.sign(diag)
-
-
 def _hessians(tab, jinv):
     """Mapped Hessian components (n, 3, m, k) of the test basis.
 
@@ -165,40 +155,39 @@ def _inverse_factor(s, labels):
     L = R^T for the R factor of QR(S): factoring the stacked tables
     works at the square root of G's condition number (which grows like
     h^-4 on graded meshes) and never forms G.  The one batched inverse
-    whitens both B and the load.
+    whitens both B and the load.  A zero or non-finite diagonal entry
+    of R raises FormsError, naming the first such element of `labels`.
     """
     r = np.linalg.qr(s, mode="r")
-    r *= _diagonal_signs(r, labels, "test Gram block")[:, :, None]
+    diag = np.einsum("eii->ei", r)
+    bad = (diag == 0) | ~np.isfinite(diag)
+    if np.any(bad):
+        element = labels[np.nonzero(bad.any(axis=1))[0][0]]
+        raise FormsError(f"test Gram block is singular (element {element})")
+    r *= np.sign(diag)[:, :, None]
     return np.swapaxes(np.linalg.inv(r), 1, 2)
 
 
-def _trial_basis(tab, jac, det, h, degree, labels):
-    """Trial basis of degree p: centred, h-scaled monomials times L^-T.
+def _trial_factor(tab, jac, det, h, degree):
+    """L = M^T for the moments M[l, j] = (test_l, mono_j), (n, dim_p, dim_p),
+    of the centred, h-scaled monomials of degree p.
 
-    L is the lower Cholesky factor of the monomials' element moment
-    matrix.  The leading dim_p test members are an orthonormal basis of
-    P_p, so the monomials' coefficients in them, M = (test_l, mono_j),
-    factor as M = Q L^T with Q = (test_l, trial_j).  Returns (L, T),
-    T (n, k, dim_p) holding (test_i, trial_j), which vanishes below row
-    dim_p.
+    The trial basis is the leading dim_p test members, so mono = trial M
+    and trial = mono L^-T: L L^T is the monomials' Gram matrix, and L is
+    block-lower-triangular by degree.  `LocalSystems.trial_chol` keeps
+    it for evaluating the fields from monomials.
     """
-    dim_p = shape.basis_dimension(degree)
     # u = J (x_ref - 1/3) / h written out, which is several times
     # faster than the einsum and rounds the same
     rel = tab.quad.points - 1.0 / 3.0
     u = rel[:, 0, None] * jac[:, None, :, 0] + rel[:, 1, None] * jac[:, None, :, 1]
     u /= h[:, None, None]
     mono = shape.monomials(degree, u)
-    weighted = tab.quad.weights[:, None] * tab.tri.val[:, :dim_p]
-    moments = np.sqrt(det)[:, None, None] * np.einsum("ql,eqj->elj", weighted, mono)
-    q, r = np.linalg.qr(moments)
-    sign = _diagonal_signs(r, labels, "trial moment matrix")
-    t = np.zeros((len(det), tab.dim, dim_p))
-    t[:, :dim_p] = q * sign[:, None, :]
-    return np.swapaxes(r * sign[:, :, None], 1, 2), t
+    weighted = tab.quad.weights[:, None] * tab.tri.val[:, : shape.basis_dimension(degree)]
+    return np.sqrt(det)[:, None, None] * np.einsum("ql,eqj->ejl", weighted, mono)
 
 
-def _b_blocks(tab, jac, det, jinv, lap, trial, with_corners):
+def _b_blocks(tab, jac, det, jinv, lap, dim_p, with_corners):
     """The two nonzero blocks (b_v, b_tau) of the trial-to-test matrix
     in the element's orthonormal test basis, each (n, k, columns), for
     elements with affine maps (jac, |det J|, jinv) of `_maps`.
@@ -206,15 +195,16 @@ def _b_blocks(tab, jac, det, jinv, lap, trial, with_corners):
     The v block's columns are [sigma | sigma_hat], followed by the six
     corner columns of scheme 2 when `with_corners`; the tau block's are
     [u | sigma | uhat].  `lap` (n, m, k) expands the test Laplacians in
-    the first m test members and `trial` holds (test_i, trial_j).
+    the first m >= dim_p test members, and the fields are the first
+    dim_p of them, so their columns are slices of `lap` and of -[I; 0].
     """
-    m = lap.shape[1]
-    du = np.einsum("emi,emj->eij", lap, trial[:, :m])  # (u, Delta tau) = (sigma, Delta v)
+    du = np.swapaxes(lap[:, :dim_p], 1, 2)  # (u, Delta tau) = (sigma, Delta v)
     trace = _skeleton_b(tab, jac, det, jinv)  # uhat meets tau, sigma_hat meets v
     v_parts = [du, trace]
     if with_corners:
         v_parts.append(_corner_b(det[:, None, None] ** -0.5 * tab.vertex.val))
-    return np.concatenate(v_parts, axis=2), np.concatenate([du, -trial, trace], axis=2)
+    mass = np.broadcast_to(-np.eye(tab.dim, dim_p), du.shape)  # -(u, tau)
+    return np.concatenate(v_parts, axis=2), np.concatenate([du, mass, trace], axis=2)
 
 
 @lru_cache(maxsize=None)
@@ -325,8 +315,9 @@ class LocalSystems:
     the sums of w^T w and w^T load over the two blocks, and the squared
     residual indicator is the sum of |load - w x| over them (`blocks`);
     at u = -G x_tau the condensed tau residual is the full one.
-    Per-element trial-basis data (centroid, scale, Cholesky of the
-    field moment matrix) supports evaluating the broken field variables.
+    The fields' coefficients are in the leading dim_p test members; each
+    element's centroid, diameter and trial factor L (`_trial_factor`),
+    with basis = centred, h-scaled monomials times L^-T, evaluate them.
     """
 
     w_v: np.ndarray
@@ -448,11 +439,11 @@ def build_local_systems(mesh, formulation, f):
         s_v, s_tau = _gram_stacks(hess, formulation.scheme)
         linv_v[c] = _inverse_factor(s_v, reps)
         linv_tau = linv_v[c] if s_tau is s_v else _inverse_factor(s_tau, reps)
-        chol[c], trial = _trial_basis(
-            tab, jac[c], det[c], triangle_diameters(key_coords[c]), formulation.field_degree, reps
+        chol[c] = _trial_factor(
+            tab, jac[c], det[c], triangle_diameters(key_coords[c]), formulation.field_degree
         )
         b_v, b_tau = _b_blocks(
-            tab, jac[c], det[c], jinv[c], hess[:, 0] + hess[:, 2], trial, with_corners
+            tab, jac[c], det[c], jinv[c], hess[:, 0] + hess[:, 2], dim_p, with_corners
         )
         w_v[c] = linv_v[c] @ b_v
         w_tau[c], u_recovery[c] = _condense_u(linv_tau @ b_tau, dim_p)

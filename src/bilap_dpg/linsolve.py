@@ -61,7 +61,7 @@ def sparse_spd_solve(a, b, w, load):
         On factorization failure or a residual above tolerance.
     """
     n = a.shape[0]
-    scale = abs(a).max() if a.nnz else 1.0
+    scale = np.abs(a.data).max() if a.nnz else 1.0  # |A| whole would copy A
     # a random z sees any A - W^T W with high probability (Freivalds
     # 1977); the fixed seed keeps reruns bit-identical
     z = np.random.default_rng(0).standard_normal(n)

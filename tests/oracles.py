@@ -267,7 +267,7 @@ def _whitener(stack):
     return np.linalg.inv(r.T)
 
 
-def monomial_local_systems(mesh, scheme, field_degree, test_degree, f):
+def monomial_local_systems(mesh, scheme, field_degree, test_degree, f, trial_chol=None):
     """Per-element whitened DPG local systems W (nt, 2k, ncol) and wl (nt, 2k).
 
     An element-by-element oracle seeded by monomials at each element's
@@ -276,8 +276,9 @@ def monomial_local_systems(mesh, scheme, field_degree, test_degree, f):
     (scheme 1: mass + Laplacian for both; scheme 2: mass + Frobenius
     Hessian for the v block) are whitened through the QR of the stacked
     weighted tables.  The trial basis is the monomials of degree
-    `field_degree` times L^-T, L the Cholesky factor of their moment
-    matrix.  The skeleton columns pair the cubic Hermite trace values
+    `field_degree` times L^-T, L = `trial_chol[tri]` when given (any
+    factor of their moment matrix, L L^T = Gram), else its Cholesky
+    factor.  The skeleton columns pair the cubic Hermite trace values
     and linear normal derivatives along each edge (global lo -> hi
     parameter, global normal) as -s int_e (w dn(t) - w_n t) ds, s = +1
     on the edge's owner (lower-index element), with the normals and
@@ -312,7 +313,10 @@ def monomial_local_systems(mesh, scheme, field_degree, test_degree, f):
                              sw * hess[..., 2]])
 
         mono = _monomial_jet(pts, centre, h, field_degree)[0]
-        chol = np.linalg.cholesky(mono.T @ (w[:, None] * mono))
+        if trial_chol is None:
+            chol = np.linalg.cholesky(mono.T @ (w[:, None] * mono))
+        else:
+            chol = trial_chol[tri]
         trial = np.linalg.solve(chol, mono.T).T
 
         b = np.zeros((2 * k, ncol))

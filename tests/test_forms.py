@@ -14,7 +14,12 @@ from oracles import (
 )
 
 from bilap_dpg import forms, shape
-from bilap_dpg.dpg_solver import assemble_and_solve, error_indicators, solve_and_record
+from bilap_dpg.dpg_solver import (
+    BrokenField,
+    assemble_and_solve,
+    error_indicators,
+    solve_and_record,
+)
 from bilap_dpg.forms import (
     Formulation,
     FormsError,
@@ -199,11 +204,11 @@ def test_element_basis_matches_reference_on_unit_triangle():
         assert np.allclose(hess, mapped.hess[:, m], atol=atol[2])
 
 
-def _local_trial_vector(mesh, tri, form, u_poly, sigma_poly, uhat, shat):
+def _local_trial_vector(mesh, tri, form, chol, u_poly, sigma_poly, uhat, shat):
     """Exact-solution coefficients in the element's trial layout.
 
     The trial basis is the centred, diameter-scaled monomials times
-    L^-T, L the Cholesky factor of their moment matrix: an L2-orthonormal
+    L^-T, L = `chol` the element's trial factor: an L2-orthonormal
     basis, so the field coefficients are L2 projections.
     """
     dim_p = form.field_dim
@@ -212,7 +217,6 @@ def _local_trial_vector(mesh, tri, form, u_poly, sigma_poly, uhat, shat):
     ex = monomial_exponents(form.field_degree)
     u = (pts - verts.mean(axis=0)) / mesh.diameters[tri]
     mono = u[:, None, 0] ** ex[:, 0] * u[:, None, 1] ** ex[:, 1]
-    chol = np.linalg.cholesky(np.einsum("q,qi,qj->ij", w, mono, mono))
     val = np.linalg.solve(chol, mono.T).T
     x = np.zeros(2 * dim_p + 18)
     x[:dim_p] = val.T @ (w * u_poly(pts[:, 0], pts[:, 1]))
@@ -234,7 +238,7 @@ def _exact_residuals(mesh, form, u, sigma):
     x = np.zeros((mesh.num_triangles, loc.v_cols[-1] + 1))
     for tri in range(mesh.num_triangles):
         x[tri, : 2 * form.field_dim + 18] = _local_trial_vector(
-            mesh, tri, form, u, sigma, uhat, shat
+            mesh, tri, form, loc.trial_chol[tri], u, sigma, uhat, shat
         )
     recovered = -(loc.u_recovery[loc.cls] @ x[:, loc.tau_cols, None])[..., 0]
     return np.concatenate(
@@ -295,6 +299,22 @@ def test_build_local_systems_shapes():
     for loc, ncol in ((loc1, 2 * p + 18), (loc2, 2 * p + 24)):
         assert np.array_equal(np.union1d(loc.v_cols, loc.tau_cols), np.arange(p, ncol))
         assert np.array_equal(np.intersect1d(loc.v_cols, loc.tau_cols), np.arange(p, 2 * p))
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_fields_are_the_leading_test_members(degree):
+    # field coefficient e_j is test member j: |det J|^(-1/2) times the
+    # reference table's column j at the mapped quadrature points
+    mesh = _one_element(RIGHT_TRIANGLE)
+    form = Formulation(scheme=1, field_degree=degree, test_degree=degree + 2)
+    loc = build_local_systems(mesh, form, _const(1.0))
+    tab = shape.reference_tables(form.test_degree)
+    pts, _ = shape.map_to_triangle(tab.quad, mesh.triangle_coords())
+    abs_det = 2.0 * mesh.areas[0]
+    for j, coeffs in enumerate(np.eye(form.field_dim)):
+        field = BrokenField(degree, coeffs[None], loc.centroid, loc.h, loc.trial_chol)
+        want = abs_det**-0.5 * tab.tri.val[:, j]
+        assert np.abs(field.eval([0], pts)[0] - want).max() <= 1e-10
 
 
 def test_monomial_exponents_graded():
@@ -490,7 +510,7 @@ def test_local_systems_match_monomial_oracle(name, scheme, degree):
     f = lambda x, y: np.sin(3 * x + 1) * np.cos(2 * y) + x * y + 2.0
     loc = build_local_systems(mesh, Formulation(scheme, degree, 4), f)
     w_v, got_tau, recovery = (_per_element(loc, x) for x in ("w_v", "w_tau", "u_recovery"))
-    w, wl = monomial_local_systems(mesh, scheme, degree, 4, f)
+    w, wl = monomial_local_systems(mesh, scheme, degree, 4, f, loc.trial_chol)
     k, p = w_v.shape[1], recovery.shape[1]
     outside = np.ones(w.shape[1:], dtype=bool)
     outside[:k, loc.v_cols] = outside[k:, : loc.tau_cols[-1] + 1] = False
