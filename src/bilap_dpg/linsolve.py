@@ -2,8 +2,14 @@
 
 The solution minimizes the whitened residual |load - W x|.  A must be
 its Gram matrix W^T W, which one seeded random product checks.
-A + SHIFT diag(A) is factored once, and the factor preconditions
-conjugate gradients on W (CGLS), which raises if it finds it indefinite.
+A^T + SHIFT diag(A) is factored once, from A's own CSR arrays read as
+CSC ones with the shift written onto A's diagonal and taken off again,
+and the factor preconditions conjugate gradients on W (CGLS), which
+raises if it finds it indefinite.  A equals A^T only to rounding: the
+COO -> CSR conversion sums duplicate triplets in no fixed order (7.3e-12
+absolute at most on the benchmark's final levels).  The probe certifies
+A itself and CGLS works on W, so that rounding moves the preconditioner,
+not the answer.
 Forced diagonal pivots never compare magnitudes, so factoring the
 Jacobi-scaled D^-1/2 A D^-1/2 + SHIFT I would only change rounding.
 The `bilap_dpg.linsolve` logger gets a warning when CGLS stops at its
@@ -27,7 +33,7 @@ SHIFT = 1e-15
 # leaves normal-equation residuals above 1e-12 on graded meshes)
 RTOL = 1e-12
 # a bound, not a target: the sector study to 20,000 dofs takes at most
-# 36 steps a level, and CGLS run far past convergence drifts
+# 38 steps a level, and CGLS run far past convergence drifts
 MAXITER = 200
 
 
@@ -42,12 +48,14 @@ class NotPositiveDefiniteError(LinearSolveError):
 def sparse_spd_solve(a, b, w, load):
     """Minimize |load - W x|, given A = W^T W and b = W^T load.
 
-    A + SHIFT diag(A) is factored once by symmetric-mode LU, ordered
+    A^T + SHIFT diag(A) is factored once by symmetric-mode LU, ordered
     by minimum degree on A + A^T, and preconditions CGLS on W.
 
     Parameters
     ----------
-    a : scipy.sparse matrix, W^T W
+    a : scipy.sparse CSR matrix, W^T W, with every diagonal entry
+        stored; its diagonal holds the shift while SuperLU factors it
+        and is put back bit for bit, on return and on raise
     b : (n,) right-hand side W^T load, which CGLS starts from
     w : scipy.sparse.linalg.LinearOperator, (m, n)
     load : (m,) vector
@@ -56,7 +64,8 @@ def sparse_spd_solve(a, b, w, load):
     ------
     NotPositiveDefiniteError
         When A z and W^T W z differ by over 1e-12 relative for a seeded
-        z, on an exactly singular factor, or on an indefinite one.
+        z, on an unstored diagonal entry, on an exactly singular factor,
+        or on an indefinite one.
     LinearSolveError
         On factorization failure or a residual above tolerance.
     """
@@ -69,16 +78,26 @@ def sparse_spd_solve(a, b, w, load):
     probe_gap = np.linalg.norm(az - w.rmatvec(w.matvec(z))) / max(np.linalg.norm(az), 1e-300)
     if not probe_gap <= 1e-12:  # a NaN gap fails too
         raise NotPositiveDefiniteError(f"matrix is not W^T W: probe gap {probe_gap:.3e}, n={n}")
-    # every diagonal entry is stored, so only values change: the ordering
-    # and the fill follow the assembled pattern, explicit zeros included
-    shifted = scipy.sparse.csc_matrix(a, dtype=float, copy=True)
-    shifted.setdiag(shifted.diagonal() * (1 + SHIFT))
+    # the shift goes onto A's stored diagonal in place, so only values
+    # change: the ordering and the fill follow the assembled pattern,
+    # explicit zeros included.  splu sums duplicates of its input in
+    # place, so A does that first, before the diagonal's offsets are taken
+    a.sum_duplicates()
+    diag_at = np.flatnonzero(
+        a.indices == np.repeat(np.arange(n, dtype=a.indices.dtype), np.diff(a.indptr))
+    )
+    if diag_at.size < n:  # a zero column of W
+        raise NotPositiveDefiniteError(
+            f"matrix is not positive definite: {n - diag_at.size} diagonal entries unstored, n={n}"
+        )
+    diagonal = a.data[diag_at]
+    a.data[diag_at] = diagonal * (1 + SHIFT)
     # diagonal pivoting in symmetric mode makes LU act as LDL^T; the
     # pattern is symmetric, so the fill-reducing ordering is minimum
     # degree on A + A^T rather than COLAMD's ordering of A^T A
     try:
         lu = scipy.sparse.linalg.splu(
-            shifted,
+            scipy.sparse.csc_matrix((a.data, a.indices, a.indptr), shape=a.shape),
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             options=dict(SymmetricMode=True),
@@ -89,7 +108,8 @@ def sparse_spd_solve(a, b, w, load):
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite: exactly singular factor ({exc}) factoring n={n}"
         ) from None
-    del shifted  # SuperLU holds its own copy
+    finally:
+        a.data[diag_at] = diagonal  # SuperLU keeps no reference to its input
 
     x, iterations = _cgls(w, load, b, lu.solve)
     residual = np.linalg.norm(a @ x - b)

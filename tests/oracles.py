@@ -53,13 +53,14 @@ def dirac_eps_list():
 
 
 def shifted_pivots(a):
-    """U's diagonal in the factor of A + SHIFT diag(A) made with the
-    solver's `splu` options: forced diagonal pivots in symmetric mode
-    make LU act as LDL^T, so every pivot is positive if and only if the
-    shifted A is positive definite."""
+    """U's diagonal in the factor of A^T + SHIFT diag(A) made with the
+    solver's `splu` options, which is what the solver factors when it
+    reads A's CSR arrays as CSC: forced diagonal pivots in symmetric
+    mode make LU act as LDL^T, so every pivot is positive if and only
+    if the shifted A^T is positive definite."""
     from bilap_dpg.linsolve import SHIFT
 
-    shifted = scipy.sparse.csc_matrix(a, dtype=float, copy=True)
+    shifted = scipy.sparse.csc_matrix(a.T, dtype=float, copy=True)
     shifted.setdiag(shifted.diagonal() * (1 + SHIFT))
     lu = scipy.sparse.linalg.splu(
         shifted,

@@ -1,6 +1,8 @@
+import contextlib
 import logging
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -173,20 +175,22 @@ def test_one_factorization_per_solve(monkeypatch):
     # the rank-2 Gram matrix of the columns of [[1, 2, 3], [4, 5, 6]],
     # whose unshifted factor ends on a roundoff-negative pivot: one
     # factorization of A as assembled with its diagonal times 1 + SHIFT,
-    # and CGLS on W
+    # read from A's own arrays, and CGLS on W
     w = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     splu = scipy.sparse.linalg.splu
     inputs = []
 
     def recording_splu(m, *args, **kwargs):
-        inputs.append(m.toarray())
+        inputs.append((m, m.toarray()))
         return splu(m, *args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
     load = np.array([1.0, -2.0])
-    x = lstsq_solve(w, load)
+    a = scipy.sparse.csr_matrix(w.T @ w)
+    x = sparse_spd_solve(a, w.T @ load, scipy.sparse.linalg.aslinearoperator(w), load)
     assert np.linalg.norm(load - w @ x) <= 1e-12
-    [factored] = inputs
+    [(m, factored)] = inputs
+    assert np.shares_memory(m.data, a.data)
     dense = w.T @ w
     np.fill_diagonal(dense, np.diag(dense) * (1 + linsolve.SHIFT))
     assert np.array_equal(factored, dense)
@@ -284,15 +288,15 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_solve_holds_at_most_one_extra_copy_of_a(monkeypatch):
+def test_solve_holds_no_copy_of_a(monkeypatch):
     # the scheme-2, p = 0 system on the 16x16 square (3,877 dofs):
     # tracemalloc sees none of SuperLU's own memory, so the factorization
-    # alone traces 2.6 KB.  The solve may add one copy of A
-    # (|A| for the tolerance, then the shifted copy SuperLU factors, never
-    # both) and two vectors as long as the load (a W product and its
-    # temporaries): 1.30 MB against a 1.39 MB bound.  Reading U's diagonal
-    # converted both factors to CSC, 5.8 MB here; keeping A in a second
-    # format, a shifted copy and |A| alive together measured 3.1 copies
+    # alone traces 2.6 KB.  SuperLU reads A's own arrays, shifted in
+    # place, so what the solve adds is the W products' gathered kernel
+    # slices (0.71 MB for one product) and vectors: 0.96 MB, under the
+    # 1.14 MB of one copy of A, which any copy alive at any time would
+    # reach.  Factoring a shifted CSC copy measured 1.30 MB; reading U's
+    # diagonal converted both factors to CSC, 5.8 MB here
     captured = []
 
     def capture(a, b, *args):
@@ -315,7 +319,88 @@ def test_solve_holds_at_most_one_extra_copy_of_a(monkeypatch):
         )
 
     excess = _traced_peak(lambda: sparse_spd_solve(a, b, w, load)) - _traced_peak(factor_alone)
-    assert excess <= copy + 2 * load.nbytes
+    assert excess < copy
+
+
+def _gram_case(n=6):
+    """A = W^T W in CSR, W = [M; I] for a seeded M, and a load."""
+    rng = np.random.default_rng(4)
+    w = np.vstack([rng.standard_normal((n, n)), np.eye(n)])
+    return scipy.sparse.csr_matrix(w.T @ w), w, rng.standard_normal(2 * n)
+
+
+def _singular_splu(*args, **kwargs):
+    raise RuntimeError("Factor is exactly singular")
+
+
+def _indefinite_cgls(*args):
+    raise NotPositiveDefiniteError("indefinite preconditioner")
+
+
+@pytest.mark.parametrize(
+    "patch, nan_load, raises",
+    [
+        (None, False, None),
+        ((scipy.sparse.linalg, "splu", _singular_splu), False, "exactly singular"),
+        ((linsolve, "_cgls", _indefinite_cgls), False, "indefinite preconditioner"),
+        (None, True, "residual nan above tolerance"),
+    ],
+    ids=["returns", "singular-factor", "indefinite-cgls", "nan-residual"],
+)
+def test_a_comes_back_bit_identical(monkeypatch, patch, nan_load, raises):
+    # the shift is written onto A's own diagonal and taken off again,
+    # on return and after every raise that follows it: A keeps its
+    # arrays and their bits
+    a, w, load = _gram_case()
+    if patch:
+        monkeypatch.setattr(*patch)
+    if nan_load:
+        load[1] = np.nan
+    arrays = (a.data, a.indices, a.indptr)
+    before = [v.copy() for v in arrays]
+    expected = pytest.raises(LinearSolveError, match=raises) if raises else contextlib.nullcontext()
+    with expected:
+        sparse_spd_solve(a, w.T @ load, scipy.sparse.linalg.aslinearoperator(w), load)
+    assert all(v is u for v, u in zip((a.data, a.indices, a.indptr), arrays))
+    assert all(np.array_equal(v, u) for v, u in zip(arrays, before))
+
+
+def test_unstored_diagonal_entry_raises_and_leaves_a_alone():
+    # W's second column is zero, so A = [[2, 0], [0, 0]] and CSR stores
+    # one entry: the shift has nowhere to go, and the solver raises
+    # rather than insert the entry into A
+    w = np.array([[1.0, 0.0], [1.0, 0.0]])
+    load = np.array([1.0, 2.0])
+    a = scipy.sparse.csr_matrix(w.T @ w)
+    assert a.nnz == 1
+    before = [v.copy() for v in (a.data, a.indices, a.indptr)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", scipy.sparse.SparseEfficiencyWarning)
+        with pytest.raises(NotPositiveDefiniteError, match=r"1 diagonal entries unstored, n=2"):
+            sparse_spd_solve(a, w.T @ load, scipy.sparse.linalg.aslinearoperator(w), load)
+    assert a.nnz == 1
+    assert all(np.array_equal(v, u) for v, u in zip((a.data, a.indices, a.indptr), before))
+
+
+def test_duplicate_and_unsorted_entries_are_summed_first():
+    # A in CSR with its rows' entries reversed and its first diagonal
+    # entry split in two: splu sums and sorts its input in place, which
+    # on A's own arrays would move entries from under the diagonal
+    # offsets the shift is taken off at.  A is summed first, so it comes
+    # back as the same matrix in canonical form
+    a, w, load = _gram_case()
+    dense = a.toarray()
+    rows = [list(zip(a.indices[s:e], a.data[s:e]))[::-1] for s, e in zip(a.indptr, a.indptr[1:])]
+    (j, v) = rows[0][-1]
+    rows[0][-1:] = [(j, v / 2), (j, v - v / 2)]
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    cols, data = zip(*[e for r in rows for e in r])
+    a = scipy.sparse.csr_matrix((np.array(data), np.array(cols), indptr), shape=a.shape)
+    assert not a.has_canonical_format
+    x = sparse_spd_solve(a, w.T @ load, scipy.sparse.linalg.aslinearoperator(w), load)
+    assert np.allclose(x, np.linalg.lstsq(w, load, rcond=None)[0], atol=1e-10)
+    assert a.has_canonical_format
+    assert np.array_equal(a.toarray(), dense)
 
 
 def test_solve_logs_one_debug_record(caplog):
