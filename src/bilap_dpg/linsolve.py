@@ -35,6 +35,19 @@ RTOL = 1e-12
 # a bound, not a target: the sector study to 20,000 dofs takes at most
 # 38 steps a level, and CGLS run far past convergence drifts
 MAXITER = 200
+# splu's arguments.  Diagonal pivoting in symmetric mode makes LU act as
+# LDL^T; the pattern is symmetric, so the fill-reducing ordering is
+# minimum degree on A + A^T rather than COLAMD's ordering of A^T A.
+# Panels of four columns leave the fill as it is and take 13 MB of
+# workspace off the final square-s2-uniform factorization, which sets
+# that study's peak memory; relax stays at SuperLU's default (relax=64
+# with 16-column panels raised that factorization's fill 2.6 times)
+SPLU_OPTIONS = dict(
+    permc_spec="MMD_AT_PLUS_A",
+    diag_pivot_thresh=0.0,
+    panel_size=4,
+    options=dict(SymmetricMode=True),
+)
 
 
 class LinearSolveError(Exception):
@@ -48,8 +61,9 @@ class NotPositiveDefiniteError(LinearSolveError):
 def sparse_spd_solve(a, b, w, load):
     """Minimize |load - W x|, given A = W^T W and b = W^T load.
 
-    A^T + SHIFT diag(A) is factored once by symmetric-mode LU, ordered
-    by minimum degree on A + A^T, and preconditions CGLS on W.
+    A^T + SHIFT diag(A) is factored once by symmetric-mode LU with
+    SPLU_OPTIONS, ordered by minimum degree on A + A^T, and
+    preconditions CGLS on W.
 
     Parameters
     ----------
@@ -92,15 +106,10 @@ def sparse_spd_solve(a, b, w, load):
         )
     diagonal = a.data[diag_at]
     a.data[diag_at] = diagonal * (1 + SHIFT)
-    # diagonal pivoting in symmetric mode makes LU act as LDL^T; the
-    # pattern is symmetric, so the fill-reducing ordering is minimum
-    # degree on A + A^T rather than COLAMD's ordering of A^T A
     try:
         lu = scipy.sparse.linalg.splu(
             scipy.sparse.csc_matrix((a.data, a.indices, a.indptr), shape=a.shape),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options=dict(SymmetricMode=True),
+            **SPLU_OPTIONS,
         )
     except RuntimeError as exc:
         if "singular" not in str(exc):

@@ -58,17 +58,11 @@ def shifted_pivots(a):
     reads A's CSR arrays as CSC: forced diagonal pivots in symmetric
     mode make LU act as LDL^T, so every pivot is positive if and only
     if the shifted A^T is positive definite."""
-    from bilap_dpg.linsolve import SHIFT
+    from bilap_dpg.linsolve import SHIFT, SPLU_OPTIONS
 
     shifted = scipy.sparse.csc_matrix(a.T, dtype=float, copy=True)
     shifted.setdiag(shifted.diagonal() * (1 + SHIFT))
-    lu = scipy.sparse.linalg.splu(
-        shifted,
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options=dict(SymmetricMode=True),
-    )
-    return lu.U.diagonal()
+    return scipy.sparse.linalg.splu(shifted, **SPLU_OPTIONS).U.diagonal()
 
 
 def zero_problem():

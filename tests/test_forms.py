@@ -567,3 +567,36 @@ def test_build_local_systems_singular_gram_block(form, monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FormsError, match=message):
             build_local_systems(mesh, form, f)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 15, 28])
+def test_upper_inverse_matches_the_general_inverse(k):
+    # R factors of seeded stacks with rows scaled over 1e-8..1, as R's
+    # Hessian rows grow like h^-2: the block recursion must agree with
+    # np.linalg.inv to rounding and stay upper triangular
+    rng = np.random.default_rng(k)
+    r = np.linalg.qr(rng.standard_normal((64, 3 * k, k)), mode="r")
+    r *= np.sign(np.einsum("eii->ei", r))[:, :, None]
+    r *= rng.permuted(np.broadcast_to(np.logspace(-8, 0, k), (64, k)), axis=1)[:, :, None]
+    x = forms._upper_inverse(r)
+    reference = np.linalg.inv(r)
+    gap = np.linalg.norm(x - reference, axis=(1, 2)) / np.linalg.norm(reference, axis=(1, 2))
+    assert gap.max() <= 1e-14
+    assert np.array_equal(x, np.triu(x))
+
+
+def test_upper_inverse_is_exact_on_diagonal_r():
+    d = np.random.default_rng(2).uniform(1e-8, 1.0, (16, 15))
+    x = forms._upper_inverse(d[:, :, None] * np.eye(15))
+    assert np.array_equal(x, (1.0 / d)[:, :, None] * np.eye(15))
+
+
+@pytest.mark.parametrize("bad", ["zero", "nan"])
+def test_inverse_factor_names_the_first_element_with_a_bad_diagonal(bad):
+    # element 2 of four gets a zero column (R's diagonal entry is exactly
+    # zero) or a NaN, and element 3 a zero column: the first is named
+    s = np.random.default_rng(1).standard_normal((4, 30, 15))
+    s[2, :, 4] = 0.0 if bad == "zero" else np.nan
+    s[3, :, 7] = 0.0
+    with pytest.raises(FormsError, match=r"test Gram block is singular \(element 12\)"):
+        forms._inverse_factor(s, [10, 11, 12, 13])

@@ -181,7 +181,7 @@ def test_one_factorization_per_solve(monkeypatch):
     inputs = []
 
     def recording_splu(m, *args, **kwargs):
-        inputs.append((m, m.toarray()))
+        inputs.append((m, m.toarray(), args, kwargs))
         return splu(m, *args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
@@ -189,7 +189,11 @@ def test_one_factorization_per_solve(monkeypatch):
     a = scipy.sparse.csr_matrix(w.T @ w)
     x = sparse_spd_solve(a, w.T @ load, scipy.sparse.linalg.aslinearoperator(w), load)
     assert np.linalg.norm(load - w @ x) <= 1e-12
-    [(m, factored)] = inputs
+    [(m, factored, args, kwargs)] = inputs
+    # four-column panels, relax at SuperLU's default, from the one
+    # definition the tests' own factorizations use
+    assert args == () and kwargs == linsolve.SPLU_OPTIONS
+    assert kwargs["panel_size"] == 4 and "relax" not in kwargs
     assert np.shares_memory(m.data, a.data)
     dense = w.T @ w
     np.fill_diagonal(dense, np.diag(dense) * (1 + linsolve.SHIFT))
@@ -227,12 +231,7 @@ def test_preconditioner_matches_the_jacobi_scaled_factor(monkeypatch):
     scaled = a.tocsc()
     scaled.data = s[scaled.indices] * scaled.data * np.repeat(s, np.diff(scaled.indptr))
     scaled.setdiag(scaled.diagonal() + linsolve.SHIFT)
-    lu_j = scipy.sparse.linalg.splu(
-        scaled,
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options=dict(SymmetricMode=True),
-    )
+    lu_j = scipy.sparse.linalg.splu(scaled, **linsolve.SPLU_OPTIONS)
     rng = np.random.default_rng(3)
     for g in rng.standard_normal((5, a.shape[0])):
         expected = s * lu_j.solve(s * g)
@@ -311,12 +310,7 @@ def test_solve_holds_no_copy_of_a(monkeypatch):
     shifted.setdiag(shifted.diagonal() * (1 + linsolve.SHIFT))
 
     def factor_alone():
-        scipy.sparse.linalg.splu(
-            shifted,
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options=dict(SymmetricMode=True),
-        )
+        scipy.sparse.linalg.splu(shifted, **linsolve.SPLU_OPTIONS)
 
     excess = _traced_peak(lambda: sparse_spd_solve(a, b, w, load)) - _traced_peak(factor_alone)
     assert excess < copy
@@ -448,12 +442,7 @@ def test_ordering_reduces_fill_on_dpg_system(caplog):
 
     shifted = a.tocsc()
     shifted.setdiag(shifted.diagonal() * (1 + linsolve.SHIFT))
-    colamd = scipy.sparse.linalg.splu(
-        shifted,
-        permc_spec="COLAMD",
-        diag_pivot_thresh=0.0,
-        options=dict(SymmetricMode=True),
-    )
+    colamd = scipy.sparse.linalg.splu(shifted, **{**linsolve.SPLU_OPTIONS, "permc_spec": "COLAMD"})
     assert fill <= 0.8 * colamd.nnz
 
 
