@@ -2,16 +2,18 @@
 
 The solution minimizes the whitened residual |load - W x|.  A must be
 its Gram matrix W^T W, which one seeded random product checks.
-A^T + SHIFT diag(A) is factored once, from A's own CSR arrays read as
-CSC ones with the shift written onto A's diagonal and taken off again,
-and the factor preconditions conjugate gradients on W (CGLS), which
-raises if it finds it indefinite.  A equals A^T only to rounding: the
-COO -> CSR conversion sums duplicate triplets in no fixed order (7.3e-12
-absolute at most on the benchmark's final levels).  The probe certifies
+A^T with each diagonal entry SHIFT_ULPS units in the last place (ulps)
+larger is factored once, from A's own CSR arrays read as CSC ones with
+the shift written onto A's diagonal and taken off again, and the factor
+preconditions conjugate gradients on W (CGLS), which raises if it finds
+it indefinite.  A equals A^T only to rounding: the COO -> CSR
+conversion sums duplicate triplets in no fixed order (7.3e-12 absolute
+at most on the benchmark's final levels).  The probe certifies
 A itself and CGLS works on W, so that rounding moves the preconditioner,
 not the answer.
 Forced diagonal pivots never compare magnitudes, so factoring the
-Jacobi-scaled D^-1/2 A D^-1/2 + SHIFT I would only change rounding.
+shifted matrix scaled by its own diagonal to a unit one (Jacobi) would
+only change rounding.
 The `bilap_dpg.linsolve` logger gets a warning when CGLS stops at its
 iteration cap and one debug record per solve; no handler is installed.
 """
@@ -25,15 +27,19 @@ import scipy.sparse.linalg
 
 log = logging.getLogger(__name__)
 
-# relative to A's diagonal: on strongly graded meshes A has near-null
-# directions below roundoff, where the unshifted factor meets nonpositive
-# pivots; CGLS takes the shift back out of the answer
-SHIFT = 1e-15
+# ulps added to each of A's diagonal entries: on strongly graded meshes
+# A has near-null directions below roundoff, where the unshifted factor
+# meets nonpositive pivots; CGLS takes the shift back out of the answer.
+# One ulp still meets them on the sector at 25,576 and 47,144 free
+# unknowns, and each ulp past two costs CGLS steps: two, three, four and
+# six ulps take 25, 28, 32 and 37 steps on the final sector-s2-adaptive
+# level
+SHIFT_ULPS = 2
 # CGLS stops at g^T M^-1 g <= RTOL^2 of its start, g = W^T r (1e-10
 # leaves normal-equation residuals above 1e-12 on graded meshes)
 RTOL = 1e-12
 # a bound, not a target: the sector study to 20,000 dofs takes at most
-# 38 steps a level, and CGLS run far past convergence drifts
+# 25 steps a level, and CGLS run far past convergence drifts
 MAXITER = 200
 # splu's arguments.  Diagonal pivoting in symmetric mode makes LU act as
 # LDL^T; the pattern is symmetric, so the fill-reducing ordering is
@@ -50,6 +56,11 @@ SPLU_OPTIONS = dict(
 )
 
 
+def shifted_diagonal(diagonal):
+    """A's diagonal as it is factored: each entry SHIFT_ULPS ulps larger."""
+    return diagonal + SHIFT_ULPS * np.spacing(diagonal)
+
+
 class LinearSolveError(Exception):
     """Factorization or iteration failure."""
 
@@ -61,9 +72,9 @@ class NotPositiveDefiniteError(LinearSolveError):
 def sparse_spd_solve(a, b, w, load):
     """Minimize |load - W x|, given A = W^T W and b = W^T load.
 
-    A^T + SHIFT diag(A) is factored once by symmetric-mode LU with
-    SPLU_OPTIONS, ordered by minimum degree on A + A^T, and
-    preconditions CGLS on W.
+    A^T with its diagonal shifted by `shifted_diagonal` is factored
+    once by symmetric-mode LU with SPLU_OPTIONS, ordered by minimum
+    degree on A + A^T, and preconditions CGLS on W.
 
     Parameters
     ----------
@@ -105,7 +116,7 @@ def sparse_spd_solve(a, b, w, load):
             f"matrix is not positive definite: {n - diag_at.size} diagonal entries unstored, n={n}"
         )
     diagonal = a.data[diag_at]
-    a.data[diag_at] = diagonal * (1 + SHIFT)
+    a.data[diag_at] = shifted_diagonal(diagonal)
     try:
         lu = scipy.sparse.linalg.splu(
             scipy.sparse.csc_matrix((a.data, a.indices, a.indptr), shape=a.shape),
@@ -123,8 +134,8 @@ def sparse_spd_solve(a, b, w, load):
     x, iterations = _cgls(w, load, b, lu.solve)
     residual = np.linalg.norm(a @ x - b)
     log.debug(
-        "sparse SPD solve: n=%d nnz(A)=%d nnz(L+U)=%d shift=%g probe_gap=%.3e "
-        "cgls_iterations=%d relative_residual=%.3e", n, a.nnz, lu.nnz, SHIFT,
+        "sparse SPD solve: n=%d nnz(A)=%d nnz(L+U)=%d shift_ulps=%d probe_gap=%.3e "
+        "cgls_iterations=%d relative_residual=%.3e", n, a.nnz, lu.nnz, SHIFT_ULPS,
         probe_gap, iterations, residual / max(np.linalg.norm(b), 1e-300),
     )
     tol = 1e-10 * max(np.linalg.norm(b), scale * np.linalg.norm(x), 1e-300)

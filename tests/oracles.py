@@ -53,15 +53,16 @@ def dirac_eps_list():
 
 
 def shifted_pivots(a):
-    """U's diagonal in the factor of A^T + SHIFT diag(A) made with the
-    solver's `splu` options, which is what the solver factors when it
-    reads A's CSR arrays as CSC: forced diagonal pivots in symmetric
-    mode make LU act as LDL^T, so every pivot is positive if and only
-    if the shifted A^T is positive definite."""
-    from bilap_dpg.linsolve import SHIFT, SPLU_OPTIONS
+    """U's diagonal in the factor of A^T, its diagonal shifted by the
+    solver's `shifted_diagonal`, made with the solver's `splu` options:
+    what the solver factors when it reads A's CSR arrays as CSC.  Forced
+    diagonal pivots in symmetric mode make LU act as LDL^T, so every
+    pivot is positive if and only if the shifted A^T is positive
+    definite."""
+    from bilap_dpg.linsolve import SPLU_OPTIONS, shifted_diagonal
 
     shifted = scipy.sparse.csc_matrix(a.T, dtype=float, copy=True)
-    shifted.setdiag(shifted.diagonal() * (1 + SHIFT))
+    shifted.setdiag(shifted_diagonal(shifted.diagonal()))
     return scipy.sparse.linalg.splu(shifted, **SPLU_OPTIONS).U.diagonal()
 
 

@@ -174,8 +174,8 @@ def test_rank_deficient_w_gives_a_least_squares_minimizer(w):
 def test_one_factorization_per_solve(monkeypatch):
     # the rank-2 Gram matrix of the columns of [[1, 2, 3], [4, 5, 6]],
     # whose unshifted factor ends on a roundoff-negative pivot: one
-    # factorization of A as assembled with its diagonal times 1 + SHIFT,
-    # read from A's own arrays, and CGLS on W
+    # factorization of A as assembled with each diagonal entry d raised
+    # to exactly d + 2 spacing(d), read from A's own arrays, and CGLS on W
     w = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     splu = scipy.sparse.linalg.splu
     inputs = []
@@ -196,17 +196,20 @@ def test_one_factorization_per_solve(monkeypatch):
     assert kwargs["panel_size"] == 4 and "relax" not in kwargs
     assert np.shares_memory(m.data, a.data)
     dense = w.T @ w
-    np.fill_diagonal(dense, np.diag(dense) * (1 + linsolve.SHIFT))
+    d = np.diag(dense).copy()
+    np.fill_diagonal(dense, d + 2 * np.spacing(d))
     assert np.array_equal(factored, dense)
+    assert np.array_equal(np.diag(factored), linsolve.shifted_diagonal(d))
 
 
 def test_preconditioner_matches_the_jacobi_scaled_factor(monkeypatch):
     # the scheme-2 system of the sector with its corner elements bisected
-    # twice: applying the factor of A + SHIFT diag(A) must agree with the
-    # factor of the Jacobi-scaled D^-1/2 A D^-1/2 + SHIFT I, applied as
-    # D^-1/2 (.) D^-1/2, since forced diagonal pivots never compare
-    # magnitudes.  Both are accurate only to roundoff over the smallest
-    # pivot ratio, so six such bisections (h_min = 2^-5) part them by 1e-7
+    # twice: applying the factor of A with its diagonal shifted, A_s,
+    # must agree with the factor of A_s scaled by its own diagonal D_s,
+    # D_s^-1/2 A_s D_s^-1/2, applied as D_s^-1/2 (.) D_s^-1/2, since
+    # forced diagonal pivots never compare magnitudes.  Both are accurate
+    # only to roundoff over the smallest pivot ratio, so six such
+    # bisections (h_min = 2^-5) part them by 1e-7
     mesh = make_sector_domain()
     for _ in range(2):
         corner = np.abs(mesh.triangle_coords()).sum(axis=2).min(axis=1) == 0
@@ -227,10 +230,10 @@ def test_preconditioner_matches_the_jacobi_scaled_factor(monkeypatch):
     monkeypatch.setattr(dpg_solver, "sparse_spd_solve", capture_a)
     dpg_solver.assemble_and_solve(mesh, Formulation(scheme=2), singular_problem())
     [a, precond] = captured
-    s = 1.0 / np.sqrt(a.diagonal())
     scaled = a.tocsc()
+    scaled.setdiag(linsolve.shifted_diagonal(scaled.diagonal()))
+    s = 1.0 / np.sqrt(scaled.diagonal())
     scaled.data = s[scaled.indices] * scaled.data * np.repeat(s, np.diff(scaled.indptr))
-    scaled.setdiag(scaled.diagonal() + linsolve.SHIFT)
     lu_j = scipy.sparse.linalg.splu(scaled, **linsolve.SPLU_OPTIONS)
     rng = np.random.default_rng(3)
     for g in rng.standard_normal((5, a.shape[0])):
@@ -307,7 +310,7 @@ def test_solve_holds_no_copy_of_a(monkeypatch):
     [(a, b, w, load)] = captured
     copy = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
     shifted = a.tocsc()
-    shifted.setdiag(shifted.diagonal() * (1 + linsolve.SHIFT))
+    shifted.setdiag(linsolve.shifted_diagonal(shifted.diagonal()))
 
     def factor_alone():
         scipy.sparse.linalg.splu(shifted, **linsolve.SPLU_OPTIONS)
@@ -416,6 +419,7 @@ def test_solve_logs_one_debug_record(caplog):
         message = record.getMessage()
         for field in fields:
             assert field in message
+        assert " shift_ulps=2 " in message
         assert float(re.search(r"probe_gap=(\S+) ", message).group(1)) <= 1e-15
 
 
@@ -441,7 +445,7 @@ def test_ordering_reduces_fill_on_dpg_system(caplog):
     assert fill == 68_320  # as when the solver assembled this system itself
 
     shifted = a.tocsc()
-    shifted.setdiag(shifted.diagonal() * (1 + linsolve.SHIFT))
+    shifted.setdiag(linsolve.shifted_diagonal(shifted.diagonal()))
     colamd = scipy.sparse.linalg.splu(shifted, **{**linsolve.SPLU_OPTIONS, "permc_spec": "COLAMD"})
     assert fill <= 0.8 * colamd.nnz
 
@@ -464,3 +468,46 @@ def test_fill_does_not_depend_on_rounding(caplog):
         sizes = re.search(r"nnz\(A\)=(\d+) nnz\(L\+U\)=(\d+)", record.getMessage())
         fills.append(sizes.groups())
     assert fills[0] == fills[1]
+
+
+@pytest.mark.slow
+def test_two_ulp_shift_takes_fewer_cgls_steps_on_a_graded_sector(monkeypatch):
+    # the scheme-2 system of the adaptive sector's first level past
+    # 10,000 dofs (n = 9,850 free unknowns): the factor of A with two
+    # ulps on its diagonal is closer to A than one with the diagonal
+    # times 1 + 1e-15 (5 to 10 ulps), which took 12 CGLS steps where
+    # two ulps take 8.  Both meet CGLS's stopping test
+    systems = []
+
+    def capture(a, b, w, load):
+        systems[:] = [(a, b, w, load)]
+        return sparse_spd_solve(a, b, w, load)
+
+    monkeypatch.setattr(dpg_solver, "sparse_spd_solve", capture)
+    prob = singular_problem()
+    dpg_solver.adaptive_loop(prob.make_domain(), Formulation(scheme=2), prob, 0.5, 10_000)
+    [(a, b, w, load)] = systems
+    assert a.shape[0] == 9_850
+
+    def cgls_run(shift):
+        runs = []
+
+        def recording_cgls(w, load, b, precond):
+            x, iterations = _cgls(w, load, b, precond)
+            runs.append((x, iterations, precond))
+            return x, iterations
+
+        with monkeypatch.context() as m:
+            m.setattr(linsolve, "_cgls", recording_cgls)
+            m.setattr(linsolve, "shifted_diagonal", shift)
+            sparse_spd_solve(a, b, w, load)
+        [(x, iterations, precond)] = runs
+        g = w.rmatvec(load - w.matvec(x))
+        gamma, gamma_0 = g @ precond(g), b @ precond(b)
+        assert iterations < linsolve.MAXITER
+        assert 0 <= gamma <= linsolve.RTOL**2 * gamma_0
+        return iterations
+
+    two_ulps = cgls_run(linsolve.shifted_diagonal)
+    reference = cgls_run(lambda d: d * (1 + 1e-15))
+    assert two_ulps < reference
