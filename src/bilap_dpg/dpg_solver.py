@@ -34,7 +34,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from bilap_dpg import forms, problems, shape
-from bilap_dpg.linsolve import sparse_spd_solve
+from bilap_dpg.linsolve import LinearSolveError, sparse_spd_solve
 from bilap_dpg.mesh import doerfler_mark, refine_nvb
 from bilap_dpg.trace_space import (
     DOFS_PER_VERTEX,
@@ -219,12 +219,7 @@ def assemble_and_solve(mesh, formulation, problem):
     a.data, a.indices = a.data.copy(), a.indices.copy()
     w_free = _free_operator(blocks, local.cls, n)
 
-    try:
-        x_free = sparse_spd_solve(a, w_free.rmatvec(load), w_free, load)
-    except Exception as exc:
-        raise SolverError(
-            f"global solve failed on mesh with {mesh.num_triangles} triangles: {exc}"
-        ) from exc
+    x_free = sparse_spd_solve(a, w_free.rmatvec(load), w_free, load)
 
     x_free = np.append(x_free, 0.0)  # at id n, which the fixed columns read and drop
     for (_, c), (_, _, ids) in zip(blocks, local.blocks()):
@@ -322,12 +317,19 @@ def error_indicators(solution):
 
 
 def solve_and_record(mesh, formulation, problem, level):
-    """Solve one level and produce its study record."""
+    """Solve one level and produce its study record.
+
+    A failure of the level's local systems, boundary data, solve or
+    errors raises SolverError naming the level and the mesh size.
+    """
     t0 = time.perf_counter()
-    solution = assemble_and_solve(mesh, formulation, problem)
-    indicators = error_indicators(solution)
-    elapsed = time.perf_counter() - t0
-    err_u, err_sigma = problems.l2_errors(solution, problem)
+    try:
+        solution = assemble_and_solve(mesh, formulation, problem)
+        indicators = error_indicators(solution)
+        elapsed = time.perf_counter() - t0
+        err_u, err_sigma = problems.l2_errors(solution, problem)
+    except (forms.FormsError, LinearSolveError, SolverError, ValueError) as exc:
+        raise SolverError(f"level {level} ({mesh.num_triangles} triangles): {exc}") from exc
     record = StudyRecord(
         level=level,
         ndof_total=solution.ndof_total,
@@ -355,10 +357,7 @@ def adaptive_loop(mesh, formulation, problem, theta, max_dofs):
     records = []
     level = 0
     while True:
-        try:
-            record, solution, indicators = solve_and_record(mesh, formulation, problem, level)
-        except SolverError as exc:
-            raise SolverError(f"level {level}: {exc}") from exc
+        record, solution, indicators = solve_and_record(mesh, formulation, problem, level)
         # its W blocks must not live through the next level's local
         # systems and solve, which set the peak memory
         del solution

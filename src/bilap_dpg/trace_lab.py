@@ -11,8 +11,10 @@ Three experiments accompany the solver:
   of the trace norm of a smooth function on a single element, both
   sides over the polynomials of one degree d.
 
-Every norm of a polynomial is a test norm of `forms`, taken with its
-element kernels in the coefficients of the element's orthonormal basis.
+Every test function is a monomial x^i y^j, passed as its exponent pair
+(i, j).  Every norm of a polynomial is a test norm of `forms`, taken
+with its element kernels in the coefficients of the element's
+orthonormal basis.
 """
 
 from __future__ import annotations
@@ -33,35 +35,6 @@ POINTS_PER_PANEL = 8
 HALF_DISK_SECTORS = 24
 HALF_DISK_LEVELS = 26
 HALF_DISK_EXACTNESS = 8
-
-
-class Poly2:
-    """Small bivariate polynomial helper: c[i, j] x^i y^j."""
-
-    def __init__(self, coeffs):
-        self.c = np.atleast_2d(np.asarray(coeffs, dtype=float))
-
-    @classmethod
-    def monomial(cls, i, j):
-        c = np.zeros((i + 1, j + 1))
-        c[i, j] = 1.0
-        return cls(c)
-
-    @property
-    def degree(self):
-        nz = np.nonzero(self.c)
-        if len(nz[0]) == 0:
-            return 0
-        return int(max(i + j for i, j in zip(*nz)))
-
-    def __call__(self, x, y):
-        return np.polynomial.polynomial.polyval2d(x, y, self.c)
-
-    def dx(self):
-        return Poly2(np.polynomial.polynomial.polyder(self.c, axis=0))
-
-    def dy(self):
-        return Poly2(np.polynomial.polynomial.polyder(self.c, axis=1))
 
 
 @lru_cache(maxsize=1)
@@ -94,41 +67,41 @@ def mollifier(t, eps):
 
 
 def _panel_gauss(eps):
-    """Composite Gauss nodes/weights on [0, eps]."""
-    t, w = np.polynomial.legendre.leggauss(POINTS_PER_PANEL)
+    """Composite Gauss nodes/weights on [0, eps]: `shape.edge_quadrature`'s
+    POINTS_PER_PANEL-point rule on each of PANELS equal panels."""
+    rule = shape.edge_quadrature(2 * POINTS_PER_PANEL - 1)
     edges = np.linspace(0.0, eps, PANELS + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    nodes = (mid[:, None] + half[:, None] * t[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    width = np.diff(edges)[:, None]
+    return (edges[:-1, None] + width * rule.points).ravel(), (width * rule.weights).ravel()
 
 
 def pair_trace_veps(z, eps):
-    """Duality of the mollifier corner function with a test polynomial.
+    """Duality of the mollifier corner function with a test monomial.
 
     Evaluates   <dn(v_eps), z>_dT - <v_eps, dn(z)>_dT   on the reference
     triangle; the sign convention makes the eps -> 0 limit equal
-    +z(0, 0).  Both edge integrals reduce to [0, eps] because v_eps is
-    supported in the corner ball of radius eps; they are computed with
-    composite Gauss panels.
+    +z(0, 0).  Both edge integrals reduce to [0, eps] on the two legs
+    through the corner, because v_eps is supported in the corner ball
+    of radius eps; they are computed with composite Gauss panels.  On
+    the leg y = 0, z = t^i if j = 0 and dy z = t^i if j = 1; on x = 0,
+    z = t^j if i = 0 and dx z = t^j if i = 1; else they vanish there.
 
     Parameters
     ----------
-    z : Poly2, degree <= 6
+    z : exponent pair (i, j) of z = x^i y^j, i + j <= 6
     eps : float in (0, 1/2)
     """
-    if z.degree > 6:
-        raise ValueError(f"test polynomial degree {z.degree} exceeds 6")
+    i, j = z
+    if min(i, j) < 0 or i + j > 6:
+        raise ValueError(f"x^{i} y^{j} is not a monomial of degree <= 6")
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
     t, w = _panel_gauss(eps)
-    phi = mollifier(t, eps)
-    zero = np.zeros_like(t)
-    # bottom edge y = 0 (outward normal (0,-1)) and left edge x = 0
+    wphi = w * mollifier(t, eps)
+    # bottom leg y = 0 (outward normal (0,-1)) and left leg x = 0
     # (outward normal (-1,0)); the hypotenuse does not meet the support
-    dn_term = w @ (phi * z(t, zero)) + w @ (phi * z(zero, t))
-    v_term = w @ (t * phi * z.dy()(t, zero)) + w @ (t * phi * z.dx()(zero, t))
+    dn_term = (j == 0) * (wphi @ t**i) + (i == 0) * (wphi @ t**j)
+    v_term = (j == 1) * (wphi @ t ** (i + 1)) + (i == 1) * (wphi @ t ** (j + 1))
     return float(dn_term - v_term)
 
 
@@ -147,16 +120,17 @@ def dirac_convergence_study(eps_list):
     from scheme 2's test-norm stack (`_norm_stack`); the returned slope
     is the log-log fit of e against eps.
     """
-    z_list = [Poly2.monomial(i, j) for i, j in shape.monomial_exponents(4)]
+    z_list = [(i, j) for i, j in shape.monomial_exponents(4).tolist()]
     eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=float)
     norms = []
     for z in z_list:
-        stack, y = _norm_stack(shape.REFERENCE_VERTICES, z, z.degree, scheme=2)
+        stack, y = _norm_stack(shape.REFERENCE_VERTICES, z, sum(z), scheme=2)
         norms.append(float(np.linalg.norm(stack @ y)))
     errors = np.empty_like(eps_arr)
-    for i, eps in enumerate(eps_arr):
-        errors[i] = max(
-            abs(pair_trace_veps(z, eps) - z(0.0, 0.0)) / nz
+    for k, eps in enumerate(eps_arr):
+        # z(0, 0) is 1 for the constant and 0 for every other monomial
+        errors[k] = max(
+            abs(pair_trace_veps(z, eps) - float(z == (0, 0))) / nz
             for z, nz in zip(z_list, norms)
         )
     if len(eps_arr) >= 2 and np.all(errors > 0):
@@ -205,10 +179,11 @@ def unboundedness_demo(n_list):
 def _norm_stack(vertices, z, degree, scheme):
     """The stack S of `scheme`'s first test norm on the element
     `vertices` in P_degree (`forms._gram_stacks`) and the coefficients y
-    of z in the element's orthonormal basis, so that |S y| is z's graph
-    norm (scheme 1) or full second-order norm (scheme 2).
+    of z = x^i y^j, given as (i, j), in the element's orthonormal
+    basis, so that |S y| is z's graph norm (scheme 1) or full
+    second-order norm (scheme 2).
 
-    The basis is degree-graded, so the coefficients past dim P_(z.degree)
+    The basis is degree-graded, so the coefficients past dim P_(i + j)
     are exact zeros, not quadrature rounding that the second-order rows
     (growing like degree^4) would amplify.
     """
@@ -216,9 +191,11 @@ def _norm_stack(vertices, z, degree, scheme):
     _, det, jinv = forms._maps([vertices], [0])
     stack = forms._gram_stacks(forms._hessians(tab, jinv), scheme)[0][0]
     pts, _ = shape.map_to_triangle(tab.quad, vertices)
-    n = shape.basis_dimension(z.degree)
+    i, j = z
+    n = shape.basis_dimension(i + j)
     y = np.zeros(tab.dim)
-    y[:n] = np.sqrt(det[0]) * (tab.quad.weights * z(*pts.T)) @ tab.tri.val[:, :n]
+    z_at = pts[:, 0] ** i * pts[:, 1] ** j
+    y[:n] = np.sqrt(det[0]) * (tab.quad.weights * z_at) @ tab.tri.val[:, :n]
     return stack, y
 
 
@@ -255,11 +232,11 @@ def norm_identity_check(vertices, z, degree):
     Parameters
     ----------
     vertices : (3, 2) element
-    z : Poly2, degree <= 4
+    z : exponent pair (i, j) of z = x^i y^j, i + j <= 4
     degree : int >= 4
     """
-    if z.degree > 4:
-        raise ValueError("z must have degree <= 4")
+    if min(z) < 0 or sum(z) > 4:
+        raise ValueError("z must be a monomial of degree <= 4")
     if degree < 4:
         raise ValueError("degree must be at least 4")
     stack, y = _norm_stack(vertices, z, degree, scheme=1)

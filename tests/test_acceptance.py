@@ -33,7 +33,6 @@ from bilap_dpg.shape import (
     triangle_quadrature,
 )
 from bilap_dpg.trace_lab import (
-    Poly2,
     dirac_convergence_study,
     norm_identity_check,
     pair_trace_veps,
@@ -257,7 +256,7 @@ def test_criterion_7_dirac_approximation():
     t0 = time.perf_counter()
     study = dirac_convergence_study(dirac_eps_list())
     const_exact = all(
-        abs(pair_trace_veps(Poly2([[1.0]]), eps) - 1.0) <= 1e-10
+        abs(pair_trace_veps((0, 0), eps) - 1.0) <= 1e-10
         for eps in study.eps
     )
     elapsed = time.perf_counter() - t0
@@ -289,7 +288,7 @@ def test_criterion_8_unbounded_point_values():
 
 
 def test_criterion_9_norm_identity_sandwich():
-    z = Poly2.monomial(2, 1)
+    z = (2, 1)  # x^2 y
     gaps = {}
     sandwich_ok = True
     for deg in (4, 6, 8):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bilap_dpg import cli
+from bilap_dpg import cli, dpg_solver, forms
 from bilap_dpg.cli import (
     STUDY_HEADER,
     StudyConfig,
@@ -21,6 +21,8 @@ from bilap_dpg.cli import (
     run_tracelab,
 )
 from bilap_dpg.dpg_solver import StudyRecord
+from bilap_dpg.forms import FormsError
+from bilap_dpg.linsolve import LinearSolveError
 from bilap_dpg.mesh import refine_nvb
 
 
@@ -265,6 +267,45 @@ def test_empty_output_exits_one_before_any_work(command, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_tracelab", _no_work)
     assert main(command + ["--output", ""]) == 1
     assert capsys.readouterr().err == "bilap-dpg: error: --output is empty\n"
+
+
+def _fail_at_call(monkeypatch, owner, name, call, error):
+    """Make the `call`-th call of owner.name raise `error`; return the
+    list of the first arguments of its calls."""
+    real = getattr(owner, name)
+    firsts = []
+
+    def failing(first, *args, **kwargs):
+        firsts.append(first)
+        if len(firsts) == call:
+            raise error
+        return real(first, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, failing)
+    return firsts
+
+
+def test_uniform_study_failure_names_its_level(tmp_path, capsys, monkeypatch):
+    # the second level's sparse solve fails (the 4x4 square, 32 triangles)
+    _fail_at_call(monkeypatch, dpg_solver, "sparse_spd_solve", 2,
+                  LinearSolveError("normal-equation residual nan above tolerance"))
+    assert main(["study", "--levels", "3", "--output", str(tmp_path / "s.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "bilap-dpg: numerical failure: level 1 (32 triangles): "
+        "normal-equation residual nan above tolerance\n"
+    )
+
+
+def test_adaptive_study_local_failure_names_its_level(tmp_path, capsys, monkeypatch):
+    # the third level's local systems fail, after two adaptive refinements
+    meshes = _fail_at_call(monkeypatch, forms, "build_local_systems", 3,
+                           FormsError("degenerate element 0"))
+    argv = ["study", "--problem", "singular", "--refine", "adaptive"]
+    assert main(argv + ["--output", str(tmp_path / "s.csv")]) == 2
+    n = meshes[2].num_triangles
+    assert capsys.readouterr().err == (
+        f"bilap-dpg: numerical failure: level 2 ({n} triangles): degenerate element 0\n"
+    )
 
 
 @pytest.mark.parametrize("levels", [1, 3])

@@ -16,6 +16,11 @@ are exempt.  Tests do not count, so a public name needs a production
 caller too, and a helper that only tests reach belongs in
 `tests/oracles.py`.  `bilap_dpg/__init__.py` holds only the package
 docstring: callers import the submodules.
+
+Every name a src module imports is referenced in that module itself;
+another module's use of the name does not count, and only
+`from __future__ import annotations` is exempt.  A dotted import
+`import a.b` counts as used where `a.b` or an attribute of it is read.
 """
 
 import ast
@@ -187,3 +192,62 @@ def test_field_read_only_through_a_fields_loop_is_unread():
     assert _unread_fields(trees) == ["synthetic.py:7 Item.name"]
     read_too = SYNTHETIC + "\n\ndef label(item):\n    return item.name\n"
     assert _unread_fields({SRC / "synthetic.py": ast.parse(read_too)}) == []
+
+
+def _dotted(node):
+    """'a.b.c' of a Name or of an attribute chain on a Name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def _unused_imports(path, tree):
+    """'module:line name' of every name that an import of the module
+    binds and the module never reads, `__future__` imports exempt."""
+    read = {_dotted(node) for node in ast.walk(tree)}
+    return [
+        f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+        for alias in node.names
+        if (alias.asname or alias.name) not in read
+    ]
+
+
+def test_every_src_import_is_used_by_its_own_module():
+    unused = [
+        entry
+        for path, tree in _production_trees().items()
+        if path.parent == SRC
+        for entry in _unused_imports(path, tree)
+    ]
+    assert not unused, "imported in src but never used by the importing module: " + ", ".join(
+        unused
+    )
+
+
+IMPORTS = """
+from __future__ import annotations
+
+import os
+import scipy.sparse
+import scipy.sparse.linalg
+from bilap_dpg.linsolve import LinearSolveError, sparse_spd_solve
+from bilap_dpg import shape as sh
+
+
+def solve(a, b):
+    return sparse_spd_solve(scipy.sparse.csr_matrix(a), b, sh)
+"""
+
+
+def test_import_read_only_elsewhere_is_unused():
+    # os and LinearSolveError are never read, and scipy.sparse.linalg
+    # only through its parent package
+    assert _unused_imports(SRC / "synthetic.py", ast.parse(IMPORTS)) == [
+        "synthetic.py:4 os", "synthetic.py:6 scipy.sparse.linalg",
+        "synthetic.py:7 LinearSolveError",
+    ]

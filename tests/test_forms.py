@@ -16,6 +16,7 @@ from oracles import (
 from bilap_dpg import forms, shape
 from bilap_dpg.dpg_solver import (
     BrokenField,
+    SolverError,
     assemble_and_solve,
     error_indicators,
     solve_and_record,
@@ -133,14 +134,16 @@ def test_load_examples():
 def test_non_finite_load_names_its_first_element():
     # f is NaN on the square's lower right cell, elements 6 and 7 of the
     # 4x4 mesh: the solve must stop there, not run CGLS to its cap and
-    # report NaN errors
+    # report NaN errors, and the level's record names the level too
     def f(x, y):
         return np.where((x > 0.75) & (y < 0.25), np.nan, 1.0)
 
     problem = dataclasses.replace(smooth_problem(), f=f)
+    message = r"^level 0 \(32 triangles\): load evaluation failed on element 6 at \("
     for form in (VF1, VF2):
-        with pytest.raises(FormsError, match=r"load evaluation failed on element 6 at \("):
+        with pytest.raises(SolverError, match=message) as failure:
             solve_and_record(make_unit_square(4), form, problem, 0)
+        assert isinstance(failure.value.__cause__, FormsError)
 
 
 def test_vf1_vf2_b_matrices_coincide():

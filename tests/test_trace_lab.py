@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import dirac_eps_list, edge_trace_moments, exact_trace_norms
+from oracles import Poly2d, dirac_eps_list, edge_trace_moments, exact_trace_norms
 
 from bilap_dpg import trace_lab
 from bilap_dpg.shape import (
@@ -14,8 +14,8 @@ from bilap_dpg.shape import (
 )
 from bilap_dpg.trace_lab import (
     DiracStudy,
-    Poly2,
     _norm_stack,
+    _panel_gauss,
     _zero_trace_columns,
     dirac_convergence_study,
     mollifier,
@@ -66,29 +66,44 @@ def test_mollifier_support_of_v_and_gradient():
 
 
 def test_pair_constant_is_one():
-    one = Poly2([[1.0]])
     for eps in (0.25, 0.125, 2.0**-7, 0.49):
-        assert pair_trace_veps(one, eps) == pytest.approx(1.0, abs=1e-10)
+        assert pair_trace_veps((0, 0), eps) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_pair_linear_bound():
-    z = Poly2.monomial(1, 0)  # z = x
+    z = (1, 0)  # z = x
     for k in range(2, 9):
         eps = 2.0**-k
         assert abs(pair_trace_veps(z, eps)) <= 1.0 * eps
 
 
-def test_pair_zero_polynomial():
-    assert pair_trace_veps(Poly2([[0.0]]), 0.25) == 0.0
-
-
 def test_pair_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        pair_trace_veps(Poly2([[1.0]]), 0.5)
+        pair_trace_veps((0, 0), 0.5)
     with pytest.raises(ValueError):
-        pair_trace_veps(Poly2([[1.0]]), 0.0)
-    with pytest.raises(ValueError):
-        pair_trace_veps(Poly2.monomial(7, 0), 0.25)
+        pair_trace_veps((0, 0), 0.0)
+    for z in [(7, 0), (-1, 2)]:
+        with pytest.raises(ValueError, match="not a monomial of degree <= 6"):
+            pair_trace_veps(z, 0.25)
+
+
+@pytest.mark.parametrize("eps", [0.25, 2.0**-7])
+def test_pair_matches_the_oracle_polynomial(eps):
+    # oracle: the two edge integrals of the pairing from `Poly2d` values
+    # of x^i y^j and its derivatives, on the same composite Gauss panels
+    t, w = _panel_gauss(eps)
+    phi = mollifier(t, eps)
+    zero = np.zeros_like(t)
+    for i, j in monomial_exponents(6).tolist():
+        c = np.zeros((i + 1, j + 1))
+        c[i, j] = 1.0
+        z = Poly2d(c)
+        dn_term = w @ (phi * z(t, zero)) + w @ (phi * z(zero, t))
+        v_term = w @ (t * phi * z.dy()(t, zero)) + w @ (t * phi * z.dx()(zero, t))
+        expect = dn_term - v_term
+        assert pair_trace_veps((i, j), eps) == pytest.approx(
+            expect, rel=1e-14, abs=0.0 if expect else 1e-14
+        ), (i, j)
 
 
 def test_dirac_study_slope():
@@ -100,8 +115,8 @@ def test_dirac_study_slope():
 def test_dirac_study_flat_test_functions():
     # z vanishing to second order at the corner: one extra order in the
     # study's worst-case error, each z scaled by its norm ||z||_{2,T}
-    z_list = [Poly2.monomial(i, j) for i, j in [(2, 0), (1, 1), (0, 2), (2, 1)]]
-    norms = [np.linalg.norm(np.matmul(*_norm_stack(REFERENCE_VERTICES, z, z.degree, 2)))
+    z_list = [(2, 0), (1, 1), (0, 2), (2, 1)]
+    norms = [np.linalg.norm(np.matmul(*_norm_stack(REFERENCE_VERTICES, z, sum(z), 2)))
              for z in z_list]
     eps = dirac_eps_list()
     error = [max(abs(pair_trace_veps(z, e)) / n for z, n in zip(z_list, norms)) for e in eps]
@@ -110,7 +125,7 @@ def test_dirac_study_flat_test_functions():
 
 def test_dirac_study_constant_only_is_exact():
     # ||1||_{2,T} = 2^(-1/2) on the reference triangle
-    assert pair_trace_veps(Poly2([[1.0]]), 0.25) == pytest.approx(1.0, abs=1e-12 / 2**0.5)
+    assert pair_trace_veps((0, 0), 0.25) == pytest.approx(1.0, abs=1e-12 / 2**0.5)
 
 
 def test_weighted_mollifier_norm_decays():
@@ -184,16 +199,8 @@ def test_log_potentials_are_harmonic():
             assert abs(lap) < 1e-4
 
 
-def test_norm_identity_zero_function():
-    duality, extension = norm_identity_check(
-        REFERENCE_VERTICES, Poly2([[0.0]]), 4
-    )
-    assert duality == pytest.approx(0.0, abs=1e-12)
-    assert extension == pytest.approx(0.0, abs=1e-12)
-
-
 def test_norm_identity_sandwich_and_gap():
-    z = Poly2.monomial(2, 1)  # x^2 y
+    z = (2, 1)  # x^2 y
     results = {}
     for deg in (4, 5, 6, 7, 8):
         duality, extension = norm_identity_check(REFERENCE_VERTICES, z, deg)
@@ -210,9 +217,11 @@ def test_norm_identity_sandwich_and_gap():
 
 def test_norm_identity_input_validation():
     with pytest.raises(ValueError):
-        norm_identity_check(REFERENCE_VERTICES, Poly2.monomial(5, 0), 4)
+        norm_identity_check(REFERENCE_VERTICES, (5, 0), 4)
     with pytest.raises(ValueError):
-        norm_identity_check(REFERENCE_VERTICES, Poly2.monomial(2, 1), 3)
+        norm_identity_check(REFERENCE_VERTICES, (-1, 2), 4)
+    with pytest.raises(ValueError):
+        norm_identity_check(REFERENCE_VERTICES, (2, 1), 3)
 
 
 TRIANGLES = {
@@ -250,7 +259,7 @@ def test_norm_identity_matches_the_edge_moment_search(key):
     # rationals and solved at 60 digits (`exact_trace_norms`); the test
     # keeps the name of the pinned edge-moment-search values it replaced
     name, degree = key
-    got = norm_identity_check(TRIANGLES[name], Poly2.monomial(2, 1), degree)
+    got = norm_identity_check(TRIANGLES[name], (2, 1), degree)
     expect = exact_trace_norms(TRIANGLES[name], (2, 1), degree)
     assert got == pytest.approx(expect, rel=1e-13, abs=0)
 
@@ -264,7 +273,7 @@ def test_extension_norm_does_not_rise_with_the_degree(name):
     # The two sides sandwich the trace norm at each degree, and at
     # degree 29 they meet to rounding
     duality, extension = np.array([
-        norm_identity_check(TRIANGLES[name], Poly2.monomial(2, 1), degree)
+        norm_identity_check(TRIANGLES[name], (2, 1), degree)
         for degree in range(4, MAX_TABLE_DEGREE + 1)
     ]).T
     assert (np.diff(extension) / extension[:-1]).max() <= 1e-13
@@ -278,7 +287,7 @@ def test_default_z_list_spans_degree_4(monkeypatch):
     pair = trace_lab.pair_trace_veps
 
     def recording(z, eps):
-        seen.append(tuple(np.argwhere(z.c)[0]))
+        seen.append(tuple(z))
         return pair(z, eps)
 
     monkeypatch.setattr(trace_lab, "pair_trace_veps", recording)
