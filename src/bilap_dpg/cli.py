@@ -98,6 +98,18 @@ def _check_choices(config):
             raise UsageError(f"invalid {f.name} value {value!r}{_allowed(f)}", f.name)
 
 
+def _check_output_dir(path):
+    """An empty output path, a missing output directory, or an output path
+    that is a directory, is a usage error of the field `output`."""
+    if not path:
+        raise UsageError("output is empty", "output")
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise UsageError(f"output {path}: directory {folder} does not exist", "output")
+    if os.path.isdir(path):
+        raise UsageError(f"output {path} is a directory", "output")
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     problem: str = _option("smooth", ("smooth", "singular"))
@@ -129,6 +141,7 @@ class StudyConfig:
                 f"test degree must be at most {shape.MAX_TABLE_DEGREE}, got {self.test_degree}",
                 "test_degree",
             )
+        _check_output_dir(self.output)
 
 
 @dataclass(frozen=True)
@@ -168,6 +181,7 @@ class TracelabConfig:
         if hi > MAX_EPS_POW:
             raise UsageError(f"eps_max_pow must be at most {MAX_EPS_POW}, got {hi}",
                              "eps_max_pow")
+        _check_output_dir(self.output)
 
 
 _COMMANDS = {
@@ -335,22 +349,9 @@ def parse_config(argv=None):
         raise UsageError(f"{', '.join(origins)}: {exc}") from None
 
 
-def _check_output_dir(path):
-    """An empty output path, a missing output directory, or an output path
-    that is a directory, is a usage error, found before any work."""
-    if not path:
-        raise UsageError("--output is empty")
-    folder = os.path.dirname(path) or "."
-    if not os.path.isdir(folder):
-        raise UsageError(f"--output {path}: directory {folder} does not exist")
-    if os.path.isdir(path):
-        raise UsageError(f"--output {path}: is a directory")
-
-
 def main(argv=None):
     try:
         command, config = parse_config(argv)
-        _check_output_dir(config.output)
         run = run_study if command == "study" else run_tracelab
         run(config)
         print(f"wrote {config.output}")

@@ -116,16 +116,10 @@ class StudyRecord:
 
 
 def _trace_spaces(mesh, problem):
-    uhat_space = build_trace_space(mesh)
-    if problem.boundary_mode == "homogeneous":
-        uhat_space = apply_clamped_bc(uhat_space)
-    elif problem.boundary_mode == "interpolated":
-        uhat_space = interpolate_boundary_data(
-            uhat_space, problem.u_exact, problem.grad_u_exact
-        )
-    else:
-        raise SolverError(f"unknown boundary mode {problem.boundary_mode!r}")
-    return uhat_space
+    """The uhat space: every boundary vertex clamped to the problem's data."""
+    return interpolate_boundary_data(
+        apply_clamped_bc(build_trace_space(mesh)), problem.u_exact, problem.grad_u_exact
+    )
 
 
 def _corner_ids(mesh):

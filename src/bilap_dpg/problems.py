@@ -20,29 +20,31 @@ GRADED_LEVELS = 4
 
 @dataclass(frozen=True)
 class Problem:
-    """Model data: exact solution (when known), right-hand side, domain.
+    """Model data: exact solution, right-hand side, domain.
 
-    All callables are vectorized over numpy arrays.  `sigma_exact` is
-    the Laplacian of `u_exact`.  `boundary_mode` selects how Dirichlet
-    data enters the discrete system: "homogeneous" clamps the trace
-    unknown to zero, "interpolated" sets boundary-vertex dofs from
-    (u_exact, grad_u_exact), which only that mode needs.
-    `make_domain()` returns the initial mesh.  `singular_corner` marks a
-    mesh vertex where sigma is unbounded; `l2_errors` grades its
-    quadrature on the elements there towards it.
+    All callables are vectorized over numpy arrays.  `grad_u_exact`
+    returns (du/dx, du/dy) and `sigma_exact` the Laplacian of `u_exact`.
+    The boundary data are (u, du/dx, du/dy) of `u_exact` at every
+    boundary vertex: the solver fixes all three trace dofs there to
+    them.  `make_domain()` returns the initial mesh.  `singular_corner`
+    marks a mesh vertex where sigma is unbounded; `l2_errors` grades
+    its quadrature on the elements there towards it.
     """
 
     u_exact: Callable
+    grad_u_exact: Callable
     sigma_exact: Callable
     f: Callable
-    boundary_mode: str
     make_domain: Callable
-    grad_u_exact: Callable | None = None
     singular_corner: tuple | None = None
 
 
 def _g(t):
     return t * t * (1.0 - t) ** 2
+
+
+def _g1(t):
+    return 2.0 * t * (1.0 - t) * (1.0 - 2.0 * t)
 
 
 def _g2(t):
@@ -52,13 +54,17 @@ def _g2(t):
 def smooth_problem():
     """Tensor-product polynomial solution on the unit square.
 
-    u(x, y) = x^2 (1-x)^2 y^2 (1-y)^2 satisfies the clamped conditions
-    exactly, so the boundary data is homogeneous.  The initial mesh is
-    the 2-by-2 square, level 0 of the uniform study.
+    u(x, y) = g(x) g(y) with g(t) = t^2 (1-t)^2 satisfies the clamped
+    conditions exactly: u and both components of its gradient
+    (g'(x) g(y), g(x) g'(y)) are 0 at every boundary vertex.  The
+    initial mesh is the 2-by-2 square, level 0 of the uniform study.
     """
 
     def u(x, y):
         return _g(x) * _g(y)
+
+    def grad_u(x, y):
+        return _g1(x) * _g(y), _g(x) * _g1(y)
 
     def sigma(x, y):
         return _g2(x) * _g(y) + _g(x) * _g2(y)
@@ -68,9 +74,9 @@ def smooth_problem():
 
     return Problem(
         u_exact=u,
+        grad_u_exact=grad_u,
         sigma_exact=sigma,
         f=f,
-        boundary_mode="homogeneous",
         make_domain=lambda: make_unit_square(2),
     )
 
@@ -81,9 +87,8 @@ def singular_problem():
     u(r, phi) = r^(1+alpha) (cos((alpha+1) phi) + C cos((alpha-1) phi))
     in polar coordinates centered at the reentrant corner, with phi
     measured symmetrically about the positive x-axis.  u and du/dn
-    vanish on the two straight edges phi = +-5*pi/8; the remaining
-    boundary data is prescribed by interpolation.  f = 0, and
-    sigma = Delta u ~ r^(alpha-1) is unbounded at the origin.
+    vanish on the two straight edges phi = +-5*pi/8, not on the arc.
+    f = 0, and sigma = Delta u ~ r^(alpha-1) is unbounded at the origin.
     """
     a, c = SINGULAR_ALPHA, SINGULAR_C
 
@@ -95,21 +100,15 @@ def singular_problem():
         return np.power(r, 1 + a) * (np.cos((a + 1) * phi) + c * np.cos((a - 1) * phi))
 
     def grad_u(x, y):
+        # O(r^alpha): r**a is 0 at the corner, and nothing divides by r
         r = np.hypot(x, y)
-        safe = np.where(r > 0, r, 1.0)
         phi = np.arctan2(y, x)
-        ur = (1 + a) * safe**a * (
-            np.cos((a + 1) * phi) + c * np.cos((a - 1) * phi)
-        )
-        ut_over_r = safe**a * (
+        ur = (1 + a) * r**a * (np.cos((a + 1) * phi) + c * np.cos((a - 1) * phi))
+        ut_over_r = r**a * (
             -(a + 1) * np.sin((a + 1) * phi) - c * (a - 1) * np.sin((a - 1) * phi)
         )
-        gx = ur * np.cos(phi) - ut_over_r * np.sin(phi)
-        gy = ur * np.sin(phi) + ut_over_r * np.cos(phi)
-        # gradient is O(r^alpha), so its limit at the corner is zero
-        gx = np.where(r > 0, gx, 0.0)
-        gy = np.where(r > 0, gy, 0.0)
-        return gx, gy
+        cos, sin = np.cos(phi), np.sin(phi)
+        return ur * cos - ut_over_r * sin, ur * sin + ut_over_r * cos
 
     def sigma(x, y):
         r = np.hypot(x, y)
@@ -124,7 +123,6 @@ def singular_problem():
         grad_u_exact=grad_u,
         sigma_exact=sigma,
         f=f,
-        boundary_mode="interpolated",
         make_domain=make_sector_domain,
         singular_corner=(0.0, 0.0),
     )

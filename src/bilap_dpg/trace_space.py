@@ -44,10 +44,12 @@ def build_trace_space(mesh):
 
 
 def apply_clamped_bc(space):
-    """Constrain all three dofs of every boundary vertex to zero.
+    """Fix all three dofs of every boundary vertex, to zero until
+    `interpolate_boundary_data` fills in the problem's data.
 
-    This forces the cubic edge trace and the linear normal derivative
-    to vanish identically on boundary edges.
+    This is the one place that decides which dofs are fixed.  With
+    zero data it forces the cubic edge trace and the linear normal
+    derivative to vanish identically on boundary edges.
     """
     constrained = space.constrained | np.repeat(space.mesh.is_boundary_vertex, DOFS_PER_VERTEX)
     values = np.where(constrained, 0.0, space.values)
@@ -55,7 +57,7 @@ def apply_clamped_bc(space):
 
 
 def interpolate_boundary_data(space, u_exact, grad_u_exact):
-    """Constrain boundary-vertex dofs to interpolated Dirichlet data.
+    """Set the values of the fixed dofs to the vertex data of u_exact.
 
     Parameters
     ----------
@@ -65,12 +67,13 @@ def interpolate_boundary_data(space, u_exact, grad_u_exact):
 
     Returns
     -------
-    TraceSpace whose `values` hold (u, du/dx, du/dy) at every boundary
-    vertex; interior dofs remain unknowns.  Non-finite data raises,
-    naming the first boundary vertex where it occurs.  Both callables
-    get all boundary vertices in one call.
+    TraceSpace whose `values` hold (u, du/dx, du/dy) at every fixed dof;
+    `constrained` is kept as it is, so free dofs stay free.  Both
+    callables get every vertex with a fixed dof in one call.
+    Non-finite data there raises, naming the first such vertex.
     """
-    verts = np.nonzero(space.mesh.is_boundary_vertex)[0]
+    fixed = space.constrained.reshape(-1, DOFS_PER_VERTEX)
+    verts = np.nonzero(fixed.any(axis=1))[0]
     x, y = space.mesh.vertices[verts].T
     data = np.empty((len(verts), DOFS_PER_VERTEX))
     data[:, 0] = u_exact(x, y)
@@ -79,12 +82,9 @@ def interpolate_boundary_data(space, u_exact, grad_u_exact):
     if np.any(bad):
         i = np.argmax(bad)
         raise ValueError(f"boundary data evaluation failed at vertex {verts[i]} ({x[i]}, {y[i]})")
-    dofs = DOFS_PER_VERTEX * verts[:, None] + np.arange(DOFS_PER_VERTEX)
-    constrained = space.constrained.copy()
-    values = space.values.copy()
-    constrained[dofs] = True
-    values[dofs] = data
-    return replace(space, constrained=constrained, values=values)
+    values = space.values.reshape(-1, DOFS_PER_VERTEX).copy()
+    values[fixed] = data[fixed[verts]]
+    return replace(space, values=values.ravel())
 
 
 def edge_dof_tables(along, across, t):

@@ -67,7 +67,7 @@ def shifted_pivots(a):
 
 
 def zero_problem():
-    """f = 0 with homogeneous clamped data; the exact solution is 0."""
+    """f = 0 with zero clamped data; the exact solution is 0."""
     from bilap_dpg.mesh import make_unit_square
     from bilap_dpg.problems import Problem
 
@@ -79,7 +79,6 @@ def zero_problem():
         grad_u_exact=lambda x, y: (zero(x, y), zero(x, y)),
         sigma_exact=zero,
         f=zero,
-        boundary_mode="homogeneous",
         make_domain=lambda: make_unit_square(2),
     )
 

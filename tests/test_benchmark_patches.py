@@ -41,6 +41,41 @@ def test_benchmark_patches_install_and_undo(monkeypatch):
         assert getattr(owner, name) is original, f"{owner}.{name} left patched"
 
 
+def test_every_benchmark_patch_is_entered(monkeypatch, tmp_path):
+    # a patched name the study no longer calls leaves its span silent:
+    # count the calls through every patched attribute over a smooth
+    # uniform study and a singular adaptive one
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    study = importlib.import_module("study")
+    tracing = importlib.import_module("tracing")
+    from bilap_dpg import cli
+
+    tracer = tracing.Tracer()
+    patches = tracing.Patches()
+    counts = {}
+    try:
+        study._install_layers(patches, tracer)
+        study.Capture(tracer).install(patches)
+        for key in dict.fromkeys((owner, name) for owner, name, _ in patches._saved):
+            counts[key] = 0
+
+            def counted(*args, _key=key, _fn=getattr(*key), **kwargs):
+                counts[_key] += 1
+                return _fn(*args, **kwargs)
+
+            patches.set(*key, counted)
+        output = str(tmp_path / "s.csv")
+        cli.run_study(cli.StudyConfig(levels=2, output=output))
+        cli.run_study(cli.StudyConfig(problem="singular", refine="adaptive", max_dofs=1000,
+                                      output=output))
+    finally:
+        patches.undo()
+    assert counts
+    silent = [f"{getattr(owner, '__name__', owner)}.{name}"
+              for (owner, name), n in counts.items() if n == 0]
+    assert not silent, f"never entered: {silent}"
+
+
 @pytest.mark.parametrize("degree", [1, 2])
 def test_benchmark_field_reader_matches_the_program(monkeypatch, degree):
     # `checks.field_values` evaluates a field from the captured

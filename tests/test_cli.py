@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -255,7 +255,7 @@ def test_study_output_naming_a_directory_exits_one_before_the_study(
     monkeypatch.setattr(cli, "solve_and_record", _no_work)
     assert main(["study", "--levels", "2", "--output", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err == f"bilap-dpg: error: --output {tmp_path}: is a directory\n"
+    assert err == f"bilap-dpg: error: --output: output {tmp_path} is a directory\n"
 
 
 @pytest.mark.parametrize(
@@ -266,7 +266,28 @@ def test_empty_output_exits_one_before_any_work(command, capsys, monkeypatch):
     monkeypatch.setattr(cli, "solve_and_record", _no_work)
     monkeypatch.setattr(cli, "run_tracelab", _no_work)
     assert main(command + ["--output", ""]) == 1
-    assert capsys.readouterr().err == "bilap-dpg: error: --output is empty\n"
+    assert capsys.readouterr().err == "bilap-dpg: error: --output: output is empty\n"
+
+
+@pytest.mark.parametrize(
+    "command", [["study"], ["tracelab", "--mode", "dirac"]], ids=["study", "tracelab"]
+)
+@pytest.mark.parametrize("case", ["missing", "directory", "empty"])
+def test_output_error_names_its_config_line(tmp_path, command, case, capsys, monkeypatch):
+    # the output path comes from line 2 of the file, not from --output
+    monkeypatch.setattr(cli, "solve_and_record", _no_work)
+    monkeypatch.setattr(cli, "run_tracelab", _no_work)
+    path, message = {
+        "missing": (tmp_path / "missing" / "x.csv",
+                    f"output {tmp_path / 'missing' / 'x.csv'}: "
+                    f"directory {tmp_path / 'missing'} does not exist"),
+        "directory": (tmp_path, f"output {tmp_path} is a directory"),
+        "empty": ("", "output is empty"),
+    }[case]
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"# output\noutput = {path}\n")
+    assert main(command + ["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"bilap-dpg: error: {cfg}:2: {message}\n"
 
 
 def _fail_at_call(monkeypatch, owner, name, call, error):
@@ -384,7 +405,7 @@ def test_tracelab_output_naming_a_directory_exits_one(tmp_path, capsys, monkeypa
     monkeypatch.setattr(cli, "run_tracelab", _no_work)
     assert main(["tracelab", "--mode", "unbounded", "--output", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err == f"bilap-dpg: error: --output {tmp_path}: is a directory\n"
+    assert err == f"bilap-dpg: error: --output: output {tmp_path} is a directory\n"
 
 
 def test_tracelab_mode_flag_wins_over_config(tmp_path):
@@ -521,3 +542,69 @@ def test_import_path_stays_light_and_study_imports_nothing(tmp_path):
     )
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report == {"heavy": [], "added": []}
+
+
+# (level, ndof_total, ndof_field, h_max, eta, err_u, err_sigma) of three
+# small studies: the counts and h_max are exact, the rest agree to 1e-9
+# relative (one BLAS thread)
+_PINNED_STUDIES = {
+    "smooth-s2-uniform": (
+        dict(problem="smooth", scheme=2, refine="uniform", levels=4), [
+        (0, 69, 16, 0.7071067811865476,
+         0.05897230779097696, 0.0015873013300159123, 0.0524479212642184),
+        (1, 253, 64, 0.3535533905932738,
+         0.03760943774237304, 0.0007229295051011082, 0.029290381798877607),
+        (2, 981, 256, 0.1767766952966369,
+         0.020198384780559787, 0.0002931827771319993, 0.01491130188985864),
+        (3, 3877, 1024, 0.08838834764831845,
+         0.010061828015083842, 0.0001246320557017073, 0.007438080507926032),
+    ]),
+    "singular-s2-adaptive": (
+        dict(problem="singular", scheme=2, refine="adaptive", max_dofs=2000), [
+        (0, 46, 10, 1.0,
+         1.697289599969088, 0.5033690747892793, 1.0744593741608583),
+        (1, 99, 24, 1.0,
+         1.2676050725776424, 0.323660013943168, 0.8286686317563662),
+        (2, 152, 38, 1.0,
+         1.1610369061101442, 0.3093686657002828, 0.6763121840933463),
+        (3, 183, 46, 0.7653668647301796,
+         0.9941790748553495, 0.304085301941512, 0.5873429447658403),
+        (4, 267, 68, 0.7653668647301796,
+         0.8766598372401245, 0.2836802807579629, 0.5028735473220698),
+        (5, 351, 90, 0.7368128791039503,
+         0.7188777542559021, 0.23882380521052757, 0.4350995879864862),
+        (6, 494, 128, 0.5,
+         0.5945561022194977, 0.1808836285476336, 0.3567094439712296),
+        (7, 727, 190, 0.5,
+         0.5086873257799794, 0.17110742912700974, 0.2998272263513821),
+        (8, 983, 258, 0.5,
+         0.42670461109274693, 0.14685110886953534, 0.2508952436097897),
+        (9, 1333, 350, 0.5,
+         0.3686114686787821, 0.13090731923952334, 0.21796352310283867),
+        (10, 1710, 450, 0.36840643955197516,
+         0.3089276711940369, 0.1109137923335797, 0.18432224125562682),
+        (11, 2312, 610, 0.25000000000000006,
+         0.2621737322164984, 0.09113259495394922, 0.15531362046652644),
+    ]),
+    "smooth-s1-p1-uniform": (
+        dict(problem="smooth", scheme=1, refine="uniform", levels=4, field_degree=1), [
+        (0, 78, 48, 0.7071067811865476,
+         1.4073641005159, 0.0013131406482221916, 0.03336578791417007),
+        (1, 294, 192, 0.3535533905932738,
+         0.69490903881152, 0.0004048689446512526, 0.016150987724612067),
+        (2, 1158, 768, 0.1767766952966369,
+         0.35519006596579833, 0.0001103062882207464, 0.010814144425753494),
+        (3, 4614, 3072, 0.08838834764831845,
+         0.17926888305967073, 2.7358550873264384e-05, 0.009453316926677023),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_STUDIES))
+def test_small_study_outputs_are_pinned(tmp_path, name):
+    overrides, want = _PINNED_STUDIES[name]
+    records = run_study(StudyConfig(**overrides, output=str(tmp_path / "s.csv")))
+    got = [astuple(r)[:7] for r in records]
+    assert [row[:4] for row in got] == [row[:4] for row in want]
+    for row, pinned in zip(got, want):
+        assert row[4:] == pytest.approx(pinned[4:], rel=1e-9, abs=0.0)

@@ -49,15 +49,14 @@ VF2 = Formulation(scheme=2)
 
 
 def _polynomial_problem(c):
-    """u = sum c[i, j] x^i y^j of degree <= 3, so f = 0, with
-    interpolated boundary data."""
+    """u = sum c[i, j] x^i y^j of degree <= 3, so f = 0, with its
+    boundary data."""
     u = Poly2d(c)
     return Problem(
         u_exact=u,
         grad_u_exact=u.grad,
         sigma_exact=u.laplacian(),
         f=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
-        boundary_mode="interpolated",
         make_domain=make_unit_square,
     )
 

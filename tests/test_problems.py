@@ -86,6 +86,42 @@ def test_sigma_is_fd_laplacian_of_u(prob_name):
         count += 1
 
 
+def test_smooth_gradient_is_fd_gradient_of_u():
+    p = smooth_problem()
+    rng = np.random.default_rng(12)
+    h = 1e-5
+    for x, y in rng.uniform(0.0, 1.0, (50, 2)):
+        gx, gy = p.grad_u_exact(x, y)
+        dx = (p.u_exact(x + h, y) - p.u_exact(x - h, y)) / (2 * h)
+        dy = (p.u_exact(x, y + h) - p.u_exact(x, y - h)) / (2 * h)
+        assert dx == pytest.approx(gx, rel=1e-6, abs=1e-10)
+        assert dy == pytest.approx(gy, rel=1e-6, abs=1e-10)
+
+
+def _nvb_square():
+    rng = np.random.default_rng(0)
+    mesh = make_unit_square(2)
+    for _ in range(8):
+        nt = mesh.num_triangles
+        mesh = refine_nvb(mesh, rng.choice(nt, size=max(1, nt // 3), replace=False))
+    return mesh
+
+
+@pytest.mark.parametrize(
+    "make_mesh",
+    [lambda: make_unit_square(2), lambda: make_unit_square(16), lambda: make_unit_square(128),
+     _nvb_square],
+    ids=["square2", "square16", "square128", "nvb"],
+)
+def test_smooth_boundary_data_are_exactly_zero(make_mesh):
+    mesh = make_mesh()
+    p = smooth_problem()
+    x, y = mesh.vertices[mesh.is_boundary_vertex].T
+    gx, gy = p.grad_u_exact(x, y)
+    assert np.all(p.u_exact(x, y) == 0.0)
+    assert np.all(gx == 0.0) and np.all(gy == 0.0)
+
+
 def test_f_is_fd_bilaplacian_of_u_smooth():
     p = smooth_problem()
     rng = np.random.default_rng(3)
@@ -246,7 +282,7 @@ def test_estimate_rate_errors():
 def test_zero_problem():
     p = zero_problem()
     assert p.f(0.3, 0.4) == 0.0
-    assert p.boundary_mode == "homogeneous"
+    assert p.grad_u_exact(0.3, 0.4) == (0.0, 0.0)
     mesh, square = p.make_domain(), make_unit_square(2)
     assert np.array_equal(mesh.vertices, square.vertices)
     assert np.array_equal(mesh.triangles, square.triangles)

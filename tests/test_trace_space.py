@@ -128,17 +128,35 @@ def test_clamped_bc_boundary_trace_vanishes():
 
 def test_interpolate_zero_equals_clamped():
     m = make_unit_square(2)
-    space = build_trace_space(m)
-    a = apply_clamped_bc(space)
-    b = interpolate_boundary_data(space, lambda x, y: 0.0, lambda x, y: (0.0, 0.0))
+    a = apply_clamped_bc(build_trace_space(m))
+    b = interpolate_boundary_data(a, lambda x, y: 0.0, lambda x, y: (0.0, 0.0))
     assert np.array_equal(a.constrained, b.constrained)
     assert np.allclose(a.values, b.values)
+
+
+@pytest.mark.parametrize("clamped", [False, True], ids=["free", "clamped"])
+def test_interpolate_leaves_the_constraint_mask_as_it_finds_it(clamped):
+    # only the dofs already fixed get data; a free dof stays free at 0
+    m = refine_nvb(make_unit_square(2), [0, 4, 5])
+    space = build_trace_space(m)
+    if clamped:
+        space = apply_clamped_bc(space)
+    mask = space.constrained.copy()
+    out = interpolate_boundary_data(
+        space, lambda x, y: 1.0 + x, lambda x, y: (np.ones_like(x), 2.0 + y)
+    )
+    assert np.array_equal(out.constrained, mask)
+    assert np.array_equal(space.constrained, mask)
+    assert np.all(out.values[~mask] == 0.0)
+    x, y = m.vertices.T
+    want = np.column_stack([1.0 + x, np.ones_like(x), 2.0 + y]).ravel()
+    assert np.array_equal(out.values[mask], want[mask])
 
 
 def test_interpolate_linear_data():
     m = make_unit_square(1)
     space = interpolate_boundary_data(
-        build_trace_space(m), lambda x, y: x, lambda x, y: (1.0, 0.0)
+        apply_clamped_bc(build_trace_space(m)), lambda x, y: x, lambda x, y: (1.0, 0.0)
     )
     for v in range(m.num_vertices):
         x = m.vertices[v][0]
@@ -154,12 +172,13 @@ def test_interpolate_names_the_first_vertex_with_non_finite_data():
     bad = np.nonzero(m.is_boundary_vertex & ((x > 0.6) | (y > 0.6)))[0][0]
     with pytest.raises(ValueError, match=rf"at vertex {bad} \({x[bad]}, {y[bad]}\)$"):
         interpolate_boundary_data(
-            build_trace_space(m),
+            apply_clamped_bc(build_trace_space(m)),
             lambda x, y: np.where(x > 0.6, np.nan, x),
             lambda x, y: (np.zeros_like(x), np.where(y > 0.6, np.inf, 0.0)),
         )
     values = interpolate_boundary_data(
-        build_trace_space(m), lambda x, y: x, lambda x, y: (np.ones_like(x), 0.0)
+        apply_clamped_bc(build_trace_space(m)), lambda x, y: x,
+        lambda x, y: (np.ones_like(x), 0.0),
     ).values.reshape(-1, 3)
     assert np.array_equal(values[m.is_boundary_vertex], np.column_stack(
         [x, np.ones_like(x), np.zeros_like(x)]
@@ -173,7 +192,7 @@ def test_interpolate_singular_solution_origin_dofs_vanish():
     prob = singular_problem()
     m = make_sector_domain()
     space = interpolate_boundary_data(
-        build_trace_space(m), prob.u_exact, prob.grad_u_exact
+        apply_clamped_bc(build_trace_space(m)), prob.u_exact, prob.grad_u_exact
     )
     assert np.allclose(space.values[0:3], 0.0)  # vertex 0 is the origin
 
