@@ -5,8 +5,9 @@ through whitened local systems) to a sparse symmetric positive
 definite matrix over [sigma fields | free trace dofs].  W = chol(G)^-1 B
 is kept as its two test blocks, once per class of elements
 (`forms.LocalSystems`): each block adds W^T W over its own columns,
-sigma being the one unknown in both, and the estimator sums the two
-blocks' residuals.  Every per-element product with a class kernel is
+sigma being the one unknown in both; the sparse solver factors A on
+each block's free ids apart, and the estimator sums the two blocks'
+residuals.  Every per-element product with a class kernel is
 `forms.products`, which owns the class format, so no per-element copy
 of W is ever made.  The field u meets the
 tau block alone, which has no load, so it is condensed out element by
@@ -213,7 +214,8 @@ def assemble_and_solve(mesh, formulation, problem):
     a.data, a.indices = a.data.copy(), a.indices.copy()
     w_free = _free_operator(blocks, local.cls, n)
 
-    x_free = sparse_spd_solve(a, w_free.rmatvec(load), w_free, load)
+    block_ids = [np.unique(c[c < n]) for _, c in blocks]
+    x_free = sparse_spd_solve(a, w_free.rmatvec(load), w_free, load, block_ids)
 
     x_free = np.append(x_free, 0.0)  # at id n, which the fixed columns read and drop
     for (_, c), (_, _, ids) in zip(blocks, local.blocks()):

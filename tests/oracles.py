@@ -52,18 +52,21 @@ def dirac_eps_list():
     return [2.0**-k for k in range(config.eps_min_pow, config.eps_max_pow + 1)]
 
 
-def shifted_pivots(a):
-    """U's diagonal in the factor of A^T, its diagonal shifted by the
-    solver's `shifted_diagonal`, made with the solver's `splu` options:
-    what the solver factors when it reads A's CSR arrays as CSC.  Forced
-    diagonal pivots in symmetric mode make LU act as LDL^T, so every
-    pivot is positive if and only if the shifted A^T is positive
-    definite."""
+def shifted_pivots(a, blocks):
+    """U's diagonal in the factor of each block's principal submatrix
+    of A, transposed and its diagonal shifted by the solver's
+    `shifted_diagonal`, made with the solver's `splu` options: what the
+    solver factors, one array after the other.  Forced diagonal pivots
+    in symmetric mode make LU act as LDL^T, so every pivot is positive
+    if and only if every shifted block is positive definite."""
     from bilap_dpg.linsolve import SPLU_OPTIONS, shifted_diagonal
 
-    shifted = scipy.sparse.csc_matrix(a.T, dtype=float, copy=True)
-    shifted.setdiag(shifted_diagonal(shifted.diagonal()))
-    return scipy.sparse.linalg.splu(shifted, **SPLU_OPTIONS).U.diagonal()
+    pivots = []
+    for ids in blocks:
+        shifted = scipy.sparse.csc_matrix(a[ids][:, ids].T, dtype=float, copy=True)
+        shifted.setdiag(shifted_diagonal(shifted.diagonal()))
+        pivots.append(scipy.sparse.linalg.splu(shifted, **SPLU_OPTIONS).U.diagonal())
+    return np.concatenate(pivots)
 
 
 def zero_problem():
@@ -360,44 +363,6 @@ def monomial_local_systems(mesh, scheme, field_degree, test_degree, f, trial_cho
         out_w.append(np.vstack([linv_v @ b[:k], linv_tau @ b[k:]]))
         out_wl.append(np.concatenate([linv_v @ load, np.zeros(k)]))
     return np.array(out_w), np.array(out_wl)
-
-
-def sparse_normal_matrix(w, ids, block_cols):
-    """Sparse DPG matrix over the free dofs that stores every free x free
-    coupling of each test block, zeros included, and the sparse W over
-    the free dofs that it is W^T W of.
-
-    `w` (nt, 2k, ncol) holds the v block's rows first, and `block_cols`
-    the local columns of the v and of the tau block; `ids[T]` holds the
-    free id of each of element T's columns, or -1.  Shared dofs sum
-    their element parts and entries that cancel stay stored, so the
-    pattern is that of the element couplings, not of rounding.  Returns
-    (A, W).
-    """
-    k = w.shape[1] // 2
-    rows, columns, values = [], [], []
-    w_rows, w_columns, w_values = [], [], []
-    for w_t, c in zip(w, ids):
-        for block, local in zip((w_t[:k], w_t[k:]), block_cols):
-            free = c[local]
-            keep = free >= 0
-            a = block[:, local].T @ block[:, local]
-            rows.append(np.repeat(free[keep], keep.sum()))
-            columns.append(np.tile(free[keep], keep.sum()))
-            values.append(a[np.ix_(keep, keep)].ravel())
-            w_rows.append(np.repeat(k * len(w_rows) + np.arange(k), keep.sum()))
-            w_columns.append(np.tile(free[keep], k))
-            w_values.append(block[:, local][:, keep].ravel())
-    n = int(ids.max()) + 1
-    a = scipy.sparse.csr_matrix(
-        (np.concatenate(values), (np.concatenate(rows), np.concatenate(columns))),
-        shape=(n, n),
-    )
-    w_free = scipy.sparse.csr_matrix(
-        (np.concatenate(w_values), (np.concatenate(w_rows), np.concatenate(w_columns))),
-        shape=(k * len(w_rows), n),
-    )
-    return a, w_free
 
 
 def dense_normal_equations(w, wl, ids, values):

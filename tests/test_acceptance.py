@@ -181,7 +181,7 @@ def test_criterion_5_minimum_residual_optimality(monkeypatch):
     worst_orth = sym_defect = 0.0
     spd_ok = True
     for scheme in (1, 2):
-        sol, a, rhs, w, wl = solve_capturing_full_system(
+        sol, a, rhs, blocks, w, wl = solve_capturing_full_system(
             monkeypatch, make_unit_square(2), Formulation(scheme=scheme), prob
         )
         eta0 = error_indicators(sol).total
@@ -195,9 +195,9 @@ def test_criterion_5_minimum_residual_optimality(monkeypatch):
                 if residual_norm(w, wl, x) < eta0 - 1e-9:
                     never_decreased = False
         worst_orth = max(worst_orth, normal_equation_residual(sol, prob, a, rhs))
-        # symmetry and SPD of the matrix the solver factors
+        # symmetry of A, and SPD of each block of it that the solver factors
         sym_defect = max(sym_defect, abs(a - a.T).max() / abs(a).max())
-        spd_ok = spd_ok and bool(np.all(shifted_pivots(a) > 0))
+        spd_ok = spd_ok and bool(np.all(shifted_pivots(a, blocks) > 0))
     ok = never_decreased and worst_orth <= 1e-8 and sym_defect <= 1e-12 and spd_ok
     _report(
         5,

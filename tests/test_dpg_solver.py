@@ -145,7 +145,7 @@ def test_minimum_residual_optimality(form, monkeypatch):
     # random perturbations of the free dofs, u included, never decrease
     # the residual of the uncondensed system
     prob = smooth_problem()
-    sol, _, _, w, wl = solve_capturing_full_system(monkeypatch, make_unit_square(2), form, prob)
+    sol, _, _, _, w, wl = solve_capturing_full_system(monkeypatch, make_unit_square(2), form, prob)
     eta0 = error_indicators(sol).total
     rng = np.random.default_rng(17)
     cols = free_cols(sol, prob)
@@ -183,7 +183,7 @@ def residual_norm(w, wl, x):
 def test_normal_equation_orthogonality(form, prob_name, monkeypatch):
     prob = smooth_problem() if prob_name == "smooth" else singular_problem()
     mesh = make_unit_square(3) if prob_name == "smooth" else make_sector_domain()
-    sol, a, rhs = solve_capturing_system(monkeypatch, mesh, form, prob)
+    sol, a, rhs, _ = solve_capturing_system(monkeypatch, mesh, form, prob)
     assert normal_equation_residual(sol, prob, a, rhs) <= 1e-8
 
 
@@ -199,7 +199,8 @@ def normal_equation_residual(sol, prob, a, rhs):
 
 def solve_capturing_arguments(monkeypatch, mesh, form, prob):
     """`assemble_and_solve`, plus the arguments it passes to the sparse
-    solver: the matrix, the rhs, the W operator and the load."""
+    solver: the matrix, the rhs, the W operator, the load and the free
+    ids of each test block."""
     captured = []
     solve = dpg_solver.sparse_spd_solve
 
@@ -215,10 +216,10 @@ def solve_capturing_arguments(monkeypatch, mesh, form, prob):
 
 
 def solve_capturing_system(monkeypatch, mesh, form, prob):
-    """`assemble_and_solve`, plus the matrix and rhs it passes to the
-    sparse solver."""
-    sol, (a, rhs, _, _) = solve_capturing_arguments(monkeypatch, mesh, form, prob)
-    return sol, a, rhs
+    """`assemble_and_solve`, plus the matrix, the rhs and the blocks it
+    passes to the sparse solver."""
+    sol, (a, rhs, _, _, blocks) = solve_capturing_arguments(monkeypatch, mesh, form, prob)
+    return sol, a, rhs, blocks
 
 
 def solve_capturing_full_system(monkeypatch, mesh, form, prob):
@@ -235,7 +236,7 @@ def solve_capturing_full_system(monkeypatch, mesh, form, prob):
 
     with monkeypatch.context() as patch:
         patch.setattr(forms, "_condense_u", record)
-        sol, a, rhs = solve_capturing_system(patch, mesh, form, prob)
+        sol, a, rhs, blocks = solve_capturing_system(patch, mesh, form, prob)
     loc = sol.local
     w_v = loc.w_v[loc.cls]
     nt, k, _ = w_v.shape
@@ -243,7 +244,7 @@ def solve_capturing_full_system(monkeypatch, mesh, form, prob):
     w = np.zeros((nt, 2 * k, loc.v_cols[-1] + 1))
     w[:, :k, loc.v_cols] = w_v
     w[:, k:, : w_tau.shape[2]] = w_tau
-    return sol, a, rhs, w, np.concatenate([loc.wl_v, np.zeros((nt, k))], axis=1)
+    return sol, a, rhs, blocks, w, np.concatenate([loc.wl_v, np.zeros((nt, k))], axis=1)
 
 
 def test_class_products_do_not_depend_on_the_slice_size(monkeypatch):
@@ -270,7 +271,9 @@ def test_solver_gets_buffers_of_exactly_nnz_entries(monkeypatch):
     # the COO -> CSR conversion sums the duplicates at the front of
     # triplet-sized buffers; none of that slack may reach the solve
     for form in (VF1, VF2):
-        _, a, _ = solve_capturing_system(monkeypatch, make_unit_square(4), form, smooth_problem())
+        _, a, _, _ = solve_capturing_system(
+            monkeypatch, make_unit_square(4), form, smooth_problem()
+        )
         for buffer in (a.data, a.indices):
             assert buffer.base is None and buffer.size == a.nnz
 
@@ -370,10 +373,10 @@ def test_solver_invariants_on_random_nvb_meshes(refinements, scheme, degree):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linsolve.log, "warning", lambda *args: warned.append(args))
         runs = [solve_capturing_system(patch, meshes[-1], form, prob) for _ in range(2)]
-    (sol, a, rhs), (rerun, a2, rhs2) = runs
+    (sol, a, rhs, blocks), (rerun, a2, rhs2, _) = runs
     assert not warned
     assert abs(a - a.T).max() <= 1e-12 * abs(a).max()
-    assert np.all(shifted_pivots(a) > 0)
+    assert np.all(shifted_pivots(a, blocks) > 0)
     assert normal_equation_residual(sol, prob, a, rhs) <= 1e-8
     ind = error_indicators(sol)
     assert ind.total == pytest.approx(np.linalg.norm(ind.per_element), rel=1e-14)
@@ -435,16 +438,28 @@ def test_sector_study_err_sigma_decreases_past_the_benchmark():
     assert all(b < a for a, b in zip(err_sigma, err_sigma[1:])), err_sigma
 
 
-@pytest.mark.parametrize("scheme,sizes", [(1, (518, 11_270, 39_592)), (2, (853, 22_811, 85_318))])
+@pytest.mark.parametrize(
+    "scheme,sizes",
+    [
+        (1, (518, 11_270, 22_036, "371,275", "15124,6912")),
+        (2, (853, 22_811, 48_794, "706,275", "41882,6912")),
+    ],
+)
 def test_condensed_system_sizes_on_the_8x8_square(scheme, sizes, caplog):
-    # the system the solver factors (smooth problem, p = 0): n, nnz(A)
-    # and the fill of the factor, which minimum degree takes from the
-    # numbering it starts from
+    # the system the solver is given (smooth problem, p = 0): n, nnz(A),
+    # the summed fill of its two block factors, which minimum degree
+    # takes from the numbering it starts from, and each block's n and
+    # fill.  The tau block [sigma | uhat] is the smaller, so the sweep
+    # starts and ends on it.  A factored whole filled to 39,592 and 85,318
     with caplog.at_level(logging.DEBUG, logger="bilap_dpg.linsolve"):
         assemble_and_solve(make_unit_square(8), Formulation(scheme=scheme), smooth_problem())
     [record] = [r for r in caplog.records if r.levelno == logging.DEBUG]
-    found = re.search(r"n=(\d+) nnz\(A\)=(\d+) nnz\(L\+U\)=(\d+)", record.getMessage())
-    assert tuple(map(int, found.groups())) == sizes
+    found = re.search(
+        r"n=(\d+) nnz\(A\)=(\d+) nnz\(L\+U\)=(\d+) block_n=(\S+) block_nnz\(L\+U\)=(\S+) ",
+        record.getMessage(),
+    )
+    assert tuple(map(int, found.groups()[:3])) + found.groups()[3:] == sizes
+    assert " sweep=1,0,1 " in record.getMessage()
 
 
 CORNER_MESHES = {
@@ -501,9 +516,11 @@ def test_each_vertex_fixes_one_of_its_own_corner_coefficients(name):
 
 
 def test_global_matrix_symmetric_and_spd(monkeypatch):
-    _, a, _ = solve_capturing_system(monkeypatch, make_unit_square(2), VF2, smooth_problem())
+    _, a, _, blocks = solve_capturing_system(
+        monkeypatch, make_unit_square(2), VF2, smooth_problem()
+    )
     assert abs(a - a.T).max() <= 1e-12 * abs(a).max()
-    assert np.all(shifted_pivots(a) > 0)
+    assert np.all(shifted_pivots(a, blocks) > 0)
 
 
 @pytest.mark.parametrize("form", [VF1, VF2])
@@ -526,7 +543,7 @@ def test_assembly_matches_dense_oracle(domain, form, monkeypatch):
             mesh = refine_nvb(mesh, doerfler_mark(ind.per_element, 0.5))
     for degree in (0, 1):
         form_p = Formulation(form.scheme, degree)
-        sol, a, rhs, w, wl = solve_capturing_full_system(monkeypatch, mesh, form_p, prob)
+        sol, a, rhs, _, w, wl = solve_capturing_full_system(monkeypatch, mesh, form_p, prob)
         _, values, _ = _global_columns(mesh, form_p, _trace_spaces(mesh, prob))
         ids = free_cols(sol, prob)
         k_full, rhs_full = dense_normal_equations(w, wl, ids, values)
